@@ -16,7 +16,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erfc
-from scipy.stats import multivariate_normal
 
 from .numerics import find_root, gauss_grid, norm_cdf, norm_pdf, norm_quantile
 
@@ -202,6 +201,10 @@ def crossing_probability_mvn(bounds: BoundarySet, abseps: float = 1e-8) -> float
     correlation Cov(Z_i, Z_j) = sqrt(t_i / t_j). Slow but a third,
     library-backed route used to certify the other two in tests.
     """
+    # scipy.stats is imported here, not at module load: it costs more than
+    # the rest of `import gatedgsd` and nothing else needs it.
+    from scipy.stats import multivariate_normal
+
     k = len(bounds)
     if k == 1:
         return 1.0 - norm_cdf(bounds.z_bounds[0])

@@ -24,23 +24,11 @@ from .boundaries import cached_boundaries
 from .config import ConfigError, RunConfig, build_designs, parse_config
 from .engine import analyze_observed, render_narrative
 from .futility import calibrate_threshold
-from .harness import (atomic_write_text, run_monte_carlo, summarize,
+from .harness import (atomic_write_text, rows_to_csv, run_monte_carlo, summarize,
                       write_manifest, write_tables)
 from .simdata import generate_trial
 
 __all__ = ["main"]
-
-
-def _rows_to_csv(rows: List[dict]) -> str:
-    import io
-
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    w.writeheader()
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 def _emit(text: str, out_dir: Optional[str], filename: str):
@@ -59,11 +47,12 @@ def _load_config(args) -> RunConfig:
 def cmd_boundaries(args) -> int:
     config = _load_config(args)
     rows = []
+    # Boundary tables depend only on the alpha split, not the weights, so the
+    # first arm of each design kind stands for all of that kind.
+    first_arms = {}
     for design in build_designs(config):
-        # Boundary tables depend only on the alpha split, not the weights,
-        # so one arm per design kind suffices.
-        if ":" in design.label and not design.label.endswith(config.weight_sets[0].label):
-            continue
+        first_arms.setdefault(design.kind, design)
+    for design in first_arms.values():
         for h in sorted(design.initial_alphas, key=str):
             alpha = design.initial_alphas[h]
             if alpha <= 0.0:
@@ -80,7 +69,7 @@ def cmd_boundaries(args) -> int:
                     "z_bound": round(z, 6),
                     "nominal_p": round(p, 8),
                 })
-    _emit(_rows_to_csv(rows), args.out, "boundaries.csv")
+    _emit(rows_to_csv(rows), args.out, "boundaries.csv")
     return 0
 
 
@@ -91,7 +80,7 @@ def cmd_thresholds(args) -> int:
         "gamma": args.gamma,
         "theta": round(calibrate_threshold(args.hr, args.events, args.gamma), 6),
     }]
-    _emit(_rows_to_csv(rows), args.out, "thresholds.csv")
+    _emit(rows_to_csv(rows), args.out, "thresholds.csv")
     return 0
 
 
@@ -114,7 +103,7 @@ def cmd_simulate(args) -> int:
         trial = generate_trial(config.scenario, (seed, 0))
         rows = trial.to_rows(config.scenario.stage1_cutoff)
         path = os.path.join(out_dir, "trials.csv")
-        atomic_write_text(path, _rows_to_csv(rows))
+        atomic_write_text(path, rows_to_csv(rows))
         paths["trials"] = path
 
     with open(args.config) as f:
@@ -176,7 +165,7 @@ def cmd_report(args) -> int:
     paths = {}
     for name, rows in merged.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        atomic_write_text(path, _rows_to_csv(rows))
+        atomic_write_text(path, rows_to_csv(rows))
         paths[name] = path
     print(f"merged {len(args.runs)} runs into {out_dir}")
     return 0

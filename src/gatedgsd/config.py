@@ -16,17 +16,11 @@ import yaml
 from .combine import StageWeights
 from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec, ObservedData
 from .futility import FutilityRule
-from .multiplicity import Endpoint, HypothesisId, Population
+from .multiplicity import HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population
 from .simdata import AnalysisTrigger, ScenarioSpec
 
 __all__ = ["ConfigError", "RunConfig", "WeightSet", "parse_config", "build_designs"]
 
-_HYPOTHESIS_SLUGS = {
-    "full_pfs": HypothesisId(Population.FULL, Endpoint.PFS),
-    "full_os": HypothesisId(Population.FULL, Endpoint.OS),
-    "sub_pfs": HypothesisId(Population.SUB, Endpoint.PFS),
-    "sub_os": HypothesisId(Population.SUB, Endpoint.OS),
-}
 _ENDPOINTS = {"pfs": Endpoint.PFS, "os": Endpoint.OS}
 
 
@@ -177,9 +171,9 @@ def _parse_scenario(col: _Collector, raw, name: str, alpha: float) -> Optional[S
 
 def _parse_alphas(col: _Collector, raw, path: str, alpha: float,
                   per_population: bool) -> Dict[HypothesisId, float]:
-    m = col.expect_map(raw, path, tuple(_HYPOTHESIS_SLUGS), tuple(_HYPOTHESIS_SLUGS))
+    m = col.expect_map(raw, path, tuple(HYPOTHESIS_SLUGS), tuple(HYPOTHESIS_SLUGS))
     out: Dict[HypothesisId, float] = {}
-    for slug, h in _HYPOTHESIS_SLUGS.items():
+    for slug, h in HYPOTHESIS_SLUGS.items():
         v = col.number(m, path, slug, lo=0.0, hi=0.5)
         if v is not None:
             out[h] = v
@@ -263,9 +257,9 @@ def _parse_observed(col: _Collector, raw) -> Optional[ObservedConfig]:
             col.fail(f"observed.p_values.{design_slug}", "unknown design (gsd|ad|ggsd)")
             continue
         dmap = col.expect_map(slots, f"observed.p_values.{design_slug}",
-                              tuple(_HYPOTHESIS_SLUGS))
+                              tuple(HYPOTHESIS_SLUGS))
         p_values: Dict[HypothesisId, Dict[int, float]] = {}
-        for slug, h in _HYPOTHESIS_SLUGS.items():
+        for slug, h in HYPOTHESIS_SLUGS.items():
             if slug not in dmap:
                 continue
             entry = dmap[slug]

@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .boundaries import SpendingKind, cached_boundaries
-from .combine import (CohortPValues, Scenario, StageWeights, clamp_p,
+from .combine import (CohortPValues, Scenario, StageWeights, TestTarget, clamp_p,
                       event_weights, intersection_target, inverse_normal, scenario_wiring)
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import (HYPOTHESES, Endpoint, HypothesisGraph, HypothesisId,
@@ -39,8 +39,6 @@ __all__ = [
     "analyze_observed",
     "render_narrative",
 ]
-
-TestTarget = Union[HypothesisId, Tuple[str, Endpoint]]
 
 ANALYSIS_NAMES = ("IA1", "IA2", "FA", "IA4", "IA5")
 

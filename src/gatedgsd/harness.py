@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec, run_design
-from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population
+from .multiplicity import HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population
 from .simdata import ScenarioSpec, generate_trial, schedule_analyses, snapshot_at
 
 __all__ = [
@@ -31,21 +32,15 @@ __all__ = [
     "write_tables",
     "write_manifest",
     "atomic_write_text",
+    "rows_to_csv",
     "true_null_hypotheses",
 ]
-
-_SLUG = {
-    "full_pfs": HypothesisId(Population.FULL, Endpoint.PFS),
-    "full_os": HypothesisId(Population.FULL, Endpoint.OS),
-    "sub_pfs": HypothesisId(Population.SUB, Endpoint.PFS),
-    "sub_os": HypothesisId(Population.SUB, Endpoint.OS),
-}
 
 
 def true_null_hypotheses(setting: ScenarioSpec) -> Tuple[HypothesisId, ...]:
     """Hypotheses whose configured hazard ratios make them true nulls."""
     if setting.null_hypotheses is not None:
-        return tuple(_SLUG[s] for s in setting.null_hypotheses)
+        return tuple(HYPOTHESIS_SLUGS[s] for s in setting.null_hypotheses)
     nulls = []
     for h in HYPOTHESES:
         hr_s = setting.hr_sub.get(h.endpoint, 1.0)
@@ -248,11 +243,10 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def _csv_text(rows: List[dict]) -> str:
+def rows_to_csv(rows: List[dict]) -> str:
+    """CSV text with a header from the first row's keys; "" for no rows."""
     if not rows:
         return ""
-    import io
-
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
@@ -265,7 +259,7 @@ def write_tables(tables: Mapping[str, List[dict]], out_dir: str) -> Dict[str, st
     paths = {}
     for name, rows in tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        atomic_write_text(path, _csv_text(rows))
+        atomic_write_text(path, rows_to_csv(rows))
         paths[name] = path
     return paths
 

@@ -17,6 +17,7 @@ __all__ = [
     "Endpoint",
     "HypothesisId",
     "HYPOTHESES",
+    "HYPOTHESIS_SLUGS",
     "HypothesisGraph",
     "hochberg_intersection",
     "intersection_boundary",
@@ -49,6 +50,13 @@ H_F_PFS = HypothesisId(Population.FULL, Endpoint.PFS)
 H_S_OS = HypothesisId(Population.SUB, Endpoint.OS)
 H_S_PFS = HypothesisId(Population.SUB, Endpoint.PFS)
 HYPOTHESES = (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS)
+# Config and scenario spelling of each hypothesis.
+HYPOTHESIS_SLUGS = {
+    "full_pfs": H_F_PFS,
+    "full_os": H_F_OS,
+    "sub_pfs": H_S_PFS,
+    "sub_os": H_S_OS,
+}
 
 
 def hochberg_intersection(p_full: float, p_sub: float) -> float:

@@ -4,13 +4,22 @@ Patients enroll uniformly over the accrual window, are randomized 1:1, and
 carry independent latent exponential event and dropout times per endpoint.
 Snapshots censor at the analysis cutoff and produce cohort-wise logrank
 p-values plus Cox hazard-ratio estimates for the futility gate.
+
+A snapshot sorts each endpoint's censored durations once. Every patient
+sits in one of four stage x subgroup cells, and each of the six (cohort,
+population) slots is a union of cells. Per-cell and per-arm event and
+at-risk counts at the distinct event times come from that one order, so
+the counts of all six slots are sums of cell counts and their logrank
+statistics come out together. The futility gate's Cox fits take the
+stage-1 rows of the same order. `logrank_test` is the same kernel with a
+single slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -198,41 +207,97 @@ def _censor(trial: TrialData, ep: Endpoint, time: float, mask: np.ndarray):
     return duration, status, trial.experimental[sel]
 
 
+def _slot_weights(slot_cells) -> np.ndarray:
+    """0/1 matrix that turns per-group counts into per-slot counts.
+
+    `slot_cells` has one 0/1 row per slot over the cells. Group 2c is cell
+    c's control arm and 2c + 1 its experimental arm. The kernel's counts
+    stack two blocks of group rows (rows gone by each event time, then
+    events at each time); the product stacks four blocks of slot rows: gone
+    in both arms, gone in the experimental arm, events in both arms,
+    experimental events.
+    """
+    cells = np.asarray(slot_cells, dtype=np.float64)
+    per_slot = np.vstack([np.repeat(cells, 2, axis=1), np.kron(cells, (0.0, 1.0))])
+    return np.kron(np.eye(2), per_slot)
+
+
+def _logrank_slots(d: np.ndarray, s: np.ndarray, group: np.ndarray,
+                   weights: np.ndarray) -> List[Tuple[float, float, int]]:
+    """One-sided logrank (z, p, events) for every slot of one sorted sample.
+
+    d and s are the durations in stable ascending order and their event
+    flags; `group` is each row's (cell, arm) group and `weights` (from
+    `_slot_weights`) says which groups make up each slot. Per-group event
+    and at-risk counts at the distinct event times come from this one order,
+    and a slot's counts are sums over its groups. At-risk counts are taken
+    at the first row of a tied duration, so a patient censored at t is still
+    at risk at t; events at one time are collapsed.
+    """
+    n_slots, n_groups = weights.shape[0] // 4, weights.shape[1] // 2
+    n = len(d)
+    # A row's bucket counts the event times at which it is still at risk:
+    # the distinct event times up to its own duration, ties included. Runs
+    # of tied durations are marked at their first row, so all rows of a run
+    # share one bucket and a group's rows in buckets 0..j are those gone by
+    # event time j.
+    new_run = np.ones(n, dtype=bool)
+    np.not_equal(d[1:], d[:-1], out=new_run[1:])
+    run_start = np.where(new_run, np.arange(n), 0)
+    np.maximum.accumulate(run_start, out=run_start)
+    bucket = np.zeros(n, dtype=np.intp)
+    bucket[run_start[s]] = 1
+    np.cumsum(bucket, out=bucket)
+    width = int(bucket[-1]) + 1 if n else 1
+    # Count rows per (group, bucket) and, below them, events per (group, time);
+    # an event row's own time is the last one it is at risk at.
+    index = group * width + bucket
+    counts = np.bincount(np.concatenate([index, index[s] + n_groups * width - 1]),
+                         minlength=2 * n_groups * width).reshape(2 * n_groups, width)
+    np.cumsum(counts[:n_groups], axis=1, out=counts[:n_groups])
+    slot_counts = weights @ counts
+    size = slot_counts[:2 * n_slots, -1:]
+    at_risk = (size - slot_counts[:2 * n_slots]).reshape(2, -1)
+    died = slot_counts[2 * n_slots:].reshape(2, -1)
+    # Each slot sums over its own event times only, as one contiguous run:
+    # the same additions in the same order as a sample holding that slot alone.
+    runs = np.flatnonzero(died[0] > 0)
+    ends = np.searchsorted(runs, np.arange(1, n_slots + 1) * width).tolist()
+    n_tot, n_exp = at_risk.take(runs, axis=1)
+    d_tot, d_exp = died.take(runs, axis=1)
+    share = n_exp / n_tot
+    terms = np.empty((3, len(runs)))
+    np.subtract(d_exp, d_tot * n_exp / n_tot, out=terms[0])
+    var = np.multiply(d_tot, share, out=terms[1])
+    var *= 1.0 - share
+    var *= n_tot - d_tot
+    var /= np.maximum(n_tot - 1.0, 1.0)
+    terms[2] = d_tot
+    sizes = size.ravel().tolist()
+    out = []
+    for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        u, v, n_ev = np.add.reduce(terms[:, lo:hi], axis=1).tolist()
+        n_ev, n_x = int(n_ev), sizes[n_slots + k]
+        if n_ev == 0 or n_x == 0 or n_x == sizes[k] or v <= 0.0:
+            out.append((0.0, 1.0, n_ev))
+            continue
+        z = -u / math.sqrt(v)  # fewer experimental events than expected => z > 0
+        out.append((z, 1.0 - norm_cdf(z), n_ev))
+    return out
+
+
+_ONE_SLOT = _slot_weights([[1]])
+
+
 def logrank_test(duration: np.ndarray, status: np.ndarray, experimental: np.ndarray):
     """One-sided logrank test; Z > 0 favors the experimental arm.
 
-    Returns (z, one_sided_p, events). A stratum with no events carries no
-    evidence: (0, 1, 0).
+    Returns (z, one_sided_p, events). A stratum with no events, or with
+    one arm only, carries no evidence: (0, 1, events).
     """
-    total_events = int(status.sum())
-    if total_events == 0 or experimental.all() or (~experimental).all():
-        return 0.0, 1.0, total_events
     order = np.argsort(duration, kind="stable")
-    d = duration[order]
-    s = status[order].astype(np.float64)
-    x = experimental[order].astype(np.float64)
-    n = len(d)
-    # At-risk counts immediately before each row's time.
-    at_risk_total = n - np.arange(n)
-    at_risk_exp = np.cumsum(x[::-1])[::-1]
-    # Collapse tied event times.
-    event_rows = s > 0
-    t_ev = d[event_rows]
-    uniq, inv = np.unique(t_ev, return_inverse=True)
-    d_exp = np.bincount(inv, weights=x[event_rows], minlength=len(uniq))
-    d_tot = np.bincount(inv, weights=np.ones(int(event_rows.sum())), minlength=len(uniq))
-    first_idx = np.searchsorted(d, uniq, side="left")
-    n_tot = at_risk_total[first_idx].astype(np.float64)
-    n_exp = at_risk_exp[first_idx]
-    expected = d_tot * n_exp / n_tot
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = d_tot * (n_exp / n_tot) * (1.0 - n_exp / n_tot) * (n_tot - d_tot) / np.maximum(n_tot - 1.0, 1.0)
-    u = float(np.sum(d_exp - expected))
-    v = float(np.sum(var))
-    if v <= 0.0:
-        return 0.0, 1.0, total_events
-    z = -u / math.sqrt(v)  # fewer experimental events than expected => z > 0
-    return z, 1.0 - norm_cdf(z), total_events
+    return _logrank_slots(duration[order], status[order].astype(bool),
+                          experimental[order].astype(np.intp), _ONE_SLOT)[0]
 
 
 def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray, experimental: np.ndarray,
@@ -288,47 +353,54 @@ class AnalysisSnapshot:
     hr_sub: Optional[float] = None
 
 
+# Cells are stage x subgroup: 0 stage-1 complement, 1 stage-1 subgroup,
+# 2 stage-2 complement, 3 stage-2 subgroup. Slots are unions of cells.
+_SLOT_CELLS = {
+    ("stage1", Population.FULL): (1, 1, 0, 0),
+    ("stage1", Population.SUB): (0, 1, 0, 0),
+    ("stage2", Population.FULL): (0, 0, 1, 1),
+    ("stage2", Population.SUB): (0, 0, 0, 1),
+    ("pooled", Population.FULL): (1, 1, 1, 1),
+    ("pooled", Population.SUB): (0, 1, 0, 1),
+}
+_SLOT_WEIGHTS = _slot_weights(list(_SLOT_CELLS.values()))
+_ENDPOINTS = tuple(Endpoint)
+_SLOT_KEYS = tuple((cohort, pop, ep) for cohort, pop in _SLOT_CELLS for ep in _ENDPOINTS)
+
+
 def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
                 with_hr: bool = False) -> AnalysisSnapshot:
-    """Summaries of all (cohort, population, endpoint) slots at a cutoff."""
+    """Summaries of all (cohort, population, endpoint) slots at a cutoff.
+
+    Per endpoint the enrolled patients are censored and sorted once; all six
+    (cohort, population) slots are read off that one order.
+    """
     if time < 0:
         raise ValueError("snapshot time must be nonnegative")
-    stage = trial.stage(spec.stage1_cutoff)
-    cohort_masks = {
-        "stage1": stage == 1,
-        "stage2": stage == 2,
-        "pooled": np.ones(len(trial), dtype=bool),
-    }
-    pop_masks = {
-        Population.FULL: np.ones(len(trial), dtype=bool),
-        Population.SUB: trial.in_subgroup,
-    }
-    events: Dict[SlotKey, int] = {}
-    zs: Dict[SlotKey, float] = {}
-    ps: Dict[SlotKey, float] = {}
-    flagged: List[SlotKey] = []
-    for cohort, cmask in cohort_masks.items():
-        for pop, pmask in pop_masks.items():
-            for ep in Endpoint:
-                dur, st, arm = _censor(trial, ep, time, cmask & pmask)
-                z, p, n_ev = logrank_test(dur, st, arm)
-                key = (cohort, pop, ep)
-                events[key], zs[key], ps[key] = n_ev, z, p
-                if n_ev == 0:
-                    flagged.append(key)
+    enrolled = trial.enroll_time < time
+    cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
+    group = (2 * cell + trial.experimental)[enrolled]
+    per_endpoint = []
     hr_full = hr_sub = None
-    if with_hr:
-        s1 = cohort_masks["stage1"]
-        dur, st, arm = _censor(trial, Endpoint.PFS, time, s1)
-        hr_full = cox_hazard_ratio(dur, st, arm) if st.sum() else None
-        dur, st, arm = _censor(trial, Endpoint.PFS, time, s1 & trial.in_subgroup)
-        hr_sub = cox_hazard_ratio(dur, st, arm) if st.sum() else None
+    for ep in _ENDPOINTS:
+        dur, st, arm = _censor(trial, ep, time, enrolled)
+        order = np.argsort(dur, kind="stable")
+        d, s, g = dur[order], st[order], group[order]
+        per_endpoint.append(_logrank_slots(d, s, g, _SLOT_WEIGHTS))
+        if with_hr and ep is Endpoint.PFS:
+            # A stable order restricted to a subset is the subset's own stable
+            # order, so the fits see exactly the rows a fresh sort would give.
+            x, c = arm[order], g >> 1
+            hr_full, hr_sub = (cox_hazard_ratio(d[rows], s[rows], x[rows]) if s[rows].any() else None
+                               for rows in (c < 2, c == 1))  # stage 1: F, then S
+    # Key order: cohort, then population, then endpoint.
+    zs, ps, events = zip(*(slots[k] for k in range(len(_SLOT_CELLS)) for slots in per_endpoint))
     return AnalysisSnapshot(
         calendar_time=time,
-        events=events,
-        z=zs,
-        p=ps,
-        zero_event_slots=tuple(flagged),
+        events=dict(zip(_SLOT_KEYS, events)),
+        z=dict(zip(_SLOT_KEYS, zs)),
+        p=dict(zip(_SLOT_KEYS, ps)),
+        zero_event_slots=tuple(key for key, n in zip(_SLOT_KEYS, events) if n == 0),
         hr_full=hr_full,
         hr_sub=hr_sub,
     )

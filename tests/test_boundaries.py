@@ -8,13 +8,18 @@ by a fine-grid trapezoid oracle coded from scratch before this module.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gatedgsd
 from gatedgsd.boundaries import (
     BoundarySet,
     SpendingFunction,
@@ -150,3 +155,14 @@ def test_round_trip_property(alpha, t1, t2):
     b = compute_boundaries(alpha, (t1, t2, 1.0), LDOBF)
     assert crossing_probability(b) == pytest.approx(alpha, abs=1e-5)
     assert all(z > 0 for z in b.z_bounds)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is slow to import and only the MVN route needs it."""
+    env = dict(os.environ)
+    src = str(Path(gatedgsd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, gatedgsd, gatedgsd.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from gatedgsd.cli import main
 
@@ -100,3 +101,21 @@ def test_bad_config_exit_code(tmp_path):
 def test_missing_config_errors(tmp_path):
     assert run("simulate", "--config", tmp_path / "nope.yaml",
                "--out", tmp_path / "x") != 0
+
+
+def test_boundaries_one_arm_per_kind_whatever_the_weight_order(tmp_path):
+    """A first weight set "0.7" must not also pick up the "0.5/0.7" arms."""
+    raw = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    labels = [w["label"] for w in raw["weights"]]
+    assert "0.5/0.7" in labels
+    raw["weights"].sort(key=lambda w: w["label"] != "0.7")
+    reordered = tmp_path / "reordered.yaml"
+    reordered.write_text(yaml.safe_dump(raw))
+    assert run("boundaries", "--config", reordered, "--out", tmp_path / "a") == 0
+    assert run("boundaries", "--config", CONFIG_DIR / "setting2.yaml",
+               "--out", tmp_path / "b") == 0
+    rows = list(csv.DictReader(open(tmp_path / "a" / "boundaries.csv")))
+    keys = [(r["design"], r["hypothesis"], r["analysis"]) for r in rows]
+    assert len(keys) == len(set(keys))
+    assert ((tmp_path / "a" / "boundaries.csv").read_bytes()
+            == (tmp_path / "b" / "boundaries.csv").read_bytes())

@@ -1,20 +1,29 @@
 """Trial generation, analysis scheduling, and survival statistics."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from gatedgsd.config import parse_config
 from gatedgsd.multiplicity import Endpoint, Population
+from gatedgsd.numerics import norm_cdf
 from gatedgsd.simdata import (
     AnalysisTrigger,
     ScenarioSpec,
     SchedulingError,
+    TrialData,
+    _censor,
     cox_hazard_ratio,
     generate_trial,
     logrank_test,
     schedule_analyses,
     snapshot_at,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
 
 
 def toy_spec(**overrides):
@@ -167,3 +176,147 @@ def test_snapshot_earlier_time_has_fewer_events():
     late = snapshot_at(trial, 20.0, spec)
     key = ("pooled", Population.FULL, Endpoint.OS)
     assert early.events[key] < late.events[key]
+
+
+# -- one sort per endpoint: the snapshot kernel against the per-slot path ----
+
+
+def reference_logrank(duration, status, experimental):
+    """Per-slot logrank with its own sort: the path the snapshot kernel replaced."""
+    total_events = int(status.sum())
+    if total_events == 0 or experimental.all() or (~experimental).all():
+        return 0.0, 1.0, total_events
+    order = np.argsort(duration, kind="stable")
+    d = duration[order]
+    s = status[order].astype(np.float64)
+    x = experimental[order].astype(np.float64)
+    n = len(d)
+    at_risk_total = n - np.arange(n)
+    at_risk_exp = np.cumsum(x[::-1])[::-1]
+    event_rows = s > 0
+    t_ev = d[event_rows]
+    uniq, inv = np.unique(t_ev, return_inverse=True)
+    d_exp = np.bincount(inv, weights=x[event_rows], minlength=len(uniq))
+    d_tot = np.bincount(inv, weights=np.ones(int(event_rows.sum())), minlength=len(uniq))
+    first_idx = np.searchsorted(d, uniq, side="left")
+    n_tot = at_risk_total[first_idx].astype(np.float64)
+    n_exp = at_risk_exp[first_idx]
+    expected = d_tot * n_exp / n_tot
+    with np.errstate(invalid="ignore", divide="ignore"):
+        var = d_tot * (n_exp / n_tot) * (1.0 - n_exp / n_tot) * (n_tot - d_tot) / np.maximum(n_tot - 1.0, 1.0)
+    u = float(np.sum(d_exp - expected))
+    v = float(np.sum(var))
+    if v <= 0.0:
+        return 0.0, 1.0, total_events
+    z = -u / math.sqrt(v)
+    return z, 1.0 - norm_cdf(z), total_events
+
+
+def reference_slots(trial, time, spec):
+    """{(cohort, population, endpoint): (z, p, events)}, one censor and sort per slot."""
+    stage = trial.stage(spec.stage1_cutoff)
+    cohorts = {"stage1": stage == 1, "stage2": stage == 2,
+               "pooled": np.ones(len(trial), dtype=bool)}
+    pops = {Population.FULL: np.ones(len(trial), dtype=bool),
+            Population.SUB: trial.in_subgroup}
+    return {(c, pop, ep): reference_logrank(*_censor(trial, ep, time, cm & pm))
+            for c, cm in cohorts.items() for pop, pm in pops.items() for ep in Endpoint}
+
+
+def snapshot_matches_reference(trial, time, spec, with_hr=False):
+    """Largest |dz| of a snapshot against the reference; events must be equal."""
+    snap = snapshot_at(trial, time, spec, with_hr=with_hr)
+    ref = reference_slots(trial, time, spec)
+    assert list(snap.events) == list(snap.z) == list(snap.p) == list(ref)  # key order is kept
+    worst = 0.0
+    for key, (z, p, events) in ref.items():
+        assert snap.events[key] == events, key
+        assert (key in snap.zero_event_slots) == (events == 0), key
+        worst = max(worst, abs(snap.z[key] - z))
+        assert snap.z[key] == pytest.approx(z, abs=1e-12), key
+        assert snap.p[key] == pytest.approx(p, abs=1e-12), key
+    return worst
+
+
+def kernel_agreement(n_rep):
+    """Max |dz| of every snapshot of settings 1-3, power and null passes."""
+    worst = 0.0
+    for name in ("setting1", "setting2", "setting3"):
+        cfg = parse_config(CONFIG_DIR / f"{name}.yaml")
+        for spec in (cfg.scenario, cfg.scenario.under_global_null()):
+            for rep in range(n_rep):
+                trial = generate_trial(spec, (cfg.seed, rep))
+                for t in schedule_analyses(trial, spec):
+                    worst = max(worst, snapshot_matches_reference(trial, t, spec))
+                worst = max(worst, snapshot_matches_reference(
+                    trial, spec.stage1_cutoff, spec, with_hr=True))
+    return worst
+
+
+def test_snapshot_kernel_matches_per_slot_path():
+    assert kernel_agreement(n_rep=8) <= 1e-12
+
+
+def hand_trial():
+    """Ten patients; stage-1 cutoff at month 10 (patients 6-9 enroll after it).
+
+    PFS: patient 0 (subgroup) has an event at duration 5, the very duration
+    at which patient 1 (complement) drops out. Stage-2 subgroup patients are
+    all experimental, and no stage-2 patient has an OS event.
+    """
+    enroll = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 11.0, 12.0, 13.0, 14.0])
+    sub = np.array([1, 0, 1, 0, 1, 0, 1, 1, 0, 0], dtype=bool)
+    exp_arm = np.array([1, 0, 0, 1, 1, 0, 1, 1, 0, 1], dtype=bool)
+    pfs = np.array([5.0, 30.0, 3.0, 8.0, 50.0, 7.0, 40.0, 2.0, 100.0, 100.0])
+    pfs_drop = np.array([np.inf, 5.0] + [np.inf] * 8)
+    os_ = np.array([9.0, 12.0, 6.0, 14.0, 60.0, 11.0, 90.0, 90.0, 90.0, 90.0])
+    return TrialData(enroll, sub, exp_arm, {Endpoint.PFS: pfs, Endpoint.OS: os_},
+                     {Endpoint.PFS: pfs_drop, Endpoint.OS: np.full(10, np.inf)})
+
+
+def test_snapshot_kernel_hand_built_edges():
+    spec = toy_spec(stage1_cutoff=10.0)
+    trial = hand_trial()
+    snap = snapshot_at(trial, 20.0, spec)
+    snapshot_matches_reference(trial, 20.0, spec)
+    # Tie split across slots: the dropout at 5 is still at risk at the event
+    # at 5 in stage-1 F, and absent from stage-1 S.
+    u = (0 - 1 / 2) + (1 - 3 / 5) + (0 - 2 / 3) + (1 - 1)
+    v = 1 / 4 + 6 / 25 + 2 / 9
+    assert snap.z[("stage1", Population.FULL, Endpoint.PFS)] == pytest.approx(-u / math.sqrt(v), abs=1e-12)
+    assert snap.z[("stage1", Population.SUB, Endpoint.PFS)] == pytest.approx(
+        (2 / 3) / math.sqrt(2 / 9), abs=1e-12)
+    # Single-arm slot: one event, all experimental.
+    key = ("stage2", Population.SUB, Endpoint.PFS)
+    assert (snap.z[key], snap.p[key], snap.events[key]) == (0.0, 1.0, 1)
+    # Zero-event slots.
+    for pop in Population:
+        key = ("stage2", pop, Endpoint.OS)
+        assert (snap.z[key], snap.p[key], snap.events[key]) == (0.0, 1.0, 0)
+        assert key in snap.zero_event_slots
+    # At the stage-1 cutoff no stage-2 patient is enrolled: every stage-2 slot
+    # is empty and the pooled slots are the stage-1 slots.
+    cut = snapshot_at(trial, spec.stage1_cutoff, spec, with_hr=True)
+    snapshot_matches_reference(trial, spec.stage1_cutoff, spec, with_hr=True)
+    for pop in Population:
+        for ep in Endpoint:
+            assert (cut.z[("stage2", pop, ep)], cut.events[("stage2", pop, ep)]) == (0.0, 0)
+            assert ("stage2", pop, ep) in cut.zero_event_slots
+            for table in (cut.z, cut.p, cut.events):
+                assert table[("pooled", pop, ep)] == table[("stage1", pop, ep)]
+    # Nobody enrolled yet: every slot is empty.
+    empty = snapshot_at(trial, 0.0, spec)
+    assert len(empty.zero_event_slots) == 12 and set(empty.z.values()) == {0.0}
+
+
+def test_futility_hazard_ratios_bit_identical():
+    cfg = parse_config(CONFIG_DIR / "setting2.yaml")
+    spec = cfg.scenario
+    for rep in range(10):
+        trial = generate_trial(spec, (cfg.seed, rep))
+        snap = snapshot_at(trial, spec.stage1_cutoff, spec, with_hr=True)
+        stage1 = trial.stage(spec.stage1_cutoff) == 1
+        full = cox_hazard_ratio(*_censor(trial, Endpoint.PFS, spec.stage1_cutoff, stage1))
+        sub = cox_hazard_ratio(*_censor(trial, Endpoint.PFS, spec.stage1_cutoff,
+                                        stage1 & trial.in_subgroup))
+        assert snap.hr_full == full and snap.hr_sub == sub
