@@ -3,7 +3,9 @@
 
 Runs the Monte Carlo evaluation (FWER, power, termination) for every design
 arm in each bundled setting, replays the bundled observed-data example, and
-merges the per-setting tables into one summary directory.
+merges the per-setting tables into one summary directory. Output goes to
+study/ by default (one directory per setting, plus replay/ and summary/);
+the committed oracle tables in runs/ are never the default target.
 
 Usage:
     python scripts/run_study.py [--reps N] [--threads K] [--out DIR]
@@ -23,7 +25,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=None, help="override replication count")
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--out", default="runs", help="output root directory")
+    ap.add_argument("--out", default="study", help="output root directory")
     args = ap.parse_args(argv)
 
     out = pathlib.Path(args.out)

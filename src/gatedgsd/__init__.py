@@ -1,9 +1,9 @@
 """Design evaluation for gated group sequential trials with subpopulation
 selection and dual time-to-event endpoints."""
 
-from .boundaries import (BoundarySet, SpendingFunction, SpendingKind,
-                         cached_boundaries, compute_boundaries,
-                         crossing_probability, crossing_probability_mvn, spend)
+from .boundaries import (BoundarySet, SpendingFunction, cached_boundaries,
+                         compute_boundaries, crossing_probability,
+                         crossing_probability_mvn, spend)
 from .combine import (CohortPValues, Scenario, StageWeights, event_weights,
                       inverse_normal, scenario_wiring)
 from .engine import (AnalysisRecord, DecisionTrace, DesignKind, DesignSpec,

@@ -1,18 +1,19 @@
-"""Alpha-spending functions and group-sequential efficacy boundaries.
+"""Lan-DeMets O'Brien-Fleming alpha spending and group-sequential efficacy
+boundaries.
 
-Boundaries are solved look by look: the sub-density of the underlying
-Brownian-motion statistic is propagated on a quadrature grid restricted to
-the continuation region, and each critical value is the root of
-"incremental crossing probability equals incremental alpha spend".
+All three designs spend alpha by this one function. Boundaries are solved
+look by look: the sub-density of the underlying Brownian-motion statistic
+is propagated on a quadrature grid restricted to the continuation region,
+and each critical value is the root of "incremental crossing probability
+equals incremental alpha spend".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import erfc
@@ -20,7 +21,6 @@ from scipy.special import erfc
 from .numerics import find_root, gauss_grid, norm_cdf, norm_pdf, norm_quantile
 
 __all__ = [
-    "SpendingKind",
     "SpendingFunction",
     "BoundarySet",
     "SpendingError",
@@ -42,42 +42,23 @@ class SpendingError(ValueError):
     """Raised for infeasible (non-increasing) cumulative spend."""
 
 
-class SpendingKind(Enum):
-    LAN_DEMETS_OBF = "lan_demets_obf"
-    POCOCK_LIKE = "pocock_like"
-    TABULATED = "tabulated"
-
-
 @dataclass(frozen=True)
 class SpendingFunction:
-    """Cumulative one-sided alpha spend s(t; alpha) over information time."""
+    """Lan-DeMets O'Brien-Fleming cumulative one-sided alpha spend s(t; alpha)."""
 
-    kind: SpendingKind = SpendingKind.LAN_DEMETS_OBF
-    # For TABULATED: cumulative spend fractions (of alpha) per look.
-    table: Optional[Tuple[float, ...]] = None
-
-    def __call__(self, alpha_total: float, t: float, look: Optional[int] = None) -> float:
-        return spend(self, alpha_total, t, look)
-
-
-def spend(fn: SpendingFunction, alpha_total: float, t: float, look: Optional[int] = None) -> float:
-    """Cumulative alpha spent at information fraction t."""
-    if not 0.0 < alpha_total < 0.5:
-        raise ValueError(f"alpha_total must be in (0, 0.5), got {alpha_total}")
-    if t <= 0.0:
-        raise ValueError(f"information fraction must be positive, got {t}")
-    t = min(t, 1.0)
-    if fn.kind is SpendingKind.LAN_DEMETS_OBF:
+    def __call__(self, alpha_total: float, t: float) -> float:
+        if not 0.0 < alpha_total < 0.5:
+            raise ValueError(f"alpha_total must be in (0, 0.5), got {alpha_total}")
+        if t <= 0.0:
+            raise ValueError(f"information fraction must be positive, got {t}")
         if t >= 1.0:
             return alpha_total
         return 2.0 * (1.0 - norm_cdf(norm_quantile(1.0 - alpha_total / 2.0) / math.sqrt(t)))
-    if fn.kind is SpendingKind.POCOCK_LIKE:
-        return alpha_total * math.log(1.0 + (math.e - 1.0) * t)
-    if fn.kind is SpendingKind.TABULATED:
-        if fn.table is None or look is None:
-            raise ValueError("tabulated spending needs a table and a look index")
-        return alpha_total * fn.table[look]
-    raise ValueError(f"unknown spending kind {fn.kind}")
+
+
+def spend(fn: SpendingFunction, alpha_total: float, t: float) -> float:
+    """Cumulative alpha spent at information fraction t."""
+    return fn(alpha_total, t)
 
 
 @dataclass(frozen=True)
@@ -124,7 +105,7 @@ def compute_boundaries(
     density = None  # sub-density values on grid.points
     z_bounds = []
     for k, t in enumerate(fr):
-        spent = spend(fn, alpha_total, t, look=k)
+        spent = spend(fn, alpha_total, t)
         inc = spent - spent_prev
         if inc < -1e-15:
             raise SpendingError(
@@ -218,6 +199,6 @@ def crossing_probability_mvn(bounds: BoundarySet, abseps: float = 1e-8) -> float
 
 
 @lru_cache(maxsize=8192)
-def cached_boundaries(alpha_total: float, fractions: Tuple[float, ...], kind: SpendingKind) -> BoundarySet:
+def cached_boundaries(alpha_total: float, fractions: Tuple[float, ...]) -> BoundarySet:
     """Memoized front end for the simulation engine (alphas repeat heavily)."""
-    return compute_boundaries(alpha_total, fractions, SpendingFunction(kind=kind))
+    return compute_boundaries(alpha_total, fractions)

@@ -57,7 +57,7 @@ def cmd_boundaries(args) -> int:
             alpha = design.initial_alphas[h]
             if alpha <= 0.0:
                 continue
-            bounds = cached_boundaries(alpha, design.fractions[h], design.spending)
+            bounds = cached_boundaries(alpha, design.fractions[h])
             for k, (t, z, p) in enumerate(zip(bounds.fractions, bounds.z_bounds,
                                               bounds.nominal_p)):
                 rows.append({
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design evaluation for gated group sequential trials.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p):
         p.add_argument("--config", help="path to a YAML run configuration")
         p.add_argument("--out", help="output directory (default: stdout/cwd)")
 

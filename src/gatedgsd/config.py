@@ -117,7 +117,8 @@ def _endpoint_map(col: _Collector, raw, path: str) -> Dict[Endpoint, float]:
     return out
 
 
-def _parse_scenario(col: _Collector, raw, name: str, alpha: float) -> Optional[ScenarioSpec]:
+def _parse_scenario(col: _Collector, raw, name: str,
+                    n_analyses: int) -> Optional[ScenarioSpec]:
     m = col.expect_map(
         raw, "scenario",
         ("sample_size", "sub_prevalence", "enroll_duration", "stage1_cutoff",
@@ -135,6 +136,9 @@ def _parse_scenario(col: _Collector, raw, name: str, alpha: float) -> Optional[S
     if not isinstance(raw_triggers, list) or not raw_triggers:
         col.fail("scenario.triggers", "expected a nonempty list")
         raw_triggers = []
+    elif n_analyses and len(raw_triggers) != n_analyses:
+        col.fail("scenario.triggers", f"{len(raw_triggers)} triggers for {n_analyses} "
+                                      "planned analyses (designs.endpoint_analyses)")
     for i, t in enumerate(raw_triggers):
         tm = col.expect_map(t, f"scenario.triggers[{i}]",
                             ("endpoint", "events"), ("endpoint", "events"))
@@ -239,7 +243,7 @@ def _analysis_index(col: _Collector, key, path: str) -> Optional[int]:
         return ANALYSIS_NAMES.index(key)
     if isinstance(key, int) and 1 <= key <= len(ANALYSIS_NAMES):
         return key - 1
-    col.fail(path, f"expected an analysis name {ANALYSIS_NAMES[:3]} or 1-based index, got {key!r}")
+    col.fail(path, f"expected an analysis name {ANALYSIS_NAMES} or 1-based index, got {key!r}")
     return None
 
 
@@ -316,9 +320,11 @@ def parse_config(path: str) -> RunConfig:
     endpoint_analyses: Dict[Endpoint, Tuple[int, ...]] = {}
     for slug, ep in _ENDPOINTS.items():
         val = ea_raw.get(slug)
-        if not isinstance(val, list) or not all(isinstance(v, int) and v >= 1 for v in val):
+        if not isinstance(val, list) or not all(
+                isinstance(v, int) and 1 <= v <= len(ANALYSIS_NAMES) for v in val):
             col.fail(f"designs.endpoint_analyses.{slug}",
-                     "expected a list of 1-based analysis indices")
+                     f"expected a list of analysis indices in 1..{len(ANALYSIS_NAMES)} "
+                     f"{ANALYSIS_NAMES}")
             endpoint_analyses[ep] = ()
         else:
             endpoint_analyses[ep] = tuple(v - 1 for v in val)
@@ -370,7 +376,8 @@ def parse_config(path: str) -> RunConfig:
     if "observed" in top:
         observed = _parse_observed(col, top["observed"])
 
-    scenario = _parse_scenario(col, top.get("scenario", {}), name, alpha)
+    n_analyses = 1 + max((max(v) for v in endpoint_analyses.values() if v), default=-1)
+    scenario = _parse_scenario(col, top.get("scenario", {}), name, n_analyses)
     if col.errors:
         raise ConfigError(col.errors)
     return RunConfig(
@@ -401,8 +408,7 @@ def build_designs(config: RunConfig,
                           futility=config.futility, **common)
             if "ad" in kinds:
                 arms.append(DesignSpec(kind=DesignKind.AD, label=f"ad:{ws.label}",
-                                       initial_alphas=config.alphas["gsd"],
-                                       special_graph=False, **shared))
+                                       initial_alphas=config.alphas["gsd"], **shared))
             if "ggsd" in kinds:
                 arms.append(DesignSpec(kind=DesignKind.GGSD, label=f"ggsd:{ws.label}",
                                        initial_alphas=config.alphas["ggsd"], **shared))

@@ -6,6 +6,10 @@ end of stage 1, then combine stage-wise p-values per the continuation
 scenario; gGSD additionally tests the populations hierarchically, each
 carrying the full alpha internally.
 
+Simulated trials (`run_design`) and observed-data replay
+(`analyze_observed`) run through one decision loop; they differ only in
+where each analysis's statistics come from.
+
 Within one analysis, testing iterates (test, reject, reallocate, recompute
 boundaries, retest) to a fixed point, and boundary recomputation after an
 alpha increase re-evaluates already-passed looks against the new lower
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .boundaries import SpendingKind, cached_boundaries
+from .boundaries import cached_boundaries
 from .combine import (CohortPValues, Scenario, StageWeights, TestTarget, clamp_p,
                       event_weights, intersection_target, inverse_normal, scenario_wiring)
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
@@ -40,7 +44,7 @@ __all__ = [
     "render_narrative",
 ]
 
-ANALYSIS_NAMES = ("IA1", "IA2", "FA", "IA4", "IA5")
+ANALYSIS_NAMES = ("IA1", "IA2", "FA")
 
 
 def target_label(target: TestTarget) -> str:
@@ -63,15 +67,13 @@ class MissingSlotError(ValueError):
     """A required snapshot or observed-data slot is absent."""
 
 
-def _default_transitions() -> Dict[Tuple[HypothesisId, HypothesisId], float]:
-    """Within-population PFS<->OS edges with weight 1, no cross-population."""
-    trans = {}
-    for pop in Population:
-        pfs = HypothesisId(pop, Endpoint.PFS)
-        os_ = HypothesisId(pop, Endpoint.OS)
-        trans[(pfs, os_)] = 1.0
-        trans[(os_, pfs)] = 1.0
-    return trans
+# Alpha passing: within-population PFS<->OS edges with weight 1; no alpha
+# moves between populations.
+TRANSITIONS = {
+    (HypothesisId(pop, a), HypothesisId(pop, b)): 1.0
+    for pop in Population
+    for a, b in ((Endpoint.PFS, Endpoint.OS), (Endpoint.OS, Endpoint.PFS))
+}
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,7 @@ class DesignSpec:
     endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]
     weights: Dict[Endpoint, Tuple[StageWeights, ...]] = field(default_factory=dict)
     event_driven_weights: bool = False
-    transitions: Dict[Tuple[HypothesisId, HypothesisId], float] = field(
-        default_factory=_default_transitions)
-    spending: SpendingKind = SpendingKind.LAN_DEMETS_OBF
     futility: Optional[FutilityRule] = None
-    special_graph: bool = True
     label: str = ""
 
     def __post_init__(self):
@@ -118,6 +116,8 @@ class DesignSpec:
             if len(fr) != len(looks):
                 raise DesignConfigError(
                     f"{h}: {len(fr)} fractions but {len(looks)} planned analyses")
+        if self.n_analyses > len(ANALYSIS_NAMES):
+            raise DesignConfigError(f"at most {len(ANALYSIS_NAMES)} analyses can be planned")
         if self.kind is not DesignKind.GSD and self.futility is None:
             raise DesignConfigError(f"{self.kind.value} requires a futility rule")
         if not self.event_driven_weights and self.kind is not DesignKind.GSD:
@@ -138,8 +138,6 @@ class DesignSpec:
 @dataclass(frozen=True)
 class TestRecord:
     target_label: str
-    analysis: int
-    look: int
     z: float
     boundary_z: float
     boundary_p: float
@@ -221,30 +219,6 @@ def _scenario_of(decision: SelectionDecision) -> Optional[Scenario]:
     }[decision.selection]
 
 
-def _population_graph(design: DesignSpec, pop: Population,
-                      special: bool) -> HypothesisGraph:
-    """Graph over one population's two hypotheses.
-
-    The gated design re-levels each population at the full alpha; for it the
-    "special" shape starts all of the level on PFS with a handover edge to
-    OS. The non-gated adaptive design keeps the hypotheses at their original
-    allocations (alpha of dropped hypotheses is not reallocated: only a
-    rejection moves alpha).
-    """
-    pfs = HypothesisId(pop, Endpoint.PFS)
-    os_ = HypothesisId(pop, Endpoint.OS)
-    trans = {(pfs, os_): 1.0, (os_, pfs): 1.0}
-    if special:
-        alphas = {pfs: design.alpha, os_: 0.0}
-    else:
-        alphas = {pfs: design.initial_alphas[pfs], os_: design.initial_alphas[os_]}
-        trans = {k: v for k, v in design.transitions.items()
-                 if k[0].population is pop and k[1].population is pop}
-        if not trans:
-            trans = {(pfs, os_): 1.0, (os_, pfs): 1.0}
-    return HypothesisGraph(alphas=alphas, transitions=trans)
-
-
 class _Engine:
     """Shared fixed-point testing machinery for simulated and observed data."""
 
@@ -264,35 +238,32 @@ class _Engine:
         self._build_graphs()
 
     def _build_graphs(self):
+        """GSD, and AD with both populations, test all four hypotheses in one
+        graph at the overall alpha. Otherwise each continuing population gets
+        its own graph. AD keeps the original allocations (alpha of a dropped
+        population is not reallocated: only a rejection moves alpha). gGSD
+        re-levels each population at the full alpha; with one population
+        continuing, all of it starts on PFS with a handover edge to OS.
+        """
         d = self.design
-        if d.kind is DesignKind.GSD:
+        pops = {Scenario.S_ONLY: (Population.SUB,),
+                Scenario.F_ONLY: (Population.FULL,)}.get(self.scenario, tuple(Population))
+        self.in_scope = tuple(h for h in HYPOTHESES if h.population in pops)
+        if d.kind is DesignKind.GSD or (d.kind is DesignKind.AD and len(pops) == 2):
             self.graphs = [HypothesisGraph(alphas=dict(d.initial_alphas),
-                                           transitions=dict(d.transitions))]
+                                           transitions=dict(TRANSITIONS))]
             self.graph_of = {h: 0 for h in HYPOTHESES}
-            self.in_scope = HYPOTHESES
             return
-        if self.scenario is Scenario.S_ONLY:
-            g = _population_graph(d, Population.SUB, d.special_graph)
-            self.graphs = [g]
-            self.graph_of = {h: 0 for h in g.alphas}
-            self.in_scope = tuple(sorted(g.alphas, key=str))
-        elif self.scenario is Scenario.F_ONLY:
-            g = _population_graph(d, Population.FULL, d.special_graph)
-            self.graphs = [g]
-            self.graph_of = {h: 0 for h in g.alphas}
-            self.in_scope = tuple(sorted(g.alphas, key=str))
-        else:  # BOTH
-            if d.kind is DesignKind.GGSD:
-                gs = _population_graph(d, Population.SUB, special=False)
-                gf = _population_graph(d, Population.FULL, special=False)
-                self.graphs = [gs, gf]
-                self.graph_of = {h: (0 if h.population is Population.SUB else 1)
-                                 for h in HYPOTHESES}
-            else:  # AD: one graph, overall alpha across all four
-                self.graphs = [HypothesisGraph(alphas=dict(d.initial_alphas),
-                                               transitions=dict(d.transitions))]
-                self.graph_of = {h: 0 for h in HYPOTHESES}
-            self.in_scope = HYPOTHESES
+        for pop in pops:
+            pfs = HypothesisId(pop, Endpoint.PFS)
+            os_ = HypothesisId(pop, Endpoint.OS)
+            if d.kind is DesignKind.GGSD and len(pops) == 1:
+                alphas = {pfs: d.alpha, os_: 0.0}
+            else:
+                alphas = {pfs: d.initial_alphas[pfs], os_: d.initial_alphas[os_]}
+            self.graph_of.update({pfs: len(self.graphs), os_: len(self.graphs)})
+            self.graphs.append(HypothesisGraph(alphas=alphas, transitions={
+                e: g for e, g in TRANSITIONS.items() if e[0].population is pop}))
 
     # -- state helpers -------------------------------------------------
 
@@ -304,15 +275,12 @@ class _Engine:
 
     def _bounds(self, h: HypothesisId):
         alpha = round(self._alpha(h), 12)
-        return cached_boundaries(alpha, self.design.fractions[h], self.design.spending)
+        return cached_boundaries(alpha, self.design.fractions[h])
 
     def _testable(self, h: HypothesisId) -> bool:
         if h not in self.graph_of or self._rejected(h) or self._alpha(h) <= 0.0:
             return False
-        if (self.design.kind is DesignKind.GGSD and self.scenario is Scenario.BOTH
-                and h.population is Population.FULL and not self.gate_open):
-            return False
-        return True
+        return self.gate_open or h.population is not Population.FULL
 
     def _intersection_crossed(self, ep: Endpoint) -> Tuple[bool, float, float]:
         """Evaluate the FS intersection over all recorded looks.
@@ -389,13 +357,13 @@ class _Engine:
                 if h.population is Population.SUB:
                     self.gate_open = True
                 changed = True
-        self._record_tests(k, record)
+        self._record_tests(record)
         record.alpha_snapshot = {
             str(h): self._alpha(h) for h in self.in_scope
         }
         self.trace.analyses.append(record)
 
-    def _record_tests(self, k: int, record: AnalysisRecord):
+    def _record_tests(self, record: AnalysisRecord):
         """Snapshot every target's latest statistic against its boundary."""
         for target, hist in self.z_hist.items():
             look = max(hist)
@@ -425,8 +393,6 @@ class _Engine:
                 alpha = math.nan
             record.tests.append(TestRecord(
                 target_label=target_label(target),
-                analysis=k,
-                look=look,
                 z=hist[look],
                 boundary_z=c,
                 boundary_p=1.0 - norm_cdf(c) if not math.isnan(c) else math.nan,
@@ -450,11 +416,32 @@ class _Engine:
         return False
 
 
-def _futility_trace(design: DesignSpec, decision: SelectionDecision) -> DecisionTrace:
-    trace = DecisionTrace(design=design.kind.value, scenario=None, futility=decision)
-    trace.termination_index = None
-    trace.termination_reason = "futility"
-    return trace
+def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
+            load: Callable[[_Engine, int], Optional[float]]) -> DecisionTrace:
+    """The one decision loop behind `run_design` and `analyze_observed`.
+
+    Applies the end-of-stage-1 futility gate (AD, gGSD) to the two PFS
+    hazard ratios, then walks the planned analyses: `load(eng, k)` enters
+    analysis k's statistics into `eng.z_hist` and returns its calendar time,
+    and the fixed point runs until every hypothesis in scope is rejected or
+    the final analysis is reached.
+    """
+    scenario = None
+    futility_decision = None
+    if design.kind is not DesignKind.GSD:
+        if hr_full is None or hr_sub is None:
+            raise MissingSlotError("stage-1 futility hazard ratios (HR(F), HR(S)) are required")
+        futility_decision = select_population(hr_full, hr_sub, design.futility)
+        if futility_decision.selection is Selection.STOP_FUTILITY:
+            return DecisionTrace(design=design.kind.value, scenario=None,
+                                 futility=futility_decision, termination_reason="futility")
+        scenario = _scenario_of(futility_decision)
+    eng = _Engine(design, scenario, futility_decision)
+    for k in range(design.n_analyses):
+        eng.run_analysis(k, load(eng, k))
+        if eng.finish(k):
+            break
+    return eng.trace
 
 
 def _weights_for(design: DesignSpec, ep: Endpoint, look: int,
@@ -468,54 +455,46 @@ def _weights_for(design: DesignSpec, ep: Endpoint, look: int,
     return design.weights[ep][look]
 
 
+def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
+    """GSD: pooled logrank z. AD/gGSD: inverse-normal combination of the
+    stage-wise cohort p-values, wired per continuation scenario."""
+    design = eng.design
+    for ep in Endpoint:
+        look = design.look_of(ep, k)
+        if look is None:
+            continue
+        if design.kind is DesignKind.GSD:
+            for pop in Population:
+                h = HypothesisId(pop, ep)
+                eng.z_hist.setdefault(h, {})[look] = snap.z[("pooled", pop, ep)]
+            continue
+        cohorts = CohortPValues(
+            stage1_full=snap.p[("stage1", Population.FULL, ep)],
+            stage1_sub=snap.p[("stage1", Population.SUB, ep)],
+            stage2_full=snap.p[("stage2", Population.FULL, ep)],
+            stage2_sub=snap.p[("stage2", Population.SUB, ep)],
+        )
+        w = _weights_for(design, ep, look, snap)
+        for target, p1, p2 in scenario_wiring(eng.scenario, ep, cohorts):
+            _, clamped1 = clamp_p(p1)
+            _, clamped2 = clamp_p(p2)
+            if clamped1 or clamped2:
+                eng.trace.warnings.append(
+                    f"analysis {k + 1}: degenerate p-value clamped for "
+                    f"{target_label(target)}")
+            eng.z_hist.setdefault(target, {})[look] = inverse_normal(p1, p2, w)
+    return snap.calendar_time
+
+
 def run_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
                futility_snapshot: Optional[AnalysisSnapshot]) -> DecisionTrace:
     """Drive one simulated trial through a design and return its trace."""
     if len(snapshots) < design.n_analyses:
         raise MissingSlotError(
             f"design plans {design.n_analyses} analyses, got {len(snapshots)} snapshots")
-    scenario = None
-    futility_decision = None
-    if design.kind is not DesignKind.GSD:
-        if futility_snapshot is None or futility_snapshot.hr_full is None \
-                or futility_snapshot.hr_sub is None:
-            raise MissingSlotError("futility snapshot with stage-1 HR estimates is required")
-        futility_decision = select_population(
-            futility_snapshot.hr_full, futility_snapshot.hr_sub, design.futility)
-        if futility_decision.selection is Selection.STOP_FUTILITY:
-            return _futility_trace(design, futility_decision)
-        scenario = _scenario_of(futility_decision)
-    eng = _Engine(design, scenario, futility_decision)
-    for k in range(design.n_analyses):
-        snap = snapshots[k]
-        for ep in Endpoint:
-            look = design.look_of(ep, k)
-            if look is None:
-                continue
-            if design.kind is DesignKind.GSD:
-                for pop in Population:
-                    h = HypothesisId(pop, ep)
-                    eng.z_hist.setdefault(h, {})[look] = snap.z[("pooled", pop, ep)]
-            else:
-                cohorts = CohortPValues(
-                    stage1_full=snap.p[("stage1", Population.FULL, ep)],
-                    stage1_sub=snap.p[("stage1", Population.SUB, ep)],
-                    stage2_full=snap.p[("stage2", Population.FULL, ep)],
-                    stage2_sub=snap.p[("stage2", Population.SUB, ep)],
-                )
-                w = _weights_for(design, ep, look, snap)
-                for target, p1, p2 in scenario_wiring(scenario, ep, cohorts):
-                    _, clamped1 = clamp_p(p1)
-                    _, clamped2 = clamp_p(p2)
-                    if clamped1 or clamped2:
-                        eng.trace.warnings.append(
-                            f"analysis {k + 1}: degenerate p-value clamped for "
-                            f"{target_label(target)}")
-                    eng.z_hist.setdefault(target, {})[look] = inverse_normal(p1, p2, w)
-        eng.run_analysis(k, snap.calendar_time)
-        if eng.finish(k):
-            break
-    return eng.trace
+    hrs = (None, None) if futility_snapshot is None else (
+        futility_snapshot.hr_full, futility_snapshot.hr_sub)
+    return _decide(design, *hrs, lambda eng, k: _load_snapshot(eng, k, snapshots[k]))
 
 
 @dataclass(frozen=True)
@@ -524,16 +503,14 @@ class ObservedData:
 
     `p_values` maps hypothesis key ("full_pfs", "sub_os", ...) to a mapping
     of analysis index (0-based) to the already-combined one-sided p-value.
-    `intersections` optionally supplies the per-endpoint FS intersection
-    p-values; when absent the continuing population's slot is used
-    (single-population scenarios) or the Hochberg combination of the two
-    population slots (both-population scenarios).
+    The per-endpoint FS intersection p-value is the continuing population's
+    slot (single-population scenarios) or the Hochberg combination of the
+    two population slots (both-population scenarios).
     """
 
     hr_full: Optional[float] = None
     hr_sub: Optional[float] = None
     p_values: Mapping[HypothesisId, Mapping[int, float]] = field(default_factory=dict)
-    intersections: Mapping[Endpoint, Mapping[int, float]] = field(default_factory=dict)
 
 
 def _observed_z(p: float) -> float:
@@ -541,71 +518,49 @@ def _observed_z(p: float) -> float:
     return norm_quantile(1.0 - p)
 
 
-def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:
-    """Replay the decision logic on user-supplied observed values."""
-    scenario = None
-    futility_decision = None
-    if design.kind is not DesignKind.GSD:
-        if observed.hr_full is None or observed.hr_sub is None:
-            raise MissingSlotError("observed futility hazard ratios are required")
-        futility_decision = select_population(
-            observed.hr_full, observed.hr_sub, design.futility)
-        if futility_decision.selection is Selection.STOP_FUTILITY:
-            return _futility_trace(design, futility_decision)
-        scenario = _scenario_of(futility_decision)
-    eng = _Engine(design, scenario, futility_decision)
-    for k in range(design.n_analyses):
-        for ep in Endpoint:
-            look = design.look_of(ep, k)
-            if look is None:
-                continue
-            for pop in Population:
-                h = HypothesisId(pop, ep)
-                p = observed.p_values.get(h, {}).get(k)
-                if p is not None:
-                    eng.z_hist.setdefault(h, {})[look] = _observed_z(p)
-            if design.kind is DesignKind.GSD:
-                continue
-            p_fs = observed.intersections.get(ep, {}).get(k)
-            if p_fs is None:
-                p_full = observed.p_values.get(HypothesisId(Population.FULL, ep), {}).get(k)
-                p_sub = observed.p_values.get(HypothesisId(Population.SUB, ep), {}).get(k)
-                if scenario is Scenario.F_ONLY and p_full is not None:
-                    p_fs = p_full
-                elif scenario is Scenario.S_ONLY and p_sub is not None:
-                    p_fs = p_sub
-                elif p_full is not None and p_sub is not None:
-                    p_fs = hochberg_intersection(p_full, p_sub)
-            if p_fs is not None:
-                eng.z_hist.setdefault(intersection_target(ep), {})[look] = _observed_z(p_fs)
-        # Required slots for the selected scenario must be present.
-        _check_required_slots(design, scenario, observed, k, eng)
-        eng.run_analysis(k, None)
-        if eng.finish(k):
-            break
-    return eng.trace
-
-
-def _check_required_slots(design: DesignSpec, scenario: Optional[Scenario],
-                          observed: ObservedData, k: int, eng: "_Engine"):
-    needed_pops: Tuple[Population, ...]
-    if design.kind is DesignKind.GSD or scenario is Scenario.BOTH:
-        needed_pops = tuple(Population)
-    elif scenario is Scenario.F_ONLY:
-        needed_pops = (Population.FULL,)
-    else:
-        needed_pops = (Population.SUB,)
+def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
+    design, scenario = eng.design, eng.scenario
     for ep in Endpoint:
         look = design.look_of(ep, k)
         if look is None:
             continue
-        for pop in needed_pops:
+        for pop in Population:
             h = HypothesisId(pop, ep)
-            if eng._rejected(h):
-                continue
-            if look not in eng.z_hist.get(h, {}):
-                raise MissingSlotError(
-                    f"missing observed p-value for {h} at analysis {k + 1}")
+            p = observed.p_values.get(h, {}).get(k)
+            if p is not None:
+                eng.z_hist.setdefault(h, {})[look] = _observed_z(p)
+        if design.kind is DesignKind.GSD:
+            continue
+        p_full = observed.p_values.get(HypothesisId(Population.FULL, ep), {}).get(k)
+        p_sub = observed.p_values.get(HypothesisId(Population.SUB, ep), {}).get(k)
+        p_fs = None
+        if scenario is Scenario.F_ONLY and p_full is not None:
+            p_fs = p_full
+        elif scenario is Scenario.S_ONLY and p_sub is not None:
+            p_fs = p_sub
+        elif p_full is not None and p_sub is not None:
+            p_fs = hochberg_intersection(p_full, p_sub)
+        if p_fs is not None:
+            eng.z_hist.setdefault(intersection_target(ep), {})[look] = _observed_z(p_fs)
+    _check_required_slots(eng, k)
+
+
+def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:
+    """Replay the decision logic on user-supplied observed values."""
+    return _decide(design, observed.hr_full, observed.hr_sub,
+                   lambda eng, k: _load_observed(eng, k, observed))
+
+
+def _check_required_slots(eng: _Engine, k: int):
+    """Every unrejected hypothesis of the continuing populations needs its
+    p-value at each of its planned looks."""
+    for ep in Endpoint:
+        look = eng.design.look_of(ep, k)
+        if look is None:
+            continue
+        for h in eng.in_scope:
+            if h.endpoint is ep and not eng._rejected(h) and look not in eng.z_hist.get(h, {}):
+                raise MissingSlotError(f"missing observed p-value for {h} at analysis {k + 1}")
 
 
 def render_narrative(trace: DecisionTrace) -> str:

@@ -1,8 +1,10 @@
 """End-of-stage-1 futility gate and population selection.
 
-Thresholds are calibrated from the large-sample normal model for the log
-hazard ratio: log(HR_hat) ~ N(log(true HR), 4 / events) under equal
-randomization.
+A design's rule holds the hazard-ratio thresholds as given in its config.
+`calibrate_threshold` derives a threshold from the large-sample normal
+model for the log hazard ratio, log(HR_hat) ~ N(log(true HR), 4 / events)
+under equal randomization, for choosing the thresholds beforehand
+(`gatedgsd thresholds`).
 """
 
 from __future__ import annotations
@@ -33,29 +35,10 @@ class FutilityRule:
 
     theta_full: float
     theta_sub: float
-    gamma_full: float = 0.05
-    gamma_sub: float = 0.05
-    assumed_hr_full: float = 0.7
-    assumed_hr_sub: float = 0.7
-    events_full: int = 0  # calibration event counts; informational
-    events_sub: int = 0
 
     def __post_init__(self):
         if self.theta_full <= 0 or self.theta_sub <= 0:
             raise ValueError("thresholds must be positive")
-
-    @classmethod
-    def calibrated(cls, assumed_hr_full, events_full, assumed_hr_sub, events_sub, gamma=0.05):
-        return cls(
-            theta_full=calibrate_threshold(assumed_hr_full, events_full, gamma),
-            theta_sub=calibrate_threshold(assumed_hr_sub, events_sub, gamma),
-            gamma_full=gamma,
-            gamma_sub=gamma,
-            assumed_hr_full=assumed_hr_full,
-            assumed_hr_sub=assumed_hr_sub,
-            events_full=events_full,
-            events_sub=events_sub,
-        )
 
 
 class Selection(Enum):

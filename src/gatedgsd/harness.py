@@ -52,7 +52,7 @@ def true_null_hypotheses(setting: ScenarioSpec) -> Tuple[HypothesisId, ...]:
     return tuple(nulls)
 
 
-TERMINATION_BINS = ("futility",) + ANALYSIS_NAMES[:3]
+TERMINATION_BINS = ("futility",) + ANALYSIS_NAMES
 
 
 @dataclass
@@ -118,10 +118,6 @@ class DesignAggregate:
     @property
     def power_sorf(self):
         return self._rate(self.power_sorf_hits)
-
-    @property
-    def reached_fa_fraction(self) -> float:
-        return self.termination.get("FA", 0) / self.n if self.n else math.nan
 
 
 @dataclass

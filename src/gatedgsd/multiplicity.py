@@ -2,8 +2,9 @@
 
 Graphical alpha reallocation over the four population-by-endpoint
 hypotheses, the Hochberg intersection p-value across populations, and the
-closed-testing gate that turns boundary crossings into confirmable
-rejections.
+boundary of that intersection test. The closed-testing gate that turns
+boundary crossings into confirmed rejections lives in the engine's
+per-analysis fixed point (`engine._Engine.run_analysis`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "HypothesisGraph",
     "hochberg_intersection",
     "intersection_boundary",
-    "closed_test_gate",
 ]
 
 
@@ -144,18 +144,3 @@ class HypothesisGraph:
             rejected=self.rejected | {h},
         )
 
-
-def closed_test_gate(
-    intersection_rejected: bool,
-    elementary_crossed: Mapping[HypothesisId, bool],
-) -> Set[HypothesisId]:
-    """Confirmable elementary rejections in a two-population closure.
-
-    An elementary hypothesis is confirmed only when its own statistic
-    crossed AND the population-intersection hypothesis for the same
-    endpoint family is rejected; the singleton subset is the hypothesis
-    itself, so no further condition applies.
-    """
-    if not intersection_rejected:
-        return set()
-    return {h for h, crossed in elementary_crossed.items() if crossed}

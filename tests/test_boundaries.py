@@ -23,7 +23,6 @@ import gatedgsd
 from gatedgsd.boundaries import (
     BoundarySet,
     SpendingFunction,
-    SpendingKind,
     cached_boundaries,
     compute_boundaries,
     crossing_probability,
@@ -120,13 +119,6 @@ def test_boundaries_decrease_with_larger_alpha():
     assert all(h < l for l, h in zip(lo.z_bounds, hi.z_bounds))
 
 
-def test_tabulated_spending():
-    fn = SpendingFunction(SpendingKind.TABULATED, table=(0.4, 1.0))
-    b = compute_boundaries(0.025, (0.5, 1.0), fn)
-    assert crossing_probability(b) == pytest.approx(0.025, abs=1e-5)
-    assert 1.0 - norm_cdf(b.z_bounds[0]) == pytest.approx(0.01, abs=1e-5)
-
-
 def test_invalid_fractions_rejected():
     with pytest.raises(ValueError):
         compute_boundaries(0.025, (0.5, 0.5, 1.0), LDOBF)
@@ -139,8 +131,8 @@ def test_invalid_fractions_rejected():
 
 
 def test_cached_boundaries_identical_and_shared():
-    a = cached_boundaries(0.025, (0.69, 0.92, 1.0), SpendingKind.LAN_DEMETS_OBF)
-    b = cached_boundaries(0.025, (0.69, 0.92, 1.0), SpendingKind.LAN_DEMETS_OBF)
+    a = cached_boundaries(0.025, (0.69, 0.92, 1.0))
+    b = cached_boundaries(0.025, (0.69, 0.92, 1.0))
     assert a is b
     assert a.z_bounds == compute_boundaries(0.025, (0.69, 0.92, 1.0), LDOBF).z_bounds
 

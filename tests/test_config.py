@@ -121,3 +121,36 @@ def test_weight_set_labels_unique(tmp_path, base_doc):
     base_doc["weights"].append(dict(base_doc["weights"][2]))
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, base_doc))
+
+
+# -- analysis-count rule: three analysis names (IA1, IA2, FA) --------------
+
+
+def test_fourth_analysis_rejected(tmp_path, base_doc):
+    # A consistent four-analysis plan: OS gets a fourth look and a trigger.
+    designs = base_doc["designs"]
+    designs["endpoint_analyses"]["os"] = [1, 2, 3, 4]
+    for pop in ("full", "sub"):
+        designs["fractions"][pop]["os"] = [0.5, 0.7, 0.85, 1.0]
+    for ws in base_doc["weights"]:
+        if "os" in ws:
+            ws["os"] = ws["os"] + [ws["os"][-1]]
+    base_doc["scenario"]["triggers"].append({"endpoint": "os", "events": 540})
+    with pytest.raises(ConfigError, match=r"designs\.endpoint_analyses\.os"):
+        parse_config(write(tmp_path, base_doc))
+
+
+@pytest.mark.parametrize("n_triggers", [2, 4])
+def test_trigger_count_must_match_planned_analyses(tmp_path, base_doc, n_triggers):
+    triggers = base_doc["scenario"]["triggers"] + [{"endpoint": "os", "events": 540}]
+    base_doc["scenario"]["triggers"] = triggers[:n_triggers]
+    with pytest.raises(ConfigError, match=r"scenario\.triggers: .*3 planned analyses"):
+        parse_config(write(tmp_path, base_doc))
+
+
+@pytest.mark.parametrize("key", ["IA4", 4])
+def test_observed_analysis_beyond_fa_rejected(tmp_path, key):
+    doc = yaml.safe_load((CONFIG_DIR / "table5_example.yaml").read_text())
+    doc["observed"]["p_values"]["gsd"]["full_os"][key] = 0.001
+    with pytest.raises(ConfigError, match=r"observed\.p_values\.gsd\.full_os"):
+        parse_config(write(tmp_path, doc))

@@ -7,6 +7,7 @@ import pytest
 
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import (
+    DesignConfigError,
     DesignKind,
     DesignSpec,
     MissingSlotError,
@@ -17,7 +18,9 @@ from gatedgsd.engine import (
 )
 from gatedgsd.combine import Scenario
 from gatedgsd.futility import Selection
-from gatedgsd.multiplicity import H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population
+from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
+                                   hochberg_intersection)
+from gatedgsd.numerics import norm_quantile
 from gatedgsd.simdata import generate_trial, schedule_analyses, snapshot_at
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
@@ -79,6 +82,40 @@ def test_observed_missing_slot_raises(designs2):
 def test_observed_requires_futility_hrs(designs2):
     with pytest.raises(MissingSlotError):
         analyze_observed(designs2["ggsd:0.5"], ObservedData(p_values={}))
+
+
+def test_observed_ggsd_both_gates_full_behind_sub(designs2):
+    # Both populations pass the gate. At IA1 PFS(F) crosses its own boundary
+    # (z 3.09 > 2.47) but stays blocked: no S hypothesis is rejected yet.
+    # PFS(S) is rejected at IA2, which opens the gate for PFS(F) there.
+    design = designs2["ggsd:0.5"]
+    p = {H_F_PFS: {0: 0.001, 1: 0.0005}, H_S_PFS: {0: 0.02, 1: 0.005},
+         H_F_OS: {0: 0.3, 1: 0.3, 2: 0.3}, H_S_OS: {0: 0.3, 1: 0.3, 2: 0.3}}
+    trace = analyze_observed(design, ObservedData(hr_full=0.7, hr_sub=0.7, p_values=p))
+    assert trace.scenario is Scenario.BOTH
+    assert trace.confirmed() == {"PFS(F)": 1, "PFS(S)": 1}
+    assert trace.rejected_at["PFS(FS)"] == 0
+    assert "OS(FS)" not in trace.rejected_at
+    assert trace.analyses[0].newly_rejected == []
+    assert trace.termination_index == 2
+    assert trace.termination_reason == "reached-FA"
+    fs = {t.target_label: t.z for t in trace.analyses[0].tests}
+    assert fs["PFS(FS)"] == norm_quantile(1.0 - hochberg_intersection(0.001, 0.02))
+    assert fs["OS(FS)"] == norm_quantile(1.0 - hochberg_intersection(0.3, 0.3))
+
+
+def test_observed_ad_sub_only_passes_alpha_within_sub(designs2):
+    # The full population fails the gate (0.9 >= 0.83). PFS(S) is rejected
+    # at IA1 and hands its alpha to OS(S), whose IA2 z (2.58) crosses only
+    # the raised boundary (2.44, against 2.67 at its own allocation).
+    design = designs2["ad:0.5"]
+    p = {H_S_PFS: {0: 0.001}, H_S_OS: {0: 0.01, 1: 0.005}}
+    trace = analyze_observed(design, ObservedData(hr_full=0.9, hr_sub=0.7, p_values=p))
+    assert trace.futility.selection is Selection.CONTINUE_SUB_ONLY
+    assert trace.scenario is Scenario.S_ONLY
+    assert trace.confirmed() == {"PFS(S)": 0, "OS(S)": 1}
+    assert trace.termination_index == 1
+    assert trace.termination_reason == "all-rejected"
 
 
 def test_observed_futility_stop(designs2):
@@ -186,3 +223,8 @@ def test_design_spec_validation(designs2):
     with pytest.raises(Exception):
         DesignSpec(kind=good.kind, alpha=good.alpha, initial_alphas=bad_alphas,
                    fractions=good.fractions, endpoint_analyses=good.endpoint_analyses)
+    # an OS look at a fourth analysis: only IA1, IA2 and FA exist
+    with pytest.raises(DesignConfigError):
+        DesignSpec(kind=good.kind, alpha=good.alpha, initial_alphas=good.initial_alphas,
+                   fractions=good.fractions,
+                   endpoint_analyses={Endpoint.PFS: (0, 1), Endpoint.OS: (0, 1, 3)})

@@ -53,13 +53,6 @@ def test_threshold_monotonicity(hr, events, gamma):
     assert calibrate_threshold(hr + 0.05, events, gamma) > theta
 
 
-def test_rule_calibrated_constructor():
-    rule = FutilityRule.calibrated(0.7, 287, 0.7, 171)
-    assert rule.theta_full == pytest.approx(0.8500249, abs=1e-6)
-    assert rule.theta_sub == pytest.approx(0.9002302, abs=1e-6)
-    assert rule.gamma_full == rule.gamma_sub == 0.05
-
-
 RULE = FutilityRule(theta_full=0.85, theta_sub=0.90)
 
 

@@ -12,7 +12,6 @@ from gatedgsd.multiplicity import (
     HYPOTHESES,
     GraphStateError,
     HypothesisGraph,
-    closed_test_gate,
     hochberg_intersection,
     intersection_boundary,
 )
@@ -112,10 +111,3 @@ def test_alpha_never_exceeds_initial_total(alphas, order):
         g = g.reject(HYPOTHESES[idx])
         assert g.total_alpha() <= total0 + 1e-12
         assert all(g.alpha(h) >= 0 for h in HYPOTHESES)
-
-
-def test_closed_test_gate():
-    crossed = {H_S_PFS: True, H_F_PFS: False}
-    assert closed_test_gate(True, crossed) == {H_S_PFS}
-    assert closed_test_gate(False, crossed) == set()
-    assert closed_test_gate(True, {H_S_PFS: True, H_F_PFS: True}) == {H_S_PFS, H_F_PFS}
