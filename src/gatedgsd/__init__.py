@@ -11,9 +11,8 @@ from .engine import (AnalysisRecord, DecisionTrace, DesignKind, DesignSpec,
                      render_narrative, run_design)
 from .futility import (FutilityRule, Selection, SelectionDecision,
                        calibrate_threshold, select_population)
-from .multiplicity import (HYPOTHESES, Endpoint, HypothesisGraph, HypothesisId,
-                           Population, hochberg_intersection,
-                           intersection_boundary)
+from .multiplicity import (HYPOTHESES, Endpoint, HypothesisId, Population,
+                           hochberg_intersection, intersection_boundary)
 from .simdata import (AnalysisSnapshot, AnalysisTrigger, ScenarioSpec,
                       TrialData, cox_hazard_ratio, generate_trial,
                       logrank_test, schedule_analyses, snapshot_at)

@@ -68,6 +68,14 @@ class RunConfig:
     observed: Optional[ObservedConfig] = None
 
 
+def _is_number(v, integer: bool = False) -> bool:
+    """A YAML number (an int, if `integer`). Python counts bools as ints,
+    but YAML's true/false are neither numbers nor analysis indices."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) if integer else isinstance(v, (int, float))
+
+
 class _Collector:
     """Walks the raw mapping, accumulating errors instead of raising."""
 
@@ -95,7 +103,7 @@ class _Collector:
         if key not in raw:
             return default
         v = raw[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
             return default
         if integer and int(v) != v:
@@ -202,7 +210,7 @@ def _parse_weight_pairs(col: _Collector, raw, path: str,
         return ()
     out = []
     for i, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
             col.fail(f"{path}[{i}]", f"expected [w1_squared, w2_squared], got {pair!r}")
             continue
         try:
@@ -241,13 +249,14 @@ def _parse_weights(col: _Collector, raw, looks: Dict[Endpoint, int]) -> Tuple[We
 def _analysis_index(col: _Collector, key, path: str) -> Optional[int]:
     if isinstance(key, str) and key in ANALYSIS_NAMES:
         return ANALYSIS_NAMES.index(key)
-    if isinstance(key, int) and 1 <= key <= len(ANALYSIS_NAMES):
+    if _is_number(key, integer=True) and 1 <= key <= len(ANALYSIS_NAMES):
         return key - 1
     col.fail(path, f"expected an analysis name {ANALYSIS_NAMES} or 1-based index, got {key!r}")
     return None
 
 
-def _parse_observed(col: _Collector, raw) -> Optional[ObservedConfig]:
+def _parse_observed(col: _Collector, raw,
+                    endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]) -> Optional[ObservedConfig]:
     m = col.expect_map(raw, "observed", ("hr_full", "hr_sub", "p_values"), ("p_values",))
     pv = m.get("p_values", {})
     if not isinstance(pv, dict):
@@ -276,7 +285,13 @@ def _parse_observed(col: _Collector, raw) -> Optional[ObservedConfig]:
                 idx = _analysis_index(col, key, f"observed.p_values.{design_slug}.{slug}")
                 if idx is None:
                     continue
-                if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 < p <= 1:
+                looks = endpoint_analyses.get(h.endpoint)
+                if looks and idx not in looks:
+                    col.fail(f"observed.p_values.{design_slug}.{slug}.{key}",
+                             f"{h.endpoint.value} has no planned look at "
+                             f"{ANALYSIS_NAMES[idx]} (designs.endpoint_analyses)")
+                    continue
+                if not _is_number(p) or not 0 < p <= 1:
                     col.fail(f"observed.p_values.{design_slug}.{slug}.{key}",
                              f"expected a p-value in (0, 1], got {p!r}")
                     continue
@@ -321,10 +336,10 @@ def parse_config(path: str) -> RunConfig:
     for slug, ep in _ENDPOINTS.items():
         val = ea_raw.get(slug)
         if not isinstance(val, list) or not all(
-                isinstance(v, int) and 1 <= v <= len(ANALYSIS_NAMES) for v in val):
+                _is_number(v, integer=True) and 1 <= v <= len(ANALYSIS_NAMES) for v in val):
             col.fail(f"designs.endpoint_analyses.{slug}",
                      f"expected a list of analysis indices in 1..{len(ANALYSIS_NAMES)} "
-                     f"{ANALYSIS_NAMES}")
+                     f"{ANALYSIS_NAMES}, got {val!r}")
             endpoint_analyses[ep] = ()
         else:
             endpoint_analyses[ep] = tuple(v - 1 for v in val)
@@ -339,8 +354,8 @@ def parse_config(path: str) -> RunConfig:
             val = pm.get(ep_slug)
             pth = f"designs.fractions.{pop_slug}.{ep_slug}"
             if not isinstance(val, list) or not all(
-                    isinstance(v, (int, float)) and 0 < v <= 1 for v in val):
-                col.fail(pth, "expected a list of fractions in (0, 1]")
+                    _is_number(v) and 0 < v <= 1 for v in val):
+                col.fail(pth, f"expected a list of fractions in (0, 1], got {val!r}")
                 continue
             if len(val) != len(endpoint_analyses.get(ep, ())):
                 col.fail(pth, f"{len(val)} fractions but endpoint has "
@@ -374,7 +389,7 @@ def parse_config(path: str) -> RunConfig:
 
     observed = None
     if "observed" in top:
-        observed = _parse_observed(col, top["observed"])
+        observed = _parse_observed(col, top["observed"], endpoint_analyses)
 
     n_analyses = 1 + max((max(v) for v in endpoint_analyses.values() if v), default=-1)
     scenario = _parse_scenario(col, top.get("scenario", {}), name, n_analyses)
@@ -387,8 +402,7 @@ def parse_config(path: str) -> RunConfig:
         observed=observed)
 
 
-def build_designs(config: RunConfig,
-                  kinds: Tuple[str, ...] = ("gsd", "ad", "ggsd")) -> List[DesignSpec]:
+def build_designs(config: RunConfig) -> List[DesignSpec]:
     """Expand the config into concrete design arms.
 
     GSD ignores combination weights, so it contributes a single arm; AD and
@@ -398,20 +412,17 @@ def build_designs(config: RunConfig,
     common = dict(alpha=config.alpha, fractions=config.fractions,
                   endpoint_analyses=config.endpoint_analyses)
     try:
-        if "gsd" in kinds:
-            arms.append(DesignSpec(kind=DesignKind.GSD, label="gsd",
-                                   initial_alphas=config.alphas["gsd"], **common))
+        arms.append(DesignSpec(kind=DesignKind.GSD, label="gsd",
+                               initial_alphas=config.alphas["gsd"], **common))
         for ws in config.weight_sets:
             weights = {} if ws.event_driven else {
                 ep: ws.for_endpoint(ep) for ep in Endpoint}
             shared = dict(weights=weights, event_driven_weights=ws.event_driven,
                           futility=config.futility, **common)
-            if "ad" in kinds:
-                arms.append(DesignSpec(kind=DesignKind.AD, label=f"ad:{ws.label}",
-                                       initial_alphas=config.alphas["gsd"], **shared))
-            if "ggsd" in kinds:
-                arms.append(DesignSpec(kind=DesignKind.GGSD, label=f"ggsd:{ws.label}",
-                                       initial_alphas=config.alphas["ggsd"], **shared))
+            arms.append(DesignSpec(kind=DesignKind.AD, label=f"ad:{ws.label}",
+                                   initial_alphas=config.alphas["gsd"], **shared))
+            arms.append(DesignSpec(kind=DesignKind.GGSD, label=f"ggsd:{ws.label}",
+                                   initial_alphas=config.alphas["ggsd"], **shared))
     except ValueError as exc:
         raise ConfigError([f"designs: {exc}"]) from exc
     return arms

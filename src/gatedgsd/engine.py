@@ -1,10 +1,16 @@
 """Per-trial decision engines for the three designs.
 
-GSD tests all four hypotheses on pooled data with the graphical procedure
-and group-sequential boundaries. AD and gGSD apply the futility gate at the
-end of stage 1, then combine stage-wise p-values per the continuation
-scenario; gGSD additionally tests the populations hierarchically, each
-carrying the full alpha internally.
+GSD tests all four hypotheses on pooled data with group-sequential
+boundaries. AD and gGSD apply the futility gate at the end of stage 1, then
+combine stage-wise p-values per the continuation scenario; gGSD additionally
+tests the populations hierarchically, each carrying the full alpha
+internally.
+
+Alpha passing follows one fixed graph: PFS<->OS within each population,
+each edge with weight 1, and no alpha crosses populations. Under the
+graphical update rule that graph has a closed form, computed here
+(`_Engine._alpha`): a hypothesis holds its own alpha, plus its partner's
+once the partner is rejected.
 
 Simulated trials (`run_design`) and observed-data replay
 (`analyze_observed`) run through one decision loop; they differ only in
@@ -21,14 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .boundaries import cached_boundaries
 from .combine import (CohortPValues, Scenario, StageWeights, TestTarget, clamp_p,
                       event_weights, intersection_target, inverse_normal, scenario_wiring)
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
-from .multiplicity import (HYPOTHESES, Endpoint, HypothesisGraph, HypothesisId,
-                           Population, hochberg_intersection, intersection_boundary)
+from .multiplicity import (HYPOTHESES, Endpoint, HypothesisId, Population,
+                           hochberg_intersection, intersection_boundary)
 from .numerics import norm_cdf, norm_quantile
 from .simdata import AnalysisSnapshot
 
@@ -47,10 +53,24 @@ __all__ = [
 ANALYSIS_NAMES = ("IA1", "IA2", "FA")
 
 
-def target_label(target: TestTarget) -> str:
-    if isinstance(target, HypothesisId):
-        return str(target)
-    return f"{target[1].value.upper()}(FS)"
+class _Target(NamedTuple):
+    label: str
+    population: Optional[Population]  # None for an FS intersection
+    endpoint: Endpoint
+    partner: Optional[int]  # index of the same population's other endpoint
+
+
+_OTHER_ENDPOINT = {Endpoint.PFS: Endpoint.OS, Endpoint.OS: Endpoint.PFS}
+# The six test targets as indices 0..5: the four hypotheses in HYPOTHESES
+# order, then the per-endpoint FS intersections in Endpoint order.
+_TARGETS = tuple(
+    [_Target(str(h), h.population, h.endpoint,
+             HYPOTHESES.index(HypothesisId(h.population, _OTHER_ENDPOINT[h.endpoint])))
+     for h in HYPOTHESES]
+    + [_Target(f"{ep.value.upper()}(FS)", None, ep, None) for ep in Endpoint])
+_FS_INDEX = {ep: len(HYPOTHESES) + i for i, ep in enumerate(Endpoint)}
+_INDEX: Dict[TestTarget, int] = {h: i for i, h in enumerate(HYPOTHESES)}
+_INDEX.update({intersection_target(ep): i for ep, i in _FS_INDEX.items()})
 
 
 class DesignKind(Enum):
@@ -65,15 +85,6 @@ class DesignConfigError(ValueError):
 
 class MissingSlotError(ValueError):
     """A required snapshot or observed-data slot is absent."""
-
-
-# Alpha passing: within-population PFS<->OS edges with weight 1; no alpha
-# moves between populations.
-TRANSITIONS = {
-    (HypothesisId(pop, a), HypothesisId(pop, b)): 1.0
-    for pop in Population
-    for a, b in ((Endpoint.PFS, Endpoint.OS), (Endpoint.OS, Endpoint.PFS))
-}
 
 
 @dataclass(frozen=True)
@@ -220,7 +231,11 @@ def _scenario_of(decision: SelectionDecision) -> Optional[Scenario]:
 
 
 class _Engine:
-    """Shared fixed-point testing machinery for simulated and observed data."""
+    """Shared fixed-point testing machinery for simulated and observed data.
+
+    Targets are the indices of `_TARGETS`; `rejected` is a bitmask over
+    them. Labels are looked up only where the trace is written.
+    """
 
     def __init__(self, design: DesignSpec, scenario: Optional[Scenario],
                  futility_decision: Optional[SelectionDecision]):
@@ -228,78 +243,73 @@ class _Engine:
         self.scenario = scenario
         self.trace = DecisionTrace(
             design=design.kind.value, scenario=scenario, futility=futility_decision)
-        self.z_hist: Dict[TestTarget, Dict[int, float]] = {}
+        self.z_hist: Dict[int, Dict[int, float]] = {}
         # boundary/alpha in effect when a target was rejected, for reporting
-        self.reject_info: Dict[str, Tuple[float, float]] = {}
+        self.reject_info: Dict[int, Tuple[float, float]] = {}
+        self.rejected = 0
         self.gate_open = not (design.kind is DesignKind.GGSD and scenario is Scenario.BOTH)
-        self.graphs: List[HypothesisGraph] = []
-        self.graph_of: Dict[HypothesisId, int] = {}
-        self.in_scope: Tuple[HypothesisId, ...] = ()
-        self._build_graphs()
+        self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
+        pops = {Scenario.S_ONLY: (Population.SUB,),
+                Scenario.F_ONLY: (Population.FULL,)}.get(scenario, tuple(Population))
+        self.in_scope = tuple(i for i, h in enumerate(HYPOTHESES) if h.population in pops)
+        self.base = tuple(self._base_alpha(h, pops) for h in HYPOTHESES)
 
-    def _build_graphs(self):
-        """GSD, and AD with both populations, test all four hypotheses in one
-        graph at the overall alpha. Otherwise each continuing population gets
-        its own graph. AD keeps the original allocations (alpha of a dropped
-        population is not reallocated: only a rejection moves alpha). gGSD
-        re-levels each population at the full alpha; with one population
-        continuing, all of it starts on PFS with a handover edge to OS.
+    def _base_alpha(self, h: HypothesisId, pops: Tuple[Population, ...]) -> float:
+        """Alpha before any rejection. GSD and AD keep the original
+        allocations (alpha of a dropped population is not reallocated: only
+        a rejection moves alpha). gGSD re-levels each population at the full
+        alpha; with one population continuing, all of it starts on PFS and
+        passes to OS. A hypothesis out of scope holds none.
         """
         d = self.design
-        pops = {Scenario.S_ONLY: (Population.SUB,),
-                Scenario.F_ONLY: (Population.FULL,)}.get(self.scenario, tuple(Population))
-        self.in_scope = tuple(h for h in HYPOTHESES if h.population in pops)
-        if d.kind is DesignKind.GSD or (d.kind is DesignKind.AD and len(pops) == 2):
-            self.graphs = [HypothesisGraph(alphas=dict(d.initial_alphas),
-                                           transitions=dict(TRANSITIONS))]
-            self.graph_of = {h: 0 for h in HYPOTHESES}
-            return
-        for pop in pops:
-            pfs = HypothesisId(pop, Endpoint.PFS)
-            os_ = HypothesisId(pop, Endpoint.OS)
-            if d.kind is DesignKind.GGSD and len(pops) == 1:
-                alphas = {pfs: d.alpha, os_: 0.0}
-            else:
-                alphas = {pfs: d.initial_alphas[pfs], os_: d.initial_alphas[os_]}
-            self.graph_of.update({pfs: len(self.graphs), os_: len(self.graphs)})
-            self.graphs.append(HypothesisGraph(alphas=alphas, transitions={
-                e: g for e, g in TRANSITIONS.items() if e[0].population is pop}))
+        if h.population not in pops:
+            return 0.0
+        if d.kind is DesignKind.GGSD and len(pops) == 1:
+            return d.alpha if h.endpoint is Endpoint.PFS else 0.0
+        return d.initial_alphas[h]
 
     # -- state helpers -------------------------------------------------
 
-    def _alpha(self, h: HypothesisId) -> float:
-        return self.graphs[self.graph_of[h]].alpha(h)
+    def _rejected(self, i: int) -> bool:
+        return bool(self.rejected >> i & 1)
 
-    def _rejected(self, target: TestTarget) -> bool:
-        return target_label(target) in self.trace.rejected_at
+    def _alpha(self, i: int) -> float:
+        """The graphical update rule on the PFS<->OS edges in closed form."""
+        if self._rejected(i):
+            return 0.0
+        partner = _TARGETS[i].partner
+        if self._rejected(partner):
+            return self.base[i] + self.base[partner]
+        return self.base[i]
 
-    def _bounds(self, h: HypothesisId):
-        alpha = round(self._alpha(h), 12)
-        return cached_boundaries(alpha, self.design.fractions[h])
+    def _bounds(self, i: int):
+        alpha = round(self._alpha(i), 12)
+        return cached_boundaries(alpha, self.fractions[i])
 
-    def _testable(self, h: HypothesisId) -> bool:
-        if h not in self.graph_of or self._rejected(h) or self._alpha(h) <= 0.0:
+    def _testable(self, i: int) -> bool:
+        # Out-of-scope hypotheses carry no alpha, so they never pass.
+        if self._rejected(i) or self._alpha(i) <= 0.0:
             return False
-        return self.gate_open or h.population is not Population.FULL
+        return self.gate_open or _TARGETS[i].population is not Population.FULL
 
-    def _intersection_crossed(self, ep: Endpoint) -> Tuple[bool, float, float]:
-        """Evaluate the FS intersection over all recorded looks.
+    def _intersection_crossed(self, t: int) -> Tuple[bool, float, float]:
+        """Evaluate FS intersection `t` over all recorded looks.
 
         Boundary per look: minimum critical value over the member
         hypotheses currently carrying allocated alpha (and, for gGSD,
         admitted by the hierarchy gate).
         """
-        hist = self.z_hist.get(intersection_target(ep), {})
-        members = [HypothesisId(pop, ep) for pop in Population]
-        live = [h for h in members if self._testable(h)]
+        hist = self.z_hist.get(t, {})
+        ep = _TARGETS[t].endpoint
+        live = [i for i in self.in_scope if _TARGETS[i].endpoint is ep and self._testable(i)]
         if not hist or not live:
             return False, math.nan, math.nan
         crossed = False
         last_c = math.nan
         for look, z in sorted(hist.items()):
             cs = []
-            for h in live:
-                b = self._bounds(h)
+            for i in live:
+                b = self._bounds(i)
                 if look < len(b.z_bounds):
                     cs.append(b.z_bounds[look])
             if not cs:
@@ -310,99 +320,101 @@ class _Engine:
                 crossed = True
         return crossed, last_c, hist[max(hist)]
 
-    def _elementary_crossed(self, h: HypothesisId) -> Tuple[bool, float, float]:
-        hist = self.z_hist.get(h, {})
+    def _elementary_crossed(self, i: int) -> Tuple[bool, float, float]:
+        hist = self.z_hist.get(i, {})
         if not hist:
             return False, math.nan, math.nan
-        b = self._bounds(h)
+        b = self._bounds(i)
         crossed = any(z >= b.z_bounds[look] for look, z in hist.items()
                       if look < len(b.z_bounds))
         last_look = max(hist)
         c = b.z_bounds[min(last_look, len(b.z_bounds) - 1)]
         return crossed, c, hist[last_look]
 
+    def enter(self, target: TestTarget, look: int, z: float):
+        """Record a target's statistic at one of its looks."""
+        self.z_hist.setdefault(_INDEX[target], {})[look] = z
+
     # -- the per-analysis fixed point -----------------------------------
 
     def run_analysis(self, k: int, calendar_time: Optional[float]):
         record = AnalysisRecord(index=k, calendar_time=calendar_time)
+        gated = self.design.kind is not DesignKind.GSD
         changed = True
         while changed:
             changed = False
-            if self.design.kind is not DesignKind.GSD:
-                for ep in Endpoint:
-                    tgt = intersection_target(ep)
-                    if self._rejected(tgt):
+            if gated:
+                for t in _FS_INDEX.values():
+                    if self._rejected(t):
                         continue
-                    crossed, c, z = self._intersection_crossed(ep)
+                    crossed, c, z = self._intersection_crossed(t)
                     if crossed:
-                        self.trace.rejected_at[target_label(tgt)] = k
-                        self.reject_info[target_label(tgt)] = (c, math.nan)
+                        self.trace.rejected_at[_TARGETS[t].label] = k
+                        self.reject_info[t] = (c, math.nan)
+                        self.rejected |= 1 << t
                         changed = True
-            for h in self.in_scope:
-                if not self._testable(h) or h not in self.z_hist:
+            for i in self.in_scope:
+                if not self._testable(i) or i not in self.z_hist:
                     continue
-                crossed, c, z = self._elementary_crossed(h)
+                crossed, c, z = self._elementary_crossed(i)
                 if not crossed:
                     continue
-                if self.design.kind is not DesignKind.GSD:
-                    fs = target_label(intersection_target(h.endpoint))
-                    if fs not in self.trace.rejected_at:
-                        continue  # blocked by the closed-testing gate
-                label = target_label(h)
+                if gated and not self._rejected(_FS_INDEX[_TARGETS[i].endpoint]):
+                    continue  # blocked by the closed-testing gate
+                label = _TARGETS[i].label
                 self.trace.rejected_at[label] = k
-                self.reject_info[label] = (c, self._alpha(h))
+                self.reject_info[i] = (c, self._alpha(i))
                 record.newly_rejected.append(label)
-                gi = self.graph_of[h]
-                self.graphs[gi] = self.graphs[gi].reject(h)
-                if h.population is Population.SUB:
+                self.rejected |= 1 << i
+                if _TARGETS[i].population is Population.SUB:
                     self.gate_open = True
                 changed = True
         self._record_tests(record)
         record.alpha_snapshot = {
-            str(h): self._alpha(h) for h in self.in_scope
+            _TARGETS[i].label: self._alpha(i) for i in self.in_scope
         }
         self.trace.analyses.append(record)
 
     def _record_tests(self, record: AnalysisRecord):
         """Snapshot every target's latest statistic against its boundary."""
-        for target, hist in self.z_hist.items():
+        for t, hist in self.z_hist.items():
             look = max(hist)
-            if isinstance(target, HypothesisId):
-                if target not in self.graph_of:
+            if _TARGETS[t].population is not None:
+                if t not in self.in_scope:
                     continue
-                alpha = self._alpha(target)
-                if self._rejected(target):
-                    c, alpha = self.reject_info[target_label(target)]
+                alpha = self._alpha(t)
+                if self._rejected(t):
+                    c, alpha = self.reject_info[t]
                     crossed = True
                 elif alpha > 0.0:
-                    b = self._bounds(target)
+                    b = self._bounds(t)
                     idx = min(look, len(b.z_bounds) - 1)
                     c = b.z_bounds[idx]
-                    crossed = self._elementary_crossed(target)[0]
+                    crossed = self._elementary_crossed(t)[0]
                 else:
-                    # Carrying no alpha (e.g. OS ahead of the special-graph
+                    # Carrying no alpha (e.g. gGSD's OS ahead of the PFS
                     # handover): no live boundary to show.
                     c = math.nan
                     crossed = False
             else:
-                if self._rejected(target):
-                    c, _ = self.reject_info[target_label(target)]
+                if self._rejected(t):
+                    c, _ = self.reject_info[t]
                     crossed = True
                 else:
-                    crossed, c, _ = self._intersection_crossed(target[1])
+                    crossed, c, _ = self._intersection_crossed(t)
                 alpha = math.nan
             record.tests.append(TestRecord(
-                target_label=target_label(target),
+                target_label=_TARGETS[t].label,
                 z=hist[look],
                 boundary_z=c,
                 boundary_p=1.0 - norm_cdf(c) if not math.isnan(c) else math.nan,
                 alpha=alpha,
                 crossed=crossed,
-                confirmed=self._rejected(target),
+                confirmed=self._rejected(t),
             ))
 
     def all_rejected(self) -> bool:
-        return all(self._rejected(h) for h in self.in_scope)
+        return all(self._rejected(i) for i in self.in_scope)
 
     def finish(self, k: int):
         if self.all_rejected():
@@ -422,7 +434,7 @@ def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float
 
     Applies the end-of-stage-1 futility gate (AD, gGSD) to the two PFS
     hazard ratios, then walks the planned analyses: `load(eng, k)` enters
-    analysis k's statistics into `eng.z_hist` and returns its calendar time,
+    analysis k's statistics through `eng.enter` and returns its calendar time,
     and the fixed point runs until every hypothesis in scope is rejected or
     the final analysis is reached.
     """
@@ -465,8 +477,7 @@ def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
             continue
         if design.kind is DesignKind.GSD:
             for pop in Population:
-                h = HypothesisId(pop, ep)
-                eng.z_hist.setdefault(h, {})[look] = snap.z[("pooled", pop, ep)]
+                eng.enter(HypothesisId(pop, ep), look, snap.z[("pooled", pop, ep)])
             continue
         cohorts = CohortPValues(
             stage1_full=snap.p[("stage1", Population.FULL, ep)],
@@ -481,8 +492,8 @@ def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
             if clamped1 or clamped2:
                 eng.trace.warnings.append(
                     f"analysis {k + 1}: degenerate p-value clamped for "
-                    f"{target_label(target)}")
-            eng.z_hist.setdefault(target, {})[look] = inverse_normal(p1, p2, w)
+                    f"{_TARGETS[_INDEX[target]].label}")
+            eng.enter(target, look, inverse_normal(p1, p2, w))
     return snap.calendar_time
 
 
@@ -528,7 +539,7 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
             h = HypothesisId(pop, ep)
             p = observed.p_values.get(h, {}).get(k)
             if p is not None:
-                eng.z_hist.setdefault(h, {})[look] = _observed_z(p)
+                eng.enter(h, look, _observed_z(p))
         if design.kind is DesignKind.GSD:
             continue
         p_full = observed.p_values.get(HypothesisId(Population.FULL, ep), {}).get(k)
@@ -541,7 +552,7 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
         elif p_full is not None and p_sub is not None:
             p_fs = hochberg_intersection(p_full, p_sub)
         if p_fs is not None:
-            eng.z_hist.setdefault(intersection_target(ep), {})[look] = _observed_z(p_fs)
+            eng.enter(intersection_target(ep), look, _observed_z(p_fs))
     _check_required_slots(eng, k)
 
 
@@ -558,9 +569,11 @@ def _check_required_slots(eng: _Engine, k: int):
         look = eng.design.look_of(ep, k)
         if look is None:
             continue
-        for h in eng.in_scope:
-            if h.endpoint is ep and not eng._rejected(h) and look not in eng.z_hist.get(h, {}):
-                raise MissingSlotError(f"missing observed p-value for {h} at analysis {k + 1}")
+        for i in eng.in_scope:
+            if (_TARGETS[i].endpoint is ep and not eng._rejected(i)
+                    and look not in eng.z_hist.get(i, {})):
+                raise MissingSlotError(
+                    f"missing observed p-value for {_TARGETS[i].label} at analysis {k + 1}")
 
 
 def render_narrative(trace: DecisionTrace) -> str:

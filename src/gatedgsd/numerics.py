@@ -120,7 +120,9 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) 
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    # Compare signs, not a product: the product of two tiny values
+    # underflows to 0 and would hide the sign.
+    if (flo > 0) == (fhi > 0):
         raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
     for _ in range(max_iter):
         if hi - lo <= tol:
@@ -136,7 +138,7 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) 
         fx = f(x)
         if fx == 0.0:
             return x
-        if flo * fx < 0:
+        if (flo > 0) != (fx > 0):
             hi, fhi = x, fx
         else:
             lo, flo = x, fx

@@ -154,3 +154,43 @@ def test_observed_analysis_beyond_fa_rejected(tmp_path, key):
     doc["observed"]["p_values"]["gsd"]["full_os"][key] = 0.001
     with pytest.raises(ConfigError, match=r"observed\.p_values\.gsd\.full_os"):
         parse_config(write(tmp_path, doc))
+
+
+# -- YAML booleans are not numbers, and observed looks must be planned -----
+
+
+def _table5_doc():
+    return yaml.safe_load((CONFIG_DIR / "table5_example.yaml").read_text())
+
+
+# field -> (where in table5_example, a value holding a YAML boolean, error path)
+BOOLEAN_CASES = {
+    "endpoint_analyses": (("designs", "endpoint_analyses", "pfs"), [True, 2],
+                          r"designs\.endpoint_analyses\.pfs"),
+    "fractions": (("designs", "fractions", "full", "pfs"), [0.90, True],
+                  r"designs\.fractions\.full\.pfs"),
+    "weights": (("weights", 0, "pfs", 0), [True, False], r"weights\[0\]\.pfs\[0\]"),
+    "observed_key": (("observed", "p_values", "gsd", "full_os"),
+                     {True: 0.0104, 2: 0.0023, 3: 0.0011}, r"observed\.p_values\.gsd\.full_os"),
+}
+
+
+@pytest.mark.parametrize("field", BOOLEAN_CASES)
+def test_yaml_boolean_rejected_as_number(tmp_path, field):
+    where, value, path = BOOLEAN_CASES[field]
+    doc = _table5_doc()
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(ConfigError, match=path + ": .*True"):
+        parse_config(write(tmp_path, doc))
+
+
+def test_observed_p_value_at_unplanned_look_rejected(tmp_path):
+    # PFS is tested at IA1 and IA2 only: an FA p-value would be dropped.
+    doc = _table5_doc()
+    doc["observed"]["p_values"]["gsd"]["sub_pfs"]["FA"] = 0.000000001
+    with pytest.raises(ConfigError, match=r"observed\.p_values\.gsd\.sub_pfs\.FA: pfs has no "
+                                          r"planned look at FA"):
+        parse_config(write(tmp_path, doc))

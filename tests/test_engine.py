@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from gatedgsd.boundaries import cached_boundaries
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import (
     DesignConfigError,
@@ -20,7 +21,7 @@ from gatedgsd.combine import Scenario
 from gatedgsd.futility import Selection
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
                                    hochberg_intersection)
-from gatedgsd.numerics import norm_quantile
+from gatedgsd.numerics import norm_cdf, norm_quantile
 from gatedgsd.simdata import generate_trial, schedule_analyses, snapshot_at
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
@@ -114,6 +115,30 @@ def test_observed_ad_sub_only_passes_alpha_within_sub(designs2):
     assert trace.futility.selection is Selection.CONTINUE_SUB_ONLY
     assert trace.scenario is Scenario.S_ONLY
     assert trace.confirmed() == {"PFS(S)": 0, "OS(S)": 1}
+    assert trace.termination_index == 1
+    assert trace.termination_reason == "all-rejected"
+
+
+def test_observed_rereads_earlier_look_after_alpha_increase(designs2):
+    # Subgroup only. PFS(S) is rejected at IA2 and hands its alpha to OS(S).
+    # OS(S)'s IA1 z lies between its raised and its original IA1 boundary,
+    # and its IA2 z crosses neither: only re-reading the passed IA1 look
+    # against the raised boundary rejects OS(S), at IA2.
+    design = designs2["ad:0.5"]
+    own_alpha = design.initial_alphas[H_S_OS]
+    raised_alpha = own_alpha + design.initial_alphas[H_S_PFS]
+    own = cached_boundaries(own_alpha, design.fractions[H_S_OS]).z_bounds
+    raised = cached_boundaries(raised_alpha, design.fractions[H_S_OS]).z_bounds
+    z1 = (own[0] + raised[0]) / 2.0
+    z2 = raised[1] - 0.5
+    assert raised[0] < z1 < own[0] and z2 < raised[1] < own[1]
+    p = {H_S_PFS: {0: 0.2, 1: 1e-5},
+         H_S_OS: {0: 1.0 - norm_cdf(z1), 1: 1.0 - norm_cdf(z2)}}
+    trace = analyze_observed(design, ObservedData(hr_full=0.9, hr_sub=0.7, p_values=p))
+    assert trace.scenario is Scenario.S_ONLY
+    assert trace.analyses[0].newly_rejected == []
+    assert trace.analyses[1].newly_rejected == ["PFS(S)", "OS(S)"]
+    assert trace.confirmed() == {"PFS(S)": 1, "OS(S)": 1}
     assert trace.termination_index == 1
     assert trace.termination_reason == "all-rejected"
 

@@ -1,20 +1,26 @@
-"""Graphical reallocation, Hochberg intersection, and closed-testing gate."""
+"""Hochberg intersection, intersection boundary, and the engine's closed-form
+alpha passing checked against the general graphical update rule."""
+
+import itertools
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from gatedgsd.combine import Scenario
+from gatedgsd.config import build_designs, parse_config
+from gatedgsd.engine import DesignKind, _Engine
 from gatedgsd.multiplicity import (
-    H_F_OS,
-    H_F_PFS,
-    H_S_OS,
-    H_S_PFS,
     HYPOTHESES,
-    GraphStateError,
-    HypothesisGraph,
+    Endpoint,
+    HypothesisId,
+    Population,
     hochberg_intersection,
     intersection_boundary,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
 
 
 def test_hochberg_examples():
@@ -39,75 +45,79 @@ def test_intersection_boundary_is_min():
         intersection_boundary([])
 
 
-def test_graph_reallocation_simple_pair():
-    g = HypothesisGraph(
-        alphas={H_F_PFS: 0.015, H_F_OS: 0.010},
-        transitions={(H_F_PFS, H_F_OS): 1.0, (H_F_OS, H_F_PFS): 1.0},
-    )
-    g2 = g.reject(H_F_PFS)
-    assert g2.alpha(H_F_OS) == pytest.approx(0.025)
-    assert g2.alpha(H_F_PFS) == 0.0
-    assert H_F_PFS in g2.rejected
+# The alpha-passing graph of every design: PFS<->OS within each population,
+# each edge with weight 1.
+TRANSITIONS = {
+    (HypothesisId(pop, a), HypothesisId(pop, b)): 1.0
+    for pop in Population
+    for a, b in ((Endpoint.PFS, Endpoint.OS), (Endpoint.OS, Endpoint.PFS))
+}
 
 
-def test_graph_update_rule_chain():
-    # Three-node chain: A -> B -> C -> A with full weights. Rejecting A
-    # passes alpha to B; the B -> C edge is preserved and C -> B appears
-    # through the removed node.
-    a, b, c = H_F_PFS, H_F_OS, H_S_PFS
-    g = HypothesisGraph(
-        alphas={a: 0.01, b: 0.01, c: 0.005},
-        transitions={(a, b): 1.0, (b, c): 1.0, (c, a): 1.0},
-    )
-    g2 = g.reject(a)
-    assert g2.alpha(b) == pytest.approx(0.02)
-    assert g2.alpha(c) == pytest.approx(0.005)
-    assert g2.weight(b, c) == pytest.approx(1.0)
-    assert g2.weight(c, b) == pytest.approx(1.0)  # via the removed node
+def general_reject(alphas, transitions, h):
+    """Graphical update rule (Bretz et al. 2009) on a graph of any shape:
+    remove h, pass its alpha along its outgoing edges and reconnect the
+    remaining nodes through it. Returns the new (alphas, transitions)."""
+    def w(a, b):
+        return transitions.get((a, b), 0.0)
+
+    remaining = [l for l in alphas if l != h]
+    new_alphas = {l: alphas[l] + alphas[h] * w(h, l) for l in remaining}
+    new_trans = {}
+    for l in remaining:
+        for m in remaining:
+            if l == m:
+                continue
+            denom = 1.0 - w(l, h) * w(h, l)
+            g = (w(l, m) + w(l, h) * w(h, m)) / denom if denom > 1e-12 else 0.0
+            if g > 0.0:
+                new_trans[(l, m)] = min(g, 1.0)
+    return new_alphas, new_trans
 
 
-def test_graph_alpha_conserved_on_full_cycle():
-    g = HypothesisGraph(
-        alphas={h: 0.025 / 4 for h in HYPOTHESES},
-        transitions={(a, b): 1.0 / 3.0 for a in HYPOTHESES for b in HYPOTHESES if a != b},
-    )
-    total = g.total_alpha()
-    for h in HYPOTHESES[:-1]:
-        g = g.reject(h)
-        assert g.total_alpha() == pytest.approx(total, abs=1e-12)
+def general_graphs(design, scenario):
+    """The graphs the designs start from: GSD, and AD with both populations,
+    share one graph at the overall alpha; otherwise each continuing
+    population has its own, gGSD with one population putting all of its
+    alpha on PFS."""
+    pops = {Scenario.S_ONLY: (Population.SUB,),
+            Scenario.F_ONLY: (Population.FULL,)}.get(scenario, tuple(Population))
+    if design.kind is DesignKind.GSD or (design.kind is DesignKind.AD and len(pops) == 2):
+        return [(dict(design.initial_alphas), dict(TRANSITIONS))]
+    graphs = []
+    for pop in pops:
+        pfs, os_ = HypothesisId(pop, Endpoint.PFS), HypothesisId(pop, Endpoint.OS)
+        if design.kind is DesignKind.GGSD and len(pops) == 1:
+            alphas = {pfs: design.alpha, os_: 0.0}
+        else:
+            alphas = {pfs: design.initial_alphas[pfs], os_: design.initial_alphas[os_]}
+        graphs.append((alphas, {e: g for e, g in TRANSITIONS.items()
+                                if e[0].population is pop}))
+    return graphs
 
 
-def test_graph_rejects_double_rejection_and_unknown_node():
-    g = HypothesisGraph(alphas={H_F_PFS: 0.025})
-    g2 = g.reject(H_F_PFS)
-    with pytest.raises(GraphStateError):
-        g2.reject(H_F_PFS)
-    with pytest.raises(GraphStateError):
-        g.reject(H_S_OS)
-
-
-def test_graph_validates_weights():
-    with pytest.raises(ValueError):
-        HypothesisGraph(alphas={H_F_PFS: 0.01, H_F_OS: 0.01},
-                        transitions={(H_F_PFS, H_F_OS): 0.7, (H_F_PFS, H_S_OS): 0.5})
-    with pytest.raises(ValueError):
-        HypothesisGraph(alphas={H_F_PFS: 0.01}, transitions={(H_F_PFS, H_F_PFS): 1.0})
-    with pytest.raises(ValueError):
-        HypothesisGraph(alphas={H_F_PFS: -0.01})
-
-
-@settings(max_examples=100)
-@given(
-    alphas=st.lists(st.floats(min_value=0.0, max_value=0.01), min_size=4, max_size=4),
-    order=st.permutations(range(4)),
-)
-def test_alpha_never_exceeds_initial_total(alphas, order):
-    g = HypothesisGraph(
-        alphas=dict(zip(HYPOTHESES, alphas)),
-        transitions={(a, b): 1.0 / 3.0 for a in HYPOTHESES for b in HYPOTHESES if a != b},
-    )
-    total0 = g.total_alpha()
-    for idx in order[:3]:
-        g = g.reject(HYPOTHESES[idx])
-        assert g.total_alpha() <= total0 + 1e-12
-        assert all(g.alpha(h) >= 0 for h in HYPOTHESES)
+def test_closed_form_alpha_matches_general_update_rule():
+    # Every arm, every scenario and every rejection order of the in-scope
+    # hypotheses: the engine's alpha equals the general rule's, bit for bit
+    # (a hypothesis out of scope or already rejected holds 0).
+    designs = [d for name in ("setting1", "setting2", "setting3", "table5_example")
+               for d in build_designs(parse_config(CONFIG_DIR / f"{name}.yaml"))]
+    for design in designs:
+        scenarios = [None] if design.kind is DesignKind.GSD else list(Scenario)
+        for scenario in scenarios:
+            start = general_graphs(design, scenario)
+            in_scope = [h for h in HYPOTHESES if any(h in a for a, _ in start)]
+            assert [HYPOTHESES[i] for i in _Engine(design, scenario, None).in_scope] == in_scope
+            for order in itertools.permutations(in_scope):
+                graphs = list(start)
+                eng = _Engine(design, scenario, None)
+                for step in range(len(order) + 1):
+                    if step:
+                        h = order[step - 1]
+                        gi = next(j for j, (a, _) in enumerate(graphs) if h in a)
+                        graphs[gi] = general_reject(*graphs[gi], h)
+                        eng.rejected |= 1 << HYPOTHESES.index(h)
+                    for i, h in enumerate(HYPOTHESES):
+                        expected = next((a[h] for a, _ in graphs if h in a), 0.0)
+                        assert eng._alpha(i).hex() == expected.hex(), (
+                            design.label, scenario, order[:step], str(h))
