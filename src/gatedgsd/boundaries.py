@@ -200,5 +200,11 @@ def crossing_probability_mvn(bounds: BoundarySet, abseps: float = 1e-8) -> float
 
 @lru_cache(maxsize=8192)
 def cached_boundaries(alpha_total: float, fractions: Tuple[float, ...]) -> BoundarySet:
-    """Memoized front end for the simulation engine (alphas repeat heavily)."""
+    """Memoized `compute_boundaries`.
+
+    The decision engine reaches it once per row of a compiled plan, the first
+    time that row is used: each (arm, scenario) plan has at most two alpha
+    levels per hypothesis. The memo shares rows between arms and scenarios
+    whose alphas agree, so each distinct row is solved once per process.
+    """
     return compute_boundaries(alpha_total, fractions)

@@ -9,7 +9,7 @@ internally.
 Alpha passing follows one fixed graph: PFS<->OS within each population,
 each edge with weight 1, and no alpha crosses populations. Under the
 graphical update rule that graph has a closed form, computed here
-(`_Engine._alpha`): a hypothesis holds its own alpha, plus its partner's
+(`_Plan.levels`): a hypothesis holds its own alpha, plus its partner's
 once the partner is rejected.
 
 Simulated trials (`run_design`) and observed-data replay
@@ -20,6 +20,21 @@ Within one analysis, testing iterates (test, reject, reallocate, recompute
 boundaries, retest) to a fixed point, and boundary recomputation after an
 alpha increase re-evaluates already-passed looks against the new lower
 critical values.
+
+A call does only the work that is new to its arm and data:
+
+- Plan. What an arm fixes before seeing data is compiled once per
+  continuation scenario into a `_Plan` kept on the `DesignSpec`: the
+  hypotheses in scope, their alphas, the starting state of gGSD's hierarchy
+  gate, the members of each FS intersection, and each hypothesis's boundary
+  row at its two alpha levels, solved on first use by `cached_boundaries`.
+- Shared normal scores. The first arm that reads a snapshot computes
+  q = Phi^-1(1 - p) of the stage-wise p-values its scenario wires and keeps
+  them on the snapshot (`AnalysisSnapshot.scores`); each arm forms its own
+  z = w1*q1 + w2*q2, bit for bit the value of `combine.inverse_normal`.
+- Lazy records. An `AnalysisRecord` keeps its rejection bitmask; `tests`
+  and `alpha_snapshot` are rendered from it when first read, so the Monte
+  Carlo, which reads only rejections and terminations, never builds them.
 """
 
 from __future__ import annotations
@@ -27,11 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .boundaries import cached_boundaries
 from .combine import (CohortPValues, Scenario, StageWeights, TestTarget, clamp_p,
-                      event_weights, intersection_target, inverse_normal, scenario_wiring)
+                      event_weights, intersection_target, scenario_wiring)
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import (HYPOTHESES, Endpoint, HypothesisId, Population,
                            hochberg_intersection, intersection_boundary)
@@ -55,22 +71,28 @@ ANALYSIS_NAMES = ("IA1", "IA2", "FA")
 
 class _Target(NamedTuple):
     label: str
-    population: Optional[Population]  # None for an FS intersection
     endpoint: Endpoint
-    partner: Optional[int]  # index of the same population's other endpoint
 
 
 _OTHER_ENDPOINT = {Endpoint.PFS: Endpoint.OS, Endpoint.OS: Endpoint.PFS}
 # The six test targets as indices 0..5: the four hypotheses in HYPOTHESES
 # order, then the per-endpoint FS intersections in Endpoint order.
-_TARGETS = tuple(
-    [_Target(str(h), h.population, h.endpoint,
-             HYPOTHESES.index(HypothesisId(h.population, _OTHER_ENDPOINT[h.endpoint])))
-     for h in HYPOTHESES]
-    + [_Target(f"{ep.value.upper()}(FS)", None, ep, None) for ep in Endpoint])
+_TARGETS = tuple([_Target(str(h), h.endpoint) for h in HYPOTHESES]
+                 + [_Target(f"{ep.value.upper()}(FS)", ep) for ep in Endpoint])
 _FS_INDEX = {ep: len(HYPOTHESES) + i for i, ep in enumerate(Endpoint)}
 _INDEX: Dict[TestTarget, int] = {h: i for i, h in enumerate(HYPOTHESES)}
 _INDEX.update({intersection_target(ep): i for ep, i in _FS_INDEX.items()})
+_FS = tuple(_FS_INDEX.values())
+# Per hypothesis: the same population's other endpoint, its endpoint's FS
+# target, and whether it is in F.
+_PARTNER = tuple(_INDEX[HypothesisId(h.population, _OTHER_ENDPOINT[h.endpoint])]
+                 for h in HYPOTHESES)
+_FS_OF = tuple(_FS_INDEX[h.endpoint] for h in HYPOTHESES)
+_IN_FULL = tuple(h.population is Population.FULL for h in HYPOTHESES)
+_SUB_MASK = sum(1 << i for i, full in enumerate(_IN_FULL) if not full)
+# GSD's statistics: each population's pooled logrank z, per endpoint.
+_POOLED = {ep: tuple((("pooled", pop, ep), _INDEX[HypothesisId(pop, ep)]) for pop in Population)
+           for ep in Endpoint}
 
 
 class DesignKind(Enum):
@@ -137,9 +159,15 @@ class DesignSpec:
                 if w is None or len(w) != len(self.endpoint_analyses[ep]):
                     raise DesignConfigError(f"weight table missing or misaligned for {ep}")
 
-    @property
+    @cached_property
     def n_analyses(self) -> int:
         return 1 + max(max(v) for v in self.endpoint_analyses.values())
+
+    @cached_property
+    def _plans(self) -> Dict[Optional[Scenario], "_Plan"]:
+        """The compiled plan of every scenario this arm can continue in."""
+        scenarios = (None,) if self.kind is DesignKind.GSD else tuple(Scenario)
+        return {s: _Plan(self, s) for s in scenarios}
 
     def look_of(self, endpoint: Endpoint, analysis: int) -> Optional[int]:
         sched = self.endpoint_analyses[endpoint]
@@ -159,11 +187,27 @@ class TestRecord:
 
 @dataclass
 class AnalysisRecord:
+    """One analysis of a trace.
+
+    `rejected` is the bitmask of rejected targets (`_TARGETS` indices) at
+    the end of the analysis. `tests` and `alpha_snapshot` are rendered from
+    it, the arm's plan and the run's z history when first read.
+    """
+
     index: int
     calendar_time: Optional[float]
-    tests: List[TestRecord] = field(default_factory=list)
-    alpha_snapshot: Dict[str, float] = field(default_factory=dict)
-    newly_rejected: List[str] = field(default_factory=list)
+    newly_rejected: List[str]
+    rejected: int
+    _run: "_Run" = field(repr=False, compare=False)
+
+    @cached_property
+    def tests(self) -> List[TestRecord]:
+        return _render_tests(self._run, self.rejected, self.index)
+
+    @cached_property
+    def alpha_snapshot(self) -> Dict[str, float]:
+        plan = self._run.plan
+        return {_TARGETS[i].label: _alpha(plan, self.rejected, i) for i in plan.in_scope}
 
 
 @dataclass
@@ -221,17 +265,187 @@ class DecisionTrace:
         }
 
 
-def _scenario_of(decision: SelectionDecision) -> Optional[Scenario]:
-    return {
-        Selection.CONTINUE_BOTH: Scenario.BOTH,
-        Selection.CONTINUE_SUB_ONLY: Scenario.S_ONLY,
-        Selection.CONTINUE_FULL_ONLY: Scenario.F_ONLY,
-        Selection.STOP_FUTILITY: None,
-    }[decision.selection]
+_SCENARIO_OF = {
+    Selection.CONTINUE_BOTH: Scenario.BOTH,
+    Selection.CONTINUE_SUB_ONLY: Scenario.S_ONLY,
+    Selection.CONTINUE_FULL_ONLY: Scenario.F_ONLY,
+}
+
+
+def _base_alpha(design: DesignSpec, h: HypothesisId, pops: Tuple[Population, ...]) -> float:
+    """Alpha before any rejection. GSD and AD keep the original allocations
+    (alpha of a dropped population is not reallocated: only a rejection
+    moves alpha). gGSD re-levels each population at the full alpha; with
+    one population continuing, all of it starts on PFS and passes to OS. A
+    hypothesis out of scope holds none.
+    """
+    if h.population not in pops:
+        return 0.0
+    if design.kind is DesignKind.GGSD and len(pops) == 1:
+        return design.alpha if h.endpoint is Endpoint.PFS else 0.0
+    return design.initial_alphas[h]
+
+
+class _Plan:
+    """What one arm fixes under one continuation scenario, before any data.
+
+    `levels[i]` holds hypothesis i's alpha indexed by "partner rejected":
+    the graphical update rule on the PFS<->OS edges in closed form.
+    `loads[k]` lists what analysis k enters: (endpoint, look, score-table
+    key, weights) per endpoint with a look there. GSD has no key; event-driven
+    weights are None.
+    """
+
+    __slots__ = ("kind", "in_scope", "scope_mask", "levels", "gate0", "gated", "members",
+                 "fractions", "analyses_of", "loads", "n_analyses", "_rows")
+
+    def __init__(self, design: DesignSpec, scenario: Optional[Scenario]):
+        pops = {Scenario.S_ONLY: (Population.SUB,),
+                Scenario.F_ONLY: (Population.FULL,)}.get(scenario, tuple(Population))
+        self.kind = design.kind.value
+        self.in_scope = tuple(i for i, h in enumerate(HYPOTHESES) if h.population in pops)
+        self.scope_mask = sum(1 << i for i in self.in_scope)
+        base = tuple(_base_alpha(design, h, pops) for h in HYPOTHESES)
+        self.levels = tuple((base[i], base[i] + base[p]) for i, p in enumerate(_PARTNER))
+        self.gate0 = not (design.kind is DesignKind.GGSD and scenario is Scenario.BOTH)
+        self.gated = design.kind is not DesignKind.GSD
+        self.members = {t: tuple(i for i in self.in_scope if _FS_OF[i] == t) for t in _FS}
+        self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
+        self.analyses_of = tuple(design.endpoint_analyses[t.endpoint] for t in _TARGETS)
+        self.n_analyses = design.n_analyses
+        self.loads = []
+        for k in range(self.n_analyses):
+            load = []
+            for ep in Endpoint:
+                look = design.look_of(ep, k)
+                if look is None:
+                    continue
+                if not self.gated:
+                    load.append((ep, look, None, None))
+                else:
+                    w = None if design.event_driven_weights else design.weights[ep][look]
+                    load.append((ep, look, f"{scenario.value}/{ep.value}", w))
+            self.loads.append(tuple(load))
+        self._rows = [[None, None] for _ in HYPOTHESES]
+
+    def row(self, i: int, level: int) -> Tuple[float, ...]:
+        """Hypothesis i's z boundaries at alpha `levels[i][level]`."""
+        row = self._rows[i][level]
+        if row is None:
+            row = cached_boundaries(round(self.levels[i][level], 12), self.fractions[i]).z_bounds
+            self._rows[i][level] = row
+        return row
+
+
+# -- the tests of the fixed point, on a plan and a rejection bitmask ------------
+
+
+def _alpha(plan: _Plan, mask: int, i: int) -> float:
+    if mask >> i & 1:
+        return 0.0
+    return plan.levels[i][mask >> _PARTNER[i] & 1]
+
+
+def _row(plan: _Plan, mask: int, i: int) -> Tuple[float, ...]:
+    return plan.row(i, mask >> _PARTNER[i] & 1)
+
+
+def _testable(plan: _Plan, mask: int, gate_open: bool, i: int) -> bool:
+    # Out-of-scope hypotheses carry no alpha, so they never pass.
+    if mask >> i & 1 or plan.levels[i][mask >> _PARTNER[i] & 1] <= 0.0:
+        return False
+    return gate_open or not _IN_FULL[i]
+
+
+def _elementary(plan: _Plan, mask: int, hist: Dict[int, float], i: int
+                ) -> Tuple[bool, float]:
+    """Whether hypothesis i crosses at any recorded look, and its boundary
+    at the latest look."""
+    row = _row(plan, mask, i)
+    crossed = False
+    for look, z in hist.items():  # looks are entered in increasing order
+        if z >= row[look]:
+            crossed = True
+    return crossed, row[look]
+
+
+def _intersection(plan: _Plan, mask: int, gate_open: bool,
+                  hist: Optional[Dict[int, float]], t: int) -> Tuple[bool, float]:
+    """Whether FS intersection t crosses at any recorded look, and its
+    boundary at the latest look.
+
+    Boundary per look: the minimum critical value over the member
+    hypotheses currently carrying allocated alpha (and, for gGSD, admitted
+    by the hierarchy gate).
+    """
+    rows = [_row(plan, mask, i) for i in plan.members[t]
+            if _testable(plan, mask, gate_open, i)]
+    if not hist or not rows:
+        return False, math.nan
+    crossed = False
+    for look, z in hist.items():
+        c = intersection_boundary(row[look] for row in rows)
+        if z >= c:
+            crossed = True
+    return crossed, c
+
+
+class _Run(NamedTuple):
+    """What rendering an analysis record reads; shared by one trace's records."""
+
+    plan: _Plan
+    z_hist: Dict[int, Dict[int, float]]
+    reject_info: Dict[int, Tuple[float, float]]
+
+
+def _render_tests(run: _Run, mask: int, k: int) -> List[TestRecord]:
+    """Every target's latest statistic at analysis k against its boundary,
+    in the order the targets first got a statistic."""
+    plan = run.plan
+    gate_open = plan.gate0 or bool(mask & _SUB_MASK)
+    tests = []
+    for t, hist in run.z_hist.items():
+        when = plan.analyses_of[t]
+        hist = {look: z for look, z in hist.items() if when[look] <= k}
+        if not hist:
+            continue
+        look = max(hist)
+        rejected = bool(mask >> t & 1)
+        if t < len(HYPOTHESES):
+            if t not in plan.in_scope:
+                continue
+            alpha = _alpha(plan, mask, t)
+            if rejected:
+                c, alpha = run.reject_info[t]
+                crossed = True
+            elif alpha > 0.0:
+                crossed, c = _elementary(plan, mask, hist, t)
+            else:
+                # Carrying no alpha (e.g. gGSD's OS ahead of the PFS
+                # handover): no live boundary to show.
+                c = math.nan
+                crossed = False
+        else:
+            if rejected:
+                c, _ = run.reject_info[t]
+                crossed = True
+            else:
+                crossed, c = _intersection(plan, mask, gate_open, hist, t)
+            alpha = math.nan
+        tests.append(TestRecord(
+            target_label=_TARGETS[t].label,
+            z=hist[look],
+            boundary_z=c,
+            boundary_p=1.0 - norm_cdf(c) if not math.isnan(c) else math.nan,
+            alpha=alpha,
+            crossed=crossed,
+            confirmed=rejected,
+        ))
+    return tests
 
 
 class _Engine:
-    """Shared fixed-point testing machinery for simulated and observed data.
+    """One arm's run through one trial, for simulated and observed data.
 
     Targets are the indices of `_TARGETS`; `rejected` is a bitmask over
     them. Labels are looked up only where the trace is written.
@@ -241,187 +455,75 @@ class _Engine:
                  futility_decision: Optional[SelectionDecision]):
         self.design = design
         self.scenario = scenario
-        self.trace = DecisionTrace(
-            design=design.kind.value, scenario=scenario, futility=futility_decision)
+        self.plan = plan = design._plans[scenario]
+        self.in_scope = plan.in_scope
+        self.trace = DecisionTrace(design=plan.kind, scenario=scenario,
+                                   futility=futility_decision)
         self.z_hist: Dict[int, Dict[int, float]] = {}
         # boundary/alpha in effect when a target was rejected, for reporting
         self.reject_info: Dict[int, Tuple[float, float]] = {}
+        self.run = _Run(plan, self.z_hist, self.reject_info)
         self.rejected = 0
-        self.gate_open = not (design.kind is DesignKind.GGSD and scenario is Scenario.BOTH)
-        self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
-        pops = {Scenario.S_ONLY: (Population.SUB,),
-                Scenario.F_ONLY: (Population.FULL,)}.get(scenario, tuple(Population))
-        self.in_scope = tuple(i for i, h in enumerate(HYPOTHESES) if h.population in pops)
-        self.base = tuple(self._base_alpha(h, pops) for h in HYPOTHESES)
-
-    def _base_alpha(self, h: HypothesisId, pops: Tuple[Population, ...]) -> float:
-        """Alpha before any rejection. GSD and AD keep the original
-        allocations (alpha of a dropped population is not reallocated: only
-        a rejection moves alpha). gGSD re-levels each population at the full
-        alpha; with one population continuing, all of it starts on PFS and
-        passes to OS. A hypothesis out of scope holds none.
-        """
-        d = self.design
-        if h.population not in pops:
-            return 0.0
-        if d.kind is DesignKind.GGSD and len(pops) == 1:
-            return d.alpha if h.endpoint is Endpoint.PFS else 0.0
-        return d.initial_alphas[h]
-
-    # -- state helpers -------------------------------------------------
-
-    def _rejected(self, i: int) -> bool:
-        return bool(self.rejected >> i & 1)
+        self.gate_open = plan.gate0
 
     def _alpha(self, i: int) -> float:
-        """The graphical update rule on the PFS<->OS edges in closed form."""
-        if self._rejected(i):
-            return 0.0
-        partner = _TARGETS[i].partner
-        if self._rejected(partner):
-            return self.base[i] + self.base[partner]
-        return self.base[i]
+        return _alpha(self.plan, self.rejected, i)
 
-    def _bounds(self, i: int):
-        alpha = round(self._alpha(i), 12)
-        return cached_boundaries(alpha, self.fractions[i])
-
-    def _testable(self, i: int) -> bool:
-        # Out-of-scope hypotheses carry no alpha, so they never pass.
-        if self._rejected(i) or self._alpha(i) <= 0.0:
-            return False
-        return self.gate_open or _TARGETS[i].population is not Population.FULL
-
-    def _intersection_crossed(self, t: int) -> Tuple[bool, float, float]:
-        """Evaluate FS intersection `t` over all recorded looks.
-
-        Boundary per look: minimum critical value over the member
-        hypotheses currently carrying allocated alpha (and, for gGSD,
-        admitted by the hierarchy gate).
-        """
-        hist = self.z_hist.get(t, {})
-        ep = _TARGETS[t].endpoint
-        live = [i for i in self.in_scope if _TARGETS[i].endpoint is ep and self._testable(i)]
-        if not hist or not live:
-            return False, math.nan, math.nan
-        crossed = False
-        last_c = math.nan
-        for look, z in sorted(hist.items()):
-            cs = []
-            for i in live:
-                b = self._bounds(i)
-                if look < len(b.z_bounds):
-                    cs.append(b.z_bounds[look])
-            if not cs:
-                continue
-            c = intersection_boundary(cs)
-            last_c = c
-            if z >= c:
-                crossed = True
-        return crossed, last_c, hist[max(hist)]
-
-    def _elementary_crossed(self, i: int) -> Tuple[bool, float, float]:
-        hist = self.z_hist.get(i, {})
-        if not hist:
-            return False, math.nan, math.nan
-        b = self._bounds(i)
-        crossed = any(z >= b.z_bounds[look] for look, z in hist.items()
-                      if look < len(b.z_bounds))
-        last_look = max(hist)
-        c = b.z_bounds[min(last_look, len(b.z_bounds) - 1)]
-        return crossed, c, hist[last_look]
-
-    def enter(self, target: TestTarget, look: int, z: float):
-        """Record a target's statistic at one of its looks."""
-        self.z_hist.setdefault(_INDEX[target], {})[look] = z
+    def enter(self, i: int, look: int, z: float):
+        """Record target i's statistic at one of its looks."""
+        hist = self.z_hist.get(i)
+        if hist is None:
+            hist = self.z_hist[i] = {}
+        hist[look] = z
 
     # -- the per-analysis fixed point -----------------------------------
 
     def run_analysis(self, k: int, calendar_time: Optional[float]):
-        record = AnalysisRecord(index=k, calendar_time=calendar_time)
-        gated = self.design.kind is not DesignKind.GSD
+        plan, z_hist = self.plan, self.z_hist
+        rejected_at = self.trace.rejected_at
+        newly: List[str] = []
         changed = True
         while changed:
             changed = False
-            if gated:
-                for t in _FS_INDEX.values():
-                    if self._rejected(t):
+            if plan.gated:
+                for t in _FS:
+                    if self.rejected >> t & 1:
                         continue
-                    crossed, c, z = self._intersection_crossed(t)
+                    crossed, c = _intersection(plan, self.rejected, self.gate_open,
+                                               z_hist.get(t), t)
                     if crossed:
-                        self.trace.rejected_at[_TARGETS[t].label] = k
+                        rejected_at[_TARGETS[t].label] = k
                         self.reject_info[t] = (c, math.nan)
                         self.rejected |= 1 << t
                         changed = True
-            for i in self.in_scope:
-                if not self._testable(i) or i not in self.z_hist:
+            for i in plan.in_scope:
+                hist = z_hist.get(i)
+                if hist is None or not _testable(plan, self.rejected, self.gate_open, i):
                     continue
-                crossed, c, z = self._elementary_crossed(i)
+                crossed, c = _elementary(plan, self.rejected, hist, i)
                 if not crossed:
                     continue
-                if gated and not self._rejected(_FS_INDEX[_TARGETS[i].endpoint]):
+                if plan.gated and not self.rejected >> _FS_OF[i] & 1:
                     continue  # blocked by the closed-testing gate
                 label = _TARGETS[i].label
-                self.trace.rejected_at[label] = k
+                rejected_at[label] = k
                 self.reject_info[i] = (c, self._alpha(i))
-                record.newly_rejected.append(label)
+                newly.append(label)
                 self.rejected |= 1 << i
-                if _TARGETS[i].population is Population.SUB:
+                if not _IN_FULL[i]:
                     self.gate_open = True
                 changed = True
-        self._record_tests(record)
-        record.alpha_snapshot = {
-            _TARGETS[i].label: self._alpha(i) for i in self.in_scope
-        }
-        self.trace.analyses.append(record)
-
-    def _record_tests(self, record: AnalysisRecord):
-        """Snapshot every target's latest statistic against its boundary."""
-        for t, hist in self.z_hist.items():
-            look = max(hist)
-            if _TARGETS[t].population is not None:
-                if t not in self.in_scope:
-                    continue
-                alpha = self._alpha(t)
-                if self._rejected(t):
-                    c, alpha = self.reject_info[t]
-                    crossed = True
-                elif alpha > 0.0:
-                    b = self._bounds(t)
-                    idx = min(look, len(b.z_bounds) - 1)
-                    c = b.z_bounds[idx]
-                    crossed = self._elementary_crossed(t)[0]
-                else:
-                    # Carrying no alpha (e.g. gGSD's OS ahead of the PFS
-                    # handover): no live boundary to show.
-                    c = math.nan
-                    crossed = False
-            else:
-                if self._rejected(t):
-                    c, _ = self.reject_info[t]
-                    crossed = True
-                else:
-                    crossed, c, _ = self._intersection_crossed(t)
-                alpha = math.nan
-            record.tests.append(TestRecord(
-                target_label=_TARGETS[t].label,
-                z=hist[look],
-                boundary_z=c,
-                boundary_p=1.0 - norm_cdf(c) if not math.isnan(c) else math.nan,
-                alpha=alpha,
-                crossed=crossed,
-                confirmed=self._rejected(t),
-            ))
-
-    def all_rejected(self) -> bool:
-        return all(self._rejected(i) for i in self.in_scope)
+        self.trace.analyses.append(AnalysisRecord(
+            index=k, calendar_time=calendar_time, newly_rejected=newly,
+            rejected=self.rejected, _run=self.run))
 
     def finish(self, k: int):
-        if self.all_rejected():
+        scope = self.plan.scope_mask
+        if self.rejected & scope == scope:
             self.trace.termination_index = k
             self.trace.termination_reason = "all-rejected"
             return True
-        if k == self.design.n_analyses - 1:
+        if k == self.plan.n_analyses - 1:
             self.trace.termination_index = k
             self.trace.termination_reason = "reached-FA"
             return True
@@ -447,53 +549,62 @@ def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float
         if futility_decision.selection is Selection.STOP_FUTILITY:
             return DecisionTrace(design=design.kind.value, scenario=None,
                                  futility=futility_decision, termination_reason="futility")
-        scenario = _scenario_of(futility_decision)
+        scenario = _SCENARIO_OF[futility_decision.selection]
     eng = _Engine(design, scenario, futility_decision)
-    for k in range(design.n_analyses):
+    for k in range(eng.plan.n_analyses):
         eng.run_analysis(k, load(eng, k))
         if eng.finish(k):
             break
     return eng.trace
 
 
-def _weights_for(design: DesignSpec, ep: Endpoint, look: int,
-                 snap: AnalysisSnapshot) -> StageWeights:
-    if design.event_driven_weights:
-        n1 = snap.events[("stage1", Population.FULL, ep)]
-        n2 = snap.events[("stage2", Population.FULL, ep)]
-        if n1 + n2 == 0:
-            return StageWeights(1.0, 0.0)
-        return event_weights(n1, n2)
-    return design.weights[ep][look]
+def _event_driven_weights(snap: AnalysisSnapshot, ep: Endpoint) -> StageWeights:
+    n1 = snap.events[("stage1", Population.FULL, ep)]
+    n2 = snap.events[("stage2", Population.FULL, ep)]
+    if n1 + n2 == 0:
+        return StageWeights(1.0, 0.0)
+    return event_weights(n1, n2)
 
 
-def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
-    """GSD: pooled logrank z. AD/gGSD: inverse-normal combination of the
-    stage-wise cohort p-values, wired per continuation scenario."""
-    design = eng.design
-    for ep in Endpoint:
-        look = design.look_of(ep, k)
-        if look is None:
-            continue
-        if design.kind is DesignKind.GSD:
-            for pop in Population:
-                eng.enter(HypothesisId(pop, ep), look, snap.z[("pooled", pop, ep)])
-            continue
+def _scores(snap: AnalysisSnapshot, scenario: Scenario, ep: Endpoint, key: str):
+    """(target, q1, q2, clamped) per target that `scenario` wires for `ep`,
+    with q = Phi^-1(1 - p) of each stage's clamped p-value. Computed by the
+    first arm that asks and kept on the snapshot under `key`."""
+    table = snap.scores.get(key)
+    if table is None:
         cohorts = CohortPValues(
             stage1_full=snap.p[("stage1", Population.FULL, ep)],
             stage1_sub=snap.p[("stage1", Population.SUB, ep)],
             stage2_full=snap.p[("stage2", Population.FULL, ep)],
             stage2_sub=snap.p[("stage2", Population.SUB, ep)],
         )
-        w = _weights_for(design, ep, look, snap)
-        for target, p1, p2 in scenario_wiring(eng.scenario, ep, cohorts):
-            _, clamped1 = clamp_p(p1)
-            _, clamped2 = clamp_p(p2)
-            if clamped1 or clamped2:
+        rows = []
+        for target, p1, p2 in scenario_wiring(scenario, ep, cohorts):
+            p1, clamped1 = clamp_p(p1)
+            p2, clamped2 = clamp_p(p2)
+            rows.append((_INDEX[target], norm_quantile(1.0 - p1), norm_quantile(1.0 - p2),
+                         clamped1 or clamped2))
+        table = snap.scores[key] = tuple(rows)
+    return table
+
+
+def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
+    """GSD: pooled logrank z. AD/gGSD: inverse-normal combination of the
+    stage-wise cohort p-values, wired per continuation scenario."""
+    for ep, look, key, w in eng.plan.loads[k]:
+        if key is None:
+            for slot, i in _POOLED[ep]:
+                eng.enter(i, look, snap.z[slot])
+            continue
+        if w is None:
+            w = _event_driven_weights(snap, ep)
+        w1, w2 = w.w1, w.w2
+        for i, q1, q2, clamped in _scores(snap, eng.scenario, ep, key):
+            if clamped:
                 eng.trace.warnings.append(
-                    f"analysis {k + 1}: degenerate p-value clamped for "
-                    f"{_TARGETS[_INDEX[target]].label}")
-            eng.enter(target, look, inverse_normal(p1, p2, w))
+                    f"analysis {k + 1}: degenerate p-value clamped for {_TARGETS[i].label}")
+            # the arithmetic of combine.inverse_normal, on the shared scores
+            eng.enter(i, look, w1 * q1 + w2 * q2)
     return snap.calendar_time
 
 
@@ -539,7 +650,7 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
             h = HypothesisId(pop, ep)
             p = observed.p_values.get(h, {}).get(k)
             if p is not None:
-                eng.enter(h, look, _observed_z(p))
+                eng.enter(_INDEX[h], look, _observed_z(p))
         if design.kind is DesignKind.GSD:
             continue
         p_full = observed.p_values.get(HypothesisId(Population.FULL, ep), {}).get(k)
@@ -552,7 +663,7 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
         elif p_full is not None and p_sub is not None:
             p_fs = hochberg_intersection(p_full, p_sub)
         if p_fs is not None:
-            eng.enter(intersection_target(ep), look, _observed_z(p_fs))
+            eng.enter(_FS_INDEX[ep], look, _observed_z(p_fs))
     _check_required_slots(eng, k)
 
 
@@ -570,7 +681,7 @@ def _check_required_slots(eng: _Engine, k: int):
         if look is None:
             continue
         for i in eng.in_scope:
-            if (_TARGETS[i].endpoint is ep and not eng._rejected(i)
+            if (_TARGETS[i].endpoint is ep and not eng.rejected >> i & 1
                     and look not in eng.z_hist.get(i, {})):
                 raise MissingSlotError(
                     f"missing observed p-value for {_TARGETS[i].label} at analysis {k + 1}")

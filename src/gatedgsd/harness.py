@@ -20,7 +20,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec, run_design
+from .engine import ANALYSIS_NAMES, DesignSpec, run_design
 from .multiplicity import HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population
 from .simdata import ScenarioSpec, generate_trial, schedule_analyses, snapshot_at
 
@@ -68,17 +68,18 @@ class DesignAggregate:
         default_factory=lambda: {b: 0 for b in TERMINATION_BINS})
 
     def add(self, confirmed: Mapping[str, int], term_bin: str,
-            nulls: Sequence[HypothesisId], eligible_pops: Sequence[Population]):
+            null_labels: Sequence[str], sub_labels: Sequence[str],
+            eligible_labels: Sequence[Sequence[str]]):
+        """Count one replication. `confirmed` maps each rejected hypothesis's
+        label to its analysis; `null_labels` are the true nulls,
+        `sub_labels` the subgroup's two hypotheses, and `eligible_labels`
+        the hypothesis pairs of the populations whose power counts."""
         self.n += 1
-        if any(str(h) in confirmed for h in nulls):
+        if any(label in confirmed for label in null_labels):
             self.fwer_hits += 1
-        both = {
-            pop: all(str(HypothesisId(pop, ep)) in confirmed for ep in Endpoint)
-            for pop in Population
-        }
-        if both[Population.SUB]:
+        if all(label in confirmed for label in sub_labels):
             self.power_s_hits += 1
-        if any(both[pop] for pop in eligible_pops):
+        if any(all(label in confirmed for label in pair) for pair in eligible_labels):
             self.power_sorf_hits += 1
         for label in confirmed:
             self.rejection_counts[label] = self.rejection_counts.get(label, 0) + 1
@@ -149,21 +150,21 @@ def _termination_bin(trace) -> str:
 def _run_chunk(setting: ScenarioSpec, designs: Sequence[DesignSpec],
                seed: int, reps: Iterable[int]) -> SimulationReport:
     nulls = true_null_hypotheses(setting)
-    null_set = set(nulls)
-    eligible = [pop for pop in Population
-                if any(h.population is pop and h not in null_set for h in HYPOTHESES)]
-    report = SimulationReport(setting.name, seed, 0, tuple(str(h) for h in nulls))
-    for d in designs:
-        report.arms[d.label] = DesignAggregate()
+    null_labels = tuple(str(h) for h in nulls)
+    pairs = {pop: tuple(str(HypothesisId(pop, ep)) for ep in Endpoint) for pop in Population}
+    eligible = tuple(pairs[pop] for pop in Population
+                     if any(h.population is pop and h not in nulls for h in HYPOTHESES))
+    report = SimulationReport(setting.name, seed, 0, null_labels)
+    aggregates = [report.arms.setdefault(d.label, DesignAggregate()) for d in designs]
     for rep in reps:
         trial = generate_trial(setting, (seed, rep))
         times = schedule_analyses(trial, setting)
         snaps = [snapshot_at(trial, t, setting) for t in times]
         fsnap = snapshot_at(trial, setting.stage1_cutoff, setting, with_hr=True)
-        for d in designs:
+        for d, agg in zip(designs, aggregates):
             trace = run_design(d, snaps, fsnap)
-            report.arms[d.label].add(
-                trace.confirmed(), _termination_bin(trace), nulls, eligible)
+            agg.add(trace.confirmed(), _termination_bin(trace), null_labels,
+                    pairs[Population.SUB], eligible)
         report.n_rep += 1
     return report
 

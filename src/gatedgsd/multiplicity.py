@@ -4,7 +4,7 @@ The four population-by-endpoint hypotheses, the Hochberg intersection
 p-value across populations, and the boundary of that intersection test.
 Alpha passes only between PFS and OS within one population, each edge with
 weight 1, and never across populations; the engine computes that graph's
-update rule in closed form (`engine._Engine._alpha`). The closed-testing
+update rule in closed form (`engine._Plan.levels`). The closed-testing
 gate that turns boundary crossings into confirmed rejections lives in the
 engine's per-analysis fixed point (`engine._Engine.run_analysis`).
 """

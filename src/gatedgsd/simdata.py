@@ -342,7 +342,12 @@ SlotKey = Tuple[Cohort, Population, Endpoint]
 
 @dataclass(frozen=True)
 class AnalysisSnapshot:
-    """Per-analysis summary: event counts and one-sided p per slot."""
+    """Per-analysis summary: event counts and one-sided p per slot.
+
+    `scores` is filled by the decision engine: the normal scores of the
+    p-values each continuation scenario wires, computed by the first design
+    arm that reads this snapshot and shared by the others.
+    """
 
     calendar_time: float
     events: Dict[SlotKey, int]
@@ -351,6 +356,7 @@ class AnalysisSnapshot:
     zero_event_slots: Tuple[SlotKey, ...] = ()
     hr_full: Optional[float] = None
     hr_sub: Optional[float] = None
+    scores: Dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
 
 
 # Cells are stage x subgroup: 0 stage-1 complement, 1 stage-1 subgroup,

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from gatedgsd import config
 from gatedgsd.config import ConfigError, WeightSet, build_designs, parse_config
 from gatedgsd.engine import DesignKind
 from gatedgsd.multiplicity import H_S_OS, Endpoint
@@ -103,6 +104,19 @@ def test_empty_file_rejected(tmp_path):
     p = tmp_path / "empty.yaml"
     p.write_text("")
     with pytest.raises(ConfigError):
+        parse_config(p)
+
+
+@pytest.mark.parametrize("name", SETTINGS)
+def test_fast_loader_reads_the_same_document(name):
+    text = (CONFIG_DIR / name).read_text()
+    assert yaml.load(text, Loader=config._YAML_LOADER) == yaml.safe_load(text)
+
+
+def test_malformed_yaml_names_file_and_line(tmp_path):
+    p = tmp_path / "broken.yaml"
+    p.write_text("name: broken\nalpha: [0.025, 0.05\nscenario: {}\n")
+    with pytest.raises(ConfigError, match=r'(?s)syntax: .*"[^"]*broken\.yaml", line 2'):
         parse_config(p)
 
 

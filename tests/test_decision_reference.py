@@ -1,0 +1,38 @@
+"""Per-replication decisions against the committed reference file.
+
+`scripts/decision_reference.py` writes, for settings 1-3, both passes and
+100 replications, every arm's confirmed hypotheses and termination bin to
+tests/data/decision_reference.txt. Recomputing it here pins each decision,
+not only the aggregate tables in runs/.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reference_script():
+    spec = importlib.util.spec_from_file_location(
+        "decision_reference", ROOT / "scripts" / "decision_reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_decisions_match_reference():
+    ref = _reference_script()
+    expected = ref.REFERENCE.read_text().splitlines()
+    diff = ref.first_difference(expected, list(ref.reference_lines()))
+    assert diff is None, (
+        "first differing decision: setting {} pass {} replication {} arm {}: "
+        "expected {}, got {}".format(*diff))
+
+
+def test_first_difference_names_the_arm():
+    ref = _reference_script()
+    expected = ["arms s1 gsd ad:0.5", "s1 power 0 03 c2", "s1 null 0 0x 0x"]
+    assert ref.first_difference(expected, list(expected)) is None
+    moved = ["arms s1 gsd ad:0.5", "s1 power 0 03 82", "s1 null 0 0x 0x"]
+    assert ref.first_difference(expected, moved) == ("s1", "power", "0", "ad:0.5", "c2", "82")
+    assert ref.first_difference(expected, expected[:2])[3] == "line count"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from gatedgsd import combine, engine
 from gatedgsd.boundaries import cached_boundaries
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import (
@@ -19,6 +20,7 @@ from gatedgsd.engine import (
 )
 from gatedgsd.combine import Scenario
 from gatedgsd.futility import Selection
+from gatedgsd.harness import run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
                                    hochberg_intersection)
 from gatedgsd.numerics import norm_cdf, norm_quantile
@@ -253,3 +255,44 @@ def test_design_spec_validation(designs2):
         DesignSpec(kind=good.kind, alpha=good.alpha, initial_alphas=good.initial_alphas,
                    fractions=good.fractions,
                    endpoint_analyses={Endpoint.PFS: (0, 1), Endpoint.OS: (0, 1, 3)})
+
+
+# -- work per call ------------------------------------------------------------
+
+
+def test_monte_carlo_builds_no_test_records(monkeypatch, setting2, designs2):
+    built = []
+    init = engine.TestRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.TestRecord, "__init__", counting_init)
+    run_monte_carlo(setting2.scenario, list(designs2.values()), 3, setting2.seed)
+    assert built == []
+    # A trace still renders its records when they are read.
+    trace = _traces(setting2, ("gsd",), 1)[0][1]
+    assert trace.analyses[0].tests and len(built) == len(trace.analyses[0].tests)
+
+
+def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs2):
+    # All arms share one futility rule, so one replication continues in one
+    # scenario: each snapshot needs at most 2 endpoints x 3 targets x 2
+    # stage-wise quantiles, however many arms read it.
+    calls = []
+
+    def counting_quantile(p):
+        calls.append(p)
+        return norm_quantile(p)
+
+    monkeypatch.setattr(engine, "norm_quantile", counting_quantile)
+    monkeypatch.setattr(combine, "norm_quantile", counting_quantile)
+    scenario = setting2.scenario
+    trial = generate_trial(scenario, (setting2.seed, 0))
+    snaps = [snapshot_at(trial, t, scenario) for t in schedule_analyses(trial, scenario)]
+    fut = snapshot_at(trial, scenario.stage1_cutoff, scenario, with_hr=True)
+    traces = [run_design(d, snaps, fut) for d in designs2.values()]
+    assert len(traces) == 17
+    assert {t.scenario for t in traces if t.design != "gsd"} == {Scenario.BOTH}
+    assert 0 < len(calls) <= 6 * 2 * len(snaps)
