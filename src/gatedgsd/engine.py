@@ -296,13 +296,12 @@ class _Plan:
     weights are None.
     """
 
-    __slots__ = ("kind", "in_scope", "scope_mask", "levels", "gate0", "gated", "members",
-                 "fractions", "analyses_of", "loads", "n_analyses", "_rows")
+    __slots__ = ("in_scope", "scope_mask", "levels", "gate0", "gated", "members",
+                 "fractions", "analyses_of", "loads", "_rows")
 
     def __init__(self, design: DesignSpec, scenario: Optional[Scenario]):
         pops = {Scenario.S_ONLY: (Population.SUB,),
                 Scenario.F_ONLY: (Population.FULL,)}.get(scenario, tuple(Population))
-        self.kind = design.kind.value
         self.in_scope = tuple(i for i, h in enumerate(HYPOTHESES) if h.population in pops)
         self.scope_mask = sum(1 << i for i in self.in_scope)
         base = tuple(_base_alpha(design, h, pops) for h in HYPOTHESES)
@@ -312,9 +311,8 @@ class _Plan:
         self.members = {t: tuple(i for i in self.in_scope if _FS_OF[i] == t) for t in _FS}
         self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
         self.analyses_of = tuple(design.endpoint_analyses[t.endpoint] for t in _TARGETS)
-        self.n_analyses = design.n_analyses
         self.loads = []
-        for k in range(self.n_analyses):
+        for k in range(design.n_analyses):
             load = []
             for ep in Endpoint:
                 look = design.look_of(ep, k)
@@ -457,8 +455,8 @@ class _Engine:
         self.scenario = scenario
         self.plan = plan = design._plans[scenario]
         self.in_scope = plan.in_scope
-        self.trace = DecisionTrace(design=plan.kind, scenario=scenario,
-                                   futility=futility_decision)
+        self.trace = DecisionTrace(
+            design=design.kind.value, scenario=scenario, futility=futility_decision)
         self.z_hist: Dict[int, Dict[int, float]] = {}
         # boundary/alpha in effect when a target was rejected, for reporting
         self.reject_info: Dict[int, Tuple[float, float]] = {}
@@ -523,7 +521,7 @@ class _Engine:
             self.trace.termination_index = k
             self.trace.termination_reason = "all-rejected"
             return True
-        if k == self.plan.n_analyses - 1:
+        if k == self.design.n_analyses - 1:
             self.trace.termination_index = k
             self.trace.termination_reason = "reached-FA"
             return True
@@ -551,7 +549,7 @@ def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float
                                  futility=futility_decision, termination_reason="futility")
         scenario = _SCENARIO_OF[futility_decision.selection]
     eng = _Engine(design, scenario, futility_decision)
-    for k in range(eng.plan.n_analyses):
+    for k in range(design.n_analyses):
         eng.run_analysis(k, load(eng, k))
         if eng.finish(k):
             break
