@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write or check the per-replication decision reference.
+"""Write the per-replication decision reference.
 
 For settings 1-3, the power pass (the configured truth) and the null pass
 (its global-null counterpart), and replications 0..99 at the config seed,
@@ -18,12 +18,13 @@ is the hex digit of the confirmed-hypothesis bitmask (bit i is HYPOTHESES[i]:
 OS(F), PFS(F), OS(S), PFS(S)) followed by the termination bin: x for the
 futility stop, 1 for IA1, 2 for IA2, 3 for FA.
 
+`tests/test_decision_reference.py` recomputes the file and names the first
+differing decision. Rewrite it only for an intended change of behaviour.
+
 Usage:
-    python scripts/decision_reference.py            # rewrite the file
-    python scripts/decision_reference.py --check    # compare, exit 1 on a difference
+    python scripts/decision_reference.py
 """
 
-import argparse
 import pathlib
 import sys
 from typing import Iterator, List, Optional, Tuple
@@ -51,7 +52,7 @@ def token(trace) -> str:
     return f"{mask:x}{_BIN[term]}"
 
 
-def reference_lines(n_rep: int = N_REP) -> Iterator[str]:
+def reference_lines() -> Iterator[str]:
     """The reference file's lines, computed by this source tree."""
     for name in SETTINGS:
         config = parse_config(CONFIGS / f"{name}.yaml")
@@ -60,7 +61,7 @@ def reference_lines(n_rep: int = N_REP) -> Iterator[str]:
         for pass_name in PASSES:
             scenario = (config.scenario if pass_name == "power"
                         else config.scenario.under_global_null())
-            for rep in range(n_rep):
+            for rep in range(N_REP):
                 trial = generate_trial(scenario, (config.seed, rep))
                 times = schedule_analyses(trial, scenario)
                 snaps = [snapshot_at(trial, t, scenario) for t in times]
@@ -91,24 +92,12 @@ def first_difference(expected: List[str], actual: List[str]
     return None
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with the committed file instead of writing it")
-    args = parser.parse_args(argv)
+def main() -> int:
     lines = list(reference_lines())
-    if not args.check:
-        REFERENCE.parent.mkdir(parents=True, exist_ok=True)
-        REFERENCE.write_text("\n".join(lines) + "\n")
-        print(f"wrote {REFERENCE.relative_to(ROOT)} ({len(lines)} lines)")
-        return 0
-    diff = first_difference(REFERENCE.read_text().splitlines(), lines)
-    if diff is None:
-        print("decision reference: identical")
-        return 0
-    print("decision reference differs at setting {} pass {} replication {} arm {}: "
-          "expected {}, got {}".format(*diff))
-    return 1
+    REFERENCE.parent.mkdir(parents=True, exist_ok=True)
+    REFERENCE.write_text("\n".join(lines) + "\n")
+    print(f"wrote {REFERENCE.relative_to(ROOT)} ({len(lines)} lines)")
+    return 0
 
 
 if __name__ == "__main__":
