@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Paired, alternating benchmark runs of two source checkouts.
 
-For every workload and seed this runs
+For every workload W that BENCHMARK.json lists, and every seed S, this runs
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
-once in the base checkout and once in the changed one, alternating which
-goes first from pair to pair, so that slow drift of a shared machine falls
+with N the benchmark's `run_seconds`, once in the base checkout and once in
+the changed one, alternating which goes first from pair to pair, so that slow drift of a shared machine falls
 on both sides alike. It writes, per workload and end-to-end metric (from
 BENCHMARK.json), each side's values, median and quartiles, the ratio of the
 medians and the number of pairs the change won, plus each side's machine
@@ -14,7 +14,7 @@ block. It exits 1 if any run failed or reported an incorrect result.
 
 Usage:
     python scripts/bench_pairs.py --base ../parent --change . \\
-        --seeds 701-710 --out BENCH.json [--seconds 20] [--workloads power-s2,null-s2]
+        --seeds 701-710 --out BENCH.json
 """
 
 import argparse
@@ -58,15 +58,15 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, type=pathlib.Path)
     ap.add_argument("--seeds", required=True, type=parse_seeds)
     ap.add_argument("--out", required=True, type=pathlib.Path)
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--workloads", default="power-s2,null-s2,design-replay")
     args = ap.parse_args(argv)
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     with open(sides["change"] / "BENCHMARK.json") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
 
     report = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} "
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                    "--trace 0",
         "order": "pair i runs base first when i is even, change first when i is odd",
         "seeds": args.seeds,
@@ -74,12 +74,12 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     ok = True
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {side: [] for side in sides}
         for i, seed in enumerate(args.seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                result = run_once(sides[side], workload, seed, args.seconds)
+                result = run_once(sides[side], workload, seed, seconds)
                 ok = ok and result["correct"] and result["failed"] == 0
                 report["machine"].setdefault(side, result.pop("machine"))
                 runs[side].append(result)

@@ -34,8 +34,8 @@ sys.path.insert(0, str(ROOT / "src"))  # this checkout, not an installed copy
 
 from gatedgsd.config import build_designs, parse_config  # noqa: E402
 from gatedgsd.engine import run_design  # noqa: E402
+from gatedgsd.harness import replication_inputs  # noqa: E402
 from gatedgsd.multiplicity import HYPOTHESES  # noqa: E402
-from gatedgsd.simdata import generate_trial, schedule_analyses, snapshot_at  # noqa: E402
 
 CONFIGS = ROOT / "src" / "gatedgsd" / "configs"
 REFERENCE = ROOT / "tests" / "data" / "decision_reference.txt"
@@ -62,10 +62,7 @@ def reference_lines() -> Iterator[str]:
             scenario = (config.scenario if pass_name == "power"
                         else config.scenario.under_global_null())
             for rep in range(N_REP):
-                trial = generate_trial(scenario, (config.seed, rep))
-                times = schedule_analyses(trial, scenario)
-                snaps = [snapshot_at(trial, t, scenario) for t in times]
-                fsnap = snapshot_at(trial, scenario.stage1_cutoff, scenario, with_hr=True)
+                snaps, fsnap = replication_inputs(scenario, config.seed, rep)
                 tokens = [token(run_design(d, snaps, fsnap)) for d in designs]
                 yield " ".join([name, pass_name, str(rep)] + tokens)
 

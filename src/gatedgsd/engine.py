@@ -454,7 +454,6 @@ class _Engine:
         self.design = design
         self.scenario = scenario
         self.plan = plan = design._plans[scenario]
-        self.in_scope = plan.in_scope
         self.trace = DecisionTrace(
             design=design.kind.value, scenario=scenario, futility=futility_decision)
         self.z_hist: Dict[int, Dict[int, float]] = {}
@@ -463,9 +462,6 @@ class _Engine:
         self.run = _Run(plan, self.z_hist, self.reject_info)
         self.rejected = 0
         self.gate_open = plan.gate0
-
-    def _alpha(self, i: int) -> float:
-        return _alpha(self.plan, self.rejected, i)
 
     def enter(self, i: int, look: int, z: float):
         """Record target i's statistic at one of its looks."""
@@ -505,7 +501,7 @@ class _Engine:
                     continue  # blocked by the closed-testing gate
                 label = _TARGETS[i].label
                 rejected_at[label] = k
-                self.reject_info[i] = (c, self._alpha(i))
+                self.reject_info[i] = (c, _alpha(plan, self.rejected, i))
                 newly.append(label)
                 self.rejected |= 1 << i
                 if not _IN_FULL[i]:
@@ -678,7 +674,7 @@ def _check_required_slots(eng: _Engine, k: int):
         look = eng.design.look_of(ep, k)
         if look is None:
             continue
-        for i in eng.in_scope:
+        for i in eng.plan.in_scope:
             if (_TARGETS[i].endpoint is ep and not eng.rejected >> i & 1
                     and look not in eng.z_hist.get(i, {})):
                 raise MissingSlotError(

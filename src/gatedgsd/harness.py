@@ -22,11 +22,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .engine import ANALYSIS_NAMES, DesignSpec, run_design
 from .multiplicity import HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population
-from .simdata import ScenarioSpec, generate_trial, schedule_analyses, snapshot_at
+from .simdata import (AnalysisSnapshot, ScenarioSpec, generate_trial, schedule_analyses,
+                      snapshot_at)
 
 __all__ = [
     "DesignAggregate",
     "SimulationReport",
+    "replication_inputs",
     "run_monte_carlo",
     "summarize",
     "write_tables",
@@ -53,6 +55,8 @@ def true_null_hypotheses(setting: ScenarioSpec) -> Tuple[HypothesisId, ...]:
 
 
 TERMINATION_BINS = ("futility",) + ANALYSIS_NAMES
+# The subgroup's two hypotheses, whose joint rejection is power in S.
+SUB_LABELS = tuple(str(HypothesisId(Population.SUB, ep)) for ep in Endpoint)
 
 
 @dataclass
@@ -68,16 +72,15 @@ class DesignAggregate:
         default_factory=lambda: {b: 0 for b in TERMINATION_BINS})
 
     def add(self, confirmed: Mapping[str, int], term_bin: str,
-            null_labels: Sequence[str], sub_labels: Sequence[str],
-            eligible_labels: Sequence[Sequence[str]]):
+            null_labels: Sequence[str], eligible_labels: Sequence[Sequence[str]]):
         """Count one replication. `confirmed` maps each rejected hypothesis's
-        label to its analysis; `null_labels` are the true nulls,
-        `sub_labels` the subgroup's two hypotheses, and `eligible_labels`
-        the hypothesis pairs of the populations whose power counts."""
+        label to its analysis; `null_labels` are the true nulls and
+        `eligible_labels` the hypothesis pairs of the populations whose
+        power counts."""
         self.n += 1
         if any(label in confirmed for label in null_labels):
             self.fwer_hits += 1
-        if all(label in confirmed for label in sub_labels):
+        if all(label in confirmed for label in SUB_LABELS):
             self.power_s_hits += 1
         if any(all(label in confirmed for label in pair) for pair in eligible_labels):
             self.power_sorf_hits += 1
@@ -147,24 +150,31 @@ def _termination_bin(trace) -> str:
     return ANALYSIS_NAMES[trace.termination_index]
 
 
+def replication_inputs(setting: ScenarioSpec, seed: int, rep: int
+                       ) -> Tuple[List[AnalysisSnapshot], AnalysisSnapshot]:
+    """What replication `rep` feeds every design arm: one snapshot per
+    scheduled analysis, and the stage-1 futility snapshot with its hazard
+    ratios."""
+    trial = generate_trial(setting, (seed, rep))
+    times = schedule_analyses(trial, setting)
+    snaps = [snapshot_at(trial, t, setting) for t in times]
+    fsnap = snapshot_at(trial, setting.stage1_cutoff, setting, with_hr=True)
+    return snaps, fsnap
+
+
 def _run_chunk(setting: ScenarioSpec, designs: Sequence[DesignSpec],
                seed: int, reps: Iterable[int]) -> SimulationReport:
     nulls = true_null_hypotheses(setting)
     null_labels = tuple(str(h) for h in nulls)
-    pairs = {pop: tuple(str(HypothesisId(pop, ep)) for ep in Endpoint) for pop in Population}
-    eligible = tuple(pairs[pop] for pop in Population
+    eligible = tuple(tuple(str(HypothesisId(pop, ep)) for ep in Endpoint) for pop in Population
                      if any(h.population is pop and h not in nulls for h in HYPOTHESES))
     report = SimulationReport(setting.name, seed, 0, null_labels)
     aggregates = [report.arms.setdefault(d.label, DesignAggregate()) for d in designs]
     for rep in reps:
-        trial = generate_trial(setting, (seed, rep))
-        times = schedule_analyses(trial, setting)
-        snaps = [snapshot_at(trial, t, setting) for t in times]
-        fsnap = snapshot_at(trial, setting.stage1_cutoff, setting, with_hr=True)
+        snaps, fsnap = replication_inputs(setting, seed, rep)
         for d, agg in zip(designs, aggregates):
             trace = run_design(d, snaps, fsnap)
-            agg.add(trace.confirmed(), _termination_bin(trace), null_labels,
-                    pairs[Population.SUB], eligible)
+            agg.add(trace.confirmed(), _termination_bin(trace), null_labels, eligible)
         report.n_rep += 1
     return report
 

@@ -346,7 +346,9 @@ class AnalysisSnapshot:
 
     `scores` is filled by the decision engine: the normal scores of the
     p-values each continuation scenario wires, computed by the first design
-    arm that reads this snapshot and shared by the others.
+    arm that reads this snapshot and shared by the others. It is not an
+    init field, so a snapshot built by the constructor or by
+    `dataclasses.replace` always starts with an empty table.
     """
 
     calendar_time: float
@@ -356,7 +358,8 @@ class AnalysisSnapshot:
     zero_event_slots: Tuple[SlotKey, ...] = ()
     hr_full: Optional[float] = None
     hr_sub: Optional[float] = None
-    scores: Dict[str, tuple] = field(default_factory=dict, compare=False, repr=False)
+    scores: Dict[str, tuple] = field(default_factory=dict, init=False, compare=False,
+                                     repr=False)
 
 
 # Cells are stage x subgroup: 0 stage-1 complement, 1 stage-1 subgroup,

@@ -1,5 +1,6 @@
 """Decision-engine tests: observed replay, simulated traces, invariants."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from gatedgsd.engine import (
 )
 from gatedgsd.combine import Scenario
 from gatedgsd.futility import Selection
-from gatedgsd.harness import run_monte_carlo
+from gatedgsd.harness import replication_inputs, run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
                                    hochberg_intersection)
 from gatedgsd.numerics import norm_cdf, norm_quantile
@@ -288,11 +289,16 @@ def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs
 
     monkeypatch.setattr(engine, "norm_quantile", counting_quantile)
     monkeypatch.setattr(combine, "norm_quantile", counting_quantile)
-    scenario = setting2.scenario
-    trial = generate_trial(scenario, (setting2.seed, 0))
-    snaps = [snapshot_at(trial, t, scenario) for t in schedule_analyses(trial, scenario)]
-    fut = snapshot_at(trial, scenario.stage1_cutoff, scenario, with_hr=True)
+    snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
     traces = [run_design(d, snaps, fut) for d in designs2.values()]
     assert len(traces) == 17
     assert {t.scenario for t in traces if t.design != "gsd"} == {Scenario.BOTH}
     assert 0 < len(calls) <= 6 * 2 * len(snaps)
+
+
+def test_replaced_snapshot_starts_with_empty_scores(setting2, designs2):
+    snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
+    run_design(designs2["ggsd:0.5"], snaps, fut)
+    assert snaps[0].scores
+    moved = dataclasses.replace(snaps[0], p={slot: 0.5 for slot in snaps[0].p})
+    assert moved.scores == {}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gatedgsd.combine import Scenario
 from gatedgsd.config import build_designs, parse_config
-from gatedgsd.engine import DesignKind, _Engine
+from gatedgsd.engine import DesignKind, _alpha
 from gatedgsd.multiplicity import (
     HYPOTHESES,
     Endpoint,
@@ -107,17 +107,18 @@ def test_closed_form_alpha_matches_general_update_rule():
         for scenario in scenarios:
             start = general_graphs(design, scenario)
             in_scope = [h for h in HYPOTHESES if any(h in a for a, _ in start)]
-            assert [HYPOTHESES[i] for i in _Engine(design, scenario, None).in_scope] == in_scope
+            plan = design._plans[scenario]
+            assert [HYPOTHESES[i] for i in plan.in_scope] == in_scope
             for order in itertools.permutations(in_scope):
                 graphs = list(start)
-                eng = _Engine(design, scenario, None)
+                rejected = 0
                 for step in range(len(order) + 1):
                     if step:
                         h = order[step - 1]
                         gi = next(j for j, (a, _) in enumerate(graphs) if h in a)
                         graphs[gi] = general_reject(*graphs[gi], h)
-                        eng.rejected |= 1 << HYPOTHESES.index(h)
+                        rejected |= 1 << HYPOTHESES.index(h)
                     for i, h in enumerate(HYPOTHESES):
                         expected = next((a[h] for a, _ in graphs if h in a), 0.0)
-                        assert eng._alpha(i).hex() == expected.hex(), (
+                        assert _alpha(plan, rejected, i).hex() == expected.hex(), (
                             design.label, scenario, order[:step], str(h))
