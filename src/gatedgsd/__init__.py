@@ -3,16 +3,15 @@ selection and dual time-to-event endpoints."""
 
 from .boundaries import (BoundarySet, SpendingFunction, cached_boundaries,
                          compute_boundaries, crossing_probability,
-                         crossing_probability_mvn, spend)
-from .combine import (CohortPValues, Scenario, StageWeights, event_weights,
-                      inverse_normal, scenario_wiring)
+                         crossing_probability_mvn)
+from .combine import Scenario, StageWeights, event_weights, inverse_normal
 from .engine import (AnalysisRecord, DecisionTrace, DesignKind, DesignSpec,
                      ObservedData, TestRecord, analyze_observed,
                      render_narrative, run_design)
 from .futility import (FutilityRule, Selection, SelectionDecision,
                        calibrate_threshold, select_population)
 from .multiplicity import (HYPOTHESES, Endpoint, HypothesisId, Population,
-                           hochberg_intersection, intersection_boundary)
+                           hochberg_intersection)
 from .simdata import (AnalysisSnapshot, AnalysisTrigger, ScenarioSpec,
                       TrialData, cox_hazard_ratio, generate_trial,
                       logrank_test, schedule_analyses, snapshot_at)

@@ -11,7 +11,7 @@ equals incremental alpha spend".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
 
@@ -24,7 +24,6 @@ __all__ = [
     "SpendingFunction",
     "BoundarySet",
     "SpendingError",
-    "spend",
     "compute_boundaries",
     "crossing_probability",
     "crossing_probability_mvn",
@@ -56,11 +55,6 @@ class SpendingFunction:
         return 2.0 * (1.0 - norm_cdf(norm_quantile(1.0 - alpha_total / 2.0) / math.sqrt(t)))
 
 
-def spend(fn: SpendingFunction, alpha_total: float, t: float) -> float:
-    """Cumulative alpha spent at information fraction t."""
-    return fn(alpha_total, t)
-
-
 @dataclass(frozen=True)
 class BoundarySet:
     """Z-scale efficacy boundaries c_k with their nominal p-value forms."""
@@ -69,7 +63,6 @@ class BoundarySet:
     z_bounds: Tuple[float, ...]
     nominal_p: Tuple[float, ...]
     alpha_total: float
-    spending: SpendingFunction = field(default_factory=SpendingFunction)
 
     def __len__(self) -> int:
         return len(self.fractions)
@@ -90,7 +83,6 @@ def compute_boundaries(
     alpha_total: float,
     fractions: Sequence[float],
     fn: SpendingFunction = SpendingFunction(),
-    grid_nodes: int = _GRID_NODES,
 ) -> BoundarySet:
     """Solve the z-boundaries that realize the spending function.
 
@@ -105,7 +97,7 @@ def compute_boundaries(
     density = None  # sub-density values on grid.points
     z_bounds = []
     for k, t in enumerate(fr):
-        spent = spend(fn, alpha_total, t)
+        spent = fn(alpha_total, t)
         inc = spent - spent_prev
         if inc < -1e-15:
             raise SpendingError(
@@ -131,7 +123,7 @@ def compute_boundaries(
             b_k = find_root(lambda b: exceed(b) - inc, -_Z_CAP * sd_k, _Z_CAP * sd_k, tol=1e-10)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
-            new_grid = gauss_grid(-_GRID_SD * sd_k, b_k, grid_nodes)
+            new_grid = gauss_grid(-_GRID_SD * sd_k, b_k, _GRID_NODES)
             if k == 0:
                 new_density = norm_pdf(new_grid.points / sd_k) / sd_k
             else:
@@ -147,7 +139,6 @@ def compute_boundaries(
         z_bounds=tuple(z_bounds),
         nominal_p=nominal,
         alpha_total=alpha_total,
-        spending=fn,
     )
 
 

@@ -162,11 +162,7 @@ def cmd_report(args) -> int:
             with open(path, newline="") as f:
                 merged[name].extend(csv.DictReader(f))
     out_dir = args.out or "."
-    paths = {}
-    for name, rows in merged.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        atomic_write_text(path, rows_to_csv(rows))
-        paths[name] = path
+    write_tables(merged, out_dir)
     print(f"merged {len(args.runs)} runs into {out_dir}")
     return 0
 

@@ -1,8 +1,10 @@
-"""Inverse-normal combination of stage-wise p-values and scenario wiring.
+"""Inverse-normal combination of stage-wise p-values, and the stage-2
+continuation scenarios.
 
-The wiring maps a stage-2 continuation scenario to the exact pairings of
-stage-1 and stage-2 cohort p-values feeding each elementary and
-intersection test.
+Which cohort p-values each test combines under a scenario (the wiring) is
+the decision engine's: `engine._CONTINUING` lists each scenario's
+continuing populations, and the engine forms every combined z from normal
+scores shared across arms, bit for bit the value of `inverse_normal`.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Tuple
 
-from .multiplicity import Endpoint, HypothesisId, Population, hochberg_intersection
 from .numerics import norm_quantile
 
 __all__ = [
@@ -20,8 +21,6 @@ __all__ = [
     "event_weights",
     "inverse_normal",
     "Scenario",
-    "CohortPValues",
-    "scenario_wiring",
     "P_CLAMP_EPS",
 ]
 
@@ -51,8 +50,11 @@ class StageWeights:
 def event_weights(n1: int, n2: int) -> StageWeights:
     """Weights proportional to the square root of per-stage event counts.
 
-    Reference/planning utility only: weights used for testing must be
-    pre-specified.
+    The `event_driven` arms of settings 1-3 test with these weights: at
+    each analysis the engine passes the full population's stage-1 and
+    stage-2 event counts for the endpoint. The weights therefore depend on
+    the observed data instead of being fixed before the trial; whether the
+    combination test keeps its level with them is an open question.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("event counts must be nonnegative")
@@ -82,83 +84,3 @@ class Scenario(Enum):
     S_ONLY = "s_only"
     F_ONLY = "f_only"
     BOTH = "both"
-
-
-# Test targets are either an elementary hypothesis or the per-endpoint
-# population intersection, tagged by its endpoint.
-Intersection = Tuple[str, Endpoint]
-TestTarget = Union[HypothesisId, Intersection]
-
-
-def intersection_target(endpoint: Endpoint) -> Intersection:
-    return ("FS", endpoint)
-
-
-@dataclass(frozen=True)
-class CohortPValues:
-    """Stage-wise one-sided p-values for one endpoint at one analysis.
-
-    Missing slots (population not followed, no events) stay None; the
-    wiring raises if a required slot is absent.
-    """
-
-    stage1_full: Optional[float] = None
-    stage1_sub: Optional[float] = None
-    stage2_full: Optional[float] = None
-    stage2_sub: Optional[float] = None
-
-    def stage1_intersection(self) -> float:
-        if self.stage1_full is None or self.stage1_sub is None:
-            raise MissingCohortError("stage-1 F and S p-values are both required "
-                                     "for the intersection slot")
-        return hochberg_intersection(self.stage1_full, self.stage1_sub)
-
-    def stage2_intersection(self) -> float:
-        if self.stage2_full is None or self.stage2_sub is None:
-            raise MissingCohortError("stage-2 F and S p-values are both required "
-                                     "for the intersection slot")
-        return hochberg_intersection(self.stage2_full, self.stage2_sub)
-
-
-class MissingCohortError(ValueError):
-    """A scenario requires a cohort p-value slot that was not supplied."""
-
-
-def _require(value: Optional[float], slot: str) -> float:
-    if value is None:
-        raise MissingCohortError(f"missing cohort p-value slot: {slot}")
-    return value
-
-
-def scenario_wiring(
-    scenario: Scenario,
-    endpoint: Endpoint,
-    cohorts: CohortPValues,
-) -> List[Tuple[TestTarget, float, float]]:
-    """(target, p1, p2) triples to combine for one endpoint at one analysis."""
-    fs = intersection_target(endpoint)
-    h_full = HypothesisId(Population.FULL, endpoint)
-    h_sub = HypothesisId(Population.SUB, endpoint)
-    if scenario is Scenario.S_ONLY:
-        p2 = _require(cohorts.stage2_sub, f"stage2/sub/{endpoint.value}")
-        return [
-            (fs, cohorts.stage1_intersection(), p2),
-            (h_sub, _require(cohorts.stage1_sub, f"stage1/sub/{endpoint.value}"), p2),
-        ]
-    if scenario is Scenario.F_ONLY:
-        p2 = _require(cohorts.stage2_full, f"stage2/full/{endpoint.value}")
-        return [
-            (fs, cohorts.stage1_intersection(), p2),
-            (h_full, _require(cohorts.stage1_full, f"stage1/full/{endpoint.value}"), p2),
-        ]
-    if scenario is Scenario.BOTH:
-        return [
-            (fs, cohorts.stage1_intersection(), cohorts.stage2_intersection()),
-            (h_full,
-             _require(cohorts.stage1_full, f"stage1/full/{endpoint.value}"),
-             _require(cohorts.stage2_full, f"stage2/full/{endpoint.value}")),
-            (h_sub,
-             _require(cohorts.stage1_sub, f"stage1/sub/{endpoint.value}"),
-             _require(cohorts.stage2_sub, f"stage2/sub/{endpoint.value}")),
-        ]
-    raise ValueError(f"unknown scenario {scenario}")

@@ -50,8 +50,6 @@ class WeightSet:
 
 @dataclass(frozen=True)
 class ObservedConfig:
-    hr_full: Optional[float]
-    hr_sub: Optional[float]
     # design slug -> ObservedData
     per_design: Dict[str, ObservedData] = field(default_factory=dict)
 
@@ -302,7 +300,7 @@ def _parse_observed(col: _Collector, raw,
             p_values[h] = per_look
         per_design[design_slug] = ObservedData(
             hr_full=hr_full, hr_sub=hr_sub, p_values=p_values)
-    return ObservedConfig(hr_full=hr_full, hr_sub=hr_sub, per_design=per_design)
+    return ObservedConfig(per_design=per_design)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -343,6 +341,10 @@ def parse_config(path: str) -> RunConfig:
             col.fail(f"designs.endpoint_analyses.{slug}",
                      f"expected a list of analysis indices in 1..{len(ANALYSIS_NAMES)} "
                      f"{ANALYSIS_NAMES}, got {val!r}")
+            endpoint_analyses[ep] = ()
+        elif any(b <= a for a, b in zip(val, val[1:])):
+            col.fail(f"designs.endpoint_analyses.{slug}",
+                     f"analysis indices must be strictly increasing, got {val!r}")
             endpoint_analyses[ep] = ()
         else:
             endpoint_analyses[ep] = tuple(v - 1 for v in val)

@@ -14,7 +14,11 @@ once the partner is rejected.
 
 Simulated trials (`run_design`) and observed-data replay
 (`analyze_observed`) run through one decision loop; they differ only in
-where each analysis's statistics come from.
+where each analysis's statistics come from. Both read one wiring table,
+`_CONTINUING`: the populations each continuation scenario keeps. A
+continuing population's hypothesis combines its own stage-wise cohorts,
+and an endpoint's FS intersection joins the p-values of the populations
+that stage draws on (`_joint_p`).
 
 Within one analysis, testing iterates (test, reject, reallocate, recompute
 boundaries, retest) to a fixed point, and boundary recomputation after an
@@ -29,8 +33,8 @@ A call does only the work that is new to its arm and data:
   gate, the members of each FS intersection, and each hypothesis's boundary
   row at its two alpha levels, solved on first use by `cached_boundaries`.
 - Shared normal scores. The first arm that reads a snapshot computes
-  q = Phi^-1(1 - p) of the stage-wise p-values its scenario wires and keeps
-  them on the snapshot (`AnalysisSnapshot.scores`); each arm forms its own
+  q = Phi^-1(1 - p) of the stage-wise p-values its scenario wires (`_scores`)
+  and keeps them on the snapshot (`AnalysisSnapshot.scores`); each arm forms its own
   z = w1*q1 + w2*q2, bit for bit the value of `combine.inverse_normal`.
 - Lazy records. An `AnalysisRecord` keeps its rejection bitmask; `tests`
   and `alpha_snapshot` are rendered from it when first read, so the Monte
@@ -46,11 +50,9 @@ from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .boundaries import cached_boundaries
-from .combine import (CohortPValues, Scenario, StageWeights, TestTarget, clamp_p,
-                      event_weights, intersection_target, scenario_wiring)
+from .combine import Scenario, StageWeights, clamp_p, event_weights
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
-from .multiplicity import (HYPOTHESES, Endpoint, HypothesisId, Population,
-                           hochberg_intersection, intersection_boundary)
+from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population, hochberg_intersection
 from .numerics import norm_cdf, norm_quantile
 from .simdata import AnalysisSnapshot
 
@@ -80,8 +82,7 @@ _OTHER_ENDPOINT = {Endpoint.PFS: Endpoint.OS, Endpoint.OS: Endpoint.PFS}
 _TARGETS = tuple([_Target(str(h), h.endpoint) for h in HYPOTHESES]
                  + [_Target(f"{ep.value.upper()}(FS)", ep) for ep in Endpoint])
 _FS_INDEX = {ep: len(HYPOTHESES) + i for i, ep in enumerate(Endpoint)}
-_INDEX: Dict[TestTarget, int] = {h: i for i, h in enumerate(HYPOTHESES)}
-_INDEX.update({intersection_target(ep): i for ep, i in _FS_INDEX.items()})
+_INDEX = {h: i for i, h in enumerate(HYPOTHESES)}
 _FS = tuple(_FS_INDEX.values())
 # Per hypothesis: the same population's other endpoint, its endpoint's FS
 # target, and whether it is in F.
@@ -93,6 +94,19 @@ _SUB_MASK = sum(1 << i for i, full in enumerate(_IN_FULL) if not full)
 # GSD's statistics: each population's pooled logrank z, per endpoint.
 _POOLED = {ep: tuple((("pooled", pop, ep), _INDEX[HypothesisId(pop, ep)]) for pop in Population)
            for ep in Endpoint}
+# The wiring: the populations that continue into stage 2 in each scenario
+# (None, GSD, keeps both).
+_CONTINUING: Dict[Optional[Scenario], Tuple[Population, ...]] = {
+    None: tuple(Population), Scenario.BOTH: tuple(Population),
+    Scenario.F_ONLY: (Population.FULL,), Scenario.S_ONLY: (Population.SUB,)}
+
+
+def _joint_p(p: Mapping[Population, float], pops: Tuple[Population, ...]) -> float:
+    """The FS p-value of `pops`: one population's own p-value, or the
+    Hochberg intersection of both."""
+    if len(pops) == 1:
+        return p[pops[0]]
+    return hochberg_intersection(p[Population.FULL], p[Population.SUB])
 
 
 class DesignKind(Enum):
@@ -168,10 +182,6 @@ class DesignSpec:
         """The compiled plan of every scenario this arm can continue in."""
         scenarios = (None,) if self.kind is DesignKind.GSD else tuple(Scenario)
         return {s: _Plan(self, s) for s in scenarios}
-
-    def look_of(self, endpoint: Endpoint, analysis: int) -> Optional[int]:
-        sched = self.endpoint_analyses[endpoint]
-        return sched.index(analysis) if analysis in sched else None
 
 
 @dataclass(frozen=True)
@@ -292,16 +302,15 @@ class _Plan:
     `levels[i]` holds hypothesis i's alpha indexed by "partner rejected":
     the graphical update rule on the PFS<->OS edges in closed form.
     `loads[k]` lists what analysis k enters: (endpoint, look, score-table
-    key, weights) per endpoint with a look there. GSD has no key; event-driven
-    weights are None.
+    key, weights) per endpoint with a look there, in Endpoint order. GSD has
+    no key; event-driven weights are None.
     """
 
-    __slots__ = ("in_scope", "scope_mask", "levels", "gate0", "gated", "members",
+    __slots__ = ("pops", "in_scope", "scope_mask", "levels", "gate0", "gated", "members",
                  "fractions", "analyses_of", "loads", "_rows")
 
     def __init__(self, design: DesignSpec, scenario: Optional[Scenario]):
-        pops = {Scenario.S_ONLY: (Population.SUB,),
-                Scenario.F_ONLY: (Population.FULL,)}.get(scenario, tuple(Population))
+        self.pops = pops = _CONTINUING[scenario]
         self.in_scope = tuple(i for i, h in enumerate(HYPOTHESES) if h.population in pops)
         self.scope_mask = sum(1 << i for i in self.in_scope)
         base = tuple(_base_alpha(design, h, pops) for h in HYPOTHESES)
@@ -311,19 +320,12 @@ class _Plan:
         self.members = {t: tuple(i for i in self.in_scope if _FS_OF[i] == t) for t in _FS}
         self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
         self.analyses_of = tuple(design.endpoint_analyses[t.endpoint] for t in _TARGETS)
-        self.loads = []
-        for k in range(design.n_analyses):
-            load = []
-            for ep in Endpoint:
-                look = design.look_of(ep, k)
-                if look is None:
-                    continue
-                if not self.gated:
-                    load.append((ep, look, None, None))
-                else:
-                    w = None if design.event_driven_weights else design.weights[ep][look]
-                    load.append((ep, look, f"{scenario.value}/{ep.value}", w))
-            self.loads.append(tuple(load))
+        self.loads = [[] for _ in range(design.n_analyses)]
+        for ep in Endpoint:
+            key = f"{scenario.value}/{ep.value}" if self.gated else None
+            for look, k in enumerate(design.endpoint_analyses[ep]):
+                w = None if key is None or design.event_driven_weights else design.weights[ep][look]
+                self.loads[k].append((ep, look, key, w))
         self._rows = [[None, None] for _ in HYPOTHESES]
 
     def row(self, i: int, level: int) -> Tuple[float, ...]:
@@ -382,7 +384,7 @@ def _intersection(plan: _Plan, mask: int, gate_open: bool,
         return False, math.nan
     crossed = False
     for look, z in hist.items():
-        c = intersection_boundary(row[look] for row in rows)
+        c = min(row[look] for row in rows)
         if z >= c:
             crossed = True
     return crossed, c
@@ -561,23 +563,23 @@ def _event_driven_weights(snap: AnalysisSnapshot, ep: Endpoint) -> StageWeights:
 
 
 def _scores(snap: AnalysisSnapshot, scenario: Scenario, ep: Endpoint, key: str):
-    """(target, q1, q2, clamped) per target that `scenario` wires for `ep`,
-    with q = Phi^-1(1 - p) of each stage's clamped p-value. Computed by the
-    first arm that asks and kept on the snapshot under `key`."""
+    """(target, q1, q2, clamped) per target that `scenario` tests on `ep`:
+    the FS intersection, then each continuing population's hypothesis, with
+    q = Phi^-1(1 - p) of each stage's clamped p-value. The FS intersection
+    joins both populations at stage 1 and the continuing ones at stage 2.
+    Computed by the first arm that asks and kept on the snapshot under `key`."""
     table = snap.scores.get(key)
     if table is None:
-        cohorts = CohortPValues(
-            stage1_full=snap.p[("stage1", Population.FULL, ep)],
-            stage1_sub=snap.p[("stage1", Population.SUB, ep)],
-            stage2_full=snap.p[("stage2", Population.FULL, ep)],
-            stage2_sub=snap.p[("stage2", Population.SUB, ep)],
-        )
+        pops = _CONTINUING[scenario]
+        p1 = {pop: snap.p[("stage1", pop, ep)] for pop in Population}
+        p2 = {pop: snap.p[("stage2", pop, ep)] for pop in pops}
+        wired = [(_FS_INDEX[ep], _joint_p(p1, tuple(Population)), _joint_p(p2, pops))]
+        wired += [(_INDEX[HypothesisId(pop, ep)], p1[pop], p2[pop]) for pop in pops]
         rows = []
-        for target, p1, p2 in scenario_wiring(scenario, ep, cohorts):
-            p1, clamped1 = clamp_p(p1)
-            p2, clamped2 = clamp_p(p2)
-            rows.append((_INDEX[target], norm_quantile(1.0 - p1), norm_quantile(1.0 - p2),
-                         clamped1 or clamped2))
+        for i, a, b in wired:
+            a, clamped1 = clamp_p(a)
+            b, clamped2 = clamp_p(b)
+            rows.append((i, norm_quantile(1.0 - a), norm_quantile(1.0 - b), clamped1 or clamped2))
         table = snap.scores[key] = tuple(rows)
     return table
 
@@ -635,29 +637,19 @@ def _observed_z(p: float) -> float:
 
 
 def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
-    design, scenario = eng.design, eng.scenario
-    for ep in Endpoint:
-        look = design.look_of(ep, k)
-        if look is None:
-            continue
-        for pop in Population:
+    """Each continuing population's given p-value; for AD and gGSD then the
+    FS intersection's, once all continuing populations have one."""
+    plan = eng.plan
+    for ep, look, _, _ in plan.loads[k]:
+        p = {}
+        for pop in plan.pops:
             h = HypothesisId(pop, ep)
-            p = observed.p_values.get(h, {}).get(k)
-            if p is not None:
-                eng.enter(_INDEX[h], look, _observed_z(p))
-        if design.kind is DesignKind.GSD:
-            continue
-        p_full = observed.p_values.get(HypothesisId(Population.FULL, ep), {}).get(k)
-        p_sub = observed.p_values.get(HypothesisId(Population.SUB, ep), {}).get(k)
-        p_fs = None
-        if scenario is Scenario.F_ONLY and p_full is not None:
-            p_fs = p_full
-        elif scenario is Scenario.S_ONLY and p_sub is not None:
-            p_fs = p_sub
-        elif p_full is not None and p_sub is not None:
-            p_fs = hochberg_intersection(p_full, p_sub)
-        if p_fs is not None:
-            eng.enter(_FS_INDEX[ep], look, _observed_z(p_fs))
+            p_h = observed.p_values.get(h, {}).get(k)
+            if p_h is not None:
+                p[pop] = p_h
+                eng.enter(_INDEX[h], look, _observed_z(p_h))
+        if plan.gated and len(p) == len(plan.pops):
+            eng.enter(_FS_INDEX[ep], look, _observed_z(_joint_p(p, plan.pops)))
     _check_required_slots(eng, k)
 
 
@@ -670,10 +662,7 @@ def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrac
 def _check_required_slots(eng: _Engine, k: int):
     """Every unrejected hypothesis of the continuing populations needs its
     p-value at each of its planned looks."""
-    for ep in Endpoint:
-        look = eng.design.look_of(ep, k)
-        if look is None:
-            continue
+    for ep, look, _, _ in eng.plan.loads[k]:
         for i in eng.plan.in_scope:
             if (_TARGETS[i].endpoint is ep and not eng.rejected >> i & 1
                     and look not in eng.z_hist.get(i, {})):

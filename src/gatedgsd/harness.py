@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .engine import ANALYSIS_NAMES, DesignSpec, run_design
-from .multiplicity import HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population
+from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population
 from .simdata import (AnalysisSnapshot, ScenarioSpec, generate_trial, schedule_analyses,
                       snapshot_at)
 
@@ -41,8 +41,6 @@ __all__ = [
 
 def true_null_hypotheses(setting: ScenarioSpec) -> Tuple[HypothesisId, ...]:
     """Hypotheses whose configured hazard ratios make them true nulls."""
-    if setting.null_hypotheses is not None:
-        return tuple(HYPOTHESIS_SLUGS[s] for s in setting.null_hypotheses)
     nulls = []
     for h in HYPOTHESES:
         hr_s = setting.hr_sub.get(h.endpoint, 1.0)

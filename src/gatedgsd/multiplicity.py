@@ -1,10 +1,11 @@
 """Familywise-error machinery.
 
-The four population-by-endpoint hypotheses, the Hochberg intersection
-p-value across populations, and the boundary of that intersection test.
-Alpha passes only between PFS and OS within one population, each edge with
-weight 1, and never across populations; the engine computes that graph's
-update rule in closed form (`engine._Plan.levels`). The closed-testing
+The four population-by-endpoint hypotheses and the Hochberg intersection
+p-value across populations. An intersection test's boundary is the
+minimum of its members' boundaries (`engine._intersection`). Alpha passes
+only between PFS and OS within one population, each edge with weight 1,
+and never across populations; the engine computes that graph's update
+rule in closed form (`engine._Plan.levels`). The closed-testing
 gate that turns boundary crossings into confirmed rejections lives in the
 engine's per-analysis fixed point (`engine._Engine.run_analysis`).
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 __all__ = [
     "Population",
@@ -22,7 +22,6 @@ __all__ = [
     "HYPOTHESES",
     "HYPOTHESIS_SLUGS",
     "hochberg_intersection",
-    "intersection_boundary",
 ]
 
 
@@ -65,11 +64,3 @@ def hochberg_intersection(p_full: float, p_sub: float) -> float:
     if not (0.0 <= p_full <= 1.0 and 0.0 <= p_sub <= 1.0):
         raise ValueError(f"p-values must lie in [0, 1]: {p_full}, {p_sub}")
     return min(2.0 * min(p_full, p_sub), max(p_full, p_sub))
-
-
-def intersection_boundary(z_bounds: Iterable[float]) -> float:
-    """Boundary for an intersection test: the minimum of its members."""
-    values = list(z_bounds)
-    if not values:
-        raise ValueError("intersection boundary needs at least one member boundary")
-    return min(values)

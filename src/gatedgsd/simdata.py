@@ -65,9 +65,6 @@ class ScenarioSpec:
     hr_complement: Dict[Endpoint, float] = field(default_factory=dict)
     annual_dropout: Dict[Endpoint, float] = field(default_factory=dict)
     triggers: Tuple[AnalysisTrigger, ...] = ()
-    # Hypotheses counted as true nulls for FWER accounting; None derives the
-    # set from the configured hazard ratios.
-    null_hypotheses: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         if not 0.0 < self.sub_prevalence <= 1.0:
@@ -101,7 +98,6 @@ class ScenarioSpec:
             hr_complement=dict(ones),
             annual_dropout=dict(self.annual_dropout),
             triggers=self.triggers,
-            null_hypotheses=("full_os", "full_pfs", "sub_os", "sub_pfs"),
         )
 
 

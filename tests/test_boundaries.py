@@ -27,7 +27,6 @@ from gatedgsd.boundaries import (
     compute_boundaries,
     crossing_probability,
     crossing_probability_mvn,
-    spend,
 )
 from gatedgsd.numerics import norm_cdf
 
@@ -41,18 +40,18 @@ TWO_LOOKS_90 = (2.0936632, 2.0529798)
 
 
 def test_spending_endpoints():
-    assert spend(LDOBF, 0.025, 1.0) == pytest.approx(0.025, abs=1e-15)
+    assert LDOBF(0.025, 1.0) == pytest.approx(0.025, abs=1e-15)
     # s(t) = 2 * (1 - Phi(z_{alpha/2} / sqrt(t)))
-    assert spend(LDOBF, 0.025, 0.5) == pytest.approx(0.001525323, abs=1e-8)
-    assert spend(LDOBF, 0.025, 0.25) == pytest.approx(7.367e-06, abs=1e-8)
-    assert spend(LDOBF, 0.025, 0.9) == pytest.approx(0.018144996, abs=1e-8)
+    assert LDOBF(0.025, 0.5) == pytest.approx(0.001525323, abs=1e-8)
+    assert LDOBF(0.025, 0.25) == pytest.approx(7.367e-06, abs=1e-8)
+    assert LDOBF(0.025, 0.9) == pytest.approx(0.018144996, abs=1e-8)
 
 
 def test_spending_monotone():
     # below t ~ 0.1 the LD-OBF spend underflows toward 0, so require strict
     # growth only where it is numerically resolvable
     ts = np.linspace(0.2, 1.0, 60)
-    vals = [spend(LDOBF, 0.025, t) for t in ts]
+    vals = [LDOBF(0.025, t) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 

@@ -9,7 +9,11 @@ import yaml
 
 from gatedgsd.cli import main
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "src" / "gatedgsd" / "configs"
+# The benchmark's replay references: `analyze table5_example`'s analysis.json
+# and its stdout (narrative.txt).
+REFERENCE_DIR = ROOT / "perfbench" / "reference"
 
 
 def run(*argv):
@@ -45,6 +49,10 @@ def test_analyze_narrative_and_json(tmp_path, capsys):
     assert doc["ggsd"]["trace"]["rejections"] == {"PFS(F)": "IA1", "OS(F)": "IA2",
                                                   "PFS(FS)": "IA1", "OS(FS)": "IA2"}
     assert doc["gsd"]["trace"]["rejections"] == {}
+    reference = {name: (REFERENCE_DIR / name).read_bytes()
+                 for name in ("analysis.json", "narrative.txt")}
+    assert (tmp_path / "analysis.json").read_bytes() == reference["analysis.json"]
+    assert out.encode() == reference["narrative.txt"]
 
 
 def test_simulate_artifacts_and_determinism(tmp_path):

@@ -1,4 +1,4 @@
-"""Inverse-normal combination, stage weights, and scenario wiring."""
+"""Inverse-normal combination and stage weights."""
 
 import math
 
@@ -8,18 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedgsd.combine import (
-    CohortPValues,
-    MissingCohortError,
-    Scenario,
-    StageWeights,
-    clamp_p,
-    event_weights,
-    intersection_target,
-    inverse_normal,
-    scenario_wiring,
-)
-from gatedgsd.multiplicity import Endpoint, H_F_OS, H_S_PFS
+from gatedgsd.combine import StageWeights, clamp_p, event_weights, inverse_normal
 
 
 HALF = StageWeights(math.sqrt(0.5), math.sqrt(0.5))
@@ -85,39 +74,3 @@ def test_combined_z_standard_normal_under_null():
         assert inverse_normal(p1[i], p2[i], w) == pytest.approx(z[i], abs=1e-9)
     ks = scipy.stats.kstest(z, "norm").statistic
     assert ks < 0.01
-
-
-def test_scenario_wiring_sub_only():
-    cohorts = CohortPValues(stage1_full=0.2, stage1_sub=0.04, stage2_sub=0.03)
-    triples = scenario_wiring(Scenario.S_ONLY, Endpoint.PFS, cohorts)
-    targets = [t for t, _, _ in triples]
-    assert targets == [intersection_target(Endpoint.PFS), H_S_PFS]
-    (_, p1_fs, p2_fs), (_, p1_s, p2_s) = triples
-    assert p1_fs == pytest.approx(min(2 * 0.04, 0.2))
-    assert p2_fs == 0.03 and p2_s == 0.03 and p1_s == 0.04
-
-
-def test_scenario_wiring_full_only():
-    cohorts = CohortPValues(stage1_full=0.05, stage1_sub=0.5, stage2_full=0.01)
-    triples = scenario_wiring(Scenario.F_ONLY, Endpoint.OS, cohorts)
-    assert [t for t, _, _ in triples] == [intersection_target(Endpoint.OS), H_F_OS]
-    assert triples[1][1] == 0.05 and triples[1][2] == 0.01
-
-
-def test_scenario_wiring_both_uses_stagewise_intersections():
-    cohorts = CohortPValues(stage1_full=0.1, stage1_sub=0.02,
-                            stage2_full=0.3, stage2_sub=0.01)
-    triples = scenario_wiring(Scenario.BOTH, Endpoint.PFS, cohorts)
-    assert len(triples) == 3
-    fs = triples[0]
-    assert fs[1] == pytest.approx(min(2 * 0.02, 0.1))
-    assert fs[2] == pytest.approx(min(2 * 0.01, 0.3))
-
-
-def test_scenario_wiring_missing_slot_raises():
-    with pytest.raises(MissingCohortError):
-        scenario_wiring(Scenario.S_ONLY, Endpoint.PFS,
-                        CohortPValues(stage1_full=0.2, stage1_sub=0.04))
-    with pytest.raises(MissingCohortError):
-        scenario_wiring(Scenario.BOTH, Endpoint.OS,
-                        CohortPValues(stage1_full=0.2, stage1_sub=0.04, stage2_full=0.1))

@@ -154,6 +154,15 @@ def test_fourth_analysis_rejected(tmp_path, base_doc):
         parse_config(write(tmp_path, base_doc))
 
 
+@pytest.mark.parametrize("looks", [[2, 1], [1, 1]])
+def test_unordered_analysis_indices_rejected(tmp_path, base_doc, looks):
+    # Each look of an endpoint is one later analysis: a repeated or
+    # out-of-order index has no look order to test in.
+    base_doc["designs"]["endpoint_analyses"]["pfs"] = looks
+    with pytest.raises(ConfigError, match=r"designs\.endpoint_analyses\.pfs"):
+        parse_config(write(tmp_path, base_doc))
+
+
 @pytest.mark.parametrize("n_triggers", [2, 4])
 def test_trigger_count_must_match_planned_analyses(tmp_path, base_doc, n_triggers):
     triggers = base_doc["scenario"]["triggers"] + [{"endpoint": "os", "events": 540}]

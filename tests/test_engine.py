@@ -19,7 +19,7 @@ from gatedgsd.engine import (
     render_narrative,
     run_design,
 )
-from gatedgsd.combine import Scenario
+from gatedgsd.combine import Scenario, inverse_normal
 from gatedgsd.futility import Selection
 from gatedgsd.harness import replication_inputs, run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
@@ -106,6 +106,25 @@ def test_observed_ggsd_both_gates_full_behind_sub(designs2):
     fs = {t.target_label: t.z for t in trace.analyses[0].tests}
     assert fs["PFS(FS)"] == norm_quantile(1.0 - hochberg_intersection(0.001, 0.02))
     assert fs["OS(FS)"] == norm_quantile(1.0 - hochberg_intersection(0.3, 0.3))
+
+
+@pytest.mark.parametrize("scenario, hrs, expected", [
+    (Scenario.BOTH, (0.7, 0.7), hochberg_intersection(0.1, 0.3)),
+    (Scenario.S_ONLY, (0.9, 0.7), 0.3),
+    (Scenario.F_ONLY, (0.7, 0.9), 0.1),
+], ids=["both", "s_only", "f_only"])
+def test_observed_fs_p_is_the_continuing_populations(designs2, scenario, hrs, expected):
+    # F's p-values 0.1 and S's 0.3 at every look: their Hochberg intersection
+    # (0.2) differs from both, so each scenario's FS p-value shows.
+    design = designs2["ad:0.5"]
+    p = {h: {k: 0.1 if h.population is Population.FULL else 0.3
+             for k in design.endpoint_analyses[h.endpoint]}
+         for h in (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS)}
+    trace = analyze_observed(design, ObservedData(*hrs, p_values=p))
+    assert trace.scenario is scenario
+    for rec in trace.analyses:
+        z = {t.target_label: t.z for t in rec.tests}
+        assert z["PFS(FS)"] == z["OS(FS)"] == norm_quantile(1.0 - expected)
 
 
 def test_observed_ad_sub_only_passes_alpha_within_sub(designs2):
@@ -256,6 +275,46 @@ def test_design_spec_validation(designs2):
         DesignSpec(kind=good.kind, alpha=good.alpha, initial_alphas=good.initial_alphas,
                    fractions=good.fractions,
                    endpoint_analyses={Endpoint.PFS: (0, 1), Endpoint.OS: (0, 1, 3)})
+
+
+# -- the wiring of simulated snapshots ------------------------------------------
+
+
+def _wiring(scenario, ep, p):
+    """(target label, p1, p2) per target that `scenario` tests on `ep`, with
+    `p` keyed by (stage, population): the pairing of stage-wise p-values
+    written out per scenario, the reference for the engine's wiring table."""
+    tag = ep.value.upper()
+    full, sub = Population.FULL, Population.SUB
+    fs1 = hochberg_intersection(p["stage1", full], p["stage1", sub])
+    h_full = (f"{tag}(F)", p["stage1", full], p["stage2", full])
+    h_sub = (f"{tag}(S)", p["stage1", sub], p["stage2", sub])
+    if scenario is Scenario.S_ONLY:
+        return [(f"{tag}(FS)", fs1, p["stage2", sub]), h_sub]
+    if scenario is Scenario.F_ONLY:
+        return [(f"{tag}(FS)", fs1, p["stage2", full]), h_full]
+    fs2 = hochberg_intersection(p["stage2", full], p["stage2", sub])
+    return [(f"{tag}(FS)", fs1, fs2), h_full, h_sub]
+
+
+@pytest.mark.parametrize("ep", list(Endpoint))
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_scores_follow_the_wiring(setting2, designs2, scenario, ep):
+    # Every arm's combined z, w1*q1 + w2*q2 on the shared scores, is bit for
+    # bit combine.inverse_normal of the wired stage-wise p-values.
+    weights = {w for d in designs2.values() for w in d.weights.get(ep, ())}
+    assert weights
+    snaps, _ = replication_inputs(setting2.scenario, setting2.seed, 0)
+    for snap in snaps:
+        p = {(stage, pop): snap.p[stage, pop, ep]
+             for stage in ("stage1", "stage2") for pop in Population}
+        wired = _wiring(scenario, ep, p)
+        rows = engine._scores(snap, scenario, ep, f"{scenario.value}/{ep.value}")
+        assert [engine._TARGETS[i].label for i, *_ in rows] == [t for t, _, _ in wired]
+        for (_, q1, q2, clamped), (_, p1, p2) in zip(rows, wired):
+            assert not clamped
+            for w in weights:
+                assert w.w1 * q1 + w.w2 * q2 == inverse_normal(p1, p2, w)
 
 
 # -- work per call ------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Hochberg intersection, intersection boundary, and the engine's closed-form
-alpha passing checked against the general graphical update rule."""
+"""Hochberg intersection, and the engine's closed-form alpha passing checked
+against the general graphical update rule."""
 
 import itertools
 from pathlib import Path
@@ -17,7 +17,6 @@ from gatedgsd.multiplicity import (
     HypothesisId,
     Population,
     hochberg_intersection,
-    intersection_boundary,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
@@ -37,12 +36,6 @@ def test_hochberg_bounds_and_symmetry(p1, p2):
     assert q == hochberg_intersection(p2, p1)
     assert min(p1, p2) <= q <= max(p1, p2) + 1e-15
     assert q <= 2.0 * min(p1, p2) + 1e-15
-
-
-def test_intersection_boundary_is_min():
-    assert intersection_boundary([2.5, 2.0, 3.0]) == 2.0
-    with pytest.raises(ValueError):
-        intersection_boundary([])
 
 
 # The alpha-passing graph of every design: PFS<->OS within each population,
