@@ -2,10 +2,14 @@
 boundaries.
 
 All three designs spend alpha by this one function. Boundaries are solved
-look by look: the sub-density of the underlying Brownian-motion statistic
-is propagated on a quadrature grid restricted to the continuation region,
-and each critical value is the root of "incremental crossing probability
-equals incremental alpha spend".
+look by look by recursive numerical integration (Jennison & Turnbull 2000,
+Group Sequential Methods, ch. 19): the sub-density of the underlying
+Brownian-motion statistic is propagated on a quadrature grid restricted to
+the continuation region, and each critical value is the root of
+"incremental crossing probability equals incremental alpha spend". The
+crossing probability's slope in the critical value is minus the
+statistic's sub-density there, so each root is found by safeguarded
+Newton in a handful of evaluations.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.special import erfc
 
-from .numerics import find_root, gauss_grid, norm_cdf, norm_pdf, norm_quantile
+from .numerics import find_root, gauss_grid, norm_cdf, norm_kernel, norm_pdf, norm_quantile
 
 __all__ = [
     "SpendingFunction",
@@ -87,9 +91,12 @@ def compute_boundaries(
     """Solve the z-boundaries that realize the spending function.
 
     Works on the S-scale (S_k = sqrt(t_k) Z_k has independent increments).
-    For each look the critical value is found with a bracketed root search;
-    the continuation sub-density is then advanced by convolution with the
-    increment normal density.
+    Each look's critical value b solves "crossing probability at b equals the
+    incremental spend" by safeguarded Newton (`find_root`) on the analytic
+    slope of the crossing probability, minus the sub-density of S_k at b. The
+    search starts at -sqrt(t_k) Phi^-1(spend), the root the first look has
+    exactly. The continuation sub-density is then advanced by convolution
+    with the increment normal density.
     """
     fr = _validate_fractions(fractions)
     spent_prev = 0.0
@@ -106,31 +113,32 @@ def compute_boundaries(
         inc = max(inc, 0.0)
         sd_k = math.sqrt(t)
         if k == 0:
-            def exceed(b, _s=sd_k):
-                return 1.0 - norm_cdf(b / _s)
+            def excess(b, _s=sd_k, _inc=inc):
+                # P(S_1 >= b) less the spend, and its slope in b.
+                return 1.0 - norm_cdf(b / _s) - _inc, -norm_pdf(b / _s) / _s
         else:
             sigma = math.sqrt(t - fr[k - 1])
-            pts, wts, dens = grid.points, grid.weights, density
+            wd = grid.weights * density
 
-            def exceed(b, _p=pts, _w=wts, _d=dens, _s=sigma):
-                # P(S_k >= b | S_{k-1} = p), integrated over the sub-density.
+            def excess(b, _p=grid.points, _wd=wd, _s=sigma, _inc=inc):
+                # P(S_k >= b | S_{k-1} = p), integrated over the sub-density,
+                # less the spend; and its slope in b.
                 tail = 0.5 * erfc((b - _p) / (_s * math.sqrt(2.0)))
-                return float(np.sum(_w * _d * tail))
+                slope = -float(np.sum(_wd * norm_pdf((b - _p) / _s))) / _s
+                return float(np.sum(_wd * tail)) - _inc, slope
 
-        if exceed(_Z_CAP * sd_k) >= inc:
-            b_k = _Z_CAP * sd_k
+        cap = _Z_CAP * sd_k
+        if excess(cap)[0] >= 0.0:
+            b_k = cap
         else:
-            b_k = find_root(lambda b: exceed(b) - inc, -_Z_CAP * sd_k, _Z_CAP * sd_k, tol=1e-10)
+            b_k = find_root(excess, -cap, cap, -sd_k * norm_quantile(inc), tol=1e-10)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
             new_grid = gauss_grid(-_GRID_SD * sd_k, b_k, _GRID_NODES)
             if k == 0:
                 new_density = norm_pdf(new_grid.points / sd_k) / sd_k
             else:
-                sigma = math.sqrt(t - fr[k - 1])
-                diff = (new_grid.points[:, None] - grid.points[None, :]) / sigma
-                kernel = norm_pdf(diff) / sigma
-                new_density = kernel @ (grid.weights * density)
+                new_density = norm_kernel(new_grid.points, grid.points, sigma) @ wd
             grid, density = new_grid, new_density
         spent_prev = spent
     nominal = tuple(1.0 - norm_cdf(c) for c in z_bounds)
@@ -162,7 +170,7 @@ def crossing_probability(bounds: BoundarySet, grid_nodes: int = 480) -> float:
         r = math.sqrt(fr[k - 1] / fr[k])
         s = math.sqrt(1.0 - r * r)
         new_grid = gauss_grid(lo, cb[k], grid_nodes)
-        kernel = norm_pdf((new_grid.points[:, None] - r * grid.points[None, :]) / s) / s
+        kernel = norm_kernel(new_grid.points, r * grid.points, s)
         density = kernel @ (grid.weights * density)
         grid = new_grid
     return float(1.0 - np.sum(grid.weights * density))

@@ -155,6 +155,10 @@ class DesignSpec:
                 if abs(total - self.alpha) > tol:
                     raise DesignConfigError(
                         f"ggsd: {pop.value} alphas sum to {total}, expected {self.alpha}")
+        for ep, looks in self.endpoint_analyses.items():
+            if any(b <= a for a, b in zip(looks, looks[1:])):
+                raise DesignConfigError(
+                    f"{ep.value}: analysis schedule {looks} is not strictly increasing")
         for h in HYPOTHESES:
             fr = self.fractions.get(h)
             looks = self.endpoint_analyses.get(h.endpoint)
@@ -619,8 +623,10 @@ def run_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
 class ObservedData:
     """Observed-analysis inputs: futility HRs plus per-slot p-values.
 
-    `p_values` maps hypothesis key ("full_pfs", "sub_os", ...) to a mapping
-    of analysis index (0-based) to the already-combined one-sided p-value.
+    `p_values` maps a `HypothesisId` to a mapping of analysis index
+    (0-based) to the already-combined one-sided p-value. (The config file
+    keys these by slug, "full_pfs", "sub_os", ...; `parse_config` turns the
+    slugs into `HypothesisId`s.)
     The per-endpoint FS intersection p-value is the continuing population's
     slot (single-population scenarios) or the Hochberg combination of the
     two population slots (both-population scenarios).

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Grid", "gauss_grid", "norm_cdf", "norm_pdf", "norm_quantile", "find_root", "BracketError"]
+__all__ = ["Grid", "gauss_grid", "norm_cdf", "norm_pdf", "norm_kernel", "norm_quantile",
+           "find_root", "BracketError"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -66,6 +67,23 @@ def norm_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
+def norm_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
+    """The matrix phi((x_i - y_j) / sigma) / sigma, built in one buffer.
+
+    In-place ufuncs perform the same IEEE operations in the same order as
+    `norm_pdf((x[:, None] - y[None, :]) / sigma) / sigma`, so the result is
+    bit-identical to it without the temporaries.
+    """
+    k = np.subtract.outer(x, y)
+    k /= sigma
+    np.square(k, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= _INV_SQRT_2PI
+    k /= sigma
+    return k
+
+
 # Coefficients of Acklam's rational approximation to the normal quantile.
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
@@ -105,17 +123,21 @@ def norm_quantile(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def find_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def find_root(f, lo: float, hi: float, x0: float, tol: float = 1e-10,
+              max_iter: int = 200) -> float:
     """Root of a continuous function on a sign-changing bracket.
 
-    Bisection with secant acceleration: the secant step is used whenever it
-    falls inside the current bracket, otherwise the step falls back to the
-    midpoint. Deterministic, and converges for any continuous f with
-    f(lo) * f(hi) <= 0.
+    Safeguarded Newton: `f(x)` returns the value and the slope at x. The
+    iteration starts at `x0` and keeps the sign bracket; a Newton step that
+    would leave the bracket, or a zero slope, falls back to the midpoint.
+    Once a step is shorter than tol / 2, the next point lies tol / 2 past the
+    Newton point, so the bracket closes from both sides. Returns the
+    midpoint of a bracket no wider than `tol`. Deterministic, and converges
+    for any continuous f with f(lo) * f(hi) <= 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = f(lo)[0], f(hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -124,22 +146,21 @@ def find_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) 
     # underflows to 0 and would hide the sign.
     if (flo > 0) == (fhi > 0):
         raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
+    x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
     for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        if flo != fhi:
-            x = lo - flo * (hi - lo) / (fhi - flo)
-            # Keep secant iterates strictly interior to guarantee progress.
-            margin = 0.01 * (hi - lo)
-            if not (lo + margin < x < hi - margin):
-                x = 0.5 * (lo + hi)
-        else:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
+        fx, slope = f(x)
         if fx == 0.0:
             return x
         if (flo > 0) != (fx > 0):
-            hi, fhi = x, fx
+            hi = x
         else:
             lo, flo = x, fx
+        if hi - lo <= tol:
+            break
+        step = fx / slope if slope != 0.0 else math.inf
+        if abs(step) < 0.5 * tol:
+            step += math.copysign(0.5 * tol, step)
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)

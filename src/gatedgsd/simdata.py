@@ -10,9 +10,9 @@ sits in one of four stage x subgroup cells, and each of the six (cohort,
 population) slots is a union of cells. Per-cell and per-arm event and
 at-risk counts at the distinct event times come from that one order, so
 the counts of all six slots are sums of cell counts and their logrank
-statistics come out together. The futility gate's Cox fits take the
-stage-1 rows of the same order. `logrank_test` is the same kernel with a
-single slot.
+statistics come out together. The futility gate's snapshot computes no
+slots: it censors and sorts only the stage-1 PFS rows for its two Cox
+fits. `logrank_test` is the same kernel with a single slot.
 """
 
 from __future__ import annotations
@@ -340,6 +340,9 @@ SlotKey = Tuple[Cohort, Population, Endpoint]
 class AnalysisSnapshot:
     """Per-analysis summary: event counts and one-sided p per slot.
 
+    A futility snapshot (`snapshot_at(..., with_hr=True)`) carries only
+    `hr_full` and `hr_sub`; its slot tables are empty.
+
     `scores` is filled by the decision engine: the normal scores of the
     p-values each continuation scenario wires, computed by the first design
     arm that reads this snapshot and shared by the others. It is not an
@@ -373,31 +376,49 @@ _ENDPOINTS = tuple(Endpoint)
 _SLOT_KEYS = tuple((cohort, pop, ep) for cohort, pop in _SLOT_CELLS for ep in _ENDPOINTS)
 
 
+def _stage1_hazard_ratios(trial: TrialData, time: float, spec: ScenarioSpec):
+    """Stage-1 PFS Cox HRs at a cutoff, F then S; None where a population has
+    no event.
+
+    The stage-1 rows are censored and stably sorted once. A stable order
+    restricted to a subset is the subset's own stable order, so the S fit
+    sees exactly the rows a fresh sort would give.
+    """
+    stage1 = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
+    dur, st, arm = _censor(trial, Endpoint.PFS, time, stage1)
+    order = np.argsort(dur, kind="stable")
+    d, s, x = dur[order], st[order], arm[order]
+    sub = trial.in_subgroup[stage1][order]
+    return tuple(cox_hazard_ratio(d[rows], s[rows], x[rows]) if s[rows].any() else None
+                 for rows in (slice(None), sub))
+
+
 def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
                 with_hr: bool = False) -> AnalysisSnapshot:
     """Summaries of all (cohort, population, endpoint) slots at a cutoff.
 
     Per endpoint the enrolled patients are censored and sorted once; all six
     (cohort, population) slots are read off that one order.
+
+    With `with_hr` this is the futility gate's snapshot instead: it holds
+    only the two stage-1 PFS Cox hazard ratios, and its slot tables are
+    empty.
     """
     if time < 0:
         raise ValueError("snapshot time must be nonnegative")
+    if with_hr:
+        hr_full, hr_sub = _stage1_hazard_ratios(trial, time, spec)
+        return AnalysisSnapshot(calendar_time=time, events={}, z={}, p={},
+                                hr_full=hr_full, hr_sub=hr_sub)
     enrolled = trial.enroll_time < time
     cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
     group = (2 * cell + trial.experimental)[enrolled]
     per_endpoint = []
-    hr_full = hr_sub = None
     for ep in _ENDPOINTS:
-        dur, st, arm = _censor(trial, ep, time, enrolled)
+        dur, st, _ = _censor(trial, ep, time, enrolled)
         order = np.argsort(dur, kind="stable")
         d, s, g = dur[order], st[order], group[order]
         per_endpoint.append(_logrank_slots(d, s, g, _SLOT_WEIGHTS))
-        if with_hr and ep is Endpoint.PFS:
-            # A stable order restricted to a subset is the subset's own stable
-            # order, so the fits see exactly the rows a fresh sort would give.
-            x, c = arm[order], g >> 1
-            hr_full, hr_sub = (cox_hazard_ratio(d[rows], s[rows], x[rows]) if s[rows].any() else None
-                               for rows in (c < 2, c == 1))  # stage 1: F, then S
     # Key order: cohort, then population, then endpoint.
     zs, ps, events = zip(*(slots[k] for k in range(len(_SLOT_CELLS)) for slots in per_endpoint))
     return AnalysisSnapshot(
@@ -406,6 +427,4 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
         z=dict(zip(_SLOT_KEYS, zs)),
         p=dict(zip(_SLOT_KEYS, ps)),
         zero_event_slots=tuple(key for key, n in zip(_SLOT_KEYS, events) if n == 0),
-        hr_full=hr_full,
-        hr_sub=hr_sub,
     )

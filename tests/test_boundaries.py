@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gatedgsd
+from gatedgsd import boundaries, engine
 from gatedgsd.boundaries import (
     BoundarySet,
     SpendingFunction,
@@ -28,7 +29,10 @@ from gatedgsd.boundaries import (
     crossing_probability,
     crossing_probability_mvn,
 )
-from gatedgsd.numerics import norm_cdf
+from gatedgsd.config import build_designs, parse_config
+from gatedgsd.numerics import BracketError, norm_cdf
+
+CONFIG_DIR = Path(gatedgsd.__file__).resolve().parent / "configs"
 
 LDOBF = SpendingFunction()
 
@@ -95,6 +99,95 @@ def test_round_trip_randomized_designs_under_one_second():
         b = compute_boundaries(alpha, fr, LDOBF)
         assert crossing_probability(b) == pytest.approx(alpha, abs=1e-5)
     assert time.perf_counter() - start < 1.0
+
+
+def bisection_secant(f, lo, hi, tol=1e-10, max_iter=200):
+    """The root search that safeguarded Newton replaced: bisection with
+    secant steps, kept interior to the bracket."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        if flo != fhi:
+            x = lo - flo * (hi - lo) / (fhi - flo)
+            # Keep secant iterates strictly interior to guarantee progress.
+            margin = 0.01 * (hi - lo)
+            if not (lo + margin < x < hi - margin):
+                x = 0.5 * (lo + hi)
+        else:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (flo > 0) != (fx > 0):
+            hi, fhi = x, fx
+        else:
+            lo, flo = x, fx
+    return 0.5 * (lo + hi)
+
+
+def plan_rows(monkeypatch, names):
+    """Every (alpha, fractions) boundary row the compiled plans of the named
+    bundled configs reach, keyed as the engine asks `cached_boundaries`."""
+    rows = set()
+
+    def record(alpha, fractions):
+        rows.add((alpha, fractions))
+        return cached_boundaries(alpha, fractions)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "cached_boundaries", record)
+        for name in names:
+            for design in build_designs(parse_config(CONFIG_DIR / f"{name}.yaml")):
+                for plan in design._plans.values():
+                    for i, levels in enumerate(plan.levels):
+                        for level, alpha in enumerate(levels):
+                            if alpha > 0.0:
+                                plan.row(i, level)
+    return sorted(rows)
+
+
+def test_bundled_rows_match_bisection_secant(monkeypatch):
+    rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
+    assert len(rows) == 30
+    newton = [compute_boundaries(*row).z_bounds for row in rows]
+    # The value of each look's search function is unchanged; only the solver
+    # differs, so the old one runs on the value half of the same function.
+    monkeypatch.setattr(boundaries, "find_root", lambda f, lo, hi, x0, tol: bisection_secant(
+        lambda b: f(b)[0], lo, hi, tol=tol))
+    for row, new in zip(rows, newton):
+        old = compute_boundaries(*row).z_bounds
+        assert max(abs(a - b) for a, b in zip(old, new)) <= 1e-9, row
+
+
+def test_newton_evaluations_per_look(monkeypatch):
+    """Each look's search evaluates the crossing probability at most 16 times
+    on setting2's rows, counting the two bracket ends."""
+    counts = []
+    solve = boundaries.find_root
+
+    def counting(f, *args, **kwargs):
+        calls = [0]
+
+        def counted(b):
+            calls[0] += 1
+            return f(b)
+
+        root = solve(counted, *args, **kwargs)
+        counts.append(calls[0])
+        return root
+
+    rows = plan_rows(monkeypatch, ["setting2"])
+    monkeypatch.setattr(boundaries, "find_root", counting)
+    for row in rows:
+        compute_boundaries(*row)
+    assert counts and max(counts) <= 16
 
 
 def test_crossing_probability_routes_agree():

@@ -275,6 +275,10 @@ def test_design_spec_validation(designs2):
         DesignSpec(kind=good.kind, alpha=good.alpha, initial_alphas=good.initial_alphas,
                    fractions=good.fractions,
                    endpoint_analyses={Endpoint.PFS: (0, 1), Endpoint.OS: (0, 1, 3)})
+    # a schedule that is not strictly increasing, built without parse_config
+    with pytest.raises(DesignConfigError, match="strictly increasing"):
+        dataclasses.replace(good, endpoint_analyses={Endpoint.PFS: (1, 0),
+                                                     Endpoint.OS: (0, 1, 2)})
 
 
 # -- the wiring of simulated snapshots ------------------------------------------

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatedgsd.numerics import BracketError, find_root, gauss_grid, norm_cdf, norm_pdf, norm_quantile
+from gatedgsd.numerics import (BracketError, find_root, gauss_grid, norm_cdf, norm_kernel, norm_pdf,
+                               norm_quantile)
 
 
 def test_norm_cdf_matches_scipy():
@@ -40,18 +41,52 @@ def test_gauss_grid_integrates_normal_density():
     assert float(np.sum(g.weights * norm_pdf(g.points))) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_norm_kernel_bit_identical_to_norm_pdf():
+    x = gauss_grid(-6.5, 2.8, 320).points
+    y = 0.8 * gauss_grid(-5.5, 3.1, 300).points
+    sigma = 0.37
+    diff = (x[:, None] - y[None, :]) / sigma
+    assert np.array_equal(norm_kernel(x, y, sigma), norm_pdf(diff) / sigma)
+
+
 def test_find_root_polynomial():
-    root = find_root(lambda x: x**3 - 2.0, 0.0, 2.0)
+    root = find_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, 1.0)
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-9)
 
 
 def test_find_root_requires_bracket():
     with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 0.5)
 
 
 @settings(max_examples=50)
 @given(st.floats(min_value=-3.0, max_value=3.0))
+@example(5e-324)
 def test_find_root_recovers_offset(c):
-    root = find_root(lambda x: math.tanh(x - c), c - 5.0, c + 5.0)
+    def f(x):
+        v = math.tanh(x - c)
+        return v, 1.0 - v * v
+
+    root = find_root(f, c - 5.0, c + 5.0, c - 3.0)
     assert root == pytest.approx(c, abs=1e-8)
+
+
+@pytest.mark.parametrize("x0, slope", [(5.0, 1.0), (0.5, 0.0)])
+def test_find_root_falls_back_to_bisection(x0, slope):
+    """A start point outside the bracket, or a zero slope, gives the midpoint."""
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 0.3, slope
+
+    root = find_root(f, -1.0, 1.0, x0, tol=1e-10)
+    assert root == pytest.approx(0.3, abs=1e-10)
+    if slope == 0.0:
+        # Pure bisection after the start: the bracket [-1, 0.5] halves until
+        # it is no wider than tol.
+        assert seen[3] == 0.5 * (-1.0 + 0.5)
+        assert len(seen) == 3 + math.ceil(math.log2(1.5 / 1e-10))
+    else:
+        assert seen[2] == 0.0  # the midpoint of [-1, 1], not x0
+        assert len(seen) <= 5

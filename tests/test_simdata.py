@@ -154,7 +154,7 @@ def test_cox_requires_events():
 def test_snapshot_slot_consistency():
     spec = toy_spec()
     trial = generate_trial(spec, (9, 4))
-    snap = snapshot_at(trial, 18.0, spec, with_hr=True)
+    snap = snapshot_at(trial, 18.0, spec)
     for pop in Population:
         for ep in Endpoint:
             pooled = snap.events[("pooled", pop, ep)]
@@ -163,10 +163,11 @@ def test_snapshot_slot_consistency():
     full = snap.events[("pooled", Population.FULL, Endpoint.PFS)]
     sub = snap.events[("pooled", Population.SUB, Endpoint.PFS)]
     assert sub <= full
-    assert snap.hr_full is not None and snap.hr_full > 0
-    assert snap.hr_sub is not None and snap.hr_sub > 0
     for key, p in snap.p.items():
         assert 0.0 <= p <= 1.0
+    fut = snapshot_at(trial, 18.0, spec, with_hr=True)
+    assert fut.hr_full is not None and fut.hr_full > 0
+    assert fut.hr_sub is not None and fut.hr_sub > 0
 
 
 def test_snapshot_earlier_time_has_fewer_events():
@@ -223,9 +224,9 @@ def reference_slots(trial, time, spec):
             for c, cm in cohorts.items() for pop, pm in pops.items() for ep in Endpoint}
 
 
-def snapshot_matches_reference(trial, time, spec, with_hr=False):
+def snapshot_matches_reference(trial, time, spec):
     """Largest |dz| of a snapshot against the reference; events must be equal."""
-    snap = snapshot_at(trial, time, spec, with_hr=with_hr)
+    snap = snapshot_at(trial, time, spec)
     ref = reference_slots(trial, time, spec)
     assert list(snap.events) == list(snap.z) == list(snap.p) == list(ref)  # key order is kept
     worst = 0.0
@@ -248,8 +249,7 @@ def kernel_agreement(n_rep):
                 trial = generate_trial(spec, (cfg.seed, rep))
                 for t in schedule_analyses(trial, spec):
                     worst = max(worst, snapshot_matches_reference(trial, t, spec))
-                worst = max(worst, snapshot_matches_reference(
-                    trial, spec.stage1_cutoff, spec, with_hr=True))
+                worst = max(worst, snapshot_matches_reference(trial, spec.stage1_cutoff, spec))
     return worst
 
 
@@ -296,8 +296,8 @@ def test_snapshot_kernel_hand_built_edges():
         assert key in snap.zero_event_slots
     # At the stage-1 cutoff no stage-2 patient is enrolled: every stage-2 slot
     # is empty and the pooled slots are the stage-1 slots.
-    cut = snapshot_at(trial, spec.stage1_cutoff, spec, with_hr=True)
-    snapshot_matches_reference(trial, spec.stage1_cutoff, spec, with_hr=True)
+    cut = snapshot_at(trial, spec.stage1_cutoff, spec)
+    snapshot_matches_reference(trial, spec.stage1_cutoff, spec)
     for pop in Population:
         for ep in Endpoint:
             assert (cut.z[("stage2", pop, ep)], cut.events[("stage2", pop, ep)]) == (0.0, 0)
@@ -320,3 +320,5 @@ def test_futility_hazard_ratios_bit_identical():
         sub = cox_hazard_ratio(*_censor(trial, Endpoint.PFS, spec.stage1_cutoff,
                                         stage1 & trial.in_subgroup))
         assert snap.hr_full == full and snap.hr_sub == sub
+        # The futility snapshot computes no logrank slot.
+        assert snap.events == snap.z == snap.p == {} and snap.zero_event_slots == ()
