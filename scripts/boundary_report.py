@@ -10,12 +10,7 @@ conditional-recursion integrator, library multivariate-normal CDF).
 import pathlib
 import sys
 
-from gatedgsd.boundaries import (
-    SpendingFunction,
-    compute_boundaries,
-    crossing_probability,
-    crossing_probability_mvn,
-)
+from gatedgsd.boundaries import compute_boundaries, crossing_probability, crossing_probability_mvn
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.multiplicity import HYPOTHESES
 
@@ -30,7 +25,7 @@ def main() -> int:
         for h in HYPOTHESES:
             alpha = gsd.initial_alphas[h]
             fr = gsd.fractions[h]
-            b = compute_boundaries(alpha, fr, SpendingFunction())
+            b = compute_boundaries(alpha, fr)
             routes = (crossing_probability(b), crossing_probability_mvn(b))
             zs = "  ".join(f"{z:7.4f}" for z in b.z_bounds)
             ps = "  ".join(f"{p:9.3g}" for p in b.nominal_p)

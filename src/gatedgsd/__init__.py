@@ -1,9 +1,9 @@
 """Design evaluation for gated group sequential trials with subpopulation
 selection and dual time-to-event endpoints."""
 
-from .boundaries import (BoundarySet, SpendingFunction, cached_boundaries,
-                         compute_boundaries, crossing_probability,
-                         crossing_probability_mvn)
+from .boundaries import (BoundarySet, cached_boundaries, compute_boundaries,
+                         crossing_probability, crossing_probability_mvn,
+                         ldobf_spend)
 from .combine import Scenario, StageWeights, event_weights, inverse_normal
 from .engine import (AnalysisRecord, DecisionTrace, DesignKind, DesignSpec,
                      ObservedData, TestRecord, analyze_observed,

@@ -1,15 +1,15 @@
 """Lan-DeMets O'Brien-Fleming alpha spending and group-sequential efficacy
 boundaries.
 
-All three designs spend alpha by this one function. Boundaries are solved
-look by look by recursive numerical integration (Jennison & Turnbull 2000,
-Group Sequential Methods, ch. 19): the sub-density of the underlying
-Brownian-motion statistic is propagated on a quadrature grid restricted to
-the continuation region, and each critical value is the root of
-"incremental crossing probability equals incremental alpha spend". The
-crossing probability's slope in the critical value is minus the
-statistic's sub-density there, so each root is found by safeguarded
-Newton in a handful of evaluations.
+All three designs spend alpha by this one function, `ldobf_spend`.
+Boundaries are solved look by look by recursive numerical integration
+(Jennison & Turnbull 2000, Group Sequential Methods, ch. 19): the
+sub-density of the underlying Brownian-motion statistic is propagated on
+a quadrature grid restricted to the continuation region, and each
+critical value is the root of "incremental crossing probability equals
+incremental alpha spend". The crossing probability's slope in the
+critical value is minus the statistic's sub-density there, so each root
+is found by safeguarded Newton in a handful of evaluations.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from scipy.special import erfc
 from .numerics import find_root, gauss_grid, norm_cdf, norm_kernel, norm_pdf, norm_quantile
 
 __all__ = [
-    "SpendingFunction",
+    "ldobf_spend",
     "BoundarySet",
     "SpendingError",
     "compute_boundaries",
@@ -39,24 +39,25 @@ __all__ = [
 _GRID_NODES = 320
 _GRID_SD = 6.5
 _Z_CAP = 12.0  # saturate instead of chasing underflowing spends
+# The certifying routes: `crossing_probability`'s Z-scale grid and the
+# absolute error target of the multivariate-normal CDF.
+_CROSSING_NODES = 480
+_MVN_ABSEPS = 1e-8
 
 
 class SpendingError(ValueError):
     """Raised for infeasible (non-increasing) cumulative spend."""
 
 
-@dataclass(frozen=True)
-class SpendingFunction:
+def ldobf_spend(alpha_total: float, t: float) -> float:
     """Lan-DeMets O'Brien-Fleming cumulative one-sided alpha spend s(t; alpha)."""
-
-    def __call__(self, alpha_total: float, t: float) -> float:
-        if not 0.0 < alpha_total < 0.5:
-            raise ValueError(f"alpha_total must be in (0, 0.5), got {alpha_total}")
-        if t <= 0.0:
-            raise ValueError(f"information fraction must be positive, got {t}")
-        if t >= 1.0:
-            return alpha_total
-        return 2.0 * (1.0 - norm_cdf(norm_quantile(1.0 - alpha_total / 2.0) / math.sqrt(t)))
+    if not 0.0 < alpha_total < 0.5:
+        raise ValueError(f"alpha_total must be in (0, 0.5), got {alpha_total}")
+    if t <= 0.0:
+        raise ValueError(f"information fraction must be positive, got {t}")
+    if t >= 1.0:
+        return alpha_total
+    return 2.0 * (1.0 - norm_cdf(norm_quantile(1.0 - alpha_total / 2.0) / math.sqrt(t)))
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,6 @@ class BoundarySet:
     fractions: Tuple[float, ...]
     z_bounds: Tuple[float, ...]
     nominal_p: Tuple[float, ...]
-    alpha_total: float
 
     def __len__(self) -> int:
         return len(self.fractions)
@@ -83,12 +83,8 @@ def _validate_fractions(fractions: Sequence[float]) -> Tuple[float, ...]:
     return fr
 
 
-def compute_boundaries(
-    alpha_total: float,
-    fractions: Sequence[float],
-    fn: SpendingFunction = SpendingFunction(),
-) -> BoundarySet:
-    """Solve the z-boundaries that realize the spending function.
+def compute_boundaries(alpha_total: float, fractions: Sequence[float]) -> BoundarySet:
+    """Solve the z-boundaries that realize `ldobf_spend`.
 
     Works on the S-scale (S_k = sqrt(t_k) Z_k has independent increments).
     Each look's critical value b solves "crossing probability at b equals the
@@ -104,7 +100,7 @@ def compute_boundaries(
     density = None  # sub-density values on grid.points
     z_bounds = []
     for k, t in enumerate(fr):
-        spent = fn(alpha_total, t)
+        spent = ldobf_spend(alpha_total, t)
         inc = spent - spent_prev
         if inc < -1e-15:
             raise SpendingError(
@@ -142,15 +138,10 @@ def compute_boundaries(
             grid, density = new_grid, new_density
         spent_prev = spent
     nominal = tuple(1.0 - norm_cdf(c) for c in z_bounds)
-    return BoundarySet(
-        fractions=fr,
-        z_bounds=tuple(z_bounds),
-        nominal_p=nominal,
-        alpha_total=alpha_total,
-    )
+    return BoundarySet(fractions=fr, z_bounds=tuple(z_bounds), nominal_p=nominal)
 
 
-def crossing_probability(bounds: BoundarySet, grid_nodes: int = 480) -> float:
+def crossing_probability(bounds: BoundarySet) -> float:
     """P(Z_k >= c_k for some k) under H0.
 
     Forward pass written independently of compute_boundaries: it works on the
@@ -164,19 +155,19 @@ def crossing_probability(bounds: BoundarySet, grid_nodes: int = 480) -> float:
     if len(bounds) == 1:
         return 1.0 - norm_cdf(cb[0])
     lo = -9.0
-    grid = gauss_grid(lo, cb[0], grid_nodes)
+    grid = gauss_grid(lo, cb[0], _CROSSING_NODES)
     density = norm_pdf(grid.points)
     for k in range(1, len(bounds)):
         r = math.sqrt(fr[k - 1] / fr[k])
         s = math.sqrt(1.0 - r * r)
-        new_grid = gauss_grid(lo, cb[k], grid_nodes)
+        new_grid = gauss_grid(lo, cb[k], _CROSSING_NODES)
         kernel = norm_kernel(new_grid.points, r * grid.points, s)
         density = kernel @ (grid.weights * density)
         grid = new_grid
     return float(1.0 - np.sum(grid.weights * density))
 
 
-def crossing_probability_mvn(bounds: BoundarySet, abseps: float = 1e-8) -> float:
+def crossing_probability_mvn(bounds: BoundarySet) -> float:
     """Same quantity via the multivariate-normal CDF over the canonical
     correlation Cov(Z_i, Z_j) = sqrt(t_i / t_j). Slow but a third,
     library-backed route used to certify the other two in tests.
@@ -193,7 +184,7 @@ def crossing_probability_mvn(bounds: BoundarySet, abseps: float = 1e-8) -> float
     upper = np.minimum(np.asarray(bounds.z_bounds), 38.0)
     p_none = multivariate_normal.cdf(
         upper, mean=np.zeros(k), cov=cov, allow_singular=True,
-        maxpts=2_000_000 * k, abseps=abseps, releps=0.0)
+        maxpts=2_000_000 * k, abseps=_MVN_ABSEPS, releps=0.0)
     return float(1.0 - p_none)
 
 

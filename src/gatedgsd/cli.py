@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
         paths["trials"] = path
 
     with open(args.config) as f:
-        config_echo = {"path": os.path.abspath(args.config), "text": f.read()}
+        config_echo = {"path": os.path.relpath(args.config), "text": f.read()}
     manifest = write_manifest(out_dir, config_echo, seed, reps, paths,
                               extra={"setting": config.name})
     print(f"wrote {', '.join(sorted(os.path.basename(p) for p in paths.values()))} "
@@ -119,9 +119,9 @@ def cmd_analyze(args) -> int:
     config = _load_config(args)
     if config.observed is None:
         raise SystemExit("error: config has no `observed` section to analyze")
-    designs = {d.label.split(":")[0]: d for d in build_designs(config)}
+    designs = {d.kind.value: d for d in build_designs(config)}
     outputs = {}
-    for slug, observed in config.observed.per_design.items():
+    for slug, observed in config.observed.items():
         design = designs[slug]
         trace = analyze_observed(design, observed)
         narrative = render_narrative(trace)
@@ -130,13 +130,9 @@ def cmd_analyze(args) -> int:
         print(narrative)
     if args.out:
         text = json.dumps(_sanitize_nan(outputs), indent=2, sort_keys=True,
-                          allow_nan=False, default=_json_safe) + "\n"
+                          allow_nan=False) + "\n"
         atomic_write_text(os.path.join(args.out, "analysis.json"), text)
     return 0
-
-
-def _json_safe(obj):
-    raise TypeError(f"not JSON serializable: {obj!r}")
 
 
 def _sanitize_nan(obj):

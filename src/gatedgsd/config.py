@@ -4,11 +4,15 @@ A config bundles the data-generating scenario, the per-design alpha
 allocations, the combination-test weight sets, simulation controls, and
 (optionally) observed values for an analyze run. Validation is collected:
 every problem in the file is reported in one pass, with its field path.
+
+Weight sets and observed values come out as plain mappings: weight-set
+label -> the arms' `DesignSpec.weights` (None for event-driven weights),
+and design slug -> `ObservedData`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -19,7 +23,7 @@ from .futility import FutilityRule
 from .multiplicity import HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population
 from .simdata import AnalysisTrigger, ScenarioSpec
 
-__all__ = ["ConfigError", "RunConfig", "WeightSet", "parse_config", "build_designs"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "build_designs"]
 
 _ENDPOINTS = {"pfs": Endpoint.PFS, "os": Endpoint.OS}
 # libyaml's loader when PyYAML was built with it: the same documents and
@@ -36,25 +40,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class WeightSet:
-    """One pre-specified combination-weight choice per endpoint and look."""
-
-    label: str
-    event_driven: bool = False
-    pfs: Tuple[StageWeights, ...] = ()
-    os: Tuple[StageWeights, ...] = ()
-
-    def for_endpoint(self, ep: Endpoint) -> Tuple[StageWeights, ...]:
-        return self.pfs if ep is Endpoint.PFS else self.os
-
-
-@dataclass(frozen=True)
-class ObservedConfig:
-    # design slug -> ObservedData
-    per_design: Dict[str, ObservedData] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     name: str
     alpha: float
@@ -63,10 +48,11 @@ class RunConfig:
     fractions: Dict[HypothesisId, Tuple[float, ...]]
     endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]
     futility: FutilityRule
-    weight_sets: Tuple[WeightSet, ...]
+    # weight-set label -> its AD/gGSD arms' `DesignSpec.weights`, in file order
+    weight_sets: Dict[str, Optional[Dict[Endpoint, Tuple[StageWeights, ...]]]]
     reps: int
     seed: int
-    observed: Optional[ObservedConfig] = None
+    observed: Optional[Dict[str, ObservedData]] = None  # design slug -> observed values
 
 
 def _is_number(v, integer: bool = False) -> bool:
@@ -221,11 +207,11 @@ def _parse_weight_pairs(col: _Collector, raw, path: str,
     return tuple(out)
 
 
-def _parse_weights(col: _Collector, raw, looks: Dict[Endpoint, int]) -> Tuple[WeightSet, ...]:
+def _parse_weights(col: _Collector, raw, looks: Dict[Endpoint, int]) -> Dict[str, Optional[dict]]:
     if not isinstance(raw, list) or not raw:
         col.fail("weights", "expected a nonempty list of weight sets")
-        return ()
-    sets, labels = [], set()
+        return {}
+    sets: Dict[str, Optional[dict]] = {}
     for i, entry in enumerate(raw):
         path = f"weights[{i}]"
         m = col.expect_map(entry, path, ("label", "event_driven", "pfs", "os"), ("label",))
@@ -233,18 +219,14 @@ def _parse_weights(col: _Collector, raw, looks: Dict[Endpoint, int]) -> Tuple[We
         if not isinstance(label, str) or not label:
             col.fail(f"{path}.label", "expected a nonempty string")
             continue
-        if label in labels:
+        if label in sets:
             col.fail(f"{path}.label", f"duplicate weight-set label {label!r}")
-        labels.add(label)
         if m.get("event_driven", False):
-            sets.append(WeightSet(label=label, event_driven=True))
+            sets[label] = None
             continue
-        sets.append(WeightSet(
-            label=label,
-            pfs=_parse_weight_pairs(col, m.get("pfs"), f"{path}.pfs", looks[Endpoint.PFS]),
-            os=_parse_weight_pairs(col, m.get("os"), f"{path}.os", looks[Endpoint.OS]),
-        ))
-    return tuple(sets)
+        sets[label] = {ep: _parse_weight_pairs(col, m.get(slug), f"{path}.{slug}", looks[ep])
+                       for slug, ep in _ENDPOINTS.items()}
+    return sets
 
 
 def _analysis_index(col: _Collector, key, path: str) -> Optional[int]:
@@ -257,7 +239,7 @@ def _analysis_index(col: _Collector, key, path: str) -> Optional[int]:
 
 
 def _parse_observed(col: _Collector, raw,
-                    endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]) -> Optional[ObservedConfig]:
+                    endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]) -> Dict[str, ObservedData]:
     m = col.expect_map(raw, "observed", ("hr_full", "hr_sub", "p_values"), ("p_values",))
     pv = m.get("p_values", {})
     if not isinstance(pv, dict):
@@ -300,7 +282,7 @@ def _parse_observed(col: _Collector, raw,
             p_values[h] = per_look
         per_design[design_slug] = ObservedData(
             hr_full=hr_full, hr_sub=hr_sub, p_values=p_values)
-    return ObservedConfig(per_design=per_design)
+    return per_design
 
 
 def parse_config(path: str) -> RunConfig:
@@ -362,6 +344,8 @@ def parse_config(path: str) -> RunConfig:
                     _is_number(v) and 0 < v <= 1 for v in val):
                 col.fail(pth, f"expected a list of fractions in (0, 1], got {val!r}")
                 continue
+            if any(b <= a for a, b in zip(val, val[1:])):
+                col.fail(pth, f"fractions must be strictly increasing, got {val!r}")
             if len(val) != len(endpoint_analyses.get(ep, ())):
                 col.fail(pth, f"{len(val)} fractions but endpoint has "
                               f"{len(endpoint_analyses.get(ep, ()))} planned analyses")
@@ -378,11 +362,12 @@ def parse_config(path: str) -> RunConfig:
 
     fut_raw = col.expect_map(designs.get("futility", {}), "designs.futility",
                              ("theta_full", "theta_sub"), ("theta_full", "theta_sub"))
-    futility = None
-    tf = col.number(fut_raw, "designs.futility", "theta_full", lo=0.0)
-    ts = col.number(fut_raw, "designs.futility", "theta_sub", lo=0.0)
-    if tf and ts:
-        futility = FutilityRule(theta_full=tf, theta_sub=ts)
+    thetas = {}
+    for key in ("theta_full", "theta_sub"):
+        thetas[key] = col.number(fut_raw, "designs.futility", key, lo=0.0)
+        if thetas[key] == 0.0:
+            col.fail(f"designs.futility.{key}", "expected a hazard-ratio threshold > 0, got 0")
+    futility = FutilityRule(**thetas) if all(thetas.values()) else None
 
     looks = {ep: len(v) for ep, v in endpoint_analyses.items()}
     weight_sets = _parse_weights(col, top.get("weights"), looks)
@@ -419,14 +404,11 @@ def build_designs(config: RunConfig) -> List[DesignSpec]:
     try:
         arms.append(DesignSpec(kind=DesignKind.GSD, label="gsd",
                                initial_alphas=config.alphas["gsd"], **common))
-        for ws in config.weight_sets:
-            weights = {} if ws.event_driven else {
-                ep: ws.for_endpoint(ep) for ep in Endpoint}
-            shared = dict(weights=weights, event_driven_weights=ws.event_driven,
-                          futility=config.futility, **common)
-            arms.append(DesignSpec(kind=DesignKind.AD, label=f"ad:{ws.label}",
+        for label, weights in config.weight_sets.items():
+            shared = dict(weights=weights, futility=config.futility, **common)
+            arms.append(DesignSpec(kind=DesignKind.AD, label=f"ad:{label}",
                                    initial_alphas=config.alphas["gsd"], **shared))
-            arms.append(DesignSpec(kind=DesignKind.GGSD, label=f"ggsd:{ws.label}",
+            arms.append(DesignSpec(kind=DesignKind.GGSD, label=f"ggsd:{label}",
                                    initial_alphas=config.alphas["ggsd"], **shared))
     except ValueError as exc:
         raise ConfigError([f"designs: {exc}"]) from exc

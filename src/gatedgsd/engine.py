@@ -132,8 +132,9 @@ class DesignSpec:
     initial_alphas: Dict[HypothesisId, float]
     fractions: Dict[HypothesisId, Tuple[float, ...]]
     endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]
-    weights: Dict[Endpoint, Tuple[StageWeights, ...]] = field(default_factory=dict)
-    event_driven_weights: bool = False
+    # AD/gGSD: pre-specified weights per endpoint and look, or None for
+    # event-driven weights (`combine.event_weights`). GSD reads none.
+    weights: Optional[Dict[Endpoint, Tuple[StageWeights, ...]]] = field(default_factory=dict)
     futility: Optional[FutilityRule] = None
     label: str = ""
 
@@ -171,7 +172,7 @@ class DesignSpec:
             raise DesignConfigError(f"at most {len(ANALYSIS_NAMES)} analyses can be planned")
         if self.kind is not DesignKind.GSD and self.futility is None:
             raise DesignConfigError(f"{self.kind.value} requires a futility rule")
-        if not self.event_driven_weights and self.kind is not DesignKind.GSD:
+        if self.kind is not DesignKind.GSD and self.weights is not None:
             for ep in Endpoint:
                 w = self.weights.get(ep)
                 if w is None or len(w) != len(self.endpoint_analyses[ep]):
@@ -328,7 +329,7 @@ class _Plan:
         for ep in Endpoint:
             key = f"{scenario.value}/{ep.value}" if self.gated else None
             for look, k in enumerate(design.endpoint_analyses[ep]):
-                w = None if key is None or design.event_driven_weights else design.weights[ep][look]
+                w = None if key is None or design.weights is None else design.weights[ep][look]
                 self.loads[k].append((ep, look, key, w))
         self._rows = [[None, None] for _ in HYPOTHESES]
 
@@ -566,6 +567,12 @@ def _event_driven_weights(snap: AnalysisSnapshot, ep: Endpoint) -> StageWeights:
     return event_weights(n1, n2)
 
 
+def _score(p: float) -> Tuple[float, bool]:
+    """q = Phi^-1(1 - p) of the clamped p-value, and whether clamping fired."""
+    p, clamped = clamp_p(p)
+    return norm_quantile(1.0 - p), clamped
+
+
 def _scores(snap: AnalysisSnapshot, scenario: Scenario, ep: Endpoint, key: str):
     """(target, q1, q2, clamped) per target that `scenario` tests on `ep`:
     the FS intersection, then each continuing population's hypothesis, with
@@ -581,9 +588,8 @@ def _scores(snap: AnalysisSnapshot, scenario: Scenario, ep: Endpoint, key: str):
         wired += [(_INDEX[HypothesisId(pop, ep)], p1[pop], p2[pop]) for pop in pops]
         rows = []
         for i, a, b in wired:
-            a, clamped1 = clamp_p(a)
-            b, clamped2 = clamp_p(b)
-            rows.append((i, norm_quantile(1.0 - a), norm_quantile(1.0 - b), clamped1 or clamped2))
+            (q1, clamped1), (q2, clamped2) = _score(a), _score(b)
+            rows.append((i, q1, q2, clamped1 or clamped2))
         table = snap.scores[key] = tuple(rows)
     return table
 
@@ -637,11 +643,6 @@ class ObservedData:
     p_values: Mapping[HypothesisId, Mapping[int, float]] = field(default_factory=dict)
 
 
-def _observed_z(p: float) -> float:
-    p, _ = clamp_p(p)
-    return norm_quantile(1.0 - p)
-
-
 def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
     """Each continuing population's given p-value; for AD and gGSD then the
     FS intersection's, once all continuing populations have one."""
@@ -653,9 +654,9 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
             p_h = observed.p_values.get(h, {}).get(k)
             if p_h is not None:
                 p[pop] = p_h
-                eng.enter(_INDEX[h], look, _observed_z(p_h))
+                eng.enter(_INDEX[h], look, _score(p_h)[0])
         if plan.gated and len(p) == len(plan.pops):
-            eng.enter(_FS_INDEX[ep], look, _observed_z(_joint_p(p, plan.pops)))
+            eng.enter(_FS_INDEX[ep], look, _score(_joint_p(p, plan.pops))[0])
     _check_required_slots(eng, k)
 
 

@@ -25,12 +25,10 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Fixed quadrature grid: abscissae, weights, and the covered range."""
+    """Fixed quadrature grid: abscissae and weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    lo: float
-    hi: float
 
     def __post_init__(self):
         if len(self.points) != len(self.weights):
@@ -55,7 +53,7 @@ def gauss_grid(lo: float, hi: float, n: int) -> Grid:
         raise ValueError(f"empty integration range [{lo}, {hi}]")
     x, w = _leggauss(n)
     half = 0.5 * (hi - lo)
-    return Grid(points=half * (x + 1.0) + lo, weights=half * w, lo=lo, hi=hi)
+    return Grid(points=half * (x + 1.0) + lo, weights=half * w)
 
 
 def norm_cdf(x: float) -> float:

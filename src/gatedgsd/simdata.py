@@ -18,7 +18,7 @@ fits. `logrank_test` is the same kernel with a single slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+# Cox fits: Newton from log HR = 0 stops once |score| < _COX_TOL, or after
+# _COX_MAX_ITER steps.
+_COX_TOL = 1e-8
+_COX_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -86,19 +90,7 @@ class ScenarioSpec:
     def under_global_null(self) -> "ScenarioSpec":
         """Copy with every hazard ratio forced to 1 (FWER runs)."""
         ones = {ep: 1.0 for ep in Endpoint}
-        return ScenarioSpec(
-            name=f"{self.name}-null",
-            sample_size=self.sample_size,
-            sub_prevalence=self.sub_prevalence,
-            enroll_duration=self.enroll_duration,
-            stage1_cutoff=self.stage1_cutoff,
-            median_sub=dict(self.median_sub),
-            median_complement=dict(self.median_complement),
-            hr_sub=ones,
-            hr_complement=dict(ones),
-            annual_dropout=dict(self.annual_dropout),
-            triggers=self.triggers,
-        )
+        return replace(self, name=f"{self.name}-null", hr_sub=ones, hr_complement=dict(ones))
 
 
 class TrialData:
@@ -296,25 +288,27 @@ def logrank_test(duration: np.ndarray, status: np.ndarray, experimental: np.ndar
                           experimental[order].astype(np.intp), _ONE_SLOT)[0]
 
 
-def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray, experimental: np.ndarray,
-                     tol: float = 1e-8, max_iter: int = 50) -> float:
+def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
+                     experimental: np.ndarray) -> float:
     """Cox partial-likelihood HR for a single treatment indicator.
 
     Breslow tie handling; Newton iteration from log HR = 0 until the score
-    drops below tol.
+    drops below `_COX_TOL`.
     """
-    if status.sum() == 0:
-        raise ValueError("no events: hazard ratio is not estimable")
     order = np.argsort(duration, kind="stable")
-    d = duration[order]
-    s = status[order]
-    x = experimental[order].astype(np.float64)
-    n = len(d)
+    return _cox_sorted(duration[order], status[order], experimental[order])
+
+
+def _cox_sorted(d: np.ndarray, s: np.ndarray, experimental: np.ndarray) -> float:
+    """`cox_hazard_ratio` of rows already in stable ascending duration order."""
+    if s.sum() == 0:
+        raise ValueError("no events: hazard ratio is not estimable")
+    x = experimental.astype(np.float64)
     at_risk_start = np.searchsorted(d, d[s], side="left")  # first index still at risk
     x_events = x[s]
     # Risk-set sums computed from reverse cumulative sums.
     beta = 0.0
-    for _ in range(max_iter):
+    for _ in range(_COX_MAX_ITER):
         w = np.exp(beta * x)
         rev_w = np.cumsum(w[::-1])[::-1]
         rev_wx = np.cumsum((w * x)[::-1])[::-1]
@@ -327,7 +321,7 @@ def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray, experimental: np.
             break
         step = score / info
         beta += step
-        if abs(score) < tol:
+        if abs(score) < _COX_TOL:
             break
     return math.exp(beta)
 
@@ -388,9 +382,8 @@ def _stage1_hazard_ratios(trial: TrialData, time: float, spec: ScenarioSpec):
     dur, st, arm = _censor(trial, Endpoint.PFS, time, stage1)
     order = np.argsort(dur, kind="stable")
     d, s, x = dur[order], st[order], arm[order]
-    sub = trial.in_subgroup[stage1][order]
-    return tuple(cox_hazard_ratio(d[rows], s[rows], x[rows]) if s[rows].any() else None
-                 for rows in (slice(None), sub))
+    return tuple(_cox_sorted(d[rows], s[rows], x[rows]) if s[rows].any() else None
+                 for rows in (slice(None), trial.in_subgroup[stage1][order]))
 
 
 def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,

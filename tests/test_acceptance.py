@@ -22,7 +22,6 @@ import pytest
 import scipy.stats
 
 from gatedgsd.boundaries import (
-    SpendingFunction,
     compute_boundaries,
     crossing_probability,
     crossing_probability_mvn,
@@ -80,13 +79,13 @@ def rate(agg, attr):
 
 
 def test_c1_single_look():
-    b = compute_boundaries(0.025, (1.0,), SpendingFunction())
+    b = compute_boundaries(0.025, (1.0,))
     assert b.z_bounds[0] == pytest.approx(1.95996, abs=1e-4)
 
 
 def test_c1_two_equal_looks_vs_oracle():
     # frozen output of an independently coded fine-grid integration oracle
-    b = compute_boundaries(0.025, (0.5, 1.0), SpendingFunction())
+    b = compute_boundaries(0.025, (0.5, 1.0))
     assert b.z_bounds[0] == pytest.approx(2.9625881, abs=2e-3)
     assert b.z_bounds[1] == pytest.approx(1.9685956, abs=2e-3)
     # third route: library multivariate-normal integration
@@ -104,7 +103,7 @@ def test_c1_round_trip_50_designs_under_1s():
         if any(b - a < 0.02 for a, b in zip(fr, fr[1:])):
             continue
         alpha = float(rng.uniform(0.005, 0.05))
-        b = compute_boundaries(alpha, fr, SpendingFunction())
+        b = compute_boundaries(alpha, fr)
         assert crossing_probability(b) == pytest.approx(alpha, abs=1e-5)
         checked += 1
     assert time.perf_counter() - start < 1.0

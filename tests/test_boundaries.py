@@ -23,18 +23,18 @@ import gatedgsd
 from gatedgsd import boundaries, engine
 from gatedgsd.boundaries import (
     BoundarySet,
-    SpendingFunction,
     cached_boundaries,
     compute_boundaries,
     crossing_probability,
     crossing_probability_mvn,
+    ldobf_spend,
 )
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.numerics import BracketError, norm_cdf
 
 CONFIG_DIR = Path(gatedgsd.__file__).resolve().parent / "configs"
 
-LDOBF = SpendingFunction()
+LDOBF = ldobf_spend
 
 # Frozen oracle values (fine-grid recursion, independent implementation).
 SINGLE_LOOK = 1.9599640
@@ -60,18 +60,18 @@ def test_spending_monotone():
 
 
 def test_single_look_is_fixed_sample_critical_value():
-    b = compute_boundaries(0.025, (1.0,), LDOBF)
+    b = compute_boundaries(0.025, (1.0,))
     assert b.z_bounds[0] == pytest.approx(SINGLE_LOOK, abs=1e-4)
 
 
 def test_two_equal_looks_against_oracle():
-    b = compute_boundaries(0.025, (0.5, 1.0), LDOBF)
+    b = compute_boundaries(0.025, (0.5, 1.0))
     for got, want in zip(b.z_bounds, TWO_EQUAL_LOOKS):
         assert got == pytest.approx(want, abs=2e-3)
 
 
 def test_three_look_design_frozen():
-    b = compute_boundaries(0.025, (0.69, 0.92, 1.0), LDOBF)
+    b = compute_boundaries(0.025, (0.69, 0.92, 1.0))
     for got, want in zip(b.z_bounds, THREE_LOOKS_69_92):
         assert got == pytest.approx(want, abs=2e-4)
     # nominal one-sided p-values of the boundaries
@@ -81,7 +81,7 @@ def test_three_look_design_frozen():
 
 
 def test_two_look_90_percent_frozen():
-    b = compute_boundaries(0.025, (0.90, 1.0), LDOBF)
+    b = compute_boundaries(0.025, (0.90, 1.0))
     for got, want in zip(b.z_bounds, TWO_LOOKS_90):
         assert got == pytest.approx(want, abs=2e-4)
 
@@ -96,7 +96,7 @@ def test_round_trip_randomized_designs_under_one_second():
         if any(b - a < 0.02 for a, b in zip(fr, fr[1:])):
             continue
         alpha = float(rng.uniform(0.005, 0.05))
-        b = compute_boundaries(alpha, fr, LDOBF)
+        b = compute_boundaries(alpha, fr)
         assert crossing_probability(b) == pytest.approx(alpha, abs=1e-5)
     assert time.perf_counter() - start < 1.0
 
@@ -192,7 +192,7 @@ def test_newton_evaluations_per_look(monkeypatch):
 
 def test_crossing_probability_routes_agree():
     for fr in ((0.5, 1.0), (0.69, 0.92, 1.0), (0.25, 0.5, 0.75, 1.0)):
-        b = compute_boundaries(0.025, fr, LDOBF)
+        b = compute_boundaries(0.025, fr)
         fast = crossing_probability(b)
         mvn = crossing_probability_mvn(b)
         assert fast == pytest.approx(mvn, abs=5e-7)
@@ -200,33 +200,33 @@ def test_crossing_probability_routes_agree():
 
 
 def test_first_look_boundary_decreases_with_later_first_look():
-    zs = [compute_boundaries(0.025, (t, 1.0), LDOBF).z_bounds[0]
+    zs = [compute_boundaries(0.025, (t, 1.0)).z_bounds[0]
           for t in (0.3, 0.5, 0.7, 0.9)]
     assert all(b < a for a, b in zip(zs, zs[1:]))
 
 
 def test_boundaries_decrease_with_larger_alpha():
-    lo = compute_boundaries(0.01, (0.5, 1.0), LDOBF)
-    hi = compute_boundaries(0.025, (0.5, 1.0), LDOBF)
+    lo = compute_boundaries(0.01, (0.5, 1.0))
+    hi = compute_boundaries(0.025, (0.5, 1.0))
     assert all(h < l for l, h in zip(lo.z_bounds, hi.z_bounds))
 
 
 def test_invalid_fractions_rejected():
     with pytest.raises(ValueError):
-        compute_boundaries(0.025, (0.5, 0.5, 1.0), LDOBF)
+        compute_boundaries(0.025, (0.5, 0.5, 1.0))
     with pytest.raises(ValueError):
-        compute_boundaries(0.025, (0.0, 1.0), LDOBF)
+        compute_boundaries(0.025, (0.0, 1.0))
     with pytest.raises(ValueError):
-        compute_boundaries(0.025, (0.5, 1.2), LDOBF)
+        compute_boundaries(0.025, (0.5, 1.2))
     with pytest.raises(ValueError):
-        compute_boundaries(0.6, (1.0,), LDOBF)
+        compute_boundaries(0.6, (1.0,))
 
 
 def test_cached_boundaries_identical_and_shared():
     a = cached_boundaries(0.025, (0.69, 0.92, 1.0))
     b = cached_boundaries(0.025, (0.69, 0.92, 1.0))
     assert a is b
-    assert a.z_bounds == compute_boundaries(0.025, (0.69, 0.92, 1.0), LDOBF).z_bounds
+    assert a.z_bounds == compute_boundaries(0.025, (0.69, 0.92, 1.0)).z_bounds
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,7 +236,7 @@ def test_cached_boundaries_identical_and_shared():
     t2=st.floats(min_value=0.75, max_value=0.98),
 )
 def test_round_trip_property(alpha, t1, t2):
-    b = compute_boundaries(alpha, (t1, t2, 1.0), LDOBF)
+    b = compute_boundaries(alpha, (t1, t2, 1.0))
     assert crossing_probability(b) == pytest.approx(alpha, abs=1e-5)
     assert all(z > 0 for z in b.z_bounds)
 

@@ -68,6 +68,8 @@ def test_simulate_artifacts_and_determinism(tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     # content hash over all tables is identical across reruns
     assert manifest["content_sha256"] == m2["content_sha256"]
+    # the config path does not name the machine it ran on
+    assert not Path(manifest["config"]["path"]).is_absolute()
 
 
 def test_simulate_seed_override_changes_outputs(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from gatedgsd import config
-from gatedgsd.config import ConfigError, WeightSet, build_designs, parse_config
+from gatedgsd.config import ConfigError, build_designs, parse_config
 from gatedgsd.engine import DesignKind
 from gatedgsd.multiplicity import H_S_OS, Endpoint
 
@@ -47,10 +47,10 @@ def test_design_arms_carry_expected_alphas():
 
 def test_event_driven_weight_set():
     cfg = parse_config(CONFIG_DIR / "setting1.yaml")
-    ev = [w for w in cfg.weight_sets if w.event_driven]
-    assert len(ev) == 1 and ev[0].label == "event_driven"
+    assert [label for label, w in cfg.weight_sets.items() if w is None] == ["event_driven"]
     arms = {d.label: d for d in build_designs(cfg)}
-    assert arms["ggsd:event_driven"].event_driven_weights
+    assert arms["ggsd:event_driven"].weights is None
+    assert arms["ggsd:0.5"].weights[Endpoint.OS] == cfg.weight_sets["0.5"][Endpoint.OS]
 
 
 @pytest.fixture
@@ -198,14 +198,17 @@ BOOLEAN_CASES = {
 }
 
 
+def _put(doc, where, value):
+    for key in where[:-1]:
+        doc = doc[key]
+    doc[where[-1]] = value
+
+
 @pytest.mark.parametrize("field", BOOLEAN_CASES)
 def test_yaml_boolean_rejected_as_number(tmp_path, field):
     where, value, path = BOOLEAN_CASES[field]
     doc = _table5_doc()
-    node = doc
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = value
+    _put(doc, where, value)
     with pytest.raises(ConfigError, match=path + ": .*True"):
         parse_config(write(tmp_path, doc))
 
@@ -216,4 +219,30 @@ def test_observed_p_value_at_unplanned_look_rejected(tmp_path):
     doc["observed"]["p_values"]["gsd"]["sub_pfs"]["FA"] = 0.000000001
     with pytest.raises(ConfigError, match=r"observed\.p_values\.gsd\.sub_pfs\.FA: pfs has no "
                                           r"planned look at FA"):
+        parse_config(write(tmp_path, doc))
+
+
+# -- values no design can use are rejected where they are written ------------
+
+
+# case -> (where in setting2, the value, error path and message)
+UNUSABLE_CASES = {
+    # boundaries need strictly increasing information; unchecked, the config
+    # builds its arms and fails only when `simulate` solves a boundary
+    "fractions_not_increasing": (("designs", "fractions", "sub", "os"), [0.73, 0.60, 1.0],
+                                 r"designs\.fractions\.sub\.os: fractions must be strictly "
+                                 r"increasing"),
+    # no hazard ratio passes a zero threshold; unchecked, the futility rule
+    # is dropped and the error names no field
+    "zero_threshold": (("designs", "futility", "theta_full"), 0,
+                       r"designs\.futility\.theta_full: .*> 0"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_CASES)
+def test_unusable_design_value_rejected_with_field_path(tmp_path, case):
+    where, value, path = UNUSABLE_CASES[case]
+    doc = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    _put(doc, where, value)
+    with pytest.raises(ConfigError, match=path):
         parse_config(write(tmp_path, doc))

@@ -50,14 +50,14 @@ def example_config():
 
 def test_observed_replay_gsd_no_rejections(example_config):
     designs = {d.label.split(":")[0]: d for d in build_designs(example_config)}
-    trace = analyze_observed(designs["gsd"], example_config.observed.per_design["gsd"])
+    trace = analyze_observed(designs["gsd"], example_config.observed["gsd"])
     assert trace.confirmed() == {}
     assert trace.termination_reason == "reached-FA"
 
 
 def test_observed_replay_gated_sequence(example_config):
     designs = {d.label.split(":")[0]: d for d in build_designs(example_config)}
-    trace = analyze_observed(designs["ggsd"], example_config.observed.per_design["ggsd"])
+    trace = analyze_observed(designs["ggsd"], example_config.observed["ggsd"])
     assert trace.futility.selection is Selection.CONTINUE_FULL_ONLY
     assert trace.scenario is Scenario.F_ONLY
     assert trace.confirmed() == {"PFS(F)": 0, "OS(F)": 1}
@@ -70,8 +70,8 @@ def test_observed_replay_gated_sequence(example_config):
 
 def test_observed_replay_deterministic(example_config):
     designs = {d.label.split(":")[0]: d for d in build_designs(example_config)}
-    a = analyze_observed(designs["ggsd"], example_config.observed.per_design["ggsd"])
-    b = analyze_observed(designs["ggsd"], example_config.observed.per_design["ggsd"])
+    a = analyze_observed(designs["ggsd"], example_config.observed["ggsd"])
+    b = analyze_observed(designs["ggsd"], example_config.observed["ggsd"])
     # json text comparison: NaN boundary placeholders defeat dict equality
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
@@ -279,6 +279,13 @@ def test_design_spec_validation(designs2):
     with pytest.raises(DesignConfigError, match="strictly increasing"):
         dataclasses.replace(good, endpoint_analyses={Endpoint.PFS: (1, 0),
                                                      Endpoint.OS: (0, 1, 2)})
+    # an AD arm needs a weight table per endpoint; None means event-driven
+    ad = designs2["ad:0.5"]
+    with pytest.raises(DesignConfigError, match="weight table missing or misaligned"):
+        dataclasses.replace(ad, weights={})
+    for arm, event_driven in ((ad, False), (dataclasses.replace(ad, weights=None), True)):
+        ws = [w for plan in arm._plans.values() for load in plan.loads for *_, w in load]
+        assert ws and all((w is None) is event_driven for w in ws)
 
 
 # -- the wiring of simulated snapshots ------------------------------------------
@@ -306,7 +313,7 @@ def _wiring(scenario, ep, p):
 def test_scores_follow_the_wiring(setting2, designs2, scenario, ep):
     # Every arm's combined z, w1*q1 + w2*q2 on the shared scores, is bit for
     # bit combine.inverse_normal of the wired stage-wise p-values.
-    weights = {w for d in designs2.values() for w in d.weights.get(ep, ())}
+    weights = {w for d in designs2.values() for w in (d.weights or {}).get(ep, ())}
     assert weights
     snaps, _ = replication_inputs(setting2.scenario, setting2.seed, 0)
     for snap in snaps:
