@@ -124,10 +124,13 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float]) -> Bounda
                 return float(np.sum(_wd * tail)) - _inc, slope
 
         cap = _Z_CAP * sd_k
-        if excess(cap)[0] >= 0.0:
+        at_cap = excess(cap)
+        if at_cap[0] >= 0.0:
             b_k = cap
         else:
-            b_k = find_root(excess, -cap, cap, -sd_k * norm_quantile(inc), tol=1e-10)
+            # the search's upper bracket end is the cap: reuse its value
+            b_k = find_root(lambda b: at_cap if b == cap else excess(b), -cap, cap,
+                            -sd_k * norm_quantile(inc), tol=1e-10)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
             new_grid = gauss_grid(-_GRID_SD * sd_k, b_k, _GRID_NODES)

@@ -221,7 +221,13 @@ def _parse_weights(col: _Collector, raw, looks: Dict[Endpoint, int]) -> Dict[str
             continue
         if label in sets:
             col.fail(f"{path}.label", f"duplicate weight-set label {label!r}")
-        if m.get("event_driven", False):
+        event_driven = m.get("event_driven", False)
+        if not isinstance(event_driven, bool):
+            col.fail(f"{path}.event_driven", f"expected true or false, got {event_driven!r}")
+        elif event_driven:
+            for slug in _ENDPOINTS:
+                if slug in m:
+                    col.fail(f"{path}.{slug}", "a weight table cannot go with event_driven: true")
             sets[label] = None
             continue
         sets[label] = {ep: _parse_weight_pairs(col, m.get(slug), f"{path}.{slug}", looks[ep])
@@ -238,8 +244,8 @@ def _analysis_index(col: _Collector, key, path: str) -> Optional[int]:
     return None
 
 
-def _parse_observed(col: _Collector, raw,
-                    endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]) -> Dict[str, ObservedData]:
+def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tuple[int, ...]],
+                    n_weight_sets: int) -> Dict[str, ObservedData]:
     m = col.expect_map(raw, "observed", ("hr_full", "hr_sub", "p_values"), ("p_values",))
     pv = m.get("p_values", {})
     if not isinstance(pv, dict):
@@ -252,6 +258,11 @@ def _parse_observed(col: _Collector, raw,
         if design_slug not in ("gsd", "ad", "ggsd"):
             col.fail(f"observed.p_values.{design_slug}", "unknown design (gsd|ad|ggsd)")
             continue
+        if design_slug != "gsd" and n_weight_sets > 1:
+            # `analyze` replays one arm per design kind
+            col.fail(f"observed.p_values.{design_slug}",
+                     f"{n_weight_sets} weight sets make {n_weight_sets} {design_slug} arms; "
+                     f"observed values can be replayed only with one weight set")
         dmap = col.expect_map(slots, f"observed.p_values.{design_slug}",
                               tuple(HYPOTHESIS_SLUGS))
         p_values: Dict[HypothesisId, Dict[int, float]] = {}
@@ -379,7 +390,7 @@ def parse_config(path: str) -> RunConfig:
 
     observed = None
     if "observed" in top:
-        observed = _parse_observed(col, top["observed"], endpoint_analyses)
+        observed = _parse_observed(col, top["observed"], endpoint_analyses, len(weight_sets))
 
     n_analyses = 1 + max((max(v) for v in endpoint_analyses.values() if v), default=-1)
     scenario = _parse_scenario(col, top.get("scenario", {}), name, n_analyses)

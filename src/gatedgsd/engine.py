@@ -30,12 +30,15 @@ A call does only the work that is new to its arm and data:
 - Plan. What an arm fixes before seeing data is compiled once per
   continuation scenario into a `_Plan` kept on the `DesignSpec`: the
   hypotheses in scope, their alphas, the starting state of gGSD's hierarchy
-  gate, the members of each FS intersection, and each hypothesis's boundary
-  row at its two alpha levels, solved on first use by `cached_boundaries`.
+  gate, the members of each FS intersection, the snapshot slots each analysis
+  reads (`simdata.slot`; a replication reads its statistics by index), and
+  each hypothesis's boundary row at its two alpha levels, solved on first use
+  by `cached_boundaries`.
 - Shared normal scores. The first arm that reads a snapshot computes
   q = Phi^-1(1 - p) of the stage-wise p-values its scenario wires (`_scores`)
-  and keeps them on the snapshot (`AnalysisSnapshot.scores`); each arm forms its own
-  z = w1*q1 + w2*q2, bit for bit the value of `combine.inverse_normal`.
+  and keeps them on the snapshot (`AnalysisSnapshot.scores`, keyed by the
+  plan); each arm forms its own z = w1*q1 + w2*q2, bit for bit the value of
+  `combine.inverse_normal`.
 - Lazy records. An `AnalysisRecord` keeps its rejection bitmask; `tests`
   and `alpha_snapshot` are rendered from it when first read, so the Monte
   Carlo, which reads only rejections and terminations, never builds them.
@@ -54,7 +57,7 @@ from .combine import Scenario, StageWeights, clamp_p, event_weights
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population, hochberg_intersection
 from .numerics import norm_cdf, norm_quantile
-from .simdata import AnalysisSnapshot
+from .simdata import AnalysisSnapshot, slot
 
 __all__ = [
     "DesignKind",
@@ -91,9 +94,6 @@ _PARTNER = tuple(_INDEX[HypothesisId(h.population, _OTHER_ENDPOINT[h.endpoint])]
 _FS_OF = tuple(_FS_INDEX[h.endpoint] for h in HYPOTHESES)
 _IN_FULL = tuple(h.population is Population.FULL for h in HYPOTHESES)
 _SUB_MASK = sum(1 << i for i, full in enumerate(_IN_FULL) if not full)
-# GSD's statistics: each population's pooled logrank z, per endpoint.
-_POOLED = {ep: tuple((("pooled", pop, ep), _INDEX[HypothesisId(pop, ep)]) for pop in Population)
-           for ep in Endpoint}
 # The wiring: the populations that continue into stage 2 in each scenario
 # (None, GSD, keeps both).
 _CONTINUING: Dict[Optional[Scenario], Tuple[Population, ...]] = {
@@ -101,12 +101,10 @@ _CONTINUING: Dict[Optional[Scenario], Tuple[Population, ...]] = {
     Scenario.F_ONLY: (Population.FULL,), Scenario.S_ONLY: (Population.SUB,)}
 
 
-def _joint_p(p: Mapping[Population, float], pops: Tuple[Population, ...]) -> float:
-    """The FS p-value of `pops`: one population's own p-value, or the
-    Hochberg intersection of both."""
-    if len(pops) == 1:
-        return p[pops[0]]
-    return hochberg_intersection(p[Population.FULL], p[Population.SUB])
+def _joint_p(p: Sequence[float]) -> float:
+    """The FS p-value of the populations whose p-values `p` lists, F first:
+    one population's own p-value, or the Hochberg intersection of both."""
+    return p[0] if len(p) == 1 else hochberg_intersection(*p)
 
 
 class DesignKind(Enum):
@@ -306,9 +304,11 @@ class _Plan:
 
     `levels[i]` holds hypothesis i's alpha indexed by "partner rejected":
     the graphical update rule on the PFS<->OS edges in closed form.
-    `loads[k]` lists what analysis k enters: (endpoint, look, score-table
-    key, weights) per endpoint with a look there, in Endpoint order. GSD has
-    no key; event-driven weights are None.
+    `loads[k]` lists what analysis k enters, per endpoint with a look there
+    in Endpoint order: (endpoint, look, score key, weights, reads, event
+    slots). GSD has no key and reads (hypothesis, pooled slot) pairs; AD and
+    gGSD read (target, stage-1 slots, stage-2 slots) per wired target, and
+    event-driven weights (None) use the full population's two stage slots.
     """
 
     __slots__ = ("pops", "in_scope", "scope_mask", "levels", "gate0", "gated", "members",
@@ -326,11 +326,22 @@ class _Plan:
         self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
         self.analyses_of = tuple(design.endpoint_analyses[t.endpoint] for t in _TARGETS)
         self.loads = [[] for _ in range(design.n_analyses)]
-        for ep in Endpoint:
-            key = f"{scenario.value}/{ep.value}" if self.gated else None
+        for e, ep in enumerate(Endpoint):
+            key = e + len(Endpoint) * tuple(Scenario).index(scenario) if self.gated else None
+            stage1, stage2, pooled = ([slot(c, pop, ep) for pop in Population]
+                                      for c in ("stage1", "stage2", "pooled"))
+            own = [(_INDEX[HypothesisId(pop, ep)], j) for j, pop in enumerate(Population)
+                   if pop in pops]
+            if key is None:
+                reads = tuple((i, pooled[j]) for i, j in own)
+            else:
+                # The FS intersection joins both populations at stage 1 and the
+                # continuing ones at stage 2; a hypothesis combines its own cohorts.
+                reads = ((_FS_INDEX[ep], tuple(stage1), tuple(stage2[j] for _, j in own)),
+                         *((i, (stage1[j],), (stage2[j],)) for i, j in own))
             for look, k in enumerate(design.endpoint_analyses[ep]):
                 w = None if key is None or design.weights is None else design.weights[ep][look]
-                self.loads[k].append((ep, look, key, w))
+                self.loads[k].append((ep, look, key, w, reads, (stage1[0], stage2[0])))
         self._rows = [[None, None] for _ in HYPOTHESES]
 
     def row(self, i: int, level: int) -> Tuple[float, ...]:
@@ -559,12 +570,9 @@ def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float
     return eng.trace
 
 
-def _event_driven_weights(snap: AnalysisSnapshot, ep: Endpoint) -> StageWeights:
-    n1 = snap.events[("stage1", Population.FULL, ep)]
-    n2 = snap.events[("stage2", Population.FULL, ep)]
-    if n1 + n2 == 0:
-        return StageWeights(1.0, 0.0)
-    return event_weights(n1, n2)
+def _event_driven_weights(snap: AnalysisSnapshot, stage1: int, stage2: int) -> StageWeights:
+    n1, n2 = snap.events[stage1], snap.events[stage2]
+    return event_weights(n1, n2) if n1 + n2 else StageWeights(1.0, 0.0)
 
 
 def _score(p: float) -> Tuple[float, bool]:
@@ -573,22 +581,17 @@ def _score(p: float) -> Tuple[float, bool]:
     return norm_quantile(1.0 - p), clamped
 
 
-def _scores(snap: AnalysisSnapshot, scenario: Scenario, ep: Endpoint, key: str):
-    """(target, q1, q2, clamped) per target that `scenario` tests on `ep`:
-    the FS intersection, then each continuing population's hypothesis, with
-    q = Phi^-1(1 - p) of each stage's clamped p-value. The FS intersection
-    joins both populations at stage 1 and the continuing ones at stage 2.
-    Computed by the first arm that asks and kept on the snapshot under `key`."""
+def _scores(snap: AnalysisSnapshot, key: int, reads) -> tuple:
+    """(target, q1, q2, clamped) per wired target of one plan load (`reads`:
+    the FS intersection, then each continuing population's hypothesis), with
+    q = Phi^-1(1 - p) of each stage's clamped joint p-value. Computed by the
+    first arm that asks and kept on the snapshot under the plan's `key`."""
     table = snap.scores.get(key)
     if table is None:
-        pops = _CONTINUING[scenario]
-        p1 = {pop: snap.p[("stage1", pop, ep)] for pop in Population}
-        p2 = {pop: snap.p[("stage2", pop, ep)] for pop in pops}
-        wired = [(_FS_INDEX[ep], _joint_p(p1, tuple(Population)), _joint_p(p2, pops))]
-        wired += [(_INDEX[HypothesisId(pop, ep)], p1[pop], p2[pop]) for pop in pops]
         rows = []
-        for i, a, b in wired:
-            (q1, clamped1), (q2, clamped2) = _score(a), _score(b)
+        for i, s1, s2 in reads:
+            (q1, clamped1), (q2, clamped2) = (_score(_joint_p([snap.p[j] for j in s]))
+                                              for s in (s1, s2))
             rows.append((i, q1, q2, clamped1 or clamped2))
         table = snap.scores[key] = tuple(rows)
     return table
@@ -597,15 +600,15 @@ def _scores(snap: AnalysisSnapshot, scenario: Scenario, ep: Endpoint, key: str):
 def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
     """GSD: pooled logrank z. AD/gGSD: inverse-normal combination of the
     stage-wise cohort p-values, wired per continuation scenario."""
-    for ep, look, key, w in eng.plan.loads[k]:
+    for _, look, key, w, reads, counts in eng.plan.loads[k]:
         if key is None:
-            for slot, i in _POOLED[ep]:
-                eng.enter(i, look, snap.z[slot])
+            for i, j in reads:
+                eng.enter(i, look, snap.z[j])
             continue
         if w is None:
-            w = _event_driven_weights(snap, ep)
+            w = _event_driven_weights(snap, *counts)
         w1, w2 = w.w1, w.w2
-        for i, q1, q2, clamped in _scores(snap, eng.scenario, ep, key):
+        for i, q1, q2, clamped in _scores(snap, key, reads):
             if clamped:
                 eng.trace.warnings.append(
                     f"analysis {k + 1}: degenerate p-value clamped for {_TARGETS[i].label}")
@@ -647,16 +650,16 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
     """Each continuing population's given p-value; for AD and gGSD then the
     FS intersection's, once all continuing populations have one."""
     plan = eng.plan
-    for ep, look, _, _ in plan.loads[k]:
-        p = {}
+    for ep, look, *_ in plan.loads[k]:
+        p = []
         for pop in plan.pops:
             h = HypothesisId(pop, ep)
             p_h = observed.p_values.get(h, {}).get(k)
             if p_h is not None:
-                p[pop] = p_h
+                p.append(p_h)
                 eng.enter(_INDEX[h], look, _score(p_h)[0])
         if plan.gated and len(p) == len(plan.pops):
-            eng.enter(_FS_INDEX[ep], look, _score(_joint_p(p, plan.pops))[0])
+            eng.enter(_FS_INDEX[ep], look, _score(_joint_p(p))[0])
     _check_required_slots(eng, k)
 
 
@@ -669,7 +672,7 @@ def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrac
 def _check_required_slots(eng: _Engine, k: int):
     """Every unrejected hypothesis of the continuing populations needs its
     p-value at each of its planned looks."""
-    for ep, look, _, _ in eng.plan.loads[k]:
+    for ep, look, *_ in eng.plan.loads[k]:
         for i in eng.plan.in_scope:
             if (_TARGETS[i].endpoint is ep and not eng.rejected >> i & 1
                     and look not in eng.z_hist.get(i, {})):

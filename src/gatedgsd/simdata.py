@@ -5,14 +5,16 @@ carry independent latent exponential event and dropout times per endpoint.
 Snapshots censor at the analysis cutoff and produce cohort-wise logrank
 p-values plus Cox hazard-ratio estimates for the futility gate.
 
-A snapshot sorts each endpoint's censored durations once. Every patient
-sits in one of four stage x subgroup cells, and each of the six (cohort,
-population) slots is a union of cells. Per-cell and per-arm event and
-at-risk counts at the distinct event times come from that one order, so
-the counts of all six slots are sums of cell counts and their logrank
-statistics come out together. The futility gate's snapshot computes no
-slots: it censors and sorts only the stage-1 PFS rows for its two Cox
-fits. `logrank_test` is the same kernel with a single slot.
+A snapshot holds 12 slots, 3 cohorts (stage 1, stage 2, pooled) x 2
+populations x 2 endpoints, as tuples in one fixed order; `slot` gives a
+statistic's index and is the one place that knows the layout. It sorts each
+endpoint's censored durations once. Every patient sits in one of four stage
+x subgroup cells, and each (cohort, population) row is a union of cells, so
+the counts of all six rows are sums of per-cell, per-arm counts at the
+distinct event times of that one order, and their logrank statistics come
+out together. The futility gate's snapshot computes no slots: it censors and
+sorts only the stage-1 PFS rows for its two Cox fits. `logrank_test` is the
+same kernel with a single slot.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "generate_trial",
     "schedule_analyses",
     "snapshot_at",
+    "slot",
     "logrank_test",
     "cox_hazard_ratio",
 ]
@@ -326,16 +329,12 @@ def _cox_sorted(d: np.ndarray, s: np.ndarray, experimental: np.ndarray) -> float
     return math.exp(beta)
 
 
-Cohort = str  # "stage1" | "stage2" | "pooled"
-SlotKey = Tuple[Cohort, Population, Endpoint]
-
-
 @dataclass(frozen=True)
 class AnalysisSnapshot:
-    """Per-analysis summary: event counts and one-sided p per slot.
-
-    A futility snapshot (`snapshot_at(..., with_hr=True)`) carries only
-    `hr_full` and `hr_sub`; its slot tables are empty.
+    """Per-analysis summary: event count, z and one-sided p per slot, in
+    `slot` order, and the indices of the slots with no event. A futility
+    snapshot (`snapshot_at(..., with_hr=True)`) carries only `hr_full` and
+    `hr_sub`; its slot tables are empty.
 
     `scores` is filled by the decision engine: the normal scores of the
     p-values each continuation scenario wires, computed by the first design
@@ -345,29 +344,33 @@ class AnalysisSnapshot:
     """
 
     calendar_time: float
-    events: Dict[SlotKey, int]
-    z: Dict[SlotKey, float]
-    p: Dict[SlotKey, float]
-    zero_event_slots: Tuple[SlotKey, ...] = ()
+    events: Tuple[int, ...] = ()
+    z: Tuple[float, ...] = ()
+    p: Tuple[float, ...] = ()
+    zero_event_slots: Tuple[int, ...] = ()
     hr_full: Optional[float] = None
     hr_sub: Optional[float] = None
-    scores: Dict[str, tuple] = field(default_factory=dict, init=False, compare=False,
+    scores: Dict[int, tuple] = field(default_factory=dict, init=False, compare=False,
                                      repr=False)
 
 
 # Cells are stage x subgroup: 0 stage-1 complement, 1 stage-1 subgroup,
-# 2 stage-2 complement, 3 stage-2 subgroup. Slots are unions of cells.
-_SLOT_CELLS = {
-    ("stage1", Population.FULL): (1, 1, 0, 0),
-    ("stage1", Population.SUB): (0, 1, 0, 0),
-    ("stage2", Population.FULL): (0, 0, 1, 1),
-    ("stage2", Population.SUB): (0, 0, 0, 1),
-    ("pooled", Population.FULL): (1, 1, 1, 1),
-    ("pooled", Population.SUB): (0, 1, 0, 1),
-}
-_SLOT_WEIGHTS = _slot_weights(list(_SLOT_CELLS.values()))
+# 2 stage-2 complement, 3 stage-2 subgroup. Each (cohort, population) row
+# is a union of cells; rows run cohort-major, F before S.
+_COHORTS = ("stage1", "stage2", "pooled")
+_SLOT_CELLS = [(1, 1, 0, 0), (0, 1, 0, 0),  # stage1
+               (0, 0, 1, 1), (0, 0, 0, 1),  # stage2
+               (1, 1, 1, 1), (0, 1, 0, 1)]  # pooled
+_SLOT_WEIGHTS = _slot_weights(_SLOT_CELLS)
 _ENDPOINTS = tuple(Endpoint)
-_SLOT_KEYS = tuple((cohort, pop, ep) for cohort, pop in _SLOT_CELLS for ep in _ENDPOINTS)
+
+
+def slot(cohort: str, population: Population, endpoint: Endpoint) -> int:
+    """Index of a statistic in a snapshot's slot tables. Cohort ("stage1",
+    "stage2", "pooled") is outermost, then population, then endpoint, each
+    in declaration order: stage 1 holds slots 0-3, stage 2 4-7, pooled 8-11."""
+    row = 2 * _COHORTS.index(cohort) + (population is Population.SUB)
+    return len(_ENDPOINTS) * row + _ENDPOINTS.index(endpoint)
 
 
 def _stage1_hazard_ratios(trial: TrialData, time: float, spec: ScenarioSpec):
@@ -388,7 +391,7 @@ def _stage1_hazard_ratios(trial: TrialData, time: float, spec: ScenarioSpec):
 
 def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
                 with_hr: bool = False) -> AnalysisSnapshot:
-    """Summaries of all (cohort, population, endpoint) slots at a cutoff.
+    """Summaries of all 12 (cohort, population, endpoint) slots at a cutoff.
 
     Per endpoint the enrolled patients are censored and sorted once; all six
     (cohort, population) slots are read off that one order.
@@ -401,8 +404,7 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
         raise ValueError("snapshot time must be nonnegative")
     if with_hr:
         hr_full, hr_sub = _stage1_hazard_ratios(trial, time, spec)
-        return AnalysisSnapshot(calendar_time=time, events={}, z={}, p={},
-                                hr_full=hr_full, hr_sub=hr_sub)
+        return AnalysisSnapshot(calendar_time=time, hr_full=hr_full, hr_sub=hr_sub)
     enrolled = trial.enroll_time < time
     cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
     group = (2 * cell + trial.experimental)[enrolled]
@@ -412,12 +414,7 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
         order = np.argsort(dur, kind="stable")
         d, s, g = dur[order], st[order], group[order]
         per_endpoint.append(_logrank_slots(d, s, g, _SLOT_WEIGHTS))
-    # Key order: cohort, then population, then endpoint.
+    # Slot order (`slot`): cohort and population row, then endpoint.
     zs, ps, events = zip(*(slots[k] for k in range(len(_SLOT_CELLS)) for slots in per_endpoint))
-    return AnalysisSnapshot(
-        calendar_time=time,
-        events=dict(zip(_SLOT_KEYS, events)),
-        z=dict(zip(_SLOT_KEYS, zs)),
-        p=dict(zip(_SLOT_KEYS, ps)),
-        zero_event_slots=tuple(key for key, n in zip(_SLOT_KEYS, events) if n == 0),
-    )
+    return AnalysisSnapshot(calendar_time=time, events=events, z=zs, p=ps,
+                            zero_event_slots=tuple(i for i, n in enumerate(events) if n == 0))

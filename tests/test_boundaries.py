@@ -190,6 +190,26 @@ def test_newton_evaluations_per_look(monkeypatch):
     assert counts and max(counts) <= 16
 
 
+def test_crossing_probability_evaluated_once_per_point(monkeypatch):
+    """No look evaluates the crossing probability twice at one point: the
+    saturation check's value at the cap is reused as the search's upper
+    bracket end. Within one look the grid is fixed, so equal erfc arguments
+    mean an equal point."""
+    points = []
+    erfc = boundaries.erfc
+
+    def recording(x):
+        points.append(x.tobytes())
+        return erfc(x)
+
+    rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
+    monkeypatch.setattr(boundaries, "erfc", recording)
+    for row in rows:
+        points.clear()
+        compute_boundaries(*row)
+        assert points and len(set(points)) == len(points), row
+
+
 def test_crossing_probability_routes_agree():
     for fr in ((0.5, 1.0), (0.69, 0.92, 1.0), (0.25, 0.5, 0.75, 1.0)):
         b = compute_boundaries(0.025, fr)

@@ -246,3 +246,36 @@ def test_unusable_design_value_rejected_with_field_path(tmp_path, case):
     _put(doc, where, value)
     with pytest.raises(ConfigError, match=path):
         parse_config(write(tmp_path, doc))
+
+
+# -- weight sets and observed values that would give a silently wrong answer --
+
+
+@pytest.mark.parametrize("value", ["no", 1])
+def test_event_driven_must_be_boolean(tmp_path, base_doc, value):
+    # Read by truthiness, "no" made an event-driven arm and ignored the table.
+    base_doc["weights"].append({"label": "bad", "event_driven": value, "pfs": [[0.9, 0.9]]})
+    i = len(base_doc["weights"]) - 1
+    with pytest.raises(ConfigError, match=rf"weights\[{i}\]\.event_driven: expected true or "
+                                          rf"false, got {value!r}"):
+        parse_config(write(tmp_path, base_doc))
+
+
+@pytest.mark.parametrize("slug", ["pfs", "os"])
+def test_event_driven_weight_set_takes_no_table(tmp_path, base_doc, slug):
+    i = next(i for i, w in enumerate(base_doc["weights"]) if w.get("event_driven"))
+    base_doc["weights"][i][slug] = [[0.5, 0.5]] * 3
+    with pytest.raises(ConfigError, match=rf"weights\[{i}\]\.{slug}: .*event_driven: true"):
+        parse_config(write(tmp_path, base_doc))
+
+
+def test_observed_values_need_one_arm_per_kind(tmp_path):
+    # `analyze` replays one arm per kind: with a second weight set, ad:0.5 and
+    # ggsd:0.5 were dropped and the 0.8 arms replayed without a word.
+    doc = _table5_doc()
+    doc["weights"].append({"label": "0.8", "pfs": [[0.8, 0.2]] * 2, "os": [[0.8, 0.2]] * 3})
+    with pytest.raises(ConfigError, match=r"observed\.p_values\.ggsd: 2 weight sets") as err:
+        parse_config(write(tmp_path, doc))
+    assert not any(e.startswith("observed.p_values.gsd") for e in err.value.errors)
+    del doc["observed"]["p_values"]["ggsd"]
+    assert len(build_designs(parse_config(write(tmp_path, doc)))) == 5

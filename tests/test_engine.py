@@ -1,12 +1,14 @@
 """Decision-engine tests: observed replay, simulated traces, invariants."""
 
+import collections
 import dataclasses
+import enum
 import json
 from pathlib import Path
 
 import pytest
 
-from gatedgsd import combine, engine
+from gatedgsd import combine, engine, harness, simdata
 from gatedgsd.boundaries import cached_boundaries
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import (
@@ -25,7 +27,7 @@ from gatedgsd.harness import replication_inputs, run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
                                    hochberg_intersection)
 from gatedgsd.numerics import norm_cdf, norm_quantile
-from gatedgsd.simdata import generate_trial, schedule_analyses, snapshot_at
+from gatedgsd.simdata import generate_trial, schedule_analyses, slot, snapshot_at
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
 
@@ -284,7 +286,7 @@ def test_design_spec_validation(designs2):
     with pytest.raises(DesignConfigError, match="weight table missing or misaligned"):
         dataclasses.replace(ad, weights={})
     for arm, event_driven in ((ad, False), (dataclasses.replace(ad, weights=None), True)):
-        ws = [w for plan in arm._plans.values() for load in plan.loads for *_, w in load]
+        ws = [w for plan in arm._plans.values() for load in plan.loads for _, _, _, w, *_ in load]
         assert ws and all((w is None) is event_driven for w in ws)
 
 
@@ -316,11 +318,14 @@ def test_scores_follow_the_wiring(setting2, designs2, scenario, ep):
     weights = {w for d in designs2.values() for w in (d.weights or {}).get(ep, ())}
     assert weights
     snaps, _ = replication_inputs(setting2.scenario, setting2.seed, 0)
+    plan = designs2["ad:0.5"]._plans[scenario]
+    key, reads = next((key, reads) for load in plan.loads
+                      for e, _, key, _, reads, _ in load if e is ep)
     for snap in snaps:
-        p = {(stage, pop): snap.p[stage, pop, ep]
+        p = {(stage, pop): snap.p[slot(stage, pop, ep)]
              for stage in ("stage1", "stage2") for pop in Population}
         wired = _wiring(scenario, ep, p)
-        rows = engine._scores(snap, scenario, ep, f"{scenario.value}/{ep.value}")
+        rows = engine._scores(snap, key, reads)
         assert [engine._TARGETS[i].label for i, *_ in rows] == [t for t, _, _ in wired]
         for (_, q1, q2, clamped), (_, p1, p2) in zip(rows, wired):
             assert not clamped
@@ -366,9 +371,47 @@ def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs
     assert 0 < len(calls) <= 6 * 2 * len(snaps)
 
 
+def test_slot_tables_read_without_enum_hashing(monkeypatch, setting2, designs2):
+    # The plan resolves every slot index, so no arm's snapshot load hashes an
+    # enum; an analysis snapshot hashes only in `_censor`'s reads of the
+    # per-endpoint TrialData columns, two per endpoint, and builds no dict.
+    counts = collections.Counter()
+    where = []
+    enum_hash = enum.Enum.__hash__
+
+    def counting_hash(self):
+        counts[where[-1] if where else None] += 1
+        return enum_hash(self)
+
+    def inside(name, fn):
+        def wrapped(*args, **kwargs):
+            where.append(name)
+            counts[name, "calls"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                where.pop()
+        return wrapped
+
+    monkeypatch.setattr(engine, "_load_snapshot", inside("load", engine._load_snapshot))
+    monkeypatch.setattr(harness, "snapshot_at", inside("snapshot", harness.snapshot_at))
+    monkeypatch.setattr(simdata, "_censor", inside("censor", simdata._censor))
+    monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+    n_snapshots = 0
+    for rep in range(3):
+        snaps, fut = replication_inputs(setting2.scenario, setting2.seed, rep)
+        n_snapshots += len(snaps) + 1
+        for d in designs2.values():
+            run_design(d, snaps, fut)
+    assert counts["load", "calls"] > 0 and counts["snapshot", "calls"] == n_snapshots
+    assert counts["load"] == 0
+    assert counts["snapshot"] == 0
+    assert counts["censor"] == 2 * counts["censor", "calls"] > 0
+
+
 def test_replaced_snapshot_starts_with_empty_scores(setting2, designs2):
     snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
     run_design(designs2["ggsd:0.5"], snaps, fut)
     assert snaps[0].scores
-    moved = dataclasses.replace(snaps[0], p={slot: 0.5 for slot in snaps[0].p})
+    moved = dataclasses.replace(snaps[0], p=(0.5,) * len(snaps[0].p))
     assert moved.scores == {}

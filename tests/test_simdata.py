@@ -20,6 +20,7 @@ from gatedgsd.simdata import (
     generate_trial,
     logrank_test,
     schedule_analyses,
+    slot,
     snapshot_at,
 )
 
@@ -76,7 +77,7 @@ def test_schedule_monotone_and_meets_targets():
     assert times[0] <= times[1]
     # tiny epsilon absorbs float round-off in calendar-time subtraction
     snap = snapshot_at(trial, times[0] + 1e-9, spec)
-    assert snap.events[("pooled", Population.FULL, Endpoint.PFS)] >= 200
+    assert snap.events[slot("pooled", Population.FULL, Endpoint.PFS)] >= 200
 
 
 def test_unreachable_trigger_raises():
@@ -157,13 +158,13 @@ def test_snapshot_slot_consistency():
     snap = snapshot_at(trial, 18.0, spec)
     for pop in Population:
         for ep in Endpoint:
-            pooled = snap.events[("pooled", pop, ep)]
-            split = (snap.events[("stage1", pop, ep)] + snap.events[("stage2", pop, ep)])
+            pooled = snap.events[slot("pooled", pop, ep)]
+            split = (snap.events[slot("stage1", pop, ep)] + snap.events[slot("stage2", pop, ep)])
             assert pooled == split
-    full = snap.events[("pooled", Population.FULL, Endpoint.PFS)]
-    sub = snap.events[("pooled", Population.SUB, Endpoint.PFS)]
+    full = snap.events[slot("pooled", Population.FULL, Endpoint.PFS)]
+    sub = snap.events[slot("pooled", Population.SUB, Endpoint.PFS)]
     assert sub <= full
-    for key, p in snap.p.items():
+    for p in snap.p:
         assert 0.0 <= p <= 1.0
     fut = snapshot_at(trial, 18.0, spec, with_hr=True)
     assert fut.hr_full is not None and fut.hr_full > 0
@@ -175,7 +176,7 @@ def test_snapshot_earlier_time_has_fewer_events():
     trial = generate_trial(spec, (2, 7))
     early = snapshot_at(trial, 10.0, spec)
     late = snapshot_at(trial, 20.0, spec)
-    key = ("pooled", Population.FULL, Endpoint.OS)
+    key = slot("pooled", Population.FULL, Endpoint.OS)
     assert early.events[key] < late.events[key]
 
 
@@ -228,14 +229,16 @@ def snapshot_matches_reference(trial, time, spec):
     """Largest |dz| of a snapshot against the reference; events must be equal."""
     snap = snapshot_at(trial, time, spec)
     ref = reference_slots(trial, time, spec)
-    assert list(snap.events) == list(snap.z) == list(snap.p) == list(ref)  # key order is kept
+    assert len(snap.events) == len(snap.z) == len(snap.p) == len(ref)
+    assert [slot(*key) for key in ref] == list(range(12))  # key order is kept
     worst = 0.0
     for key, (z, p, events) in ref.items():
-        assert snap.events[key] == events, key
-        assert (key in snap.zero_event_slots) == (events == 0), key
-        worst = max(worst, abs(snap.z[key] - z))
-        assert snap.z[key] == pytest.approx(z, abs=1e-12), key
-        assert snap.p[key] == pytest.approx(p, abs=1e-12), key
+        j = slot(*key)
+        assert snap.events[j] == events, key
+        assert (j in snap.zero_event_slots) == (events == 0), key
+        worst = max(worst, abs(snap.z[j] - z))
+        assert snap.z[j] == pytest.approx(z, abs=1e-12), key
+        assert snap.p[j] == pytest.approx(p, abs=1e-12), key
     return worst
 
 
@@ -283,15 +286,16 @@ def test_snapshot_kernel_hand_built_edges():
     # at 5 in stage-1 F, and absent from stage-1 S.
     u = (0 - 1 / 2) + (1 - 3 / 5) + (0 - 2 / 3) + (1 - 1)
     v = 1 / 4 + 6 / 25 + 2 / 9
-    assert snap.z[("stage1", Population.FULL, Endpoint.PFS)] == pytest.approx(-u / math.sqrt(v), abs=1e-12)
-    assert snap.z[("stage1", Population.SUB, Endpoint.PFS)] == pytest.approx(
+    assert snap.z[slot("stage1", Population.FULL, Endpoint.PFS)] == pytest.approx(
+        -u / math.sqrt(v), abs=1e-12)
+    assert snap.z[slot("stage1", Population.SUB, Endpoint.PFS)] == pytest.approx(
         (2 / 3) / math.sqrt(2 / 9), abs=1e-12)
     # Single-arm slot: one event, all experimental.
-    key = ("stage2", Population.SUB, Endpoint.PFS)
+    key = slot("stage2", Population.SUB, Endpoint.PFS)
     assert (snap.z[key], snap.p[key], snap.events[key]) == (0.0, 1.0, 1)
     # Zero-event slots.
     for pop in Population:
-        key = ("stage2", pop, Endpoint.OS)
+        key = slot("stage2", pop, Endpoint.OS)
         assert (snap.z[key], snap.p[key], snap.events[key]) == (0.0, 1.0, 0)
         assert key in snap.zero_event_slots
     # At the stage-1 cutoff no stage-2 patient is enrolled: every stage-2 slot
@@ -300,13 +304,14 @@ def test_snapshot_kernel_hand_built_edges():
     snapshot_matches_reference(trial, spec.stage1_cutoff, spec)
     for pop in Population:
         for ep in Endpoint:
-            assert (cut.z[("stage2", pop, ep)], cut.events[("stage2", pop, ep)]) == (0.0, 0)
-            assert ("stage2", pop, ep) in cut.zero_event_slots
+            stage2 = slot("stage2", pop, ep)
+            assert (cut.z[stage2], cut.events[stage2]) == (0.0, 0)
+            assert stage2 in cut.zero_event_slots
             for table in (cut.z, cut.p, cut.events):
-                assert table[("pooled", pop, ep)] == table[("stage1", pop, ep)]
+                assert table[slot("pooled", pop, ep)] == table[slot("stage1", pop, ep)]
     # Nobody enrolled yet: every slot is empty.
     empty = snapshot_at(trial, 0.0, spec)
-    assert len(empty.zero_event_slots) == 12 and set(empty.z.values()) == {0.0}
+    assert len(empty.zero_event_slots) == 12 and set(empty.z) == {0.0}
 
 
 def test_futility_hazard_ratios_bit_identical():
@@ -321,4 +326,4 @@ def test_futility_hazard_ratios_bit_identical():
                                         stage1 & trial.in_subgroup))
         assert snap.hr_full == full and snap.hr_sub == sub
         # The futility snapshot computes no logrank slot.
-        assert snap.events == snap.z == snap.p == {} and snap.zero_event_slots == ()
+        assert snap.events == snap.z == snap.p == () and snap.zero_event_slots == ()
