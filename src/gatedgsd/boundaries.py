@@ -8,8 +8,13 @@ sub-density of the underlying Brownian-motion statistic is propagated on
 a quadrature grid restricted to the continuation region, and each
 critical value is the root of "incremental crossing probability equals
 incremental alpha spend". The crossing probability's slope in the
-critical value is minus the statistic's sub-density there, so each root
-is found by safeguarded Newton in a handful of evaluations.
+critical value is minus the statistic's sub-density f_k there, so each
+root is found by safeguarded Newton in a handful of evaluations. A look
+sums the normal tail over its grid (`math.erfc`) once, at the search's
+anchor a; every other value comes from the identity
+tail(b) = tail(a) - integral of f_k from a to b, by Gauss-Legendre
+quadrature of the same density that gives the slope. So the solver needs
+no vectorised erfc, and nothing on the runtime path imports scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .numerics import find_root, gauss_grid, norm_cdf, norm_kernel, norm_pdf, norm_quantile
 
@@ -39,6 +43,9 @@ __all__ = [
 _GRID_NODES = 320
 _GRID_SD = 6.5
 _Z_CAP = 12.0  # saturate instead of chasing underflowing spends
+_SQRT2 = math.sqrt(2.0)
+# Gauss-Legendre rule on [-1, 1] for each panel of the search's quadrature.
+_PANEL = gauss_grid(-1.0, 1.0, 8)
 # The certifying routes: `crossing_probability`'s Z-scale grid and the
 # absolute error target of the multivariate-normal CDF.
 _CROSSING_NODES = 480
@@ -83,6 +90,45 @@ def _validate_fractions(fractions: Sequence[float]) -> Tuple[float, ...]:
     return fr
 
 
+def _tail(b: float, points: np.ndarray, wd: np.ndarray, sigma: float) -> float:
+    """P(S_k >= b): the increment's normal tail summed exactly over the
+    continuation sub-density (`wd`: its values times the weights of the grid
+    `points`; `sigma`: the sd of S_k - S_{k-1})."""
+    z = ((b - points) / (sigma * _SQRT2)).tolist()
+    return 0.5 * float(np.dot(wd, np.fromiter(map(math.erfc, z), float, len(z))))
+
+
+@lru_cache(maxsize=64)
+def _panels(n: int):
+    """Gauss-Legendre nodes of n equal panels on [0, 2n] (each panel two
+    units wide), followed by the end point 2n; and their weights."""
+    nodes = np.append(np.add.outer(np.arange(1.0, 2.0 * n, 2.0), _PANEL.points), 2.0 * n)
+    weights = np.tile(_PANEL.weights, n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _search_function(points: np.ndarray, wd: np.ndarray, sigma: float, anchor: float,
+                     at_anchor: float):
+    """The excess (crossing probability less the spend) of a look after the
+    first, and its slope, from its exact value `at_anchor` at `anchor`.
+
+    The crossing probability at b is the anchor's less the integral of the
+    sub-density f_k of S_k from the anchor to b, taken by Gauss-Legendre on
+    equal panels no wider than `sigma`, f_k's own scale, so every b in the
+    bracket is accurate. The slope is -f_k(b), from the same kernel.
+    """
+    def excess(b):
+        n = max(1, math.ceil(abs(b - anchor) / sigma))
+        half = 0.5 * (b - anchor) / n
+        nodes, weights = _panels(n)
+        f = norm_kernel(anchor + half * nodes, points, sigma) @ wd
+        return at_anchor - half * float(f[:-1] @ weights), -float(f[-1])
+
+    return excess
+
+
 def compute_boundaries(alpha_total: float, fractions: Sequence[float]) -> BoundarySet:
     """Solve the z-boundaries that realize `ldobf_spend`.
 
@@ -90,9 +136,11 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float]) -> Bounda
     Each look's critical value b solves "crossing probability at b equals the
     incremental spend" by safeguarded Newton (`find_root`) on the analytic
     slope of the crossing probability, minus the sub-density of S_k at b. The
-    search starts at -sqrt(t_k) Phi^-1(spend), the root the first look has
-    exactly. The continuation sub-density is then advanced by convolution
-    with the increment normal density.
+    search starts at a = -sqrt(t_k) Phi^-1(spend), the root the first look
+    has exactly. A later look sums its tail once (`_tail`) and takes every
+    other value from that one (`_search_function`). The continuation
+    sub-density is then advanced by convolution with the increment normal
+    density.
     """
     fr = _validate_fractions(fractions)
     spent_prev = 0.0
@@ -108,29 +156,41 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float]) -> Bounda
             )
         inc = max(inc, 0.0)
         sd_k = math.sqrt(t)
+        cap = _Z_CAP * sd_k
         if k == 0:
             def excess(b, _s=sd_k, _inc=inc):
                 # P(S_1 >= b) less the spend, and its slope in b.
                 return 1.0 - norm_cdf(b / _s) - _inc, -norm_pdf(b / _s) / _s
+
+            at_floor, at_cap = excess(-cap)[0], excess(cap)[0]
         else:
             sigma = math.sqrt(t - fr[k - 1])
             wd = grid.weights * density
-
-            def excess(b, _p=grid.points, _wd=wd, _s=sigma, _inc=inc):
-                # P(S_k >= b | S_{k-1} = p), integrated over the sub-density,
-                # less the spend; and its slope in b.
-                tail = 0.5 * erfc((b - _p) / (_s * math.sqrt(2.0)))
-                slope = -float(np.sum(_wd * norm_pdf((b - _p) / _s))) / _s
-                return float(np.sum(_wd * tail)) - _inc, slope
-
-        cap = _Z_CAP * sd_k
-        at_cap = excess(cap)
-        if at_cap[0] >= 0.0:
+            mass = float(np.sum(wd))
+            # At -cap the tail is the whole continuation mass, at least
+            # 1 - alpha up to about 1e-8, while inc <= alpha < 0.5: the excess
+            # is positive there, and mass - inc stands in for it.
+            at_floor = mass - inc
+            # The grid lies below the last boundary (b_k still holds it), so
+            # the tail at the cap is at most mass * Q((cap - b_k) / sigma).
+            # Only if that bound leaves the sign open is the tail summed at
+            # the cap, which then anchors the search: (point, excess there).
+            at_cap = mass * 0.5 * math.erfc((cap - b_k) / (sigma * _SQRT2)) - inc
+            anchor = None
+            if at_cap >= 0.0:
+                at_cap = _tail(cap, grid.points, wd, sigma) - inc
+                anchor = cap, at_cap
+        if at_cap >= 0.0:
             b_k = cap
         else:
-            # the search's upper bracket end is the cap: reuse its value
-            b_k = find_root(lambda b: at_cap if b == cap else excess(b), -cap, cap,
-                            -sd_k * norm_quantile(inc), tol=1e-10)
+            start = -sd_k * norm_quantile(inc)  # inc > 0 on an unsaturated look
+            if k > 0:
+                anchor = anchor or (start, _tail(start, grid.points, wd, sigma) - inc)
+                excess = _search_function(grid.points, wd, sigma, *anchor)
+            # find_root reads only the values of the bracket ends, known above
+            ends = {-cap: (at_floor, 0.0), cap: (at_cap, 0.0)}
+            b_k = find_root(lambda b: ends[b] if b in ends else excess(b), -cap, cap,
+                            start, tol=1e-10)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
             new_grid = gauss_grid(-_GRID_SD * sd_k, b_k, _GRID_NODES)
@@ -173,10 +233,12 @@ def crossing_probability(bounds: BoundarySet) -> float:
 def crossing_probability_mvn(bounds: BoundarySet) -> float:
     """Same quantity via the multivariate-normal CDF over the canonical
     correlation Cov(Z_i, Z_j) = sqrt(t_i / t_j). Slow but a third,
-    library-backed route used to certify the other two in tests.
+    library-backed route that certifies the other two, in the tests and in
+    `scripts/boundary_report.py`.
+
+    The only code in the package that uses scipy, which is therefore a
+    `test` extra, not a dependency: it is imported here, on call.
     """
-    # scipy.stats is imported here, not at module load: it costs more than
-    # the rest of `import gatedgsd` and nothing else needs it.
     from scipy.stats import multivariate_normal
 
     k = len(bounds)

@@ -30,7 +30,7 @@ from gatedgsd.boundaries import (
     ldobf_spend,
 )
 from gatedgsd.config import build_designs, parse_config
-from gatedgsd.numerics import BracketError, norm_cdf
+from gatedgsd.numerics import BracketError, gauss_grid, norm_cdf, norm_pdf
 
 CONFIG_DIR = Path(gatedgsd.__file__).resolve().parent / "configs"
 
@@ -190,28 +190,152 @@ def test_newton_evaluations_per_look(monkeypatch):
     assert counts and max(counts) <= 16
 
 
-def test_crossing_probability_evaluated_once_per_point(monkeypatch):
-    """No look evaluates the crossing probability twice at one point: the
-    saturation check's value at the cap is reused as the search's upper
-    bracket end. Within one look the grid is fixed, so equal erfc arguments
-    mean an equal point."""
-    points = []
-    erfc = boundaries.erfc
+# The fraction sets the three crossing-probability routes are compared on.
+ROUTE_FRACTIONS = ((0.5, 1.0), (0.69, 0.92, 1.0), (0.25, 0.5, 0.75, 1.0))
+# Looks whose spend underflows: z is pinned at the cap. Values from the
+# direct-sum solver.
+SATURATED = (((0.01, 0.02, 1.0), (12.0, 12.0, 1.9599640)),
+             ((0.05, 0.1, 1.0), (12.0, 6.9913410, 1.9599640)))
 
-    def recording(x):
-        points.append(x.tobytes())
-        return erfc(x)
+
+def test_saturated_looks_pin_the_cap():
+    for fractions, want in SATURATED:
+        got = compute_boundaries(0.025, fractions).z_bounds
+        assert got == pytest.approx(want, abs=1e-7), fractions
+
+
+def test_crossing_probability_evaluated_once_per_point(monkeypatch):
+    """Every look after the first takes the exact tail once: at the cap if it
+    saturates, else at the anchor of its search (the start point, or the cap
+    when the saturation bound left the sign open). The search never
+    evaluates one point twice, nor a bracket end, whose value is known."""
+    looks = {}
+    tail, search = boundaries._tail, boundaries._search_function
+
+    def look(points):
+        # within one solve, each look after the first has its own grid
+        return looks.setdefault(points.tobytes(), {"tails": [], "points": []})
+
+    def recording_tail(b, points, *args):
+        look(points)["tails"].append(b)
+        return tail(b, points, *args)
+
+    def recording_search(points, *args):
+        excess, seen = search(points, *args), look(points)["points"]
+
+        def recorded(b):
+            seen.append(b)
+            return excess(b)
+
+        return recorded
 
     rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
-    monkeypatch.setattr(boundaries, "erfc", recording)
+    rows += [(0.025, fractions) for fractions, _ in SATURATED]
+    monkeypatch.setattr(boundaries, "_tail", recording_tail)
+    monkeypatch.setattr(boundaries, "_search_function", recording_search)
+    for alpha, fractions in rows:
+        looks.clear()
+        compute_boundaries(alpha, fractions)
+        assert len(looks) == len(fractions) - 1, (alpha, fractions)
+        for seen, t in zip(looks.values(), fractions[1:]):
+            cap = boundaries._Z_CAP * math.sqrt(t)
+            points = seen["points"]
+            assert len(set(points)) == len(points), (alpha, fractions)
+            assert all(-cap < b < cap for b in points), (alpha, fractions)
+            if points:
+                assert len(seen["tails"]) == 1, (alpha, fractions)
+            else:
+                assert seen["tails"] == [cap], (alpha, fractions)
+
+
+@pytest.mark.parametrize("fractions", [(0.5, 1.0), (0.69, 0.92), (0.25, 0.3)])
+def test_search_values_match_exact_tail_across_bracket(fractions):
+    """A second look's search function, anchored near its root with no spend
+    subtracted, gives the exact tail and minus the sub-density at points
+    spread over the whole bracket [-cap, cap], far from the anchor too."""
+    t1, t2 = fractions
+    sd1, sigma = math.sqrt(t1), math.sqrt(t2 - t1)
+    b1 = compute_boundaries(0.025, fractions).z_bounds[0] * sd1
+    grid = gauss_grid(-boundaries._GRID_SD * sd1, b1, boundaries._GRID_NODES)
+    wd = grid.weights * norm_pdf(grid.points / sd1) / sd1
+    anchor = 1.7 * math.sqrt(t2)
+    search = boundaries._search_function(grid.points, wd, sigma, anchor,
+                                         boundaries._tail(anchor, grid.points, wd, sigma))
+    cap = boundaries._Z_CAP * math.sqrt(t2)
+    for b in np.linspace(-cap, cap, 97):
+        value, slope = search(b)
+        assert value == pytest.approx(boundaries._tail(b, grid.points, wd, sigma), abs=1e-14)
+        density = float(np.sum(wd * norm_pdf((b - grid.points) / sigma))) / sigma
+        assert slope == pytest.approx(-density, rel=1e-12, abs=1e-300)
+
+
+def direct_sum_boundaries(alpha_total, fractions):
+    """The solver before the one-tail identity: each search value sums the
+    increment's normal tail over the grid with scipy's vectorised erfc."""
+    from scipy.special import erfc
+
+    from gatedgsd.numerics import find_root, norm_kernel, norm_quantile
+
+    fr = tuple(fractions)
+    spent_prev, grid, density, z_bounds = 0.0, None, None, []
+    for k, t in enumerate(fr):
+        spent = ldobf_spend(alpha_total, t)
+        inc = max(spent - spent_prev, 0.0)
+        sd_k = math.sqrt(t)
+        if k == 0:
+            def excess(b, _s=sd_k, _inc=inc):
+                return 1.0 - norm_cdf(b / _s) - _inc, -norm_pdf(b / _s) / _s
+        else:
+            sigma = math.sqrt(t - fr[k - 1])
+            wd = grid.weights * density
+
+            def excess(b, _p=grid.points, _wd=wd, _s=sigma, _inc=inc):
+                tail = 0.5 * erfc((b - _p) / (_s * math.sqrt(2.0)))
+                slope = -float(np.sum(_wd * norm_pdf((b - _p) / _s))) / _s
+                return float(np.sum(_wd * tail)) - _inc, slope
+
+        cap = boundaries._Z_CAP * sd_k
+        if excess(cap)[0] >= 0.0:
+            b_k = cap
+        else:
+            b_k = find_root(excess, -cap, cap, -sd_k * norm_quantile(inc), tol=1e-10)
+        z_bounds.append(b_k / sd_k)
+        if k < len(fr) - 1:
+            new_grid = gauss_grid(-boundaries._GRID_SD * sd_k, b_k, boundaries._GRID_NODES)
+            if k == 0:
+                density = norm_pdf(new_grid.points / sd_k) / sd_k
+            else:
+                density = norm_kernel(new_grid.points, grid.points, sigma) @ wd
+            grid = new_grid
+        spent_prev = spent
+    return z_bounds
+
+
+def assert_matches_direct_sum(alpha, fractions):
+    got = compute_boundaries(alpha, fractions).z_bounds
+    want = direct_sum_boundaries(alpha, fractions)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10, (alpha, fractions)
+
+
+def test_bundled_rows_match_direct_sum(monkeypatch):
+    rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
+    rows += [(0.025, fractions) for fractions in ROUTE_FRACTIONS]
     for row in rows:
-        points.clear()
-        compute_boundaries(*row)
-        assert points and len(set(points)) == len(points), row
+        assert_matches_direct_sum(*row)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    alpha=st.floats(min_value=0.005, max_value=0.05),
+    t1=st.floats(min_value=0.2, max_value=0.7),
+    t2=st.floats(min_value=0.75, max_value=0.98),
+)
+def test_random_designs_match_direct_sum(alpha, t1, t2):
+    assert_matches_direct_sum(alpha, (t1, t2, 1.0))
 
 
 def test_crossing_probability_routes_agree():
-    for fr in ((0.5, 1.0), (0.69, 0.92, 1.0), (0.25, 0.5, 0.75, 1.0)):
+    for fr in ROUTE_FRACTIONS:
         b = compute_boundaries(0.025, fr)
         fast = crossing_probability(b)
         mvn = crossing_probability_mvn(b)
@@ -261,12 +385,22 @@ def test_round_trip_property(alpha, t1, t2):
     assert all(z > 0 for z in b.z_bounds)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats is slow to import and only the MVN route needs it."""
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    """Only the certifying MVN route needs scipy: importing the package and
+    the command line, and solving a setting's boundaries, load none of it."""
     env = dict(os.environ)
     src = str(Path(gatedgsd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = "import sys, gatedgsd, gatedgsd.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, gatedgsd, gatedgsd.cli\n"
+        "def scipy_loaded():\n"
+        "    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+        "print(scipy_loaded())\n"
+        f"code = gatedgsd.cli.main(['boundaries', '--config', {str(CONFIG_DIR / 'setting2.yaml')!r},"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "print(code, scipy_loaded())\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip().splitlines()[-2:] == ["False", "0 False"]
+    assert any(tmp_path.iterdir())
