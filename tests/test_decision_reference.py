@@ -1,9 +1,10 @@
 """Per-replication decisions against the committed reference file.
 
 `scripts/decision_reference.py` writes, for settings 1-3, both passes and
-100 replications, every arm's confirmed hypotheses and termination bin to
-tests/data/decision_reference.txt. Recomputing it here pins each decision,
-not only the aggregate tables in runs/.
+100 replications, every arm's confirmed hypotheses and termination bin, and
+a digest of the replication's snapshot statistics and rendered test rows, to
+tests/data/decision_reference.txt. Recomputing it here pins each decision
+and each statistic bit for bit, not only the aggregate tables in runs/.
 """
 
 import importlib.util
@@ -31,8 +32,15 @@ def test_decisions_match_reference():
 
 def test_first_difference_names_the_arm():
     ref = _reference_script()
-    expected = ["arms s1 gsd ad:0.5", "s1 power 0 03 c2", "s1 null 0 0x 0x"]
+    expected = ["arms s1 gsd ad:0.5", "s1 power 0 03 c2 0123456789ab",
+                "s1 null 0 0x 0x ba9876543210"]
     assert ref.first_difference(expected, list(expected)) is None
-    moved = ["arms s1 gsd ad:0.5", "s1 power 0 03 82", "s1 null 0 0x 0x"]
+    moved = ["arms s1 gsd ad:0.5", "s1 power 0 03 82 0123456789ab",
+             "s1 null 0 0x 0x ba9876543210"]
     assert ref.first_difference(expected, moved) == ("s1", "power", "0", "ad:0.5", "c2", "82")
+    # Statistics that moved without moving a decision are named by the digest.
+    drifted = ["arms s1 gsd ad:0.5", "s1 power 0 03 c2 0123456789ab",
+               "s1 null 0 0x 0x ba9876543211"]
+    assert ref.first_difference(expected, drifted) == (
+        "s1", "null", "0", "digest", "ba9876543210", "ba9876543211")
     assert ref.first_difference(expected, expected[:2])[3] == "line count"
