@@ -1,10 +1,10 @@
 """Inverse-normal combination of stage-wise p-values, and the stage-2
 continuation scenarios.
 
-Which cohort p-values each test combines under a scenario (the wiring) is
-the decision engine's: `engine._CONTINUING` lists each scenario's
-continuing populations, and the engine forms every combined z from normal
-scores shared across arms, bit for bit the value of `inverse_normal`.
+`normal_score` is the one clamp-then-Phi^-1 step. Each analysis snapshot
+keeps its table of normal scores (`simdata.AnalysisSnapshot.scores`); the
+engine's wiring picks two per test, and its w1*q1 + w2*q2 on them is bit
+for bit `inverse_normal`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "StageWeights",
     "event_weights",
     "inverse_normal",
+    "normal_score",
     "Scenario",
     "P_CLAMP_EPS",
 ]
@@ -73,11 +74,15 @@ def clamp_p(p: float) -> Tuple[float, bool]:
     return p, False
 
 
+def normal_score(p: float) -> Tuple[float, bool]:
+    """q = Phi^-1(1 - p) of the clamped p-value, and whether clamping fired."""
+    p, clamped = clamp_p(p)
+    return norm_quantile(1.0 - p), clamped
+
+
 def inverse_normal(p1: float, p2: float, w: StageWeights) -> float:
     """Combined Z: w1 * Phi^-1(1 - p1) + w2 * Phi^-1(1 - p2)."""
-    p1, _ = clamp_p(p1)
-    p2, _ = clamp_p(p2)
-    return w.w1 * norm_quantile(1.0 - p1) + w.w2 * norm_quantile(1.0 - p2)
+    return w.w1 * normal_score(p1)[0] + w.w2 * normal_score(p2)[0]
 
 
 class Scenario(Enum):

@@ -17,8 +17,8 @@ Simulated trials (`run_design`) and observed-data replay
 where each analysis's statistics come from. Both read one wiring table,
 `_CONTINUING`: the populations each continuation scenario keeps. A
 continuing population's hypothesis combines its own stage-wise cohorts,
-and an endpoint's FS intersection joins the p-values of the populations
-that stage draws on (`_joint_p`).
+and an endpoint's FS intersection joins, by Hochberg, the p-values of the
+populations that stage draws on.
 
 Within one analysis, testing iterates (test, reject, reallocate, recompute
 boundaries, retest) to a fixed point, and boundary recomputation after an
@@ -30,15 +30,15 @@ A call does only the work that is new to its arm and data:
 - Plan. What an arm fixes before seeing data is compiled once per
   continuation scenario into a `_Plan` kept on the `DesignSpec`: the
   hypotheses in scope, their alphas, the starting state of gGSD's hierarchy
-  gate, the members of each FS intersection, the snapshot slots each analysis
-  reads (`simdata.slot`; a replication reads its statistics by index), and
-  each hypothesis's boundary row at its two alpha levels, solved on first use
-  by `cached_boundaries`.
-- Shared normal scores. The first arm that reads a snapshot computes
-  q = Phi^-1(1 - p) of the stage-wise p-values its scenario wires (`_scores`)
-  and keeps them on the snapshot (`AnalysisSnapshot.scores`, keyed by the
-  plan); each arm forms its own z = w1*q1 + w2*q2, bit for bit the value of
-  `combine.inverse_normal`.
+  gate, the members of each FS intersection, the snapshot entries each
+  analysis reads (`simdata.slot`, `simdata.joint_slot`; a replication reads
+  its statistics by index), and each hypothesis's boundary row at its two
+  alpha levels, solved on first use by `cached_boundaries`.
+- Shared normal scores. Every statistic an AD or gGSD arm combines is one
+  of the 12 normal scores of the snapshot (`AnalysisSnapshot.scores`),
+  computed on first read and shared by every arm and scenario; the plan
+  picks two entries per target, and each arm forms its own
+  z = w1*q1 + w2*q2, bit for bit the value of `combine.inverse_normal`.
 - Lazy records. An `AnalysisRecord` keeps its rejection bitmask; `tests`
   and `alpha_snapshot` are rendered from it when first read, so the Monte
   Carlo, which reads only rejections and terminations, never builds them.
@@ -53,11 +53,11 @@ from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .boundaries import cached_boundaries
-from .combine import Scenario, StageWeights, clamp_p, event_weights
+from .combine import Scenario, StageWeights, event_weights, normal_score
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population, hochberg_intersection
-from .numerics import norm_cdf, norm_quantile
-from .simdata import AnalysisSnapshot, slot
+from .numerics import norm_cdf
+from .simdata import AnalysisSnapshot, joint_slot, slot
 
 __all__ = [
     "DesignKind",
@@ -99,12 +99,6 @@ _SUB_MASK = sum(1 << i for i, full in enumerate(_IN_FULL) if not full)
 _CONTINUING: Dict[Optional[Scenario], Tuple[Population, ...]] = {
     None: tuple(Population), Scenario.BOTH: tuple(Population),
     Scenario.F_ONLY: (Population.FULL,), Scenario.S_ONLY: (Population.SUB,)}
-
-
-def _joint_p(p: Sequence[float]) -> float:
-    """The FS p-value of the populations whose p-values `p` lists, F first:
-    one population's own p-value, or the Hochberg intersection of both."""
-    return p[0] if len(p) == 1 else hochberg_intersection(*p)
 
 
 class DesignKind(Enum):
@@ -305,9 +299,9 @@ class _Plan:
     `levels[i]` holds hypothesis i's alpha indexed by "partner rejected":
     the graphical update rule on the PFS<->OS edges in closed form.
     `loads[k]` lists what analysis k enters, per endpoint with a look there
-    in Endpoint order: (endpoint, look, score key, weights, reads, event
-    slots). GSD has no key and reads (hypothesis, pooled slot) pairs; AD and
-    gGSD read (target, stage-1 slots, stage-2 slots) per wired target, and
+    in Endpoint order: (endpoint, look, weights, reads, event slots). GSD
+    reads (hypothesis, pooled slot) pairs of `z`; AD and gGSD read (target,
+    stage-1 index, stage-2 index) triples of `scores` per wired target, and
     event-driven weights (None) use the full population's two stage slots.
     """
 
@@ -326,22 +320,22 @@ class _Plan:
         self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
         self.analyses_of = tuple(design.endpoint_analyses[t.endpoint] for t in _TARGETS)
         self.loads = [[] for _ in range(design.n_analyses)]
-        for e, ep in enumerate(Endpoint):
-            key = e + len(Endpoint) * tuple(Scenario).index(scenario) if self.gated else None
+        for ep in Endpoint:
             stage1, stage2, pooled = ([slot(c, pop, ep) for pop in Population]
                                       for c in ("stage1", "stage2", "pooled"))
             own = [(_INDEX[HypothesisId(pop, ep)], j) for j, pop in enumerate(Population)
                    if pop in pops]
-            if key is None:
+            if not self.gated:
                 reads = tuple((i, pooled[j]) for i, j in own)
             else:
                 # The FS intersection joins both populations at stage 1 and the
                 # continuing ones at stage 2; a hypothesis combines its own cohorts.
-                reads = ((_FS_INDEX[ep], tuple(stage1), tuple(stage2[j] for _, j in own)),
-                         *((i, (stage1[j],), (stage2[j],)) for i, j in own))
+                fs2 = joint_slot("stage2", ep) if len(own) > 1 else stage2[own[0][1]]
+                reads = ((_FS_INDEX[ep], joint_slot("stage1", ep), fs2),
+                         *((i, stage1[j], stage2[j]) for i, j in own))
             for look, k in enumerate(design.endpoint_analyses[ep]):
-                w = None if key is None or design.weights is None else design.weights[ep][look]
-                self.loads[k].append((ep, look, key, w, reads, (stage1[0], stage2[0])))
+                w = None if not self.gated or design.weights is None else design.weights[ep][look]
+                self.loads[k].append((ep, look, w, reads, (stage1[0], stage2[0])))
         self._rows = [[None, None] for _ in HYPOTHESES]
 
     def row(self, i: int, level: int) -> Tuple[float, ...]:
@@ -467,13 +461,9 @@ class _Engine:
     them. Labels are looked up only where the trace is written.
     """
 
-    def __init__(self, design: DesignSpec, scenario: Optional[Scenario],
-                 futility_decision: Optional[SelectionDecision]):
-        self.design = design
-        self.scenario = scenario
-        self.plan = plan = design._plans[scenario]
-        self.trace = DecisionTrace(
-            design=design.kind.value, scenario=scenario, futility=futility_decision)
+    def __init__(self, plan: _Plan, trace: DecisionTrace):
+        self.plan = plan
+        self.trace = trace
         self.z_hist: Dict[int, Dict[int, float]] = {}
         # boundary/alpha in effect when a target was rejected, for reporting
         self.reject_info: Dict[int, Tuple[float, float]] = {}
@@ -529,18 +519,6 @@ class _Engine:
             index=k, calendar_time=calendar_time, newly_rejected=newly,
             rejected=self.rejected, _run=self.run))
 
-    def finish(self, k: int):
-        scope = self.plan.scope_mask
-        if self.rejected & scope == scope:
-            self.trace.termination_index = k
-            self.trace.termination_reason = "all-rejected"
-            return True
-        if k == self.design.n_analyses - 1:
-            self.trace.termination_index = k
-            self.trace.termination_reason = "reached-FA"
-            return True
-        return False
-
 
 def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
             load: Callable[[_Engine, int], Optional[float]]) -> DecisionTrace:
@@ -562,12 +540,19 @@ def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float
             return DecisionTrace(design=design.kind.value, scenario=None,
                                  futility=futility_decision, termination_reason="futility")
         scenario = _SCENARIO_OF[futility_decision.selection]
-    eng = _Engine(design, scenario, futility_decision)
+    trace = DecisionTrace(design=design.kind.value, scenario=scenario,
+                          futility=futility_decision)
+    eng = _Engine(design._plans[scenario], trace)
+    scope = eng.plan.scope_mask
     for k in range(design.n_analyses):
         eng.run_analysis(k, load(eng, k))
-        if eng.finish(k):
+        if eng.rejected & scope == scope:
+            trace.termination_reason = "all-rejected"
             break
-    return eng.trace
+    else:
+        trace.termination_reason = "reached-FA"
+    trace.termination_index = k
+    return trace
 
 
 def _event_driven_weights(snap: AnalysisSnapshot, stage1: int, stage2: int) -> StageWeights:
@@ -575,41 +560,22 @@ def _event_driven_weights(snap: AnalysisSnapshot, stage1: int, stage2: int) -> S
     return event_weights(n1, n2) if n1 + n2 else StageWeights(1.0, 0.0)
 
 
-def _score(p: float) -> Tuple[float, bool]:
-    """q = Phi^-1(1 - p) of the clamped p-value, and whether clamping fired."""
-    p, clamped = clamp_p(p)
-    return norm_quantile(1.0 - p), clamped
-
-
-def _scores(snap: AnalysisSnapshot, key: int, reads) -> tuple:
-    """(target, q1, q2, clamped) per wired target of one plan load (`reads`:
-    the FS intersection, then each continuing population's hypothesis), with
-    q = Phi^-1(1 - p) of each stage's clamped joint p-value. Computed by the
-    first arm that asks and kept on the snapshot under the plan's `key`."""
-    table = snap.scores.get(key)
-    if table is None:
-        rows = []
-        for i, s1, s2 in reads:
-            (q1, clamped1), (q2, clamped2) = (_score(_joint_p([snap.p[j] for j in s]))
-                                              for s in (s1, s2))
-            rows.append((i, q1, q2, clamped1 or clamped2))
-        table = snap.scores[key] = tuple(rows)
-    return table
-
-
 def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
     """GSD: pooled logrank z. AD/gGSD: inverse-normal combination of the
-    stage-wise cohort p-values, wired per continuation scenario."""
-    for _, look, key, w, reads, counts in eng.plan.loads[k]:
-        if key is None:
+    snapshot's normal scores, wired per continuation scenario."""
+    gated = eng.plan.gated
+    for _, look, w, reads, counts in eng.plan.loads[k]:
+        if not gated:
             for i, j in reads:
                 eng.enter(i, look, snap.z[j])
             continue
         if w is None:
             w = _event_driven_weights(snap, *counts)
         w1, w2 = w.w1, w.w2
-        for i, q1, q2, clamped in _scores(snap, key, reads):
-            if clamped:
+        scores = snap.scores
+        for i, j1, j2 in reads:
+            (q1, clamped1), (q2, clamped2) = scores[j1], scores[j2]
+            if clamped1 or clamped2:
                 eng.trace.warnings.append(
                     f"analysis {k + 1}: degenerate p-value clamped for {_TARGETS[i].label}")
             # the arithmetic of combine.inverse_normal, on the shared scores
@@ -657,9 +623,10 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
             p_h = observed.p_values.get(h, {}).get(k)
             if p_h is not None:
                 p.append(p_h)
-                eng.enter(_INDEX[h], look, _score(p_h)[0])
+                eng.enter(_INDEX[h], look, normal_score(p_h)[0])
         if plan.gated and len(p) == len(plan.pops):
-            eng.enter(_FS_INDEX[ep], look, _score(_joint_p(p))[0])
+            p_fs = p[0] if len(p) == 1 else hochberg_intersection(*p)
+            eng.enter(_FS_INDEX[ep], look, normal_score(p_fs)[0])
     _check_required_slots(eng, k)
 
 

@@ -15,17 +15,24 @@ distinct event times of that one order, and their logrank statistics come
 out together. The futility gate's snapshot computes no slots: it censors and
 sorts only the stage-1 PFS rows for its two Cox fits. `logrank_test` is the
 same kernel with a single slot.
+
+`AnalysisSnapshot.scores` is the normal-score table the gated designs
+combine: `combine.normal_score` of the eight stage-wise slots, then of each
+stage's Hochberg intersection of F and S (`joint_slot`). It is the same for
+every scenario, and computed on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .multiplicity import Endpoint, Population
+from .combine import normal_score
+from .multiplicity import Endpoint, Population, hochberg_intersection
 from .numerics import norm_cdf
 
 __all__ = [
@@ -38,6 +45,7 @@ __all__ = [
     "schedule_analyses",
     "snapshot_at",
     "slot",
+    "joint_slot",
     "logrank_test",
     "cox_hazard_ratio",
 ]
@@ -332,32 +340,41 @@ def _cox_sorted(d: np.ndarray, s: np.ndarray, experimental: np.ndarray) -> float
 @dataclass(frozen=True)
 class AnalysisSnapshot:
     """Per-analysis summary: event count, z and one-sided p per slot, in
-    `slot` order, and the indices of the slots with no event. A futility
-    snapshot (`snapshot_at(..., with_hr=True)`) carries only `hr_full` and
-    `hr_sub`; its slot tables are empty.
-
-    `scores` is filled by the decision engine: the normal scores of the
-    p-values each continuation scenario wires, computed by the first design
-    arm that reads this snapshot and shared by the others. It is not an
-    init field, so a snapshot built by the constructor or by
-    `dataclasses.replace` always starts with an empty table.
+    `slot` order. A futility snapshot (`snapshot_at(..., with_hr=True)`)
+    carries only `hr_full` and `hr_sub`; its slot tables are empty.
+    `zero_event_slots` and `scores` derive from the slots, so a
+    `dataclasses.replace` copy never carries stale ones. (No __slots__:
+    `cached_property` stores in the instance __dict__.)
     """
 
     calendar_time: float
     events: Tuple[int, ...] = ()
     z: Tuple[float, ...] = ()
     p: Tuple[float, ...] = ()
-    zero_event_slots: Tuple[int, ...] = ()
     hr_full: Optional[float] = None
     hr_sub: Optional[float] = None
-    scores: Dict[int, tuple] = field(default_factory=dict, init=False, compare=False,
-                                     repr=False)
+
+    @property
+    def zero_event_slots(self) -> Tuple[int, ...]:
+        """Indices of the slots with no event."""
+        return tuple(i for i, n in enumerate(self.events) if n == 0)
+
+    @cached_property
+    def scores(self) -> Tuple[Tuple[float, bool], ...]:
+        """12 (q, clamped) pairs, `combine.normal_score` of each stage-wise
+        p-value in `slot` order (entries 0-7), then of each stage's Hochberg
+        intersection of F and S in `joint_slot` order (8-11)."""
+        stages = self.p[:slot("pooled", Population.FULL, _ENDPOINTS[0])]
+        joint = (hochberg_intersection(*(stages[slot(c, pop, ep)] for pop in Population))
+                 for c in _STAGES for ep in _ENDPOINTS)
+        return tuple(map(normal_score, (*stages, *joint)))
 
 
 # Cells are stage x subgroup: 0 stage-1 complement, 1 stage-1 subgroup,
 # 2 stage-2 complement, 3 stage-2 subgroup. Each (cohort, population) row
 # is a union of cells; rows run cohort-major, F before S.
 _COHORTS = ("stage1", "stage2", "pooled")
+_STAGES = _COHORTS[:2]
 _SLOT_CELLS = [(1, 1, 0, 0), (0, 1, 0, 0),  # stage1
                (0, 0, 1, 1), (0, 0, 0, 1),  # stage2
                (1, 1, 1, 1), (0, 1, 0, 1)]  # pooled
@@ -370,6 +387,13 @@ def slot(cohort: str, population: Population, endpoint: Endpoint) -> int:
     "stage2", "pooled") is outermost, then population, then endpoint, each
     in declaration order: stage 1 holds slots 0-3, stage 2 4-7, pooled 8-11."""
     row = 2 * _COHORTS.index(cohort) + (population is Population.SUB)
+    return len(_ENDPOINTS) * row + _ENDPOINTS.index(endpoint)
+
+
+def joint_slot(cohort: str, endpoint: Endpoint) -> int:
+    """Index in `AnalysisSnapshot.scores` of a stage's Hochberg intersection
+    of F and S: stage 1 at 8-9, stage 2 at 10-11, endpoint innermost."""
+    row = 2 * len(_STAGES) + _STAGES.index(cohort)
     return len(_ENDPOINTS) * row + _ENDPOINTS.index(endpoint)
 
 
@@ -416,5 +440,4 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
         per_endpoint.append(_logrank_slots(d, s, g, _SLOT_WEIGHTS))
     # Slot order (`slot`): cohort and population row, then endpoint.
     zs, ps, events = zip(*(slots[k] for k in range(len(_SLOT_CELLS)) for slots in per_endpoint))
-    return AnalysisSnapshot(calendar_time=time, events=events, z=zs, p=ps,
-                            zero_event_slots=tuple(i for i, n in enumerate(events) if n == 0))
+    return AnalysisSnapshot(calendar_time=time, events=events, z=zs, p=ps)

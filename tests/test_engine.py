@@ -286,7 +286,7 @@ def test_design_spec_validation(designs2):
     with pytest.raises(DesignConfigError, match="weight table missing or misaligned"):
         dataclasses.replace(ad, weights={})
     for arm, event_driven in ((ad, False), (dataclasses.replace(ad, weights=None), True)):
-        ws = [w for plan in arm._plans.values() for load in plan.loads for _, _, _, w, *_ in load]
+        ws = [w for plan in arm._plans.values() for load in plan.loads for _, _, w, *_ in load]
         assert ws and all((w is None) is event_driven for w in ws)
 
 
@@ -319,16 +319,15 @@ def test_scores_follow_the_wiring(setting2, designs2, scenario, ep):
     assert weights
     snaps, _ = replication_inputs(setting2.scenario, setting2.seed, 0)
     plan = designs2["ad:0.5"]._plans[scenario]
-    key, reads = next((key, reads) for load in plan.loads
-                      for e, _, key, _, reads, _ in load if e is ep)
+    reads = next(reads for load in plan.loads for e, _, _, reads, _ in load if e is ep)
     for snap in snaps:
         p = {(stage, pop): snap.p[slot(stage, pop, ep)]
              for stage in ("stage1", "stage2") for pop in Population}
         wired = _wiring(scenario, ep, p)
-        rows = engine._scores(snap, key, reads)
-        assert [engine._TARGETS[i].label for i, *_ in rows] == [t for t, _, _ in wired]
-        for (_, q1, q2, clamped), (_, p1, p2) in zip(rows, wired):
-            assert not clamped
+        assert [engine._TARGETS[i].label for i, _, _ in reads] == [t for t, _, _ in wired]
+        for (_, j1, j2), (_, p1, p2) in zip(reads, wired):
+            (q1, clamped1), (q2, clamped2) = snap.scores[j1], snap.scores[j2]
+            assert not (clamped1 or clamped2)
             for w in weights:
                 assert w.w1 * q1 + w.w2 * q2 == inverse_normal(p1, p2, w)
 
@@ -353,22 +352,28 @@ def test_monte_carlo_builds_no_test_records(monkeypatch, setting2, designs2):
 
 
 def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs2):
-    # All arms share one futility rule, so one replication continues in one
-    # scenario: each snapshot needs at most 2 endpoints x 3 targets x 2
-    # stage-wise quantiles, however many arms read it.
+    # Each snapshot's score table is 12 quantiles, computed by the first arm
+    # that reads it and shared by every other arm, whatever its scenario.
     calls = []
 
     def counting_quantile(p):
         calls.append(p)
         return norm_quantile(p)
 
-    monkeypatch.setattr(engine, "norm_quantile", counting_quantile)
     monkeypatch.setattr(combine, "norm_quantile", counting_quantile)
     snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
     traces = [run_design(d, snaps, fut) for d in designs2.values()]
     assert len(traces) == 17
     assert {t.scenario for t in traces if t.design != "gsd"} == {Scenario.BOTH}
     assert 0 < len(calls) <= 6 * 2 * len(snaps)
+    assert len(calls) == 12 * sum("scores" in vars(snap) for snap in snaps)
+    # A replication in which every gated arm stops at the futility gate reads
+    # no score table, so it computes no quantile.
+    calls.clear()
+    snaps, fut = replication_inputs(setting2.scenario.under_global_null(), setting2.seed, 0)
+    traces = [run_design(d, snaps, fut) for d in designs2.values()]
+    assert {t.termination_reason for t in traces if t.design != "gsd"} == {"futility"}
+    assert calls == []
 
 
 def test_slot_tables_read_without_enum_hashing(monkeypatch, setting2, designs2):
@@ -409,9 +414,10 @@ def test_slot_tables_read_without_enum_hashing(monkeypatch, setting2, designs2):
     assert counts["censor"] == 2 * counts["censor", "calls"] > 0
 
 
-def test_replaced_snapshot_starts_with_empty_scores(setting2, designs2):
+def test_replaced_snapshot_scores_follow_its_own_p_values(setting2, designs2):
     snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
     run_design(designs2["ggsd:0.5"], snaps, fut)
-    assert snaps[0].scores
+    assert "scores" in vars(snaps[0])
     moved = dataclasses.replace(snaps[0], p=(0.5,) * len(snaps[0].p))
-    assert moved.scores == {}
+    assert moved.scores == (combine.normal_score(0.5),) * 12
+    assert moved.scores != snaps[0].scores

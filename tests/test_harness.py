@@ -1,5 +1,6 @@
 """Monte Carlo harness: aggregation, merging, reproducibility."""
 
+import gc
 import math
 from pathlib import Path
 
@@ -74,3 +75,20 @@ def test_summarize_rows(cfg, small_designs):
         assert math.isfinite(r["se"])
     stages = {(r["arm"], r["stage"]) for r in tables["termination"]}
     assert ("gsd", "FA") in stages
+
+
+def test_monte_carlo_leaves_no_cyclic_garbage():
+    # Traces, records and snapshots are freed by reference counting alone: a
+    # reference cycle (say, records that point back at their trace) would
+    # leave every replication's objects to the cyclic collector and raise
+    # peak memory.
+    setting2 = parse_config(CONFIG_DIR / "setting2.yaml")
+    designs = build_designs(setting2)
+    assert len(designs) == 17
+    gc.collect()
+    gc.disable()
+    try:
+        run_monte_carlo(setting2.scenario, designs, 20, setting2.seed, threads=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,6 @@
 """Trial generation, analysis scheduling, and survival statistics."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from gatedgsd.combine import normal_score
 from gatedgsd.config import parse_config
-from gatedgsd.multiplicity import Endpoint, Population
+from gatedgsd.harness import replication_inputs
+from gatedgsd.multiplicity import Endpoint, Population, hochberg_intersection
 from gatedgsd.numerics import norm_cdf
 from gatedgsd.simdata import (
     AnalysisTrigger,
@@ -18,6 +21,7 @@ from gatedgsd.simdata import (
     _censor,
     cox_hazard_ratio,
     generate_trial,
+    joint_slot,
     logrank_test,
     schedule_analyses,
     slot,
@@ -327,3 +331,33 @@ def test_futility_hazard_ratios_bit_identical():
         assert snap.hr_full == full and snap.hr_sub == sub
         # The futility snapshot computes no logrank slot.
         assert snap.events == snap.z == snap.p == () and snap.zero_event_slots == ()
+
+
+def test_score_table_layout():
+    # Entries 0-7 score the stage-wise slots in slot order; entries 8-11 score
+    # each stage's Hochberg intersection of F and S, at joint_slot.
+    assert sorted(joint_slot(c, ep) for c in ("stage1", "stage2") for ep in Endpoint) == [
+        8, 9, 10, 11]
+    for name in ("setting1", "setting2", "setting3"):
+        cfg = parse_config(CONFIG_DIR / f"{name}.yaml")
+        for spec in (cfg.scenario, cfg.scenario.under_global_null()):
+            for rep in range(3):
+                snaps, _ = replication_inputs(spec, cfg.seed, rep)
+                for snap in snaps:
+                    assert len(snap.scores) == 12
+                    for j in range(8):
+                        assert snap.scores[j] == normal_score(snap.p[j])
+                    for c in ("stage1", "stage2"):
+                        for ep in Endpoint:
+                            p_full, p_sub = (snap.p[slot(c, pop, ep)] for pop in Population)
+                            assert snap.scores[joint_slot(c, ep)] == normal_score(
+                                hochberg_intersection(p_full, p_sub))
+
+
+def test_zero_event_slots_follow_replaced_events():
+    spec = toy_spec()
+    trial = generate_trial(spec, 3)
+    snap = snapshot_at(trial, 20.0, spec)
+    assert snap.zero_event_slots == tuple(j for j, n in enumerate(snap.events) if n == 0)
+    moved = dataclasses.replace(snap, events=(0, 5) * 6)
+    assert moved.zero_event_slots == tuple(range(0, 12, 2))
