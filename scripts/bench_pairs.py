@@ -10,7 +10,12 @@ the changed one, alternating which goes first from pair to pair, so that slow dr
 on both sides alike. It writes, per workload and end-to-end metric (from
 BENCHMARK.json), each side's values, median and quartiles, the ratio of the
 medians and the number of pairs the change won, plus each side's machine
-block. It exits 1 if any run failed or reported an incorrect result.
+block. Two verdicts go with each metric: `gain_shown`, when the change won
+at least 9 of 10 pairs and its median is better than the base's by more
+than the base's interquartile range, and `worse_than_bound`, when its median
+is worse than the base's by more than the metric's BENCHMARK.json bound (a
+fraction of the base median). The last line printed names the metrics of
+each verdict. It exits 1 if any run failed or reported an incorrect result.
 
 Usage:
     python scripts/bench_pairs.py --base ../parent --change . \\
@@ -52,6 +57,24 @@ def summary(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
+def compare(base, change, better: str, bound: float) -> dict:
+    """One metric's paired values, base against change, and the verdicts."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    b, c = summary(base), summary(change)
+    gain = sign * (c["median"] - b["median"])
+    return {
+        "better": better,
+        "base": b,
+        "change": c,
+        "ratio_of_medians": c["median"] / b["median"],
+        "change_better_pairs": wins,
+        "pairs": len(base),
+        "gain_shown": wins >= 0.9 * len(base) and gain > b["q3"] - b["q1"],
+        "worse_than_bound": -gain > bound * abs(b["median"]),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, type=pathlib.Path)
@@ -62,7 +85,7 @@ def main(argv=None) -> int:
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     with open(sides["change"] / "BENCHMARK.json") as f:
         bench = json.load(f)
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
 
     report = {
@@ -87,19 +110,12 @@ def main(argv=None) -> int:
                       + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
                       flush=True)
         metrics = {}
-        for name, direction in better.items():
-            base = [r["metrics"][name]["value"] for r in runs["base"]]
-            change = [r["metrics"][name]["value"] for r in runs["change"]]
-            wins = sum((c > b) if direction == "higher" else (c < b)
-                       for b, c in zip(base, change))
+        for name, spec in end_to_end.items():
             metrics[name] = {
                 "unit": runs["base"][0]["metrics"][name]["unit"],
-                "better": direction,
-                "base": summary(base),
-                "change": summary(change),
-                "ratio_of_medians": statistics.median(change) / statistics.median(base),
-                "change_better_pairs": wins,
-                "pairs": len(base),
+                **compare([r["metrics"][name]["value"] for r in runs["base"]],
+                          [r["metrics"][name]["value"] for r in runs["change"]],
+                          spec["better"], spec["bound"]),
             }
         report["workloads"][workload] = {
             "metrics": metrics,
@@ -109,6 +125,10 @@ def main(argv=None) -> int:
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
+    verdicts = {key: [f"{w}/{m}" for w, block in report["workloads"].items()
+                      for m, v in block["metrics"].items() if v[key]]
+                for key in ("gain_shown", "worse_than_bound")}
+    print("; ".join(f"{key}: {' '.join(names) or 'none'}" for key, names in verdicts.items()))
     return 0 if ok else 1
 
 

@@ -36,9 +36,15 @@ A call does only the work that is new to its arm and data:
   alpha levels, solved on first use by `cached_boundaries`.
 - Shared normal scores. Every statistic an AD or gGSD arm combines is one
   of the 12 normal scores of the snapshot (`AnalysisSnapshot.scores`),
-  computed on first read and shared by every arm and scenario; the plan
-  picks two entries per target, and each arm forms its own
-  z = w1*q1 + w2*q2, bit for bit the value of `combine.inverse_normal`.
+  shared by every arm and scenario; the plan picks two entries per target,
+  and each arm forms its own z = w1*q1 + w2*q2, bit for bit the value of
+  `combine.inverse_normal`.
+- Demand-driven snapshots. A load entry reads one block of its endpoint
+  from the snapshot: GSD the pooled z, a gated arm the endpoint's six
+  scores, event-driven weights the stage-wise event counts. The snapshot
+  computes a block when it is first read, so a gated arm stopped at
+  futility costs no logrank work and no score, and no bundled arm makes the
+  final analysis compute PFS.
 - Lazy records. An `AnalysisRecord` keeps its rejection bitmask; `tests`
   and `alpha_snapshot` are rendered from it when first read, so the Monte
   Carlo, which reads only rejections and terminations, never builds them.
@@ -299,10 +305,12 @@ class _Plan:
     `levels[i]` holds hypothesis i's alpha indexed by "partner rejected":
     the graphical update rule on the PFS<->OS edges in closed form.
     `loads[k]` lists what analysis k enters, per endpoint with a look there
-    in Endpoint order: (endpoint, look, weights, reads, event slots). GSD
+    in Endpoint order: (endpoint, look, weights, reads, (e, n1, n2)), where e
+    is the endpoint's position, which names its blocks of the snapshot. GSD
     reads (hypothesis, pooled slot) pairs of `z`; AD and gGSD read (target,
     stage-1 index, stage-2 index) triples of `scores` per wired target, and
-    event-driven weights (None) use the full population's two stage slots.
+    event-driven weights (None) read the full population's stage slots n1
+    and n2 of `events`.
     """
 
     __slots__ = ("pops", "in_scope", "scope_mask", "levels", "gate0", "gated", "members",
@@ -320,7 +328,7 @@ class _Plan:
         self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
         self.analyses_of = tuple(design.endpoint_analyses[t.endpoint] for t in _TARGETS)
         self.loads = [[] for _ in range(design.n_analyses)]
-        for ep in Endpoint:
+        for e, ep in enumerate(Endpoint):
             stage1, stage2, pooled = ([slot(c, pop, ep) for pop in Population]
                                       for c in ("stage1", "stage2", "pooled"))
             own = [(_INDEX[HypothesisId(pop, ep)], j) for j, pop in enumerate(Population)
@@ -335,7 +343,7 @@ class _Plan:
                          *((i, stage1[j], stage2[j]) for i, j in own))
             for look, k in enumerate(design.endpoint_analyses[ep]):
                 w = None if not self.gated or design.weights is None else design.weights[ep][look]
-                self.loads[k].append((ep, look, w, reads, (stage1[0], stage2[0])))
+                self.loads[k].append((ep, look, w, reads, (e, stage1[0], stage2[0])))
         self._rows = [[None, None] for _ in HYPOTHESES]
 
     def row(self, i: int, level: int) -> Tuple[float, ...]:
@@ -555,24 +563,27 @@ def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float
     return trace
 
 
-def _event_driven_weights(snap: AnalysisSnapshot, stage1: int, stage2: int) -> StageWeights:
-    n1, n2 = snap.events[stage1], snap.events[stage2]
+def _event_driven_weights(n1: int, n2: int) -> StageWeights:
     return event_weights(n1, n2) if n1 + n2 else StageWeights(1.0, 0.0)
 
 
 def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
     """GSD: pooled logrank z. AD/gGSD: inverse-normal combination of the
-    snapshot's normal scores, wired per continuation scenario."""
+    snapshot's normal scores, wired per continuation scenario. Each load
+    entry reads one block of its endpoint, so the snapshot computes only
+    the blocks some arm reads."""
     gated = eng.plan.gated
-    for _, look, w, reads, counts in eng.plan.loads[k]:
+    for _, look, w, reads, (e, n1, n2) in eng.plan.loads[k]:
         if not gated:
+            z = snap.pooled_z(e)
             for i, j in reads:
-                eng.enter(i, look, snap.z[j])
+                eng.enter(i, look, z[j])
             continue
         if w is None:
-            w = _event_driven_weights(snap, *counts)
+            events = snap.stage_events(e)
+            w = _event_driven_weights(events[n1], events[n2])
         w1, w2 = w.w1, w.w2
-        scores = snap.scores
+        scores = snap.endpoint_scores(e)
         for i, j1, j2 in reads:
             (q1, clamped1), (q2, clamped2) = scores[j1], scores[j2]
             if clamped1 or clamped2:

@@ -7,27 +7,35 @@ p-values plus Cox hazard-ratio estimates for the futility gate.
 
 A snapshot holds 12 slots, 3 cohorts (stage 1, stage 2, pooled) x 2
 populations x 2 endpoints, as tuples in one fixed order; `slot` gives a
-statistic's index and is the one place that knows the layout. It sorts each
-endpoint's censored durations once. Every patient sits in one of four stage
-x subgroup cells, and each (cohort, population) row is a union of cells, so
-the counts of all six rows are sums of per-cell, per-arm counts at the
-distinct event times of that one order, and their logrank statistics come
-out together. The futility gate's snapshot computes no slots: it censors and
-sorts only the stage-1 PFS rows for its two Cox fits. `logrank_test` is the
-same kernel with a single slot.
+statistic's index and is the one place that knows the layout. Every patient
+sits in one of four stage x subgroup cells, and each (cohort, population)
+row is a union of cells, so a row's counts are sums of per-cell, per-arm
+counts at the distinct event times of its endpoint's sorted sample.
+
+A snapshot computes on demand. `snapshot_at` keeps the trial and the
+cutoff. When one of an endpoint's blocks is first read, its enrolled rows
+are censored, stably sorted and counted per (cell, arm) group at their
+distinct event times, once; each block is then one weighting of those
+counts by the same kernel: the pooled block (F and S) or the stage-wise
+block (stage 1 and stage 2, F and S). Each slot's sums are the same
+additions in the same order whichever block holds it, so a block read alone
+is bit for bit the value a whole-endpoint call gives. Reading a whole table
+fills every block.
+The futility gate's snapshot computes no slots: it censors and sorts only
+the stage-1 PFS rows for its two Cox fits. `logrank_test` is the same
+kernel with a single slot.
 
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
 stage's Hochberg intersection of F and S (`joint_slot`). It is the same for
-every scenario, and computed on first read.
+every scenario, and filled per endpoint on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from dataclasses import InitVar, dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -203,7 +211,7 @@ def _censor(trial: TrialData, ep: Endpoint, time: float, mask: np.ndarray):
     drop = trial.dropout_time[ep][sel]
     duration = np.minimum(latent, np.minimum(drop, follow))
     status = latent <= np.minimum(drop, follow)
-    return duration, status, trial.experimental[sel]
+    return duration, status
 
 
 def _slot_weights(slot_cells) -> np.ndarray:
@@ -221,19 +229,16 @@ def _slot_weights(slot_cells) -> np.ndarray:
     return np.kron(np.eye(2), per_slot)
 
 
-def _logrank_slots(d: np.ndarray, s: np.ndarray, group: np.ndarray,
-                   weights: np.ndarray) -> List[Tuple[float, float, int]]:
-    """One-sided logrank (z, p, events) for every slot of one sorted sample.
+def _group_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray,
+                  n_groups: int) -> np.ndarray:
+    """Per-group counts at the distinct event times of one sorted sample.
 
     d and s are the durations in stable ascending order and their event
-    flags; `group` is each row's (cell, arm) group and `weights` (from
-    `_slot_weights`) says which groups make up each slot. Per-group event
-    and at-risk counts at the distinct event times come from this one order,
-    and a slot's counts are sums over its groups. At-risk counts are taken
-    at the first row of a tied duration, so a patient censored at t is still
-    at risk at t; events at one time are collapsed.
+    flags, and `group` is each row's (cell, arm) group. The result stacks
+    two blocks of `n_groups` rows over the event times: rows gone by each
+    event time, then events at each time. Every block of slots read off the
+    sample is a weighting of these rows (`_logrank_slots`).
     """
-    n_slots, n_groups = weights.shape[0] // 4, weights.shape[1] // 2
     n = len(d)
     # A row's bucket counts the event times at which it is still at risk:
     # the distinct event times up to its own duration, ties included. Runs
@@ -254,12 +259,26 @@ def _logrank_slots(d: np.ndarray, s: np.ndarray, group: np.ndarray,
     counts = np.bincount(np.concatenate([index, index[s] + n_groups * width - 1]),
                          minlength=2 * n_groups * width).reshape(2 * n_groups, width)
     np.cumsum(counts[:n_groups], axis=1, out=counts[:n_groups])
+    return counts
+
+
+def _logrank_slots(counts: np.ndarray, weights: np.ndarray) -> List[Tuple[float, float, int]]:
+    """One-sided logrank (z, p, events) for every slot of one sorted sample.
+
+    `counts` comes from `_group_counts`, and `weights` (from `_slot_weights`)
+    says which groups make up each slot, so a slot's counts are sums over
+    its groups. At-risk counts are taken at the first row of a tied
+    duration, so a patient censored at t is still at risk at t; events at
+    one time are collapsed.
+    """
+    n_slots, width = weights.shape[0] // 4, counts.shape[1]
     slot_counts = weights @ counts
     size = slot_counts[:2 * n_slots, -1:]
     at_risk = (size - slot_counts[:2 * n_slots]).reshape(2, -1)
     died = slot_counts[2 * n_slots:].reshape(2, -1)
     # Each slot sums over its own event times only, as one contiguous run:
-    # the same additions in the same order as a sample holding that slot alone.
+    # the same additions in the same order as a sample holding that slot
+    # alone, so a block of slots gives each slot the bits of any other block.
     runs = np.flatnonzero(died[0] > 0)
     ends = np.searchsorted(runs, np.arange(1, n_slots + 1) * width).tolist()
     n_tot, n_exp = at_risk.take(runs, axis=1)
@@ -295,8 +314,9 @@ def logrank_test(duration: np.ndarray, status: np.ndarray, experimental: np.ndar
     one arm only, carries no evidence: (0, 1, events).
     """
     order = np.argsort(duration, kind="stable")
-    return _logrank_slots(duration[order], status[order].astype(bool),
-                          experimental[order].astype(np.intp), _ONE_SLOT)[0]
+    counts = _group_counts(duration[order], status[order].astype(bool),
+                           experimental[order].astype(np.intp), 2)
+    return _logrank_slots(counts, _ONE_SLOT)[0]
 
 
 def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
@@ -337,37 +357,138 @@ def _cox_sorted(d: np.ndarray, s: np.ndarray, experimental: np.ndarray) -> float
     return math.exp(beta)
 
 
+class _Table:
+    """A slot table of `AnalysisSnapshot` (`events`, `z`, `p`).
+
+    The instance keeps the table as a list under the field's own name. A
+    given table is kept whole; a snapshot read off a sample starts with 12
+    empty entries, which its blocks fill. Reading the field fills every block
+    and gives a tuple.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, snap, owner=None):
+        if snap is None:
+            return ()  # the field's default
+        table = vars(snap)[self.name]
+        if None in table:
+            snap._fill_all()
+        return tuple(table)
+
+    def __set__(self, snap, value):
+        vars(snap)[self.name] = list(value)
+
+
 @dataclass(frozen=True)
 class AnalysisSnapshot:
     """Per-analysis summary: event count, z and one-sided p per slot, in
-    `slot` order. A futility snapshot (`snapshot_at(..., with_hr=True)`)
-    carries only `hr_full` and `hr_sub`; its slot tables are empty.
-    `zero_event_slots` and `scores` derive from the slots, so a
-    `dataclasses.replace` copy never carries stale ones. (No __slots__:
-    `cached_property` stores in the instance __dict__.)
+    `slot` order.
+
+    `snapshot_at` passes the trial data as `sample`, and the tables fill on
+    first read, one endpoint's block at a time: `pooled_z`, `stage_events`
+    and `endpoint_scores` take the endpoint's position in `Endpoint` order
+    and return the whole table, with that endpoint's pooled or stage-wise
+    slots (or its scores) filled. Reading a whole table (`events`, `z`, `p`,
+    `zero_event_slots`, `scores`) fills every block. A `dataclasses.replace`
+    copy passes no sample: it keeps the tables it is given, and derives
+    `zero_event_slots` and `scores` from them. A futility snapshot
+    (`snapshot_at(..., with_hr=True)`) carries only `hr_full` and `hr_sub`;
+    its slot tables are empty.
     """
 
     calendar_time: float
-    events: Tuple[int, ...] = ()
-    z: Tuple[float, ...] = ()
-    p: Tuple[float, ...] = ()
+    events: Tuple[int, ...] = _Table()
+    z: Tuple[float, ...] = _Table()
+    p: Tuple[float, ...] = _Table()
     hr_full: Optional[float] = None
     hr_sub: Optional[float] = None
+    sample: InitVar[Optional["_Sample"]] = None
+
+    def __post_init__(self, sample):
+        state = vars(self)
+        state["_sample"] = sample
+        if sample is not None:
+            for name in _SLOT_TABLES:
+                state[name] = [None] * _N_SLOTS
 
     @property
     def zero_event_slots(self) -> Tuple[int, ...]:
         """Indices of the slots with no event."""
         return tuple(i for i, n in enumerate(self.events) if n == 0)
 
-    @cached_property
+    @property
     def scores(self) -> Tuple[Tuple[float, bool], ...]:
         """12 (q, clamped) pairs, `combine.normal_score` of each stage-wise
         p-value in `slot` order (entries 0-7), then of each stage's Hochberg
         intersection of F and S in `joint_slot` order (8-11)."""
-        stages = self.p[:slot("pooled", Population.FULL, _ENDPOINTS[0])]
-        joint = (hochberg_intersection(*(stages[slot(c, pop, ep)] for pop in Population))
-                 for c in _STAGES for ep in _ENDPOINTS)
-        return tuple(map(normal_score, (*stages, *joint)))
+        for e in range(len(_ENDPOINTS)):
+            self.endpoint_scores(e)
+        return tuple(vars(self)["scores"])
+
+    def pooled_z(self, e: int) -> List[float]:
+        return self._block(e, _POOLED, "z")
+
+    def stage_events(self, e: int) -> List[int]:
+        return self._block(e, _STAGEWISE, "events")
+
+    def endpoint_scores(self, e: int) -> List[Tuple[float, bool]]:
+        """The score table with endpoint e's six entries filled: its four
+        stage-wise slots and its two Hochberg intersections."""
+        scores = vars(self).get("scores")
+        if scores is None:
+            scores = vars(self)["scores"] = [None] * _N_SLOTS
+        if scores[e] is None:
+            p, ep = self._block(e, _STAGEWISE, "p"), _ENDPOINTS[e]
+            for c in _STAGES:
+                full, sub = (slot(c, pop, ep) for pop in Population)
+                scores[full], scores[sub] = normal_score(p[full]), normal_score(p[sub])
+                scores[joint_slot(c, ep)] = normal_score(hochberg_intersection(p[full], p[sub]))
+        return scores
+
+    def _block(self, e: int, block: "_Block", name: str) -> list:
+        table = vars(self)[name]
+        slots = block.slots[e]
+        if table[slots[0]] is None:
+            stats = vars(self)["_sample"].logrank(e, block.weights)
+            events, z, p = (vars(self)[t] for t in _SLOT_TABLES)
+            for j, (zj, pj, nj) in zip(slots, stats):
+                z[j], p[j], events[j] = zj, pj, nj
+        return table
+
+    def _fill_all(self):
+        for e in range(len(_ENDPOINTS)):
+            for block in (_POOLED, _STAGEWISE):
+                self._block(e, block, "z")
+
+
+class _Sample:
+    """What an analysis snapshot's slots are read from: the trial, the
+    cutoff, and each enrolled patient's (cell, arm) group.
+
+    An endpoint's enrolled rows are censored, stably sorted and counted per
+    group at its distinct event times once, on first need; each block of its
+    slots is then one weighting of those counts.
+    """
+
+    __slots__ = ("trial", "time", "enrolled", "group", "_counts")
+
+    def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec):
+        self.trial, self.time = trial, time
+        self.enrolled = trial.enroll_time < time
+        cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
+        self.group = (2 * cell + trial.experimental)[self.enrolled]
+        self._counts = [None] * len(_ENDPOINTS)
+
+    def logrank(self, e: int, weights: np.ndarray) -> List[Tuple[float, float, int]]:
+        counts = self._counts[e]
+        if counts is None:
+            dur, st = _censor(self.trial, _ENDPOINTS[e], self.time, self.enrolled)
+            order = np.argsort(dur, kind="stable")
+            counts = self._counts[e] = _group_counts(dur[order], st[order], self.group[order],
+                                                     _N_GROUPS)
+        return _logrank_slots(counts, weights)
 
 
 # Cells are stage x subgroup: 0 stage-1 complement, 1 stage-1 subgroup,
@@ -375,11 +496,13 @@ class AnalysisSnapshot:
 # is a union of cells; rows run cohort-major, F before S.
 _COHORTS = ("stage1", "stage2", "pooled")
 _STAGES = _COHORTS[:2]
-_SLOT_CELLS = [(1, 1, 0, 0), (0, 1, 0, 0),  # stage1
-               (0, 0, 1, 1), (0, 0, 0, 1),  # stage2
-               (1, 1, 1, 1), (0, 1, 0, 1)]  # pooled
-_SLOT_WEIGHTS = _slot_weights(_SLOT_CELLS)
+_STAGE_CELLS = [(1, 1, 0, 0), (0, 1, 0, 0),  # stage1
+                (0, 0, 1, 1), (0, 0, 0, 1)]  # stage2
+_POOLED_CELLS = [(1, 1, 1, 1), (0, 1, 0, 1)]
+_N_GROUPS = 2 * len(_STAGE_CELLS[0])  # (cell, arm) groups
 _ENDPOINTS = tuple(Endpoint)
+_SLOT_TABLES = ("events", "z", "p")
+_N_SLOTS = 2 * len(_COHORTS) * len(_ENDPOINTS)
 
 
 def slot(cohort: str, population: Population, endpoint: Endpoint) -> int:
@@ -397,6 +520,23 @@ def joint_slot(cohort: str, endpoint: Endpoint) -> int:
     return len(_ENDPOINTS) * row + _ENDPOINTS.index(endpoint)
 
 
+class _Block(NamedTuple):
+    """Slots filled together: their weights over the (cell, arm) groups, and
+    per endpoint their indices, in the weights' row order."""
+
+    weights: np.ndarray
+    slots: Tuple[Tuple[int, ...], ...]
+
+
+def _block(cohorts: Tuple[str, ...], cells) -> _Block:
+    return _Block(_slot_weights(cells), tuple(
+        tuple(slot(c, pop, ep) for c in cohorts for pop in Population) for ep in _ENDPOINTS))
+
+
+_POOLED = _block(_COHORTS[2:], _POOLED_CELLS)
+_STAGEWISE = _block(_STAGES, _STAGE_CELLS)
+
+
 def _stage1_hazard_ratios(trial: TrialData, time: float, spec: ScenarioSpec):
     """Stage-1 PFS Cox HRs at a cutoff, F then S; None where a population has
     no event.
@@ -406,19 +546,22 @@ def _stage1_hazard_ratios(trial: TrialData, time: float, spec: ScenarioSpec):
     sees exactly the rows a fresh sort would give.
     """
     stage1 = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
-    dur, st, arm = _censor(trial, Endpoint.PFS, time, stage1)
+    dur, st = _censor(trial, Endpoint.PFS, time, stage1)
     order = np.argsort(dur, kind="stable")
-    d, s, x = dur[order], st[order], arm[order]
+    d, s, x = dur[order], st[order], trial.experimental[stage1][order]
     return tuple(_cox_sorted(d[rows], s[rows], x[rows]) if s[rows].any() else None
                  for rows in (slice(None), trial.in_subgroup[stage1][order]))
 
 
 def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
                 with_hr: bool = False) -> AnalysisSnapshot:
-    """Summaries of all 12 (cohort, population, endpoint) slots at a cutoff.
+    """Summaries of all 12 (cohort, population, endpoint) slots at a cutoff,
+    computed on first read.
 
-    Per endpoint the enrolled patients are censored and sorted once; all six
-    (cohort, population) slots are read off that one order.
+    An endpoint's enrolled patients are censored and sorted once, when a
+    block of its slots is first read; its pooled block (F and S) and its
+    stage-wise block (stage 1 and stage 2, F and S) are read off that one
+    order.
 
     With `with_hr` this is the futility gate's snapshot instead: it holds
     only the two stage-1 PFS Cox hazard ratios, and its slot tables are
@@ -429,15 +572,4 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
     if with_hr:
         hr_full, hr_sub = _stage1_hazard_ratios(trial, time, spec)
         return AnalysisSnapshot(calendar_time=time, hr_full=hr_full, hr_sub=hr_sub)
-    enrolled = trial.enroll_time < time
-    cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
-    group = (2 * cell + trial.experimental)[enrolled]
-    per_endpoint = []
-    for ep in _ENDPOINTS:
-        dur, st, _ = _censor(trial, ep, time, enrolled)
-        order = np.argsort(dur, kind="stable")
-        d, s, g = dur[order], st[order], group[order]
-        per_endpoint.append(_logrank_slots(d, s, g, _SLOT_WEIGHTS))
-    # Slot order (`slot`): cohort and population row, then endpoint.
-    zs, ps, events = zip(*(slots[k] for k in range(len(_SLOT_CELLS)) for slots in per_endpoint))
-    return AnalysisSnapshot(calendar_time=time, events=events, z=zs, p=ps)
+    return AnalysisSnapshot(calendar_time=time, sample=_Sample(trial, time, spec))

@@ -352,8 +352,10 @@ def test_monte_carlo_builds_no_test_records(monkeypatch, setting2, designs2):
 
 
 def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs2):
-    # Each snapshot's score table is 12 quantiles, computed by the first arm
-    # that reads it and shared by every other arm, whatever its scenario.
+    # A snapshot computes an endpoint's six scores (four stage-wise, two
+    # Hochberg) when the first arm reads that endpoint, and shares them with
+    # every other arm, whatever its scenario. No bundled arm tests PFS at the
+    # final analysis, so that snapshot computes no PFS score.
     calls = []
 
     def counting_quantile(p):
@@ -361,12 +363,24 @@ def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs
         return norm_quantile(p)
 
     monkeypatch.setattr(combine, "norm_quantile", counting_quantile)
+    looks = {(k, ep) for d in designs2.values() for ep, ks in d.endpoint_analyses.items()
+             for k in ks}
+    assert (2, Endpoint.PFS) not in looks and len(looks) == 5
     snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
     traces = [run_design(d, snaps, fut) for d in designs2.values()]
     assert len(traces) == 17
     assert {t.scenario for t in traces if t.design != "gsd"} == {Scenario.BOTH}
-    assert 0 < len(calls) <= 6 * 2 * len(snaps)
-    assert len(calls) == 12 * sum("scores" in vars(snap) for snap in snaps)
+    assert len(calls) == 6 * len(looks)
+    # Every quantile is computed at most once per snapshot: running the arms
+    # again computes none, and reading the whole tables computes only the
+    # final analysis's PFS half.
+    for d in designs2.values():
+        run_design(d, snaps, fut)
+    assert len(calls) == 6 * len(looks)
+    for k, snap in enumerate(snaps):
+        before = len(calls)
+        assert len(snap.scores) == 12
+        assert len(calls) - before == (6 if k == 2 else 0)
     # A replication in which every gated arm stops at the futility gate reads
     # no score table, so it computes no quantile.
     calls.clear()
@@ -374,6 +388,47 @@ def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs
     traces = [run_design(d, snaps, fut) for d in designs2.values()]
     assert {t.termination_reason for t in traces if t.design != "gsd"} == {"futility"}
     assert calls == []
+
+
+def test_snapshots_compute_only_the_blocks_read(monkeypatch, setting2, designs2):
+    # An analysis snapshot censors an endpoint's sample, and fills a block of
+    # its slots, only when an arm reads it: GSD the pooled block, a gated arm
+    # the stage-wise block behind its scores.
+    censored, blocks = [], collections.Counter()
+    censor, kernel = simdata._censor, simdata._logrank_slots
+
+    def counting_censor(trial, ep, time, mask):
+        censored.append((ep, time))
+        return censor(trial, ep, time, mask)
+
+    def counting_kernel(*args):
+        n_slots = args[-1].shape[0] // 4  # rows of the block's weight matrix
+        blocks[{2: "pooled", 4: "stagewise"}.get(n_slots, n_slots)] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(simdata, "_censor", counting_censor)
+    monkeypatch.setattr(simdata, "_logrank_slots", counting_kernel)
+    arms = list(designs2.values())
+    # Null replication 0: every gated arm stops at futility, so only GSD's
+    # five (analysis, endpoint) looks are computed, each one pooled block.
+    snaps, fut = replication_inputs(setting2.scenario.under_global_null(), setting2.seed, 0)
+    censored.clear()  # the futility snapshot's stage-1 PFS rows
+    traces = [run_design(d, snaps, fut) for d in arms]
+    assert {t.termination_reason for t in traces if t.design != "gsd"} == {"futility"}
+    assert len(censored) == 5 and blocks == {"pooled": 5}
+    # Power replication 0: the final analysis's PFS sample is never censored.
+    snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
+    censored.clear()
+    blocks.clear()
+    traces = [run_design(d, snaps, fut) for d in arms]
+    final_pfs = (Endpoint.PFS, snaps[2].calendar_time)
+    assert len(censored) == 5 and final_pfs not in censored
+    gsd_end = next(t.termination_index for t in traces if t.design == "gsd")
+    gsd_looks = sum(n for k, n in enumerate((2, 2, 1)) if k <= gsd_end)
+    assert blocks == {"pooled": gsd_looks, "stagewise": 5}
+    # Whole-table reads fill every block, once.
+    assert [len(snap.z) for snap in snaps] == [12] * 3
+    assert censored[-1] == final_pfs and blocks == {"pooled": 6, "stagewise": 6}
 
 
 def test_slot_tables_read_without_enum_hashing(monkeypatch, setting2, designs2):

@@ -27,3 +27,23 @@ def test_run_study_small(tmp_path):
     for name in ("setting1", "setting2", "setting3", "summary"):
         assert (tmp_path / name / "power.csv").is_file()
     assert (tmp_path / "replay" / "analysis.json").is_file()
+
+
+def test_bench_pairs_verdicts():
+    compare = _load(next(p for p in SCRIPTS if p.name == "bench_pairs.py")).compare
+    base = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]  # IQR 1.875
+    # Nine of ten pairs won and the medians 20 apart: a gain, on either direction.
+    faster = [b + 20.0 for b in base[:9]] + [90.0]
+    up = compare(base, faster, "higher", 0.25)
+    assert up["change_better_pairs"] == 9 and up["gain_shown"] and not up["worse_than_bound"]
+    down = compare(base, [b - 20.0 for b in base], "lower", 0.25)
+    assert down["gain_shown"] and down["ratio_of_medians"] == pytest.approx(0.8)
+    # Eight wins are too few, and ten wins inside the base's quartiles too small.
+    assert not compare(base, [b + 20.0 for b in base[:8]] + [90.0, 90.0], "higher", 0.25)[
+        "gain_shown"]
+    assert not compare(base, [b + 1.0 for b in base], "higher", 0.25)["gain_shown"]
+    # Worse than the bound: a median more than 25 % (or 5 %) on the wrong side.
+    assert compare(base, [b * 0.7 for b in base], "higher", 0.25)["worse_than_bound"]
+    assert not compare(base, [b * 0.8 for b in base], "higher", 0.25)["worse_than_bound"]
+    assert compare(base, [b * 1.06 for b in base], "lower", 0.05)["worse_than_bound"]
+    assert not compare(base, [b * 1.04 for b in base], "lower", 0.05)["worse_than_bound"]

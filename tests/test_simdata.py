@@ -7,18 +7,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedgsd.combine import normal_score
 from gatedgsd.config import parse_config
 from gatedgsd.harness import replication_inputs
 from gatedgsd.multiplicity import Endpoint, Population, hochberg_intersection
 from gatedgsd.numerics import norm_cdf
+from gatedgsd import simdata
 from gatedgsd.simdata import (
     AnalysisTrigger,
     ScenarioSpec,
     SchedulingError,
     TrialData,
     _censor,
+    _group_counts,
+    _logrank_slots,
+    _slot_weights,
     cox_hazard_ratio,
     generate_trial,
     joint_slot,
@@ -187,6 +193,12 @@ def test_snapshot_earlier_time_has_fewer_events():
 # -- one sort per endpoint: the snapshot kernel against the per-slot path ----
 
 
+def censored(trial, ep, time, mask):
+    """(duration, status, experimental) of the selected enrolled patients."""
+    return (*_censor(trial, ep, time, mask),
+            trial.experimental[mask & (trial.enroll_time < time)])
+
+
 def reference_logrank(duration, status, experimental):
     """Per-slot logrank with its own sort: the path the snapshot kernel replaced."""
     total_events = int(status.sum())
@@ -225,7 +237,7 @@ def reference_slots(trial, time, spec):
                "pooled": np.ones(len(trial), dtype=bool)}
     pops = {Population.FULL: np.ones(len(trial), dtype=bool),
             Population.SUB: trial.in_subgroup}
-    return {(c, pop, ep): reference_logrank(*_censor(trial, ep, time, cm & pm))
+    return {(c, pop, ep): reference_logrank(*censored(trial, ep, time, cm & pm))
             for c, cm in cohorts.items() for pop, pm in pops.items() for ep in Endpoint}
 
 
@@ -318,6 +330,76 @@ def test_snapshot_kernel_hand_built_edges():
     assert len(empty.zero_event_slots) == 12 and set(empty.z) == {0.0}
 
 
+# The six (cohort, population) rows of one endpoint in a single kernel call:
+# the stage-wise block's cells, then the pooled block's.
+SIX_SLOT_WEIGHTS = _slot_weights(simdata._STAGE_CELLS + simdata._POOLED_CELLS)
+
+
+def six_slot_tables(trial, time, spec):
+    """(events, z, p) in slot order from one 6-slot `_logrank_slots` call per
+    endpoint on the endpoint's whole censored, stably sorted sample."""
+    enrolled = trial.enroll_time < time
+    cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
+    group = (2 * cell + trial.experimental)[enrolled]
+    per_endpoint = []
+    for ep in Endpoint:
+        dur, st_ = _censor(trial, ep, time, enrolled)
+        order = np.argsort(dur, kind="stable")
+        counts = _group_counts(dur[order], st_[order], group[order], 8)
+        per_endpoint.append(_logrank_slots(counts, SIX_SLOT_WEIGHTS))
+    rows = [per_endpoint[e][k] for k in range(6) for e in range(len(Endpoint))]
+    z, p, events = zip(*rows)
+    return events, z, p
+
+
+def random_trial(seed, n, prevalence, tie_step):
+    """n patients whose enrollment, event and dropout times are rounded to
+    `tie_step` months, so that durations tie within and across cells."""
+    rng = np.random.default_rng(seed)
+
+    def rounded(x):
+        return np.round(x / tie_step) * tie_step
+
+    enroll = rounded(rng.uniform(0.0, 12.0, n))
+    event = {ep: rounded(rng.exponential(8.0, n)) for ep in Endpoint}
+    dropout = {ep: np.where(rng.random(n) < 0.3, rounded(rng.exponential(10.0, n)), np.inf)
+               for ep in Endpoint}
+    return TrialData(enroll, rng.random(n) < prevalence, rng.random(n) < 0.5, event, dropout)
+
+
+READS = ("pooled_z", "stage_events", "endpoint_scores", "events", "z", "p", "scores")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 80),
+    prevalence=st.sampled_from((0.0, 0.03, 0.5, 0.97, 1.0)),
+    tie_step=st.sampled_from((0.5, 1.0, 2.0)),
+    cutoff=st.sampled_from(("zero", "before-events", "mid", "late")),
+    first=st.sampled_from(READS),
+    endpoint=st.integers(0, len(Endpoint) - 1),
+)
+def test_blocks_match_one_six_slot_call_in_any_read_order(seed, n, prevalence, tie_step,
+                                                           cutoff, first, endpoint):
+    trial = random_trial(seed, n, prevalence, tie_step)
+    spec = toy_spec(stage1_cutoff=6.0)
+    first_event = min(float(np.min(trial.enroll_time + trial.event_time[ep])) for ep in Endpoint)
+    time = {"zero": 0.0, "before-events": max(0.0, first_event - tie_step / 2),
+            "mid": 10.0, "late": 40.0}[cutoff]
+    snap = snapshot_at(trial, time, spec)
+    read = getattr(snap, first)
+    if callable(read):
+        read(endpoint)
+    events, z, p = six_slot_tables(trial, time, spec)
+    assert snap.events == events
+    assert [x.hex() for x in snap.z] == [x.hex() for x in z]
+    assert [x.hex() for x in snap.p] == [x.hex() for x in p]
+    assert snap.scores[:8] == tuple(map(normal_score, p[:8]))
+    if cutoff in ("zero", "before-events"):
+        assert snap.events == (0,) * 12 and snap.zero_event_slots == tuple(range(12))
+
+
 def test_futility_hazard_ratios_bit_identical():
     cfg = parse_config(CONFIG_DIR / "setting2.yaml")
     spec = cfg.scenario
@@ -325,9 +407,9 @@ def test_futility_hazard_ratios_bit_identical():
         trial = generate_trial(spec, (cfg.seed, rep))
         snap = snapshot_at(trial, spec.stage1_cutoff, spec, with_hr=True)
         stage1 = trial.stage(spec.stage1_cutoff) == 1
-        full = cox_hazard_ratio(*_censor(trial, Endpoint.PFS, spec.stage1_cutoff, stage1))
-        sub = cox_hazard_ratio(*_censor(trial, Endpoint.PFS, spec.stage1_cutoff,
-                                        stage1 & trial.in_subgroup))
+        full = cox_hazard_ratio(*censored(trial, Endpoint.PFS, spec.stage1_cutoff, stage1))
+        sub = cox_hazard_ratio(*censored(trial, Endpoint.PFS, spec.stage1_cutoff,
+                                         stage1 & trial.in_subgroup))
         assert snap.hr_full == full and snap.hr_sub == sub
         # The futility snapshot computes no logrank slot.
         assert snap.events == snap.z == snap.p == () and snap.zero_event_slots == ()
