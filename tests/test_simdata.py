@@ -10,12 +10,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatedgsd import simdata
 from gatedgsd.combine import normal_score
 from gatedgsd.config import parse_config
 from gatedgsd.harness import replication_inputs
 from gatedgsd.multiplicity import Endpoint, Population, hochberg_intersection
 from gatedgsd.numerics import norm_cdf
-from gatedgsd import simdata
 from gatedgsd.simdata import (
     AnalysisTrigger,
     ScenarioSpec,
@@ -345,7 +345,7 @@ def six_slot_tables(trial, time, spec):
     for ep in Endpoint:
         dur, st_ = _censor(trial, ep, time, enrolled)
         order = np.argsort(dur, kind="stable")
-        counts = _group_counts(dur[order], st_[order], group[order], 8)
+        counts = _group_counts(dur[order], st_[order], group[order], simdata._N_GROUPS)
         per_endpoint.append(_logrank_slots(counts, SIX_SLOT_WEIGHTS))
     rows = [per_endpoint[e][k] for k in range(6) for e in range(len(Endpoint))]
     z, p, events = zip(*rows)
