@@ -2,9 +2,10 @@
 continuation scenarios.
 
 `normal_score` is the one clamp-then-Phi^-1 step. Each analysis snapshot
-keeps its table of normal scores (`simdata.AnalysisSnapshot.scores`); the
-engine's wiring picks two per test, and its w1*q1 + w2*q2 on them is bit
-for bit `inverse_normal`.
+fills its table of normal scores one endpoint at a time
+(`simdata.AnalysisSnapshot.endpoint_scores`; `.scores` is the whole
+table); the engine's wiring picks two per test, and its w1*q1 + w2*q2 on
+them is bit for bit `inverse_normal`.
 """
 
 from __future__ import annotations

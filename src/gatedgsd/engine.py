@@ -40,11 +40,12 @@ A call does only the work that is new to its arm and data:
   and each arm forms its own z = w1*q1 + w2*q2, bit for bit the value of
   `combine.inverse_normal`.
 - Demand-driven snapshots. A load entry reads one block of its endpoint
-  from the snapshot: GSD the pooled z, a gated arm the endpoint's six
-  scores, event-driven weights the stage-wise event counts. The snapshot
-  computes a block when it is first read, so a gated arm stopped at
-  futility costs no logrank work and no score, and no bundled arm makes the
-  final analysis compute PFS.
+  from the snapshot: GSD the pooled z (`block(e, True)`), a gated arm the
+  endpoint's six scores (`endpoint_scores(e)`), event-driven weights the
+  stage-wise event counts (`block(e, False)`). The snapshot computes a
+  block when it is first read, so a gated arm stopped at futility costs no
+  logrank work and no score, and no bundled arm makes the final analysis
+  compute PFS.
 - Lazy records. An `AnalysisRecord` keeps its rejection bitmask; `tests`
   and `alpha_snapshot` are rendered from it when first read, so the Monte
   Carlo, which reads only rejections and terminations, never builds them.
@@ -575,13 +576,13 @@ def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
     gated = eng.plan.gated
     for _, look, w, reads, (e, n1, n2) in eng.plan.loads[k]:
         if not gated:
-            z = snap.pooled_z(e)
+            stats = snap.block(e, True)
             for i, j in reads:
-                eng.enter(i, look, z[j])
+                eng.enter(i, look, stats[j][0])
             continue
         if w is None:
-            events = snap.stage_events(e)
-            w = _event_driven_weights(events[n1], events[n2])
+            stats = snap.block(e, False)
+            w = _event_driven_weights(stats[n1][2], stats[n2][2])
         w1, w2 = w.w1, w.w2
         scores = snap.endpoint_scores(e)
         for i, j1, j2 in reads:

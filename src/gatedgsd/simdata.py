@@ -12,15 +12,15 @@ sits in one of four stage x subgroup cells, and each (cohort, population)
 row is a union of cells, so a row's counts are sums of per-cell, per-arm
 counts at the distinct event times of its endpoint's sorted sample.
 
-A snapshot computes on demand. `snapshot_at` keeps the trial and the
-cutoff. When one of an endpoint's blocks is first read, its enrolled rows
-are censored, stably sorted and counted per (cell, arm) group at their
-distinct event times, once; each block is then one weighting of those
-counts by the same kernel: the pooled block (F and S) or the stage-wise
-block (stage 1 and stage 2, F and S). Each slot's sums are the same
-additions in the same order whichever block holds it, so a block read alone
-is bit for bit the value a whole-endpoint call gives. Reading a whole table
-fills every block.
+A snapshot computes on demand. `snapshot_at` keeps the enrolled rows at
+the cutoff and their (cell, arm) groups. When `AnalysisSnapshot.block(e,
+pooled)` first reads one of endpoint e's blocks, its enrolled rows are
+censored, stably sorted and counted per group at their distinct event
+times, once; each block is then one weighting of those counts by the same
+kernel: the pooled block (F and S) or the stage-wise block (stage 1 and
+stage 2, F and S). Each slot's sums are the same additions in the same
+order whichever block holds it, so a block read alone is bit for bit the
+value a whole-endpoint call gives. Reading a whole table fills every block.
 The futility gate's snapshot computes no slots: it censors and sorts only
 the stage-1 PFS rows for its two Cox fits. `logrank_test` is the same
 kernel with a single slot.
@@ -28,14 +28,15 @@ kernel with a single slot.
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
 stage's Hochberg intersection of F and S (`joint_slot`). It is the same for
-every scenario, and filled per endpoint on first read.
+every scenario, and `endpoint_scores(e)` fills it per endpoint on first
+read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -203,15 +204,12 @@ def schedule_analyses(trial: TrialData, spec: ScenarioSpec) -> List[float]:
 
 
 def _censor(trial: TrialData, ep: Endpoint, time: float, mask: np.ndarray):
-    """Observed (duration, event flag) for selected patients at a cutoff."""
-    enrolled = trial.enroll_time < time
-    sel = mask & enrolled
-    follow = time - trial.enroll_time[sel]
-    latent = trial.event_time[ep][sel]
-    drop = trial.dropout_time[ep][sel]
-    duration = np.minimum(latent, np.minimum(drop, follow))
-    status = latent <= np.minimum(drop, follow)
-    return duration, status
+    """Observed (duration, event flag) at a cutoff for the patients `mask`
+    selects, every one of them enrolled before the cutoff."""
+    follow = time - trial.enroll_time[mask]
+    latent = trial.event_time[ep][mask]
+    seen = np.minimum(trial.dropout_time[ep][mask], follow)
+    return np.minimum(latent, seen), latent <= seen
 
 
 def _slot_weights(slot_cells) -> np.ndarray:
@@ -357,61 +355,92 @@ def _cox_sorted(d: np.ndarray, s: np.ndarray, experimental: np.ndarray) -> float
     return math.exp(beta)
 
 
-class _Table:
-    """A slot table of `AnalysisSnapshot` (`events`, `z`, `p`).
-
-    The instance keeps the table as a list under the field's own name. A
-    given table is kept whole; a snapshot read off a sample starts with 12
-    empty entries, which its blocks fill. Reading the field fills every block
-    and gives a tuple.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, snap, owner=None):
-        if snap is None:
-            return ()  # the field's default
-        table = vars(snap)[self.name]
-        if None in table:
-            snap._fill_all()
-        return tuple(table)
-
-    def __set__(self, snap, value):
-        vars(snap)[self.name] = list(value)
-
-
-@dataclass(frozen=True)
 class AnalysisSnapshot:
     """Per-analysis summary: event count, z and one-sided p per slot, in
-    `slot` order.
+    `slot` order. Only `snapshot_at` builds one.
 
-    `snapshot_at` passes the trial data as `sample`, and the tables fill on
-    first read, one endpoint's block at a time: `pooled_z`, `stage_events`
-    and `endpoint_scores` take the endpoint's position in `Endpoint` order
-    and return the whole table, with that endpoint's pooled or stage-wise
-    slots (or its scores) filled. Reading a whole table (`events`, `z`, `p`,
-    `zero_event_slots`, `scores`) fills every block. A `dataclasses.replace`
-    copy passes no sample: it keeps the tables it is given, and derives
-    `zero_event_slots` and `scores` from them. A futility snapshot
-    (`snapshot_at(..., with_hr=True)`) carries only `hr_full` and `hr_sub`;
-    its slot tables are empty.
+    An analysis snapshot holds the trial's enrolled rows at its cutoff and
+    their (cell, arm) groups, and computes its slots one block at a time:
+    `block(e, pooled)` fills endpoint e's pooled block (F and S) or its
+    stage-wise block (stage 1 and stage 2, F and S), and `endpoint_scores(e)`
+    the endpoint's six normal scores. Both take the endpoint's position in
+    `Endpoint` order and return the whole table, (z, p, events) per slot or
+    (q, clamped) per score, with those entries filled. The read-only tables
+    (`events`, `z`, `p`, `zero_event_slots`, `scores`) fill every block. A
+    futility snapshot (`snapshot_at(..., with_hr=True)`) carries only `hr_full`
+    and `hr_sub`; its tables are empty.
     """
 
-    calendar_time: float
-    events: Tuple[int, ...] = _Table()
-    z: Tuple[float, ...] = _Table()
-    p: Tuple[float, ...] = _Table()
-    hr_full: Optional[float] = None
-    hr_sub: Optional[float] = None
-    sample: InitVar[Optional["_Sample"]] = None
+    __slots__ = ("calendar_time", "hr_full", "hr_sub", "_trial", "_enrolled", "_group",
+                 "_counts", "_stats", "_scores")
 
-    def __post_init__(self, sample):
-        state = vars(self)
-        state["_sample"] = sample
-        if sample is not None:
-            for name in _SLOT_TABLES:
-                state[name] = [None] * _N_SLOTS
+    def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec,
+                 hrs: Optional[Tuple[Optional[float], Optional[float]]]):
+        self.calendar_time = time
+        if hrs is not None:
+            self.hr_full, self.hr_sub = hrs
+            self._counts, self._stats, self._scores = [], [], []
+            return
+        self.hr_full = self.hr_sub = None
+        self._trial = trial
+        self._enrolled = trial.enroll_time < time
+        cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
+        self._group = (2 * cell + trial.experimental)[self._enrolled]
+        self._counts = [None] * len(_ENDPOINTS)
+        self._stats = [None] * _N_SLOTS
+        self._scores = [None] * _N_SLOTS
+
+    def block(self, e: int, pooled: bool) -> List[Tuple[float, float, int]]:
+        """The (z, p, events) table with one block of endpoint e filled.
+
+        The endpoint's enrolled rows are censored, stably sorted and counted
+        per group at its distinct event times once, on its first block; each
+        block is then one weighting of those counts."""
+        stats = self._stats
+        weights, slots = _BLOCKS[pooled]
+        slots = slots[e]
+        if stats[slots[0]] is None:
+            counts = self._counts[e]
+            if counts is None:
+                dur, st = _censor(self._trial, _ENDPOINTS[e], self.calendar_time, self._enrolled)
+                order = np.argsort(dur, kind="stable")
+                counts = self._counts[e] = _group_counts(dur[order], st[order],
+                                                         self._group[order], _N_GROUPS)
+            for j, stat in zip(slots, _logrank_slots(counts, weights)):
+                stats[j] = stat
+        return stats
+
+    def endpoint_scores(self, e: int) -> List[Tuple[float, bool]]:
+        """The score table with endpoint e's six entries filled: its four
+        stage-wise slots and its two Hochberg intersections."""
+        scores = self._scores
+        if scores[e] is None:
+            stats, ep = self.block(e, False), _ENDPOINTS[e]
+            for c in _STAGES:
+                full, sub = (slot(c, pop, ep) for pop in Population)
+                p_full, p_sub = stats[full][1], stats[sub][1]
+                scores[full], scores[sub] = normal_score(p_full), normal_score(p_sub)
+                scores[joint_slot(c, ep)] = normal_score(hochberg_intersection(p_full, p_sub))
+        return scores
+
+    def _column(self, k: int) -> tuple:
+        """Entry k of every slot's (z, p, events), with every block filled."""
+        for e in range(len(self._counts)):
+            for pooled in (True, False):
+                self.block(e, pooled)
+        return tuple(stat[k] for stat in self._stats)
+
+    @property
+    def z(self) -> Tuple[float, ...]:
+        return self._column(0)
+
+    @property
+    def p(self) -> Tuple[float, ...]:
+        return self._column(1)
+
+    @property
+    def events(self) -> Tuple[int, ...]:
+        return self._column(2)
 
     @property
     def zero_event_slots(self) -> Tuple[int, ...]:
@@ -423,72 +452,9 @@ class AnalysisSnapshot:
         """12 (q, clamped) pairs, `combine.normal_score` of each stage-wise
         p-value in `slot` order (entries 0-7), then of each stage's Hochberg
         intersection of F and S in `joint_slot` order (8-11)."""
-        for e in range(len(_ENDPOINTS)):
+        for e in range(len(self._counts)):
             self.endpoint_scores(e)
-        return tuple(vars(self)["scores"])
-
-    def pooled_z(self, e: int) -> List[float]:
-        return self._block(e, _POOLED, "z")
-
-    def stage_events(self, e: int) -> List[int]:
-        return self._block(e, _STAGEWISE, "events")
-
-    def endpoint_scores(self, e: int) -> List[Tuple[float, bool]]:
-        """The score table with endpoint e's six entries filled: its four
-        stage-wise slots and its two Hochberg intersections."""
-        scores = vars(self).get("scores")
-        if scores is None:
-            scores = vars(self)["scores"] = [None] * _N_SLOTS
-        if scores[e] is None:
-            p, ep = self._block(e, _STAGEWISE, "p"), _ENDPOINTS[e]
-            for c in _STAGES:
-                full, sub = (slot(c, pop, ep) for pop in Population)
-                scores[full], scores[sub] = normal_score(p[full]), normal_score(p[sub])
-                scores[joint_slot(c, ep)] = normal_score(hochberg_intersection(p[full], p[sub]))
-        return scores
-
-    def _block(self, e: int, block: "_Block", name: str) -> list:
-        table = vars(self)[name]
-        slots = block.slots[e]
-        if table[slots[0]] is None:
-            stats = vars(self)["_sample"].logrank(e, block.weights)
-            events, z, p = (vars(self)[t] for t in _SLOT_TABLES)
-            for j, (zj, pj, nj) in zip(slots, stats):
-                z[j], p[j], events[j] = zj, pj, nj
-        return table
-
-    def _fill_all(self):
-        for e in range(len(_ENDPOINTS)):
-            for block in (_POOLED, _STAGEWISE):
-                self._block(e, block, "z")
-
-
-class _Sample:
-    """What an analysis snapshot's slots are read from: the trial, the
-    cutoff, and each enrolled patient's (cell, arm) group.
-
-    An endpoint's enrolled rows are censored, stably sorted and counted per
-    group at its distinct event times once, on first need; each block of its
-    slots is then one weighting of those counts.
-    """
-
-    __slots__ = ("trial", "time", "enrolled", "group", "_counts")
-
-    def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec):
-        self.trial, self.time = trial, time
-        self.enrolled = trial.enroll_time < time
-        cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
-        self.group = (2 * cell + trial.experimental)[self.enrolled]
-        self._counts = [None] * len(_ENDPOINTS)
-
-    def logrank(self, e: int, weights: np.ndarray) -> List[Tuple[float, float, int]]:
-        counts = self._counts[e]
-        if counts is None:
-            dur, st = _censor(self.trial, _ENDPOINTS[e], self.time, self.enrolled)
-            order = np.argsort(dur, kind="stable")
-            counts = self._counts[e] = _group_counts(dur[order], st[order], self.group[order],
-                                                     _N_GROUPS)
-        return _logrank_slots(counts, weights)
+        return tuple(self._scores)
 
 
 # Cells are stage x subgroup: 0 stage-1 complement, 1 stage-1 subgroup,
@@ -501,7 +467,6 @@ _STAGE_CELLS = [(1, 1, 0, 0), (0, 1, 0, 0),  # stage1
 _POOLED_CELLS = [(1, 1, 1, 1), (0, 1, 0, 1)]
 _N_GROUPS = 2 * len(_STAGE_CELLS[0])  # (cell, arm) groups
 _ENDPOINTS = tuple(Endpoint)
-_SLOT_TABLES = ("events", "z", "p")
 _N_SLOTS = 2 * len(_COHORTS) * len(_ENDPOINTS)
 
 
@@ -520,21 +485,12 @@ def joint_slot(cohort: str, endpoint: Endpoint) -> int:
     return len(_ENDPOINTS) * row + _ENDPOINTS.index(endpoint)
 
 
-class _Block(NamedTuple):
-    """Slots filled together: their weights over the (cell, arm) groups, and
-    per endpoint their indices, in the weights' row order."""
-
-    weights: np.ndarray
-    slots: Tuple[Tuple[int, ...], ...]
-
-
-def _block(cohorts: Tuple[str, ...], cells) -> _Block:
-    return _Block(_slot_weights(cells), tuple(
-        tuple(slot(c, pop, ep) for c in cohorts for pop in Population) for ep in _ENDPOINTS))
-
-
-_POOLED = _block(_COHORTS[2:], _POOLED_CELLS)
-_STAGEWISE = _block(_STAGES, _STAGE_CELLS)
+# Per block, stage-wise then pooled: the weights of its (cohort, population)
+# rows over the (cell, arm) groups, and per endpoint the slots of those rows.
+_BLOCKS = tuple(
+    (_slot_weights(cells),
+     tuple(tuple(slot(c, pop, ep) for c in cohorts for pop in Population) for ep in _ENDPOINTS))
+    for cohorts, cells in ((_STAGES, _STAGE_CELLS), (_COHORTS[2:], _POOLED_CELLS)))
 
 
 def _stage1_hazard_ratios(trial: TrialData, time: float, spec: ScenarioSpec):
@@ -569,7 +525,5 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
     """
     if time < 0:
         raise ValueError("snapshot time must be nonnegative")
-    if with_hr:
-        hr_full, hr_sub = _stage1_hazard_ratios(trial, time, spec)
-        return AnalysisSnapshot(calendar_time=time, hr_full=hr_full, hr_sub=hr_sub)
-    return AnalysisSnapshot(calendar_time=time, sample=_Sample(trial, time, spec))
+    hrs = _stage1_hazard_ratios(trial, time, spec) if with_hr else None
+    return AnalysisSnapshot(trial, time, spec, hrs)

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import enum
+import importlib.util
 import json
 from pathlib import Path
 
@@ -469,10 +470,21 @@ def test_slot_tables_read_without_enum_hashing(monkeypatch, setting2, designs2):
     assert counts["censor"] == 2 * counts["censor", "calls"] > 0
 
 
-def test_replaced_snapshot_scores_follow_its_own_p_values(setting2, designs2):
-    snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
-    run_design(designs2["ggsd:0.5"], snaps, fut)
-    assert "scores" in vars(snaps[0])
-    moved = dataclasses.replace(snaps[0], p=(0.5,) * len(snaps[0].p))
-    assert moved.scores == (combine.normal_score(0.5),) * 12
-    assert moved.scores != snaps[0].scores
+def test_benchmark_tracer_reads_the_snapshots(setting2, designs2):
+    # perfbench's tracer wraps the harness's calls and counts slots from the
+    # snapshots they return; a traced benchmark run fails if this breaks.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        run_monte_carlo(setting2.scenario, list(designs2.values()), 2, setting2.seed)
+    finally:
+        tracer.uninstall()
+    fired = {span[0] for span in tracer.spans}
+    # boundaries.compute fires only while cached_boundaries is cold.
+    assert set(tracer_module.MC_LAYERS) - {"boundaries.compute"} <= fired
+    assert tracer.counters["snapshot.calls"] == 6
+    assert tracer.counters["snapshot.slots"] == 72

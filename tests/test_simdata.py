@@ -1,6 +1,5 @@
 """Trial generation, analysis scheduling, and survival statistics."""
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -195,8 +194,8 @@ def test_snapshot_earlier_time_has_fewer_events():
 
 def censored(trial, ep, time, mask):
     """(duration, status, experimental) of the selected enrolled patients."""
-    return (*_censor(trial, ep, time, mask),
-            trial.experimental[mask & (trial.enroll_time < time)])
+    enrolled = mask & (trial.enroll_time < time)
+    return (*_censor(trial, ep, time, enrolled), trial.experimental[enrolled])
 
 
 def reference_logrank(duration, status, experimental):
@@ -330,9 +329,11 @@ def test_snapshot_kernel_hand_built_edges():
     assert len(empty.zero_event_slots) == 12 and set(empty.z) == {0.0}
 
 
-# The six (cohort, population) rows of one endpoint in a single kernel call:
-# the stage-wise block's cells, then the pooled block's.
-SIX_SLOT_WEIGHTS = _slot_weights(simdata._STAGE_CELLS + simdata._POOLED_CELLS)
+# The six (cohort, population) rows of one endpoint in a single kernel call,
+# over the cells stage-1 complement, stage-1 subgroup, stage-2 complement,
+# stage-2 subgroup: stage 1 F and S, stage 2 F and S, pooled F and S.
+SIX_SLOT_WEIGHTS = _slot_weights([(1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1),
+                                  (1, 1, 1, 1), (0, 1, 0, 1)])
 
 
 def six_slot_tables(trial, time, spec):
@@ -367,7 +368,8 @@ def random_trial(seed, n, prevalence, tie_step):
     return TrialData(enroll, rng.random(n) < prevalence, rng.random(n) < 0.5, event, dropout)
 
 
-READS = ("pooled_z", "stage_events", "endpoint_scores", "events", "z", "p", "scores")
+READS = ("pooled block", "stage-wise block", "endpoint_scores",
+         "events", "z", "p", "zero_event_slots", "scores")
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,9 +390,12 @@ def test_blocks_match_one_six_slot_call_in_any_read_order(seed, n, prevalence, t
     time = {"zero": 0.0, "before-events": max(0.0, first_event - tie_step / 2),
             "mid": 10.0, "late": 40.0}[cutoff]
     snap = snapshot_at(trial, time, spec)
-    read = getattr(snap, first)
-    if callable(read):
-        read(endpoint)
+    if first.endswith("block"):
+        snap.block(endpoint, first == "pooled block")
+    elif first == "endpoint_scores":
+        snap.endpoint_scores(endpoint)
+    else:
+        getattr(snap, first)
     events, z, p = six_slot_tables(trial, time, spec)
     assert snap.events == events
     assert [x.hex() for x in snap.z] == [x.hex() for x in z]
@@ -436,10 +441,8 @@ def test_score_table_layout():
                                 hochberg_intersection(p_full, p_sub))
 
 
-def test_zero_event_slots_follow_replaced_events():
+def test_zero_event_slots_follow_events():
     spec = toy_spec()
     trial = generate_trial(spec, 3)
     snap = snapshot_at(trial, 20.0, spec)
     assert snap.zero_event_slots == tuple(j for j, n in enumerate(snap.events) if n == 0)
-    moved = dataclasses.replace(snap, events=(0, 5) * 6)
-    assert moved.zero_event_slots == tuple(range(0, 12, 2))
