@@ -24,7 +24,7 @@ from .boundaries import cached_boundaries
 from .config import ConfigError, RunConfig, build_designs, parse_config
 from .engine import analyze_observed, render_narrative
 from .futility import calibrate_threshold
-from .harness import (atomic_write_text, rows_to_csv, run_monte_carlo, summarize,
+from .harness import (atomic_write_text, rows_to_csv, run_monte_carlo, simulation_tables,
                       write_manifest, write_tables)
 from .simdata import generate_trial
 
@@ -95,9 +95,7 @@ def cmd_simulate(args) -> int:
                                    threads=args.threads)
     null_report = run_monte_carlo(config.scenario.under_global_null(), designs,
                                   reps, seed, threads=args.threads)
-    tables = summarize([power_report])
-    tables["fwer"] = summarize([null_report])["fwer"]
-    paths = write_tables(tables, out_dir)
+    paths = write_tables(simulation_tables(power_report, null_report), out_dir)
 
     if args.dump_trials:
         trial = generate_trial(config.scenario, (seed, 0))

@@ -39,6 +39,12 @@ A call does only the work that is new to its arm and data:
   shared by every arm and scenario; the plan picks two entries per target,
   and each arm forms its own z = w1*q1 + w2*q2, bit for bit the value of
   `combine.inverse_normal`.
+- Futility gate from score signs. Every gated arm asks the futility
+  snapshot whether each population passes at its threshold
+  (`AnalysisSnapshot.passes`), which the snapshot answers from one Cox score
+  sign per (population, threshold) and caches. The trace's decision reads
+  the hazard ratios from the snapshot, which fits them only when a trace is
+  rendered; `analyze_observed` applies `select_population` to the given HRs.
 - Demand-driven snapshots. A load entry reads one block of its endpoint
   from the snapshot: GSD the pooled z (`block(e, True)`), a gated arm the
   endpoint's six scores (`endpoint_scores(e)`), event-driven weights the
@@ -61,7 +67,8 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from .boundaries import cached_boundaries
 from .combine import Scenario, StageWeights, event_weights, normal_score
-from .futility import FutilityRule, Selection, SelectionDecision, select_population
+from .futility import (FutilityRule, Selection, SelectionDecision, select_population,
+                       selection_of)
 from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population, hochberg_intersection
 from .numerics import norm_cdf
 from .simdata import AnalysisSnapshot, joint_slot, slot
@@ -529,22 +536,24 @@ class _Engine:
             rejected=self.rejected, _run=self.run))
 
 
-def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
+def _decide(design: DesignSpec,
+            gate: Callable[[FutilityRule], Optional[SelectionDecision]],
             load: Callable[[_Engine, int], Optional[float]]) -> DecisionTrace:
     """The one decision loop behind `run_design` and `analyze_observed`.
 
-    Applies the end-of-stage-1 futility gate (AD, gGSD) to the two PFS
-    hazard ratios, then walks the planned analyses: `load(eng, k)` enters
-    analysis k's statistics through `eng.enter` and returns its calendar time,
-    and the fixed point runs until every hypothesis in scope is rejected or
-    the final analysis is reached.
+    Applies the end-of-stage-1 futility gate (AD, gGSD): `gate(rule)` gives
+    the decision on the stage-1 PFS data, or None where a population's
+    hazard ratio is missing. It then walks the planned analyses:
+    `load(eng, k)` enters analysis k's statistics through `eng.enter` and
+    returns its calendar time, and the fixed point runs until every
+    hypothesis in scope is rejected or the final analysis is reached.
     """
     scenario = None
     futility_decision = None
     if design.kind is not DesignKind.GSD:
-        if hr_full is None or hr_sub is None:
+        futility_decision = gate(design.futility)
+        if futility_decision is None:
             raise MissingSlotError("stage-1 futility hazard ratios (HR(F), HR(S)) are required")
-        futility_decision = select_population(hr_full, hr_sub, design.futility)
         if futility_decision.selection is Selection.STOP_FUTILITY:
             return DecisionTrace(design=design.kind.value, scenario=None,
                                  futility=futility_decision, termination_reason="futility")
@@ -595,15 +604,27 @@ def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
     return snap.calendar_time
 
 
+def _snapshot_gate(snap: Optional[AnalysisSnapshot], rule: FutilityRule
+                   ) -> Optional[SelectionDecision]:
+    """The gate read off the futility snapshot's Cox score signs. The
+    decision reads its hazard ratios from the snapshot, which fits them only
+    when a trace's reader asks for them."""
+    if snap is None:
+        return None
+    full_ok, sub_ok = snap.passes(0, rule.theta_full), snap.passes(1, rule.theta_sub)
+    if full_ok is None or sub_ok is None:
+        return None
+    return SelectionDecision(selection_of(full_ok, sub_ok), snap)
+
+
 def run_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
                futility_snapshot: Optional[AnalysisSnapshot]) -> DecisionTrace:
     """Drive one simulated trial through a design and return its trace."""
     if len(snapshots) < design.n_analyses:
         raise MissingSlotError(
             f"design plans {design.n_analyses} analyses, got {len(snapshots)} snapshots")
-    hrs = (None, None) if futility_snapshot is None else (
-        futility_snapshot.hr_full, futility_snapshot.hr_sub)
-    return _decide(design, *hrs, lambda eng, k: _load_snapshot(eng, k, snapshots[k]))
+    return _decide(design, lambda rule: _snapshot_gate(futility_snapshot, rule),
+                   lambda eng, k: _load_snapshot(eng, k, snapshots[k]))
 
 
 @dataclass(frozen=True)
@@ -644,8 +665,12 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
 
 def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:
     """Replay the decision logic on user-supplied observed values."""
-    return _decide(design, observed.hr_full, observed.hr_sub,
-                   lambda eng, k: _load_observed(eng, k, observed))
+    def gate(rule: FutilityRule) -> Optional[SelectionDecision]:
+        if observed.hr_full is None or observed.hr_sub is None:
+            return None
+        return select_population(observed.hr_full, observed.hr_sub, rule)
+
+    return _decide(design, gate, lambda eng, k: _load_observed(eng, k, observed))
 
 
 def _check_required_slots(eng: _Engine, k: int):

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .numerics import norm_quantile
 
-__all__ = ["FutilityRule", "Selection", "SelectionDecision", "calibrate_threshold", "select_population"]
+__all__ = ["FutilityRule", "Selection", "SelectionDecision", "calibrate_threshold",
+           "select_population", "selection_of"]
 
 
 def calibrate_threshold(true_hr: float, events: int, gamma: float) -> float:
@@ -48,11 +50,43 @@ class Selection(Enum):
     STOP_FUTILITY = "stop_futility"
 
 
-@dataclass(frozen=True)
 class SelectionDecision:
-    selection: Selection
+    """The gate's selection and the two stage-1 PFS hazard ratios it rests on.
+
+    The ratios are read from `source`, anything with `hr_full` and `hr_sub`,
+    when they are asked for: a simulated trial's futility snapshot decides
+    from Cox score signs and fits its Cox models only if a reader wants them.
+    """
+
+    __slots__ = ("selection", "_source")
+
+    def __init__(self, selection: Selection, source):
+        self.selection = selection
+        self._source = source
+
+    @property
+    def hr_full(self) -> float:
+        return self._source.hr_full
+
+    @property
+    def hr_sub(self) -> float:
+        return self._source.hr_sub
+
+
+class _HazardRatios(NamedTuple):
     hr_full: float
     hr_sub: float
+
+
+def selection_of(full_ok: bool, sub_ok: bool) -> Selection:
+    """The selection from whether each population passes the gate."""
+    if full_ok and sub_ok:
+        return Selection.CONTINUE_BOTH
+    if sub_ok:
+        return Selection.CONTINUE_SUB_ONLY
+    if full_ok:
+        return Selection.CONTINUE_FULL_ONLY
+    return Selection.STOP_FUTILITY
 
 
 def select_population(hr_full: float, hr_sub: float, rule: FutilityRule) -> SelectionDecision:
@@ -63,14 +97,5 @@ def select_population(hr_full: float, hr_sub: float, rule: FutilityRule) -> Sele
     """
     if hr_full <= 0 or hr_sub <= 0:
         raise ValueError("hazard ratios must be positive")
-    full_ok = hr_full < rule.theta_full
-    sub_ok = hr_sub < rule.theta_sub
-    if full_ok and sub_ok:
-        sel = Selection.CONTINUE_BOTH
-    elif sub_ok:
-        sel = Selection.CONTINUE_SUB_ONLY
-    elif full_ok:
-        sel = Selection.CONTINUE_FULL_ONLY
-    else:
-        sel = Selection.STOP_FUTILITY
-    return SelectionDecision(selection=sel, hr_full=hr_full, hr_sub=hr_sub)
+    return SelectionDecision(selection_of(hr_full < rule.theta_full, hr_sub < rule.theta_sub),
+                             _HazardRatios(hr_full, hr_sub))

@@ -30,6 +30,7 @@ __all__ = [
     "SimulationReport",
     "replication_inputs",
     "run_monte_carlo",
+    "simulation_tables",
     "summarize",
     "write_tables",
     "write_manifest",
@@ -231,6 +232,15 @@ def summarize(reports: Sequence[SimulationReport]) -> Dict[str, List[dict]]:
                 term_rows.append({**base, "stage": b, "count": count,
                                   "fraction": round(count / agg.n, 6) if agg.n else math.nan})
     return {"fwer": fwer_rows, "power": power_rows, "termination": term_rows}
+
+
+def simulation_tables(power: SimulationReport, null: SimulationReport
+                      ) -> Dict[str, List[dict]]:
+    """The tables `gatedgsd simulate` writes: power and termination from the
+    configured scenario's pass, FWER from its global-null pass."""
+    tables = summarize([power])
+    tables["fwer"] = summarize([null])["fwer"]
+    return tables
 
 
 def atomic_write_text(path: str, text: str):

@@ -15,15 +15,20 @@ counts at the distinct event times of its endpoint's sorted sample.
 A snapshot computes on demand. `snapshot_at` keeps the enrolled rows at
 the cutoff and their (cell, arm) groups. When `AnalysisSnapshot.block(e,
 pooled)` first reads one of endpoint e's blocks, its enrolled rows are
-censored, stably sorted and counted per group at their distinct event
-times, once; each block is then one weighting of those counts by the same
-kernel: the pooled block (F and S) or the stage-wise block (stage 1 and
-stage 2, F and S). Each slot's sums are the same additions in the same
-order whichever block holds it, so a block read alone is bit for bit the
-value a whole-endpoint call gives. Reading a whole table fills every block.
-The futility gate's snapshot computes no slots: it censors and sorts only
-the stage-1 PFS rows for its two Cox fits. `logrank_test` is the same
-kernel with a single slot.
+censored, sorted and counted per group at their distinct event times,
+once; each block is then one weighting of those counts by the same kernel:
+the pooled block (F and S) or the stage-wise block (stage 1 and stage 2, F
+and S). The counts depend only on the rows, not on the order of tied ones,
+so the sort need not be stable. Each slot's sums are the same additions in
+the same order whichever block holds it, so a block read alone is bit for
+bit the value a whole-endpoint call gives. Reading a whole table fills
+every block. `logrank_test` is the same kernel with a single slot.
+
+The futility gate's snapshot computes no slots. It counts its stage-1 PFS
+rows per (subgroup, arm) group the same way, and answers "population k's
+Cox HR is below theta" from the sign of the Cox score at log(theta)
+(`AnalysisSnapshot.passes`); it fits the two Cox models by Newton only when
+a hazard ratio is read, or when the score is too close to zero to decide.
 
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
@@ -231,11 +236,14 @@ def _group_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray,
                   n_groups: int) -> np.ndarray:
     """Per-group counts at the distinct event times of one sorted sample.
 
-    d and s are the durations in stable ascending order and their event
-    flags, and `group` is each row's (cell, arm) group. The result stacks
-    two blocks of `n_groups` rows over the event times: rows gone by each
-    event time, then events at each time. Every block of slots read off the
-    sample is a weighting of these rows (`_logrank_slots`).
+    d and s are the durations in ascending order and their event flags, and
+    `group` is each row's (cell, arm) group. The result stacks two blocks of
+    `n_groups` rows over the event times: rows gone by each event time, then
+    events at each time. Every block of slots read off the sample is a
+    weighting of these rows (`_logrank_slots`). A row's bucket depends only
+    on its own duration, so the counts depend only on the multiset of
+    (duration, flag, group) rows: tied rows may come in any order. They are
+    integers below 2**53 held as float64, so every sum of them is exact.
     """
     n = len(d)
     # A row's bucket counts the event times at which it is still at risk:
@@ -257,7 +265,7 @@ def _group_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray,
     counts = np.bincount(np.concatenate([index, index[s] + n_groups * width - 1]),
                          minlength=2 * n_groups * width).reshape(2 * n_groups, width)
     np.cumsum(counts[:n_groups], axis=1, out=counts[:n_groups])
-    return counts
+    return counts.astype(np.float64)
 
 
 def _logrank_slots(counts: np.ndarray, weights: np.ndarray) -> List[Tuple[float, float, int]]:
@@ -366,23 +374,30 @@ class AnalysisSnapshot:
     the endpoint's six normal scores. Both take the endpoint's position in
     `Endpoint` order and return the whole table, (z, p, events) per slot or
     (q, clamped) per score, with those entries filled. The read-only tables
-    (`events`, `z`, `p`, `zero_event_slots`, `scores`) fill every block. A
-    futility snapshot (`snapshot_at(..., with_hr=True)`) carries only `hr_full`
-    and `hr_sub`; its tables are empty.
+    (`events`, `z`, `p`, `zero_event_slots`, `scores`) fill every block.
+
+    A futility snapshot (`snapshot_at(..., with_hr=True)`) holds the stage-1
+    PFS rows' at-risk and event counts instead; its tables are empty.
+    `passes(k, theta)` answers the gate from a Cox score sign, and `hr_full`
+    and `hr_sub` fit the Cox models on first read. An analysis snapshot's
+    hazard ratios are None, and it answers no gate.
     """
 
-    __slots__ = ("calendar_time", "hr_full", "hr_sub", "_trial", "_enrolled", "_group",
-                 "_counts", "_stats", "_scores")
+    __slots__ = ("calendar_time", "_trial", "_enrolled", "_group", "_counts", "_stats",
+                 "_scores", "_risk", "_passes", "_hrs")
 
-    def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec,
-                 hrs: Optional[Tuple[Optional[float], Optional[float]]]):
+    def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec, futility: bool):
         self.calendar_time = time
-        if hrs is not None:
-            self.hr_full, self.hr_sub = hrs
-            self._counts, self._stats, self._scores = [], [], []
-            return
-        self.hr_full = self.hr_sub = None
         self._trial = trial
+        if futility:
+            self._enrolled = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
+            self._counts, self._stats, self._scores = [], [], []
+            self._risk = _gate_risk_sets(trial, time, self._enrolled)
+            self._passes = {}
+            self._hrs = None
+            return
+        self._risk = None
+        self._hrs = (None, None)
         self._enrolled = trial.enroll_time < time
         cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
         self._group = (2 * cell + trial.experimental)[self._enrolled]
@@ -393,9 +408,10 @@ class AnalysisSnapshot:
     def block(self, e: int, pooled: bool) -> List[Tuple[float, float, int]]:
         """The (z, p, events) table with one block of endpoint e filled.
 
-        The endpoint's enrolled rows are censored, stably sorted and counted
-        per group at its distinct event times once, on its first block; each
-        block is then one weighting of those counts."""
+        The endpoint's enrolled rows are censored, sorted and counted per
+        group at its distinct event times once, on its first block; each
+        block is then one weighting of those counts. The sort need not be
+        stable: the counts do not depend on the order of tied rows."""
         stats = self._stats
         weights, slots = _BLOCKS[pooled]
         slots = slots[e]
@@ -403,7 +419,7 @@ class AnalysisSnapshot:
             counts = self._counts[e]
             if counts is None:
                 dur, st = _censor(self._trial, _ENDPOINTS[e], self.calendar_time, self._enrolled)
-                order = np.argsort(dur, kind="stable")
+                order = np.argsort(dur)
                 counts = self._counts[e] = _group_counts(dur[order], st[order],
                                                          self._group[order], _N_GROUPS)
             for j, stat in zip(slots, _logrank_slots(counts, weights)):
@@ -422,6 +438,50 @@ class AnalysisSnapshot:
                 scores[full], scores[sub] = normal_score(p_full), normal_score(p_sub)
                 scores[joint_slot(c, ep)] = normal_score(hochberg_intersection(p_full, p_sub))
         return scores
+
+    def passes(self, k: int, theta: float) -> Optional[bool]:
+        """Whether population k (its position in `Population` order) passes
+        the futility gate at theta: whether its stage-1 PFS Cox hazard ratio
+        is below theta. None where the population has no stage-1 PFS event,
+        or this is not a futility snapshot. Cached per (k, theta).
+
+        The Breslow partial likelihood is concave in the log HR, so its score
+        U falls as beta grows and the estimate lies below log(theta) exactly
+        when U(log theta) < 0; a monotone likelihood (no event in one arm)
+        has U of one sign everywhere. Where |U(log theta)| is within
+        `_gate_margin(d)`, the Newton HR could fall on either side, and the
+        gate compares that HR with theta instead."""
+        if self._risk is None:
+            return None
+        key = (k, theta)
+        if key in self._passes:
+            return self._passes[key]
+        n_ctl, n_exp, died, exp_events, d = self._risk[k]
+        if d == 0:
+            ok = None
+        else:
+            share = n_exp * theta
+            share /= n_ctl + share
+            u = exp_events - float(died @ share)
+            ok = self._hazard_ratios()[k] < theta if abs(u) <= _gate_margin(d) else u < 0.0
+        self._passes[key] = ok
+        return ok
+
+    def _hazard_ratios(self) -> Tuple[Optional[float], Optional[float]]:
+        if self._hrs is None:
+            self._hrs = _stage1_hazard_ratios(self._trial, self.calendar_time, self._enrolled)
+        return self._hrs
+
+    @property
+    def hr_full(self) -> Optional[float]:
+        """F's stage-1 PFS Cox hazard ratio, fitted on first read; None where
+        F has no stage-1 PFS event, and for an analysis snapshot."""
+        return self._hazard_ratios()[0]
+
+    @property
+    def hr_sub(self) -> Optional[float]:
+        """S's stage-1 PFS Cox hazard ratio, as `hr_full`."""
+        return self._hazard_ratios()[1]
 
     def _column(self, k: int) -> tuple:
         """Entry k of every slot's (z, p, events), with every block filled."""
@@ -493,15 +553,53 @@ _BLOCKS = tuple(
     for cohorts, cells in ((_STAGES, _STAGE_CELLS), (_COHORTS[2:], _POOLED_CELLS)))
 
 
-def _stage1_hazard_ratios(trial: TrialData, time: float, spec: ScenarioSpec):
+# The futility gate's rows: (subgroup, arm) groups, 2 * in_subgroup + arm, and
+# the weights of F (both cells) and S (the subgroup cell) over them.
+_GATE_GROUPS = 4
+_GATE_WEIGHTS = _slot_weights([(1, 1), (0, 1)])
+
+
+def _gate_margin(d: float) -> float:
+    """The |U(log theta)| within which the futility gate reads the Newton HR.
+
+    With a 0/1 covariate the information is at most d/4 for d events, so
+    |beta_hat - log theta| >= 4 |U(log theta)| / d. Newton's HR can sit on
+    the other side of theta from the sign's answer only if |U(log theta)|
+    is below the score Newton stopped at (`_COX_TOL`) plus what exp, log and
+    the float sums of both scores move it by, each below d * 1e-14."""
+    return _COX_TOL + 1e-12 * d
+
+
+def _gate_risk_sets(trial: TrialData, time: float, stage1: np.ndarray):
+    """Per population, F then S: the control and experimental rows at risk
+    and the events at each of its stage-1 PFS event times, its experimental
+    event count and its event count.
+
+    The rows are censored, sorted and counted per (subgroup, arm) group once
+    (`_group_counts`); each population's counts are a weighting of those."""
+    dur, st = _censor(trial, Endpoint.PFS, time, stage1)
+    order = np.argsort(dur)
+    group = (2 * trial.in_subgroup + trial.experimental)[stage1]
+    counts = _GATE_WEIGHTS @ _group_counts(dur[order], st[order], group[order], _GATE_GROUPS)
+    at_risk = counts[:4, -1:] - counts[:4]  # F, S, then their experimental rows
+    risk = []
+    for k in range(2):
+        died = counts[4 + k]
+        times = died > 0
+        n_exp = at_risk[2 + k, times]
+        risk.append((at_risk[k, times] - n_exp, n_exp, died[times],
+                     float(counts[6 + k].sum()), float(died.sum())))
+    return risk
+
+
+def _stage1_hazard_ratios(trial: TrialData, time: float, stage1: np.ndarray):
     """Stage-1 PFS Cox HRs at a cutoff, F then S; None where a population has
-    no event.
+    no event. `stage1` selects the stage-1 rows enrolled by the cutoff.
 
     The stage-1 rows are censored and stably sorted once. A stable order
     restricted to a subset is the subset's own stable order, so the S fit
     sees exactly the rows a fresh sort would give.
     """
-    stage1 = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
     dur, st = _censor(trial, Endpoint.PFS, time, stage1)
     order = np.argsort(dur, kind="stable")
     d, s, x = dur[order], st[order], trial.experimental[stage1][order]
@@ -519,11 +617,12 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
     stage-wise block (stage 1 and stage 2, F and S) are read off that one
     order.
 
-    With `with_hr` this is the futility gate's snapshot instead: it holds
-    only the two stage-1 PFS Cox hazard ratios, and its slot tables are
-    empty.
+    With `with_hr` this is the futility gate's snapshot instead: it counts
+    the stage-1 PFS rows at risk and the events at each event time, per
+    population, answers the gate from Cox score signs (`passes`), and fits
+    the two Cox hazard ratios only when `hr_full` or `hr_sub` is read. Its
+    slot tables are empty.
     """
     if time < 0:
         raise ValueError("snapshot time must be nonnegative")
-    hrs = _stage1_hazard_ratios(trial, time, spec) if with_hr else None
-    return AnalysisSnapshot(trial, time, spec, hrs)
+    return AnalysisSnapshot(trial, time, spec, with_hr)

@@ -31,11 +31,15 @@ from gatedgsd.combine import Scenario, StageWeights, inverse_normal
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import DesignKind, run_design
 from gatedgsd.futility import calibrate_threshold
-from gatedgsd.harness import run_monte_carlo
+from gatedgsd.harness import rows_to_csv, run_monte_carlo, simulation_tables
 from gatedgsd.multiplicity import Population, hochberg_intersection
 from gatedgsd.simdata import generate_trial, logrank_test, schedule_analyses, snapshot_at
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "src" / "gatedgsd" / "configs"
+# The committed Monte Carlo oracle: `gatedgsd simulate` of each setting at the
+# config seed, 2000 replications.
+RUNS_DIR = ROOT / "runs"
 SETTINGS = ("setting1", "setting2", "setting3")
 REPS = 2000
 HEADLINE = "0.7"  # the (sqrt(0.7), sqrt(0.3)) weight set
@@ -132,6 +136,17 @@ def test_c2_gated_fwer_near_benchmark(mc_runs, name):
 @pytest.mark.parametrize("name", SETTINGS)
 def test_c2_runtime_budget(mc_runs, name):
     assert mc_runs[name]["elapsed"] < 300.0
+
+
+@pytest.mark.parametrize("name", SETTINGS)
+def test_c2_reproduces_committed_runs(mc_runs, name):
+    """The fixture's passes render, byte for byte, the tables `simulate` wrote
+    to runs/<setting>/ (there at one worker per CPU, here at one)."""
+    tables = simulation_tables(mc_runs[name]["power"], mc_runs[name]["null"])
+    assert sorted(tables) == ["fwer", "power", "termination"]
+    for table, rows in tables.items():
+        assert rows_to_csv(rows).encode() == (RUNS_DIR / name / f"{table}.csv").read_bytes(), (
+            f"{name}/{table}.csv")
 
 
 # -- criterion 3: power benchmarks and orderings ------------------------------

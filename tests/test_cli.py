@@ -11,8 +11,9 @@ from gatedgsd.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "src" / "gatedgsd" / "configs"
-# The benchmark's replay references: `analyze table5_example`'s analysis.json
-# and its stdout (narrative.txt).
+# The benchmark's replay references: `boundaries` of setting1-3
+# (boundaries-settingN.csv), `analyze table5_example`'s analysis.json and its
+# stdout (narrative.txt).
 REFERENCE_DIR = ROOT / "perfbench" / "reference"
 
 
@@ -29,6 +30,13 @@ def test_boundaries_writes_table(tmp_path, capsys):
     assert {"gsd", "ggsd", "ad"} <= designs
     for r in rows:
         assert float(r["z_bound"]) > 0
+
+
+@pytest.mark.parametrize("name", ("setting1", "setting2", "setting3"))
+def test_boundaries_match_reference(tmp_path, name):
+    assert run("boundaries", "--config", CONFIG_DIR / f"{name}.yaml", "--out", tmp_path) == 0
+    assert ((tmp_path / "boundaries.csv").read_bytes()
+            == (REFERENCE_DIR / f"boundaries-{name}.csv").read_bytes())
 
 
 def test_thresholds_row(tmp_path):

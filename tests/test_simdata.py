@@ -1,5 +1,6 @@
 """Trial generation, analysis scheduling, and survival statistics."""
 
+import functools
 import math
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from gatedgsd import simdata
 from gatedgsd.combine import normal_score
-from gatedgsd.config import parse_config
+from gatedgsd.config import build_designs, parse_config
+from gatedgsd.engine import MissingSlotError, _snapshot_gate, run_design
+from gatedgsd.futility import FutilityRule, select_population
 from gatedgsd.harness import replication_inputs
 from gatedgsd.multiplicity import Endpoint, Population, hochberg_intersection
 from gatedgsd.numerics import norm_cdf
@@ -446,3 +449,127 @@ def test_zero_event_slots_follow_events():
     trial = generate_trial(spec, 3)
     snap = snapshot_at(trial, 20.0, spec)
     assert snap.zero_event_slots == tuple(j for j, n in enumerate(snap.events) if n == 0)
+
+
+# -- order-free counts and the futility gate's score signs --------------------
+
+
+def shuffled(trial, seed):
+    """The same patients in another order."""
+    perm = np.random.default_rng(seed).permutation(len(trial))
+    return TrialData(trial.enroll_time[perm], trial.in_subgroup[perm], trial.experimental[perm],
+                     {ep: t[perm] for ep, t in trial.event_time.items()},
+                     {ep: t[perm] for ep, t in trial.dropout_time.items()})
+
+
+def bits(stats):
+    return [None if x is None else (x[0].hex(), x[1].hex(), x[2]) for x in stats]
+
+
+# Thresholds no small trial's Cox estimate can hit exactly, so a gate read at
+# one of them never depends on the last bits of a Newton HR.
+GATE_THETAS = (0.4137, 0.8317, 1.1923, 2.7183)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 80),
+    prevalence=st.sampled_from((0.03, 0.5, 0.97)),
+    tie_step=st.sampled_from((0.5, 1.0, 2.0)),
+    time=st.sampled_from((6.0, 10.0, 40.0)),
+)
+def test_snapshots_do_not_depend_on_patient_order(seed, n, prevalence, tie_step, time):
+    """Tied rows may be sorted in any order: every block, table, score and
+    gate decision keeps its bits when the patients are shuffled."""
+    trial = random_trial(seed, n, prevalence, tie_step)
+    other = shuffled(trial, seed)
+    spec = toy_spec(stage1_cutoff=6.0)
+    a, b = snapshot_at(trial, time, spec), snapshot_at(other, time, spec)
+    for e in range(len(Endpoint)):
+        for pooled in (True, False):
+            assert bits(a.block(e, pooled)) == bits(b.block(e, pooled))
+        assert a.endpoint_scores(e) == b.endpoint_scores(e)
+    assert a.events == b.events
+    assert [x.hex() for x in a.z + a.p] == [x.hex() for x in b.z + b.p]
+    assert [(q.hex(), c) for q, c in a.scores] == [(q.hex(), c) for q, c in b.scores]
+    fa = snapshot_at(trial, time, spec, with_hr=True)
+    fb = snapshot_at(other, time, spec, with_hr=True)
+    for k in range(len(Population)):
+        for theta in GATE_THETAS:
+            assert fa.passes(k, theta) == fb.passes(k, theta)
+
+
+def gate_thresholds(snap):
+    """Per population: the fixed thresholds, and the population's own HR
+    and HR * (1 -+ 1e-12), where the score sign cannot decide and the gate
+    must read the HR."""
+    hrs = (snap.hr_full, snap.hr_sub)
+    return [GATE_THETAS + (hr * (1 - 1e-12), hr, hr * (1 + 1e-12)) for hr in hrs]
+
+
+def check_gate(trial, time, spec, design):
+    """The gate read off a fresh futility snapshot equals `select_population`
+    on its Newton HRs, for every pair of thresholds; with a population that
+    has no stage-1 PFS event it is missing, and the gated arm raises."""
+    ref = snapshot_at(trial, time, spec, with_hr=True)
+    fresh = snapshot_at(trial, time, spec, with_hr=True)
+    if ref.hr_full is None or ref.hr_sub is None:
+        assert _snapshot_gate(fresh, design.futility) is None
+        with pytest.raises(MissingSlotError):
+            run_design(design, [fresh] * design.n_analyses, fresh)
+        return
+    theta_full, theta_sub = gate_thresholds(ref)
+    for tf in theta_full:
+        for ts in theta_sub:
+            rule = FutilityRule(tf, ts)
+            got = _snapshot_gate(fresh, rule)
+            assert got.selection is select_population(ref.hr_full, ref.hr_sub, rule).selection
+            assert got.hr_full == ref.hr_full and got.hr_sub == ref.hr_sub
+    # At the population's own HR the score sign cannot decide: the gate fits
+    # the Cox models.
+    near = snapshot_at(trial, time, spec, with_hr=True)
+    near.passes(0, theta_full[-1])
+    assert near._hrs is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 80),
+    prevalence=st.sampled_from((0.0, 0.03, 0.5, 0.97, 1.0)),
+    tie_step=st.sampled_from((0.001, 0.5, 1.0, 2.0)),
+    time=st.sampled_from((3.0, 6.0, 10.0, 40.0)),
+)
+def test_futility_gate_matches_newton_hazard_ratios(seed, n, prevalence, tie_step, time):
+    check_gate(random_trial(seed, n, prevalence, tie_step), time, toy_spec(stage1_cutoff=6.0),
+               gated_design("setting2"))
+
+
+@functools.cache
+def gated_design(name):
+    """The first gated arm of a bundled setting."""
+    return next(d for d in build_designs(parse_config(CONFIG_DIR / f"{name}.yaml"))
+                if d.futility is not None)
+
+
+@pytest.mark.parametrize("silent", ("control", "experimental"))
+def test_futility_gate_with_a_monotone_likelihood(silent):
+    """No stage-1 PFS event in one arm: the Cox estimate is infinite, and the
+    gate still equals the comparison of the Newton HR."""
+    trial = random_trial(7, 80, 0.5, 0.5)
+    no_event = trial.experimental == (silent == "experimental")
+    trial.event_time[Endpoint.PFS] = np.where(no_event, 1e6, trial.event_time[Endpoint.PFS])
+    spec = toy_spec(stage1_cutoff=6.0)
+    hr = snapshot_at(trial, 10.0, spec, with_hr=True).hr_full
+    assert hr < 1e-6 if silent == "experimental" else hr > 1e6
+    check_gate(trial, 10.0, spec, gated_design("setting2"))
+
+
+def test_futility_gate_on_the_bundled_settings():
+    for name in ("setting1", "setting2", "setting3"):
+        cfg = parse_config(CONFIG_DIR / f"{name}.yaml")
+        for spec in (cfg.scenario, cfg.scenario.under_global_null()):
+            for rep in range(20):
+                check_gate(generate_trial(spec, (cfg.seed, rep)), spec.stage1_cutoff, spec,
+                           gated_design(name))
