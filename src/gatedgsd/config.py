@@ -252,8 +252,11 @@ def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tupl
         col.fail("observed.p_values", "expected a mapping keyed by design")
         pv = {}
     per_design: Dict[str, ObservedData] = {}
-    hr_full = col.number(m, "observed", "hr_full", lo=0.0)
-    hr_sub = col.number(m, "observed", "hr_sub", lo=0.0)
+    hrs = {}
+    for key in ("hr_full", "hr_sub"):
+        hrs[key] = col.number(m, "observed", key, lo=0.0)
+        if hrs[key] == 0.0:
+            col.fail(f"observed.{key}", "expected a hazard ratio > 0, got 0")
     for design_slug, slots in pv.items():
         if design_slug not in ("gsd", "ad", "ggsd"):
             col.fail(f"observed.p_values.{design_slug}", "unknown design (gsd|ad|ggsd)")
@@ -291,8 +294,7 @@ def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tupl
                     continue
                 per_look[idx] = float(p)
             p_values[h] = per_look
-        per_design[design_slug] = ObservedData(
-            hr_full=hr_full, hr_sub=hr_sub, p_values=p_values)
+        per_design[design_slug] = ObservedData(**hrs, p_values=p_values)
     return per_design
 
 

@@ -39,12 +39,10 @@ A call does only the work that is new to its arm and data:
   shared by every arm and scenario; the plan picks two entries per target,
   and each arm forms its own z = w1*q1 + w2*q2, bit for bit the value of
   `combine.inverse_normal`.
-- Futility gate from score signs. Every gated arm asks the futility
-  snapshot whether each population passes at its threshold
-  (`AnalysisSnapshot.passes`), which the snapshot answers from one Cox score
-  sign per (population, threshold) and caches. The trace's decision reads
-  the hazard ratios from the snapshot, which fits them only when a trace is
-  rendered; `analyze_observed` applies `select_population` to the given HRs.
+- One futility gate. The futility snapshot fits its two stage-1 PFS hazard
+  ratios once per replication, shared by every arm; each gated arm applies
+  `select_population` to them with its own thresholds, as
+  `analyze_observed` does to the given HRs.
 - Demand-driven snapshots. A load entry reads one block of its endpoint
   from the snapshot: GSD the pooled z (`block(e, True)`), a gated arm the
   endpoint's six scores (`endpoint_scores(e)`), event-driven weights the
@@ -67,8 +65,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from .boundaries import cached_boundaries
 from .combine import Scenario, StageWeights, event_weights, normal_score
-from .futility import (FutilityRule, Selection, SelectionDecision, select_population,
-                       selection_of)
+from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population, hochberg_intersection
 from .numerics import norm_cdf
 from .simdata import AnalysisSnapshot, joint_slot, slot
@@ -376,11 +373,12 @@ def _row(plan: _Plan, mask: int, i: int) -> Tuple[float, ...]:
     return plan.row(i, mask >> _PARTNER[i] & 1)
 
 
-def _testable(plan: _Plan, mask: int, gate_open: bool, i: int) -> bool:
-    # Out-of-scope hypotheses carry no alpha, so they never pass.
+def _testable(plan: _Plan, mask: int, i: int) -> bool:
+    # Out-of-scope hypotheses carry no alpha, so they never pass. gGSD's
+    # hierarchy gate admits F once an S hypothesis is rejected.
     if mask >> i & 1 or plan.levels[i][mask >> _PARTNER[i] & 1] <= 0.0:
         return False
-    return gate_open or not _IN_FULL[i]
+    return plan.gate0 or not _IN_FULL[i] or bool(mask & _SUB_MASK)
 
 
 def _elementary(plan: _Plan, mask: int, hist: Dict[int, float], i: int
@@ -395,8 +393,8 @@ def _elementary(plan: _Plan, mask: int, hist: Dict[int, float], i: int
     return crossed, row[look]
 
 
-def _intersection(plan: _Plan, mask: int, gate_open: bool,
-                  hist: Optional[Dict[int, float]], t: int) -> Tuple[bool, float]:
+def _intersection(plan: _Plan, mask: int, hist: Optional[Dict[int, float]], t: int
+                  ) -> Tuple[bool, float]:
     """Whether FS intersection t crosses at any recorded look, and its
     boundary at the latest look.
 
@@ -404,8 +402,7 @@ def _intersection(plan: _Plan, mask: int, gate_open: bool,
     hypotheses currently carrying allocated alpha (and, for gGSD, admitted
     by the hierarchy gate).
     """
-    rows = [_row(plan, mask, i) for i in plan.members[t]
-            if _testable(plan, mask, gate_open, i)]
+    rows = [_row(plan, mask, i) for i in plan.members[t] if _testable(plan, mask, i)]
     if not hist or not rows:
         return False, math.nan
     crossed = False
@@ -428,7 +425,6 @@ def _render_tests(run: _Run, mask: int, k: int) -> List[TestRecord]:
     """Every target's latest statistic at analysis k against its boundary,
     in the order the targets first got a statistic."""
     plan = run.plan
-    gate_open = plan.gate0 or bool(mask & _SUB_MASK)
     tests = []
     for t, hist in run.z_hist.items():
         when = plan.analyses_of[t]
@@ -456,7 +452,7 @@ def _render_tests(run: _Run, mask: int, k: int) -> List[TestRecord]:
                 c, _ = run.reject_info[t]
                 crossed = True
             else:
-                crossed, c = _intersection(plan, mask, gate_open, hist, t)
+                crossed, c = _intersection(plan, mask, hist, t)
             alpha = math.nan
         tests.append(TestRecord(
             target_label=_TARGETS[t].label,
@@ -485,7 +481,6 @@ class _Engine:
         self.reject_info: Dict[int, Tuple[float, float]] = {}
         self.run = _Run(plan, self.z_hist, self.reject_info)
         self.rejected = 0
-        self.gate_open = plan.gate0
 
     def enter(self, i: int, look: int, z: float):
         """Record target i's statistic at one of its looks."""
@@ -507,8 +502,7 @@ class _Engine:
                 for t in _FS:
                     if self.rejected >> t & 1:
                         continue
-                    crossed, c = _intersection(plan, self.rejected, self.gate_open,
-                                               z_hist.get(t), t)
+                    crossed, c = _intersection(plan, self.rejected, z_hist.get(t), t)
                     if crossed:
                         rejected_at[_TARGETS[t].label] = k
                         self.reject_info[t] = (c, math.nan)
@@ -516,7 +510,7 @@ class _Engine:
                         changed = True
             for i in plan.in_scope:
                 hist = z_hist.get(i)
-                if hist is None or not _testable(plan, self.rejected, self.gate_open, i):
+                if hist is None or not _testable(plan, self.rejected, i):
                     continue
                 crossed, c = _elementary(plan, self.rejected, hist, i)
                 if not crossed:
@@ -528,32 +522,29 @@ class _Engine:
                 self.reject_info[i] = (c, _alpha(plan, self.rejected, i))
                 newly.append(label)
                 self.rejected |= 1 << i
-                if not _IN_FULL[i]:
-                    self.gate_open = True
                 changed = True
         self.trace.analyses.append(AnalysisRecord(
             index=k, calendar_time=calendar_time, newly_rejected=newly,
             rejected=self.rejected, _run=self.run))
 
 
-def _decide(design: DesignSpec,
-            gate: Callable[[FutilityRule], Optional[SelectionDecision]],
+def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
             load: Callable[[_Engine, int], Optional[float]]) -> DecisionTrace:
     """The one decision loop behind `run_design` and `analyze_observed`.
 
-    Applies the end-of-stage-1 futility gate (AD, gGSD): `gate(rule)` gives
-    the decision on the stage-1 PFS data, or None where a population's
-    hazard ratio is missing. It then walks the planned analyses:
-    `load(eng, k)` enters analysis k's statistics through `eng.enter` and
-    returns its calendar time, and the fixed point runs until every
-    hypothesis in scope is rejected or the final analysis is reached.
+    Applies the end-of-stage-1 futility gate (AD, gGSD) to the two stage-1
+    PFS hazard ratios, by `select_population`, then walks the planned
+    analyses: `load(eng, k)` enters analysis k's statistics through
+    `eng.enter` and returns its calendar time, and the fixed point runs
+    until every hypothesis in scope is rejected or the final analysis is
+    reached.
     """
     scenario = None
     futility_decision = None
     if design.kind is not DesignKind.GSD:
-        futility_decision = gate(design.futility)
-        if futility_decision is None:
+        if hr_full is None or hr_sub is None:
             raise MissingSlotError("stage-1 futility hazard ratios (HR(F), HR(S)) are required")
+        futility_decision = select_population(hr_full, hr_sub, design.futility)
         if futility_decision.selection is Selection.STOP_FUTILITY:
             return DecisionTrace(design=design.kind.value, scenario=None,
                                  futility=futility_decision, termination_reason="futility")
@@ -604,27 +595,15 @@ def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
     return snap.calendar_time
 
 
-def _snapshot_gate(snap: Optional[AnalysisSnapshot], rule: FutilityRule
-                   ) -> Optional[SelectionDecision]:
-    """The gate read off the futility snapshot's Cox score signs. The
-    decision reads its hazard ratios from the snapshot, which fits them only
-    when a trace's reader asks for them."""
-    if snap is None:
-        return None
-    full_ok, sub_ok = snap.passes(0, rule.theta_full), snap.passes(1, rule.theta_sub)
-    if full_ok is None or sub_ok is None:
-        return None
-    return SelectionDecision(selection_of(full_ok, sub_ok), snap)
-
-
 def run_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
                futility_snapshot: Optional[AnalysisSnapshot]) -> DecisionTrace:
     """Drive one simulated trial through a design and return its trace."""
     if len(snapshots) < design.n_analyses:
         raise MissingSlotError(
             f"design plans {design.n_analyses} analyses, got {len(snapshots)} snapshots")
-    return _decide(design, lambda rule: _snapshot_gate(futility_snapshot, rule),
-                   lambda eng, k: _load_snapshot(eng, k, snapshots[k]))
+    hrs = (None, None) if futility_snapshot is None else (
+        futility_snapshot.hr_full, futility_snapshot.hr_sub)
+    return _decide(design, *hrs, lambda eng, k: _load_snapshot(eng, k, snapshots[k]))
 
 
 @dataclass(frozen=True)
@@ -665,12 +644,8 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
 
 def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:
     """Replay the decision logic on user-supplied observed values."""
-    def gate(rule: FutilityRule) -> Optional[SelectionDecision]:
-        if observed.hr_full is None or observed.hr_sub is None:
-            return None
-        return select_population(observed.hr_full, observed.hr_sub, rule)
-
-    return _decide(design, gate, lambda eng, k: _load_observed(eng, k, observed))
+    return _decide(design, observed.hr_full, observed.hr_sub,
+                   lambda eng, k: _load_observed(eng, k, observed))
 
 
 def _check_required_slots(eng: _Engine, k: int):

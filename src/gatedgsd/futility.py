@@ -1,10 +1,12 @@
 """End-of-stage-1 futility gate and population selection.
 
-A design's rule holds the hazard-ratio thresholds as given in its config.
-`calibrate_threshold` derives a threshold from the large-sample normal
-model for the log hazard ratio, log(HR_hat) ~ N(log(true HR), 4 / events)
-under equal randomization, for choosing the thresholds beforehand
-(`gatedgsd thresholds`).
+A design's rule holds the hazard-ratio thresholds as given in its config,
+and `select_population` applies it to the two stage-1 PFS hazard ratios: a
+simulated trial's, which its futility snapshot fits (`simdata.snapshot_at`),
+or an observed trial's, as given. `calibrate_threshold` derives a threshold
+from the large-sample normal model for the log hazard ratio,
+log(HR_hat) ~ N(log(true HR), 4 / events) under equal randomization, for
+choosing the thresholds beforehand (`gatedgsd thresholds`).
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .numerics import norm_quantile
 
 __all__ = ["FutilityRule", "Selection", "SelectionDecision", "calibrate_threshold",
-           "select_population", "selection_of"]
+           "select_population"]
 
 
 def calibrate_threshold(true_hr: float, events: int, gamma: float) -> float:
@@ -50,52 +51,31 @@ class Selection(Enum):
     STOP_FUTILITY = "stop_futility"
 
 
+@dataclass(frozen=True)
 class SelectionDecision:
-    """The gate's selection and the two stage-1 PFS hazard ratios it rests on.
-
-    The ratios are read from `source`, anything with `hr_full` and `hr_sub`,
-    when they are asked for: a simulated trial's futility snapshot decides
-    from Cox score signs and fits its Cox models only if a reader wants them.
-    """
-
-    __slots__ = ("selection", "_source")
-
-    def __init__(self, selection: Selection, source):
-        self.selection = selection
-        self._source = source
-
-    @property
-    def hr_full(self) -> float:
-        return self._source.hr_full
-
-    @property
-    def hr_sub(self) -> float:
-        return self._source.hr_sub
-
-
-class _HazardRatios(NamedTuple):
+    selection: Selection
     hr_full: float
     hr_sub: float
 
 
-def selection_of(full_ok: bool, sub_ok: bool) -> Selection:
-    """The selection from whether each population passes the gate."""
-    if full_ok and sub_ok:
-        return Selection.CONTINUE_BOTH
-    if sub_ok:
-        return Selection.CONTINUE_SUB_ONLY
-    if full_ok:
-        return Selection.CONTINUE_FULL_ONLY
-    return Selection.STOP_FUTILITY
-
-
 def select_population(hr_full: float, hr_sub: float, rule: FutilityRule) -> SelectionDecision:
-    """Population-selection decision from the observed stage-1 PFS HRs.
+    """Population-selection decision from the stage-1 PFS HRs.
 
-    The passing condition is strict (< theta); an HR exactly at the
-    threshold fails the gate.
+    The one comparison of a hazard ratio with a threshold, for simulated and
+    observed data alike. The passing condition is strict (< theta); an HR
+    exactly at the threshold fails the gate. A fitted HR may be 0 or inf
+    (`simdata.cox_hazard_ratio` on a monotone likelihood); NaN is refused.
     """
-    if hr_full <= 0 or hr_sub <= 0:
-        raise ValueError("hazard ratios must be positive")
-    return SelectionDecision(selection_of(hr_full < rule.theta_full, hr_sub < rule.theta_sub),
-                             _HazardRatios(hr_full, hr_sub))
+    if not (hr_full >= 0 and hr_sub >= 0):
+        raise ValueError(f"hazard ratios must be nonnegative numbers, got {hr_full}, {hr_sub}")
+    full_ok = hr_full < rule.theta_full
+    sub_ok = hr_sub < rule.theta_sub
+    if full_ok and sub_ok:
+        sel = Selection.CONTINUE_BOTH
+    elif sub_ok:
+        sel = Selection.CONTINUE_SUB_ONLY
+    elif full_ok:
+        sel = Selection.CONTINUE_FULL_ONLY
+    else:
+        sel = Selection.STOP_FUTILITY
+    return SelectionDecision(selection=sel, hr_full=hr_full, hr_sub=hr_sub)

@@ -25,10 +25,11 @@ bit the value a whole-endpoint call gives. Reading a whole table fills
 every block. `logrank_test` is the same kernel with a single slot.
 
 The futility gate's snapshot computes no slots. It counts its stage-1 PFS
-rows per (subgroup, arm) group the same way, and answers "population k's
-Cox HR is below theta" from the sign of the Cox score at log(theta)
-(`AnalysisSnapshot.passes`); it fits the two Cox models by Newton only when
-a hazard ratio is read, or when the score is too close to zero to decide.
+rows per (subgroup, arm) group the same way, once, and fits the Cox hazard
+ratios of F and S from those counts (`_breslow_hr`, the one Cox fit, which
+`cox_hazard_ratio` runs on a single sample). The fit is exact about a
+monotone or flat likelihood, and brackets a finite root, so it returns no
+NaN; like the counts, its bits do not depend on patient order.
 
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
@@ -47,7 +48,7 @@ import numpy as np
 
 from .combine import normal_score
 from .multiplicity import Endpoint, Population, hochberg_intersection
-from .numerics import norm_cdf
+from .numerics import find_root, norm_cdf
 
 __all__ = [
     "ScenarioSpec",
@@ -65,10 +66,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-# Cox fits: Newton from log HR = 0 stops once |score| < _COX_TOL, or after
-# _COX_MAX_ITER steps.
-_COX_TOL = 1e-8
-_COX_MAX_ITER = 50
+# Cox fits: the width in log HR of the bracket `find_root` closes.
+_COX_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -327,40 +326,69 @@ def logrank_test(duration: np.ndarray, status: np.ndarray, experimental: np.ndar
 
 def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
                      experimental: np.ndarray) -> float:
-    """Cox partial-likelihood HR for a single treatment indicator.
+    """Cox partial-likelihood HR for a single treatment indicator, by
+    `_breslow_hr` on the sample's counts at its distinct event times.
 
-    Breslow tie handling; Newton iteration from log HR = 0 until the score
-    drops below `_COX_TOL`.
+    Raises ValueError when there is no event.
     """
-    order = np.argsort(duration, kind="stable")
-    return _cox_sorted(duration[order], status[order], experimental[order])
-
-
-def _cox_sorted(d: np.ndarray, s: np.ndarray, experimental: np.ndarray) -> float:
-    """`cox_hazard_ratio` of rows already in stable ascending duration order."""
-    if s.sum() == 0:
+    order = np.argsort(duration)
+    counts = _group_counts(duration[order], status[order].astype(bool),
+                           experimental[order].astype(np.intp), 2)
+    hr = _breslow_hr(_ONE_SLOT @ counts)
+    if hr is None:
         raise ValueError("no events: hazard ratio is not estimable")
-    x = experimental.astype(np.float64)
-    at_risk_start = np.searchsorted(d, d[s], side="left")  # first index still at risk
-    x_events = x[s]
-    # Risk-set sums computed from reverse cumulative sums.
-    beta = 0.0
-    for _ in range(_COX_MAX_ITER):
-        w = np.exp(beta * x)
-        rev_w = np.cumsum(w[::-1])[::-1]
-        rev_wx = np.cumsum((w * x)[::-1])[::-1]
-        s0 = rev_w[at_risk_start]
-        s1 = rev_wx[at_risk_start]
-        mean = s1 / s0
-        score = float(np.sum(x_events - mean))
-        info = float(np.sum(mean * (1.0 - mean)))
-        if info <= 0.0:
-            break
-        step = score / info
-        beta += step
-        if abs(score) < _COX_TOL:
-            break
-    return math.exp(beta)
+    return hr
+
+
+def _breslow_hr(counts: np.ndarray) -> Optional[float]:
+    """The Cox HR (Breslow ties) of one slot, None where it has no event.
+
+    `counts` holds one slot's rows of a `_slot_weights` product: rows gone
+    by each event time in both arms and in the experimental arm, then the
+    events in both arms and in the experimental arm. The score
+    U(beta) = sum over event times of d_exp - d * share(beta), with share the
+    experimental arm's weight of the risk set, falls as beta grows, from
+    U(-inf) = experimental events - events at times with no control row at
+    risk (that is, the experimental events at times with a control row at
+    risk) to U(+inf) = experimental events - events at times with an
+    experimental row at risk. Both limits are exact sums of counts:
+
+    - U(-inf) = 0 > U(+inf) (no experimental event while a control row is
+      at risk): the likelihood rises as beta falls, HR 0;
+    - U(-inf) > 0 = U(+inf): likewise, HR inf;
+    - U(-inf) = U(+inf) = 0 (no event time has both arms at risk): the
+      likelihood is flat, HR 1;
+    - otherwise the root is finite, and `find_root` (Newton kept inside a
+      sign bracket) finds it to `_COX_TOL` in beta.
+    """
+    times = np.flatnonzero(counts[2])
+    if not len(times):
+        return None
+    gone, gone_exp, d, d_exp = counts.take(times, axis=1)
+    n_exp = counts[1, -1] - gone_exp
+    n_ctl = counts[0, -1] - gone - n_exp
+    has_ctl = n_ctl > 0
+    u_lo = float(np.add.reduce(d_exp[has_ctl]))
+    both = has_ctl & (n_exp > 0)
+    d, ratio = d[both], n_ctl[both] / n_exp[both]
+    u_hi = u_lo - float(np.add.reduce(d))
+    if u_lo == 0.0 or u_hi == 0.0:
+        return 1.0 if u_lo == u_hi else (0.0 if u_lo == 0.0 else math.inf)
+
+    def score(beta):
+        """U(beta) and its slope, -sum of d * share * (1 - share)."""
+        share = ratio * math.exp(-beta)
+        share += 1.0
+        np.reciprocal(share, out=share)
+        expected = d * share
+        u = float(np.add.reduce(expected))
+        return u_lo - u, float(np.add.reduce(expected * share)) - u
+
+    # share < exp(beta) / ratio and 1 - share < ratio * exp(-beta) give a
+    # bracket on which U keeps a margin of at least 1 - 1/e of u_lo and -u_hi.
+    lo = math.log(u_lo / float(np.add.reduce(d / ratio))) - 1.0
+    hi = math.log(float(np.add.reduce(d * ratio)) / -u_hi) + 1.0
+    return math.exp(find_root(score, lo, hi, 0.0, tol=_COX_TOL))
 
 
 class AnalysisSnapshot:
@@ -376,28 +404,24 @@ class AnalysisSnapshot:
     (q, clamped) per score, with those entries filled. The read-only tables
     (`events`, `z`, `p`, `zero_event_slots`, `scores`) fill every block.
 
-    A futility snapshot (`snapshot_at(..., with_hr=True)`) holds the stage-1
-    PFS rows' at-risk and event counts instead; its tables are empty.
-    `passes(k, theta)` answers the gate from a Cox score sign, and `hr_full`
-    and `hr_sub` fit the Cox models on first read. An analysis snapshot's
-    hazard ratios are None, and it answers no gate.
+    A futility snapshot (`snapshot_at(..., with_hr=True)`) holds the two
+    stage-1 PFS Cox hazard ratios instead, `hr_full` and `hr_sub` (None where
+    a population has no stage-1 PFS event); its tables are empty. An
+    analysis snapshot's hazard ratios are None.
     """
 
-    __slots__ = ("calendar_time", "_trial", "_enrolled", "_group", "_counts", "_stats",
-                 "_scores", "_risk", "_passes", "_hrs")
+    __slots__ = ("calendar_time", "hr_full", "hr_sub", "_trial", "_enrolled", "_group",
+                 "_counts", "_stats", "_scores")
 
     def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec, futility: bool):
         self.calendar_time = time
         self._trial = trial
         if futility:
-            self._enrolled = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
+            stage1 = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
+            self.hr_full, self.hr_sub = _stage1_hazard_ratios(trial, time, stage1)
             self._counts, self._stats, self._scores = [], [], []
-            self._risk = _gate_risk_sets(trial, time, self._enrolled)
-            self._passes = {}
-            self._hrs = None
             return
-        self._risk = None
-        self._hrs = (None, None)
+        self.hr_full = self.hr_sub = None
         self._enrolled = trial.enroll_time < time
         cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
         self._group = (2 * cell + trial.experimental)[self._enrolled]
@@ -438,50 +462,6 @@ class AnalysisSnapshot:
                 scores[full], scores[sub] = normal_score(p_full), normal_score(p_sub)
                 scores[joint_slot(c, ep)] = normal_score(hochberg_intersection(p_full, p_sub))
         return scores
-
-    def passes(self, k: int, theta: float) -> Optional[bool]:
-        """Whether population k (its position in `Population` order) passes
-        the futility gate at theta: whether its stage-1 PFS Cox hazard ratio
-        is below theta. None where the population has no stage-1 PFS event,
-        or this is not a futility snapshot. Cached per (k, theta).
-
-        The Breslow partial likelihood is concave in the log HR, so its score
-        U falls as beta grows and the estimate lies below log(theta) exactly
-        when U(log theta) < 0; a monotone likelihood (no event in one arm)
-        has U of one sign everywhere. Where |U(log theta)| is within
-        `_gate_margin(d)`, the Newton HR could fall on either side, and the
-        gate compares that HR with theta instead."""
-        if self._risk is None:
-            return None
-        key = (k, theta)
-        if key in self._passes:
-            return self._passes[key]
-        n_ctl, n_exp, died, exp_events, d = self._risk[k]
-        if d == 0:
-            ok = None
-        else:
-            share = n_exp * theta
-            share /= n_ctl + share
-            u = exp_events - float(died @ share)
-            ok = self._hazard_ratios()[k] < theta if abs(u) <= _gate_margin(d) else u < 0.0
-        self._passes[key] = ok
-        return ok
-
-    def _hazard_ratios(self) -> Tuple[Optional[float], Optional[float]]:
-        if self._hrs is None:
-            self._hrs = _stage1_hazard_ratios(self._trial, self.calendar_time, self._enrolled)
-        return self._hrs
-
-    @property
-    def hr_full(self) -> Optional[float]:
-        """F's stage-1 PFS Cox hazard ratio, fitted on first read; None where
-        F has no stage-1 PFS event, and for an analysis snapshot."""
-        return self._hazard_ratios()[0]
-
-    @property
-    def hr_sub(self) -> Optional[float]:
-        """S's stage-1 PFS Cox hazard ratio, as `hr_full`."""
-        return self._hazard_ratios()[1]
 
     def _column(self, k: int) -> tuple:
         """Entry k of every slot's (z, p, events), with every block filled."""
@@ -559,52 +539,19 @@ _GATE_GROUPS = 4
 _GATE_WEIGHTS = _slot_weights([(1, 1), (0, 1)])
 
 
-def _gate_margin(d: float) -> float:
-    """The |U(log theta)| within which the futility gate reads the Newton HR.
-
-    With a 0/1 covariate the information is at most d/4 for d events, so
-    |beta_hat - log theta| >= 4 |U(log theta)| / d. Newton's HR can sit on
-    the other side of theta from the sign's answer only if |U(log theta)|
-    is below the score Newton stopped at (`_COX_TOL`) plus what exp, log and
-    the float sums of both scores move it by, each below d * 1e-14."""
-    return _COX_TOL + 1e-12 * d
-
-
-def _gate_risk_sets(trial: TrialData, time: float, stage1: np.ndarray):
-    """Per population, F then S: the control and experimental rows at risk
-    and the events at each of its stage-1 PFS event times, its experimental
-    event count and its event count.
-
-    The rows are censored, sorted and counted per (subgroup, arm) group once
-    (`_group_counts`); each population's counts are a weighting of those."""
-    dur, st = _censor(trial, Endpoint.PFS, time, stage1)
-    order = np.argsort(dur)
-    group = (2 * trial.in_subgroup + trial.experimental)[stage1]
-    counts = _GATE_WEIGHTS @ _group_counts(dur[order], st[order], group[order], _GATE_GROUPS)
-    at_risk = counts[:4, -1:] - counts[:4]  # F, S, then their experimental rows
-    risk = []
-    for k in range(2):
-        died = counts[4 + k]
-        times = died > 0
-        n_exp = at_risk[2 + k, times]
-        risk.append((at_risk[k, times] - n_exp, n_exp, died[times],
-                     float(counts[6 + k].sum()), float(died.sum())))
-    return risk
-
-
 def _stage1_hazard_ratios(trial: TrialData, time: float, stage1: np.ndarray):
     """Stage-1 PFS Cox HRs at a cutoff, F then S; None where a population has
     no event. `stage1` selects the stage-1 rows enrolled by the cutoff.
 
-    The stage-1 rows are censored and stably sorted once. A stable order
-    restricted to a subset is the subset's own stable order, so the S fit
-    sees exactly the rows a fresh sort would give.
-    """
+    The rows are censored, sorted and counted per (subgroup, arm) group once
+    (`_group_counts`), and each population's counts are a weighting of
+    those. A fit reads only the population's own event times, so it sees
+    the counts `cox_hazard_ratio` gives the population's sample alone."""
     dur, st = _censor(trial, Endpoint.PFS, time, stage1)
-    order = np.argsort(dur, kind="stable")
-    d, s, x = dur[order], st[order], trial.experimental[stage1][order]
-    return tuple(_cox_sorted(d[rows], s[rows], x[rows]) if s[rows].any() else None
-                 for rows in (slice(None), trial.in_subgroup[stage1][order]))
+    order = np.argsort(dur)
+    group = (2 * trial.in_subgroup + trial.experimental)[stage1]
+    counts = _GATE_WEIGHTS @ _group_counts(dur[order], st[order], group[order], _GATE_GROUPS)
+    return _breslow_hr(counts[0::2]), _breslow_hr(counts[1::2])
 
 
 def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
@@ -617,11 +564,9 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
     stage-wise block (stage 1 and stage 2, F and S) are read off that one
     order.
 
-    With `with_hr` this is the futility gate's snapshot instead: it counts
-    the stage-1 PFS rows at risk and the events at each event time, per
-    population, answers the gate from Cox score signs (`passes`), and fits
-    the two Cox hazard ratios only when `hr_full` or `hr_sub` is read. Its
-    slot tables are empty.
+    With `with_hr` this is the futility gate's snapshot instead: it fits the
+    stage-1 PFS Cox hazard ratios of F and S, `hr_full` and `hr_sub`, from
+    one count of the stage-1 rows. Its slot tables are empty.
     """
     if time < 0:
         raise ValueError("snapshot time must be nonnegative")

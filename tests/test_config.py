@@ -225,24 +225,31 @@ def test_observed_p_value_at_unplanned_look_rejected(tmp_path):
 # -- values no design can use are rejected where they are written ------------
 
 
-# case -> (where in setting2, the value, error path and message)
+# case -> (bundled config, where in it, the value, error path and message)
 UNUSABLE_CASES = {
     # boundaries need strictly increasing information; unchecked, the config
     # builds its arms and fails only when `simulate` solves a boundary
-    "fractions_not_increasing": (("designs", "fractions", "sub", "os"), [0.73, 0.60, 1.0],
+    "fractions_not_increasing": ("setting2.yaml", ("designs", "fractions", "sub", "os"),
+                                 [0.73, 0.60, 1.0],
                                  r"designs\.fractions\.sub\.os: fractions must be strictly "
                                  r"increasing"),
     # no hazard ratio passes a zero threshold; unchecked, the futility rule
     # is dropped and the error names no field
-    "zero_threshold": (("designs", "futility", "theta_full"), 0,
+    "zero_threshold": ("setting2.yaml", ("designs", "futility", "theta_full"), 0,
                        r"designs\.futility\.theta_full: .*> 0"),
+    # a zero hazard ratio is no observed estimate; unchecked, `analyze` would
+    # pass it through every threshold
+    "zero_observed_hr_full": ("table5_example.yaml", ("observed", "hr_full"), 0,
+                              r"observed\.hr_full: .*> 0"),
+    "zero_observed_hr_sub": ("table5_example.yaml", ("observed", "hr_sub"), 0,
+                             r"observed\.hr_sub: .*> 0"),
 }
 
 
 @pytest.mark.parametrize("case", UNUSABLE_CASES)
 def test_unusable_design_value_rejected_with_field_path(tmp_path, case):
-    where, value, path = UNUSABLE_CASES[case]
-    doc = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    name, where, value, path = UNUSABLE_CASES[case]
+    doc = yaml.safe_load((CONFIG_DIR / name).read_text())
     _put(doc, where, value)
     with pytest.raises(ConfigError, match=path):
         parse_config(write(tmp_path, doc))

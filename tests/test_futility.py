@@ -72,5 +72,8 @@ def test_selection_threshold_is_strict():
 def test_selection_records_observed_hrs():
     d = select_population(0.8, 0.9, RULE)
     assert d.hr_full == 0.8 and d.hr_sub == 0.9
-    with pytest.raises(ValueError):
-        select_population(-0.1, 0.9, RULE)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            select_population(bad, 0.9, RULE)
+    # a monotone likelihood's limits are estimates too
+    assert select_population(0.0, math.inf, RULE).selection is Selection.CONTINUE_FULL_ONLY

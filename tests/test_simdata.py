@@ -7,14 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatedgsd import simdata
 from gatedgsd.combine import normal_score
 from gatedgsd.config import build_designs, parse_config
-from gatedgsd.engine import MissingSlotError, _snapshot_gate, run_design
-from gatedgsd.futility import FutilityRule, select_population
+from gatedgsd.engine import MissingSlotError, run_design
+from gatedgsd.futility import select_population
 from gatedgsd.harness import replication_inputs
 from gatedgsd.multiplicity import Endpoint, Population, hochberg_intersection
 from gatedgsd.numerics import norm_cdf
@@ -451,7 +451,7 @@ def test_zero_event_slots_follow_events():
     assert snap.zero_event_slots == tuple(j for j, n in enumerate(snap.events) if n == 0)
 
 
-# -- order-free counts and the futility gate's score signs --------------------
+# -- order-free counts and the futility gate's one Cox fit ---------------------
 
 
 def shuffled(trial, seed):
@@ -466,9 +466,8 @@ def bits(stats):
     return [None if x is None else (x[0].hex(), x[1].hex(), x[2]) for x in stats]
 
 
-# Thresholds no small trial's Cox estimate can hit exactly, so a gate read at
-# one of them never depends on the last bits of a Newton HR.
-GATE_THETAS = (0.4137, 0.8317, 1.1923, 2.7183)
+def hr_bits(snap):
+    return [None if hr is None else hr.hex() for hr in (snap.hr_full, snap.hr_sub)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -481,7 +480,7 @@ GATE_THETAS = (0.4137, 0.8317, 1.1923, 2.7183)
 )
 def test_snapshots_do_not_depend_on_patient_order(seed, n, prevalence, tie_step, time):
     """Tied rows may be sorted in any order: every block, table, score and
-    gate decision keeps its bits when the patients are shuffled."""
+    futility hazard ratio keeps its bits when the patients are shuffled."""
     trial = random_trial(seed, n, prevalence, tie_step)
     other = shuffled(trial, seed)
     spec = toy_spec(stage1_cutoff=6.0)
@@ -493,57 +492,112 @@ def test_snapshots_do_not_depend_on_patient_order(seed, n, prevalence, tie_step,
     assert a.events == b.events
     assert [x.hex() for x in a.z + a.p] == [x.hex() for x in b.z + b.p]
     assert [(q.hex(), c) for q, c in a.scores] == [(q.hex(), c) for q, c in b.scores]
-    fa = snapshot_at(trial, time, spec, with_hr=True)
-    fb = snapshot_at(other, time, spec, with_hr=True)
-    for k in range(len(Population)):
-        for theta in GATE_THETAS:
-            assert fa.passes(k, theta) == fb.passes(k, theta)
+    assert hr_bits(a) == hr_bits(b) == [None, None]
+    assert (hr_bits(snapshot_at(trial, time, spec, with_hr=True))
+            == hr_bits(snapshot_at(other, time, spec, with_hr=True)))
 
 
-def gate_thresholds(snap):
-    """Per population: the fixed thresholds, and the population's own HR
-    and HR * (1 -+ 1e-12), where the score sign cannot decide and the gate
-    must read the HR."""
-    hrs = (snap.hr_full, snap.hr_sub)
-    return [GATE_THETAS + (hr * (1 - 1e-12), hr, hr * (1 + 1e-12)) for hr in hrs]
+def with_silent_arm(trial, silent):
+    """The trial with no PFS event in one arm (None: as it is)."""
+    if silent is not None:
+        no_event = trial.experimental == (silent == "experimental")
+        trial.event_time[Endpoint.PFS] = np.where(no_event, 1e6, trial.event_time[Endpoint.PFS])
+    return trial
 
 
-def check_gate(trial, time, spec, design):
-    """The gate read off a fresh futility snapshot equals `select_population`
-    on its Newton HRs, for every pair of thresholds; with a population that
-    has no stage-1 PFS event it is missing, and the gated arm raises."""
-    ref = snapshot_at(trial, time, spec, with_hr=True)
-    fresh = snapshot_at(trial, time, spec, with_hr=True)
-    if ref.hr_full is None or ref.hr_sub is None:
-        assert _snapshot_gate(fresh, design.futility) is None
+def check_futility_decision(trial, time, spec, design):
+    """A gated arm's futility decision is `select_population` on the futility
+    snapshot's hazard ratios; with a population that has no stage-1 PFS
+    event, the gated arm raises."""
+    fsnap = snapshot_at(trial, time, spec, with_hr=True)
+    snaps = [snapshot_at(trial, time, spec)] * design.n_analyses
+    if fsnap.hr_full is None or fsnap.hr_sub is None:
         with pytest.raises(MissingSlotError):
-            run_design(design, [fresh] * design.n_analyses, fresh)
+            run_design(design, snaps, fsnap)
         return
-    theta_full, theta_sub = gate_thresholds(ref)
-    for tf in theta_full:
-        for ts in theta_sub:
-            rule = FutilityRule(tf, ts)
-            got = _snapshot_gate(fresh, rule)
-            assert got.selection is select_population(ref.hr_full, ref.hr_sub, rule).selection
-            assert got.hr_full == ref.hr_full and got.hr_sub == ref.hr_sub
-    # At the population's own HR the score sign cannot decide: the gate fits
-    # the Cox models.
-    near = snapshot_at(trial, time, spec, with_hr=True)
-    near.passes(0, theta_full[-1])
-    assert near._hrs is not None
+    trace = run_design(design, snaps, fsnap)
+    assert trace.futility == select_population(fsnap.hr_full, fsnap.hr_sub, design.futility)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+SMALL_TRIALS = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(20, 80),
     prevalence=st.sampled_from((0.0, 0.03, 0.5, 0.97, 1.0)),
     tie_step=st.sampled_from((0.001, 0.5, 1.0, 2.0)),
     time=st.sampled_from((3.0, 6.0, 10.0, 40.0)),
+    silent=st.sampled_from((None, "control", "experimental")),
 )
-def test_futility_gate_matches_newton_hazard_ratios(seed, n, prevalence, tie_step, time):
-    check_gate(random_trial(seed, n, prevalence, tie_step), time, toy_spec(stage1_cutoff=6.0),
-               gated_design("setting2"))
+# A finite estimate on which an unguarded Newton from log HR = 0 overflows to NaN.
+OVERFLOWED = dict(seed=75, n=40, prevalence=0.97, tie_step=0.5, time=10.0, silent=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SMALL_TRIALS)
+@example(**OVERFLOWED)
+def test_futility_gate_matches_newton_hazard_ratios(seed, n, prevalence, tie_step, time, silent):
+    trial = with_silent_arm(random_trial(seed, n, prevalence, tie_step), silent)
+    check_futility_decision(trial, time, toy_spec(stage1_cutoff=6.0),
+                            gated_design("setting2"))
+
+
+def risk_table(dur, status, experimental):
+    """Per distinct event time, row by row: control and experimental rows at
+    risk, events, experimental events."""
+    times = np.unique(dur[status])[:, None]
+    at_risk, died = dur >= times, status & (dur == times)
+    return ((at_risk & ~experimental).sum(1), (at_risk & experimental).sum(1),
+            died.sum(1), (died & experimental).sum(1))
+
+
+def bisected_log_hr(dur, status, experimental, bound=50.0):
+    """The log HR where the Breslow score changes sign, by bisection on
+    [-bound, bound]: -inf or inf where the score keeps one sign there, 0 where
+    it is zero at both ends (no event time has both arms at risk)."""
+    n_ctl, n_exp, d, d_exp = (x.astype(float) for x in risk_table(dur, status, experimental))
+
+    def score(beta):
+        w = n_exp * math.exp(beta)
+        return float(np.sum(d_exp - d * w / (n_ctl + w)))
+
+    lo, hi = -bound, bound
+    u_lo, u_hi = score(lo), score(hi)
+    if u_lo == u_hi == 0.0:
+        return 0.0
+    if u_lo <= 0.0:
+        return -math.inf
+    if u_hi >= 0.0:
+        return math.inf
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if score(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SMALL_TRIALS)
+@example(**OVERFLOWED)
+def test_cox_fit_matches_score_bisection(seed, n, prevalence, tie_step, time, silent):
+    """The futility snapshot's hazard ratios are where the score changes sign
+    (to 1e-12 in log HR), or the limit of a monotone likelihood, 0 or inf, or
+    1 where the likelihood is flat. None only where a population has no
+    event, and `cox_hazard_ratio` gives the same bits on its own sample."""
+    trial = with_silent_arm(random_trial(seed, n, prevalence, tie_step), silent)
+    spec = toy_spec(stage1_cutoff=6.0)
+    snap = snapshot_at(trial, time, spec, with_hr=True)
+    stage1 = trial.enroll_time < spec.stage1_cutoff
+    for hr, rows in ((snap.hr_full, stage1), (snap.hr_sub, stage1 & trial.in_subgroup)):
+        sample = censored(trial, Endpoint.PFS, time, rows)
+        if not sample[1].any():
+            assert hr is None
+            continue
+        assert cox_hazard_ratio(*sample).hex() == hr.hex()
+        want = bisected_log_hr(*sample)
+        if math.isinf(want) or want == 0.0:
+            assert hr == math.exp(want)
+        else:
+            assert abs(math.log(hr) - want) <= 1e-12
 
 
 @functools.cache
@@ -555,21 +609,26 @@ def gated_design(name):
 
 @pytest.mark.parametrize("silent", ("control", "experimental"))
 def test_futility_gate_with_a_monotone_likelihood(silent):
-    """No stage-1 PFS event in one arm: the Cox estimate is infinite, and the
-    gate still equals the comparison of the Newton HR."""
-    trial = random_trial(7, 80, 0.5, 0.5)
-    no_event = trial.experimental == (silent == "experimental")
-    trial.event_time[Endpoint.PFS] = np.where(no_event, 1e6, trial.event_time[Endpoint.PFS])
+    """No stage-1 PFS event in one arm: the Cox estimate is the limit of the
+    likelihood, 0 or inf, and the gate compares it with the thresholds."""
+    trial = with_silent_arm(random_trial(7, 80, 0.5, 0.5), silent)
     spec = toy_spec(stage1_cutoff=6.0)
-    hr = snapshot_at(trial, 10.0, spec, with_hr=True).hr_full
-    assert hr < 1e-6 if silent == "experimental" else hr > 1e6
-    check_gate(trial, 10.0, spec, gated_design("setting2"))
+    snap = snapshot_at(trial, 10.0, spec, with_hr=True)
+    want = 0.0 if silent == "experimental" else math.inf
+    assert snap.hr_full == snap.hr_sub == want
+    check_futility_decision(trial, 10.0, spec, gated_design("setting2"))
 
 
 def test_futility_gate_on_the_bundled_settings():
+    """Every arm of every bundled setting gates by `select_population` on its
+    replication's futility hazard ratios (GSD has no gate)."""
     for name in ("setting1", "setting2", "setting3"):
         cfg = parse_config(CONFIG_DIR / f"{name}.yaml")
+        designs = build_designs(cfg)
         for spec in (cfg.scenario, cfg.scenario.under_global_null()):
             for rep in range(20):
-                check_gate(generate_trial(spec, (cfg.seed, rep)), spec.stage1_cutoff, spec,
-                           gated_design(name))
+                snaps, fsnap = replication_inputs(spec, cfg.seed, rep)
+                for d in designs:
+                    want = d.futility and select_population(fsnap.hr_full, fsnap.hr_sub,
+                                                            d.futility)
+                    assert run_design(d, snaps, fsnap).futility == want, (name, rep, d.label)
