@@ -10,12 +10,14 @@ the changed one, alternating which goes first from pair to pair, so that slow dr
 on both sides alike. It writes, per workload and end-to-end metric (from
 BENCHMARK.json), each side's values, median and quartiles, the ratio of the
 medians and the number of pairs the change won, plus each side's machine
-block. Two verdicts go with each metric: `gain_shown`, when the change won
+block. Three verdicts go with each metric: `gain_shown`, when the change won
 at least 9 of 10 pairs and its median is better than the base's by more
-than the base's interquartile range, and `worse_than_bound`, when its median
+than the base's interquartile range; `worse_than_bound`, when its median
 is worse than the base's by more than the metric's BENCHMARK.json bound (a
-fraction of the base median). The last line printed names the metrics of
-each verdict. It exits 1 if any run failed or reported an incorrect result.
+fraction of the base median); and `unresolved`, when the base's own runs
+spread wider than that bound (interquartile range) and not every change run
+is better than every base run, so a move within the bound cannot be told
+from noise. The last line printed names the metrics of each verdict. It exits 1 if any run failed or reported an incorrect result.
 
 Usage:
     python scripts/bench_pairs.py --base ../parent --change . \\
@@ -63,6 +65,7 @@ def compare(base, change, better: str, bound: float) -> dict:
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     b, c = summary(base), summary(change)
     gain = sign * (c["median"] - b["median"])
+    spread = b["q3"] - b["q1"]
     return {
         "better": better,
         "base": b,
@@ -70,8 +73,10 @@ def compare(base, change, better: str, bound: float) -> dict:
         "ratio_of_medians": c["median"] / b["median"],
         "change_better_pairs": wins,
         "pairs": len(base),
-        "gain_shown": wins >= 0.9 * len(base) and gain > b["q3"] - b["q1"],
+        "gain_shown": wins >= 0.9 * len(base) and gain > spread,
         "worse_than_bound": -gain > bound * abs(b["median"]),
+        "unresolved": (spread > bound * abs(b["median"])
+                       and min(sign * x for x in change) <= max(sign * x for x in base)),
     }
 
 
@@ -127,7 +132,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
     verdicts = {key: [f"{w}/{m}" for w, block in report["workloads"].items()
                       for m, v in block["metrics"].items() if v[key]]
-                for key in ("gain_shown", "worse_than_bound")}
+                for key in ("gain_shown", "worse_than_bound", "unresolved")}
     print("; ".join(f"{key}: {' '.join(names) or 'none'}" for key, names in verdicts.items()))
     return 0 if ok else 1
 

@@ -101,12 +101,21 @@ class _Collector:
             return default
         return int(v) if integer else float(v)
 
+    def positive(self, raw: dict, path: str, key: str, hi=None, what: str = "a number"):
+        """A number > 0 (and <= hi); None where it is missing or rejected."""
+        v = self.number(raw, path, key, hi=hi)
+        if v is not None and v <= 0:
+            self.fail(f"{path}.{key}", f"expected {what} > 0, got {v:g}")
+            return None
+        return v
 
-def _endpoint_map(col: _Collector, raw, path: str) -> Dict[Endpoint, float]:
+
+def _endpoint_map(col: _Collector, raw, path: str, positive: bool = False
+                  ) -> Dict[Endpoint, float]:
     out: Dict[Endpoint, float] = {}
     m = col.expect_map(raw, path, ("pfs", "os"), ("pfs", "os"))
     for slug, ep in _ENDPOINTS.items():
-        v = col.number(m, path, slug)
+        v = col.positive(m, path, slug) if positive else col.number(m, path, slug)
         if v is not None:
             out[ep] = v
     return out
@@ -126,7 +135,16 @@ def _parse_scenario(col: _Collector, raw, name: str,
                          ("sub", "complement"), ("sub", "complement"))
     hrs = col.expect_map(m.get("hazard_ratios", {}), "scenario.hazard_ratios",
                          ("sub", "complement"), ("sub", "complement"))
+    # Parsed before the error check below, so that each bad value is reported
+    # under its own path rather than by ScenarioSpec under "scenario".
+    sub_prevalence = col.positive(m, "scenario", "sub_prevalence", hi=1.0)
+    enroll_duration = col.positive(m, "scenario", "enroll_duration")
+    median_sub, median_complement, hr_sub, hr_complement = (
+        _endpoint_map(col, table.get(pop, {}), f"scenario.{key}.{pop}", positive=True)
+        for key, table in (("medians", med), ("hazard_ratios", hrs))
+        for pop in ("sub", "complement"))
     triggers = []
+    last: Dict[str, int] = {}  # each endpoint's previous event target
     raw_triggers = m.get("triggers", [])
     if not isinstance(raw_triggers, list) or not raw_triggers:
         col.fail("scenario.triggers", "expected a nonempty list")
@@ -142,7 +160,11 @@ def _parse_scenario(col: _Collector, raw, name: str,
             col.fail(f"scenario.triggers[{i}].endpoint", f"expected pfs|os, got {ep!r}")
             continue
         n = col.number(tm, f"scenario.triggers[{i}]", "events", lo=1, integer=True)
-        if n is not None:
+        if n is not None and n < last.get(ep, 0):
+            col.fail(f"scenario.triggers[{i}].events",
+                     f"expected at least {last[ep]}, the previous {ep} trigger, got {n}")
+        elif n is not None:
+            last[ep] = n
             triggers.append(AnalysisTrigger(_ENDPOINTS[ep], n))
     if col.errors:
         return None
@@ -150,15 +172,13 @@ def _parse_scenario(col: _Collector, raw, name: str,
         return ScenarioSpec(
             name=name,
             sample_size=col.number(m, "scenario", "sample_size", lo=2, integer=True),
-            sub_prevalence=col.number(m, "scenario", "sub_prevalence", lo=0.0, hi=1.0),
-            enroll_duration=col.number(m, "scenario", "enroll_duration", lo=0.0),
+            sub_prevalence=sub_prevalence,
+            enroll_duration=enroll_duration,
             stage1_cutoff=col.number(m, "scenario", "stage1_cutoff", lo=0.0),
-            median_sub=_endpoint_map(col, med.get("sub", {}), "scenario.medians.sub"),
-            median_complement=_endpoint_map(col, med.get("complement", {}),
-                                            "scenario.medians.complement"),
-            hr_sub=_endpoint_map(col, hrs.get("sub", {}), "scenario.hazard_ratios.sub"),
-            hr_complement=_endpoint_map(col, hrs.get("complement", {}),
-                                        "scenario.hazard_ratios.complement"),
+            median_sub=median_sub,
+            median_complement=median_complement,
+            hr_sub=hr_sub,
+            hr_complement=hr_complement,
             annual_dropout=_endpoint_map(col, m.get("annual_dropout", {}),
                                          "scenario.annual_dropout"),
             triggers=tuple(triggers),
@@ -254,9 +274,7 @@ def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tupl
     per_design: Dict[str, ObservedData] = {}
     hrs = {}
     for key in ("hr_full", "hr_sub"):
-        hrs[key] = col.number(m, "observed", key, lo=0.0)
-        if hrs[key] == 0.0:
-            col.fail(f"observed.{key}", "expected a hazard ratio > 0, got 0")
+        hrs[key] = col.positive(m, "observed", key, what="a hazard ratio")
     for design_slug, slots in pv.items():
         if design_slug not in ("gsd", "ad", "ggsd"):
             col.fail(f"observed.p_values.{design_slug}", "unknown design (gsd|ad|ggsd)")
@@ -377,9 +395,8 @@ def parse_config(path: str) -> RunConfig:
                              ("theta_full", "theta_sub"), ("theta_full", "theta_sub"))
     thetas = {}
     for key in ("theta_full", "theta_sub"):
-        thetas[key] = col.number(fut_raw, "designs.futility", key, lo=0.0)
-        if thetas[key] == 0.0:
-            col.fail(f"designs.futility.{key}", "expected a hazard-ratio threshold > 0, got 0")
+        thetas[key] = col.positive(fut_raw, "designs.futility", key,
+                                   what="a hazard-ratio threshold")
     futility = FutilityRule(**thetas) if all(thetas.values()) else None
 
     looks = {ep: len(v) for ep, v in endpoint_analyses.items()}

@@ -3,7 +3,9 @@
 A design's rule holds the hazard-ratio thresholds as given in its config,
 and `select_population` applies it to the two stage-1 PFS hazard ratios: a
 simulated trial's, which its futility snapshot fits (`simdata.snapshot_at`),
-or an observed trial's, as given. `calibrate_threshold` derives a threshold
+or an observed trial's, as given. Every gated arm of a simulated
+replication calls it, and most stop there under the global null, so its
+decision is a plain named tuple. `calibrate_threshold` derives a threshold
 from the large-sample normal model for the log hazard ratio,
 log(HR_hat) ~ N(log(true HR), 4 / events) under equal randomization, for
 choosing the thresholds beforehand (`gatedgsd thresholds`).
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .numerics import norm_quantile
 
@@ -51,8 +54,10 @@ class Selection(Enum):
     STOP_FUTILITY = "stop_futility"
 
 
-@dataclass(frozen=True)
-class SelectionDecision:
+class SelectionDecision(NamedTuple):
+    """The gate's selection and the two hazard ratios it compared. A plain
+    tuple: every gated arm of a replication builds one."""
+
     selection: Selection
     hr_full: float
     hr_sub: float
@@ -78,4 +83,4 @@ def select_population(hr_full: float, hr_sub: float, rule: FutilityRule) -> Sele
         sel = Selection.CONTINUE_FULL_ONLY
     else:
         sel = Selection.STOP_FUTILITY
-    return SelectionDecision(selection=sel, hr_full=hr_full, hr_sub=hr_sub)
+    return SelectionDecision(sel, hr_full, hr_sub)

@@ -3,9 +3,11 @@
 One replication generates a single dataset, schedules the analyses from its
 pooled event counts, snapshots the test statistics once, and then feeds the
 same snapshots to every design arm (the designs differ only in how they
-test, not in the data). Aggregation is an associative fold over replication
-outcomes, so replications can be partitioned across processes without
-changing the result.
+test, not in the data). The snapshots compute what the arms read, and the
+gated arms run before GSD: their stage-wise reads fill the pooled pairs GSD
+reads, so each sample is counted once (`simdata`). Aggregation is an
+associative fold over replication outcomes, so replications can be
+partitioned across processes without changing the result.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .engine import ANALYSIS_NAMES, DesignSpec, run_design
+from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec, run_design
 from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population
 from .simdata import (AnalysisSnapshot, ScenarioSpec, generate_trial, schedule_analyses,
                       snapshot_at)
@@ -77,6 +79,9 @@ class DesignAggregate:
         `eligible_labels` the hypothesis pairs of the populations whose
         power counts."""
         self.n += 1
+        self.termination[term_bin] = self.termination.get(term_bin, 0) + 1
+        if not confirmed:
+            return
         if any(label in confirmed for label in null_labels):
             self.fwer_hits += 1
         if all(label in confirmed for label in SUB_LABELS):
@@ -85,7 +90,6 @@ class DesignAggregate:
             self.power_sorf_hits += 1
         for label in confirmed:
             self.rejection_counts[label] = self.rejection_counts.get(label, 0) + 1
-        self.termination[term_bin] = self.termination.get(term_bin, 0) + 1
 
     def merge(self, other: "DesignAggregate") -> "DesignAggregate":
         out = DesignAggregate(
@@ -169,9 +173,13 @@ def _run_chunk(setting: ScenarioSpec, designs: Sequence[DesignSpec],
                      if any(h.population is pop and h not in nulls for h in HYPOTHESES))
     report = SimulationReport(setting.name, seed, 0, null_labels)
     aggregates = [report.arms.setdefault(d.label, DesignAggregate()) for d in designs]
+    # Gated arms first: an arm that passes the futility gate reads stage-wise
+    # blocks, which fill the pooled pairs GSD reads, so each sample is counted
+    # once.
+    arms = sorted(zip(designs, aggregates), key=lambda arm: arm[0].kind is DesignKind.GSD)
     for rep in reps:
         snaps, fsnap = replication_inputs(setting, seed, rep)
-        for d, agg in zip(designs, aggregates):
+        for d, agg in arms:
             trace = run_design(d, snaps, fsnap)
             agg.add(trace.confirmed(), _termination_bin(trace), null_labels, eligible)
         report.n_rep += 1

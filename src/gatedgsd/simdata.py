@@ -13,23 +13,31 @@ row is a union of cells, so a row's counts are sums of per-cell, per-arm
 counts at the distinct event times of its endpoint's sorted sample.
 
 A snapshot computes on demand. `snapshot_at` keeps the enrolled rows at
-the cutoff and their (cell, arm) groups. When `AnalysisSnapshot.block(e,
-pooled)` first reads one of endpoint e's blocks, its enrolled rows are
-censored, sorted and counted per group at their distinct event times,
-once; each block is then one weighting of those counts by the same kernel:
-the pooled block (F and S) or the stage-wise block (stage 1 and stage 2, F
-and S). The counts depend only on the rows, not on the order of tied ones,
-so the sort need not be stable. Each slot's sums are the same additions in
-the same order whichever block holds it, so a block read alone is bit for
-bit the value a whole-endpoint call gives. Reading a whole table fills
-every block. `logrank_test` is the same kernel with a single slot.
+the cutoff (all of them, without a gather, once accrual is over); each
+patient's group is computed once per trial (`TrialData`). When
+`AnalysisSnapshot.block(e, pooled)` fills one of endpoint e's blocks, its
+enrolled rows are censored, sorted and counted per group at their distinct
+event times, and the counts are weighted by one kernel call. The groups
+are those the first reader needs: a pooled pair (F and S) read first is
+counted by (subgroup, arm), four groups; a stage-wise block (stage 1 and
+stage 2, F and S) by (cell, arm), eight groups, and while the pooled pair
+is still empty that one call fills all six slots. The Monte Carlo runs the
+gated arms, which read stage-wise blocks, before GSD, which reads pooled
+pairs, so a replication counts each sample once. The counts depend only on
+the rows, not on the order of tied ones, so the sort need not be stable.
+They are exact integers, and each slot's sums are the same additions in the
+same order whichever call fills it, so every slot has the same bits in any
+read order. Reading a whole table fills every block. `logrank_test` is the
+same kernel with a single slot.
 
 The futility gate's snapshot computes no slots. It counts its stage-1 PFS
 rows per (subgroup, arm) group the same way, once, and fits the Cox hazard
 ratios of F and S from those counts (`_breslow_hr`, the one Cox fit, which
 `cox_hazard_ratio` runs on a single sample). The fit is exact about a
-monotone or flat likelihood, and brackets a finite root, so it returns no
-NaN; like the counts, its bits do not depend on patient order.
+monotone or flat likelihood, and brackets a finite root in an interval
+whose ends have known score signs, so it evaluates the score only inside;
+it returns no NaN, and like the counts, its bits do not depend on patient
+order.
 
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
@@ -118,7 +126,13 @@ class ScenarioSpec:
 
 
 class TrialData:
-    """Column-oriented patient records for one simulated trial."""
+    """Column-oriented patient records for one simulated trial.
+
+    `group` is each patient's (subgroup, arm) group, 2 * in_subgroup + arm,
+    and `last_enroll` the last enrollment time, both computed once per
+    trial; `cell_group(cutoff)` adds the stage: the (cell, arm) group,
+    computed once per stage-1 cutoff.
+    """
 
     def __init__(self, enroll_time, in_subgroup, experimental, event_time, dropout_time):
         self.enroll_time = enroll_time
@@ -126,6 +140,16 @@ class TrialData:
         self.experimental = experimental
         self.event_time = event_time  # {Endpoint: latent times from enrollment}
         self.dropout_time = dropout_time
+        self.group = 2 * in_subgroup + experimental
+        self.last_enroll = enroll_time.max(initial=-math.inf)
+        self._cells = None  # (stage-1 cutoff, (cell, arm) groups)
+
+    def cell_group(self, cutoff: float) -> np.ndarray:
+        """Each patient's (cell, arm) group, 2 * cell + arm, with cell
+        2 * (enrolled at or after `cutoff`) + in_subgroup."""
+        if self._cells is None or self._cells[0] != cutoff:
+            self._cells = (cutoff, self.group + 4 * (self.enroll_time >= cutoff))
+        return self._cells[1]
 
     def __len__(self) -> int:
         return len(self.enroll_time)
@@ -164,19 +188,20 @@ def generate_trial(spec: ScenarioSpec, seed) -> TrialData:
     enroll = rng.uniform(0.0, spec.enroll_duration, size=n)
     in_sub = rng.random(n) < spec.sub_prevalence
     exp_arm = rng.random(n) < 0.5
-    event_time: Dict[Endpoint, np.ndarray] = {}
-    dropout_time: Dict[Endpoint, np.ndarray] = {}
+    trial = TrialData(enroll, in_sub, exp_arm, {}, {})
     for ep in Endpoint:
-        base = np.where(in_sub, LN2 / spec.median_sub[ep], LN2 / spec.median_complement[ep])
-        hr = np.where(in_sub, spec.hr_sub[ep], spec.hr_complement[ep])
-        hazard = base * np.where(exp_arm, hr, 1.0)
-        event_time[ep] = rng.exponential(1.0, size=n) / hazard
+        # Hazard per (subgroup, arm) group: baseline, times the HR in the
+        # experimental arm.
+        base = (LN2 / spec.median_complement[ep], LN2 / spec.median_sub[ep])
+        hr = (spec.hr_complement[ep], spec.hr_sub[ep])
+        hazard = np.array([b * h for b, hr_b in zip(base, hr) for h in (1.0, hr_b)])
+        trial.event_time[ep] = rng.exponential(1.0, size=n) / hazard[trial.group]
         mu = _monthly_dropout_hazard(spec.annual_dropout.get(ep, 0.0))
         if mu > 0:
-            dropout_time[ep] = rng.exponential(1.0 / mu, size=n)
+            trial.dropout_time[ep] = rng.exponential(1.0 / mu, size=n)
         else:
-            dropout_time[ep] = np.full(n, np.inf)
-    return TrialData(enroll, in_sub, exp_arm, event_time, dropout_time)
+            trial.dropout_time[ep] = np.full(n, np.inf)
+    return trial
 
 
 class SchedulingError(RuntimeError):
@@ -209,7 +234,8 @@ def schedule_analyses(trial: TrialData, spec: ScenarioSpec) -> List[float]:
 
 def _censor(trial: TrialData, ep: Endpoint, time: float, mask: np.ndarray):
     """Observed (duration, event flag) at a cutoff for the patients `mask`
-    selects, every one of them enrolled before the cutoff."""
+    selects (a boolean mask, or `...` for all), every one of them enrolled
+    before the cutoff."""
     follow = time - trial.enroll_time[mask]
     latent = trial.event_time[ep][mask]
     seen = np.minimum(trial.dropout_time[ep][mask], follow)
@@ -236,7 +262,7 @@ def _group_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray,
     """Per-group counts at the distinct event times of one sorted sample.
 
     d and s are the durations in ascending order and their event flags, and
-    `group` is each row's (cell, arm) group. The result stacks two blocks of
+    `group` is each row's group, (cell, arm) or (subgroup, arm). The result stacks two blocks of
     `n_groups` rows over the event times: rows gone by each event time, then
     events at each time. Every block of slots read off the sample is a
     weighting of these rows (`_logrank_slots`). A row's bucket depends only
@@ -385,10 +411,14 @@ def _breslow_hr(counts: np.ndarray) -> Optional[float]:
         return u_lo - u, float(np.add.reduce(expected * share)) - u
 
     # share < exp(beta) / ratio and 1 - share < ratio * exp(-beta) give a
-    # bracket on which U keeps a margin of at least 1 - 1/e of u_lo and -u_hi.
+    # bracket on which U keeps a margin of at least 1 - 1/e of u_lo and -u_hi,
+    # so U(lo) has the sign of u_lo and U(hi) that of u_hi. find_root reads
+    # only the signs at the bracket ends; it is handed those, not U.
     lo = math.log(u_lo / float(np.add.reduce(d / ratio))) - 1.0
     hi = math.log(float(np.add.reduce(d * ratio)) / -u_hi) + 1.0
-    return math.exp(find_root(score, lo, hi, 0.0, tol=_COX_TOL))
+    ends = {lo: (u_lo, 0.0), hi: (u_hi, 0.0)}
+    return math.exp(find_root(lambda beta: ends[beta] if beta in ends else score(beta),
+                              lo, hi, 0.0, tol=_COX_TOL))
 
 
 class AnalysisSnapshot:
@@ -396,13 +426,13 @@ class AnalysisSnapshot:
     `slot` order. Only `snapshot_at` builds one.
 
     An analysis snapshot holds the trial's enrolled rows at its cutoff and
-    their (cell, arm) groups, and computes its slots one block at a time:
-    `block(e, pooled)` fills endpoint e's pooled block (F and S) or its
-    stage-wise block (stage 1 and stage 2, F and S), and `endpoint_scores(e)`
-    the endpoint's six normal scores. Both take the endpoint's position in
-    `Endpoint` order and return the whole table, (z, p, events) per slot or
-    (q, clamped) per score, with those entries filled. The read-only tables
-    (`events`, `z`, `p`, `zero_event_slots`, `scores`) fill every block.
+    computes its slots one block at a time: `block(e, pooled)` fills
+    endpoint e's pooled block (F and S) or its stage-wise block (stage 1 and
+    stage 2, F and S), and `endpoint_scores(e)` the endpoint's six normal
+    scores. Both take the endpoint's position in `Endpoint` order and return
+    the whole table, (z, p, events) per slot or (q, clamped) per score, with
+    those entries filled. The read-only tables (`events`, `z`, `p`,
+    `zero_event_slots`, `scores`) fill every block.
 
     A futility snapshot (`snapshot_at(..., with_hr=True)`) holds the two
     stage-1 PFS Cox hazard ratios instead, `hr_full` and `hr_sub` (None where
@@ -410,8 +440,8 @@ class AnalysisSnapshot:
     analysis snapshot's hazard ratios are None.
     """
 
-    __slots__ = ("calendar_time", "hr_full", "hr_sub", "_trial", "_enrolled", "_group",
-                 "_counts", "_stats", "_scores")
+    __slots__ = ("calendar_time", "hr_full", "hr_sub", "_trial", "_rows", "_cells",
+                 "_stats", "_scores")
 
     def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec, futility: bool):
         self.calendar_time = time
@@ -419,34 +449,35 @@ class AnalysisSnapshot:
         if futility:
             stage1 = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
             self.hr_full, self.hr_sub = _stage1_hazard_ratios(trial, time, stage1)
-            self._counts, self._stats, self._scores = [], [], []
+            self._stats = self._scores = []
             return
         self.hr_full = self.hr_sub = None
-        self._enrolled = trial.enroll_time < time
-        cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
-        self._group = (2 * cell + trial.experimental)[self._enrolled]
-        self._counts = [None] * len(_ENDPOINTS)
+        # After accrual every row is enrolled, and `...` reads whole columns.
+        self._rows = ... if time > trial.last_enroll else trial.enroll_time < time
+        self._cells = trial.cell_group(spec.stage1_cutoff)
         self._stats = [None] * _N_SLOTS
         self._scores = [None] * _N_SLOTS
 
     def block(self, e: int, pooled: bool) -> List[Tuple[float, float, int]]:
         """The (z, p, events) table with one block of endpoint e filled.
 
-        The endpoint's enrolled rows are censored, sorted and counted per
-        group at its distinct event times once, on its first block; each
-        block is then one weighting of those counts. The sort need not be
-        stable: the counts do not depend on the order of tied rows."""
+        A fill censors, sorts and counts the endpoint's enrolled rows at its
+        distinct event times and weights those counts (`_FILLS`). The pooled
+        block, read first, counts the rows by (subgroup, arm); the stage-wise
+        block counts them by (cell, arm) and fills the pooled block with it
+        while that is empty. The sort need not be stable: the counts do not
+        depend on the order of tied rows."""
         stats = self._stats
-        weights, slots = _BLOCKS[pooled]
-        slots = slots[e]
-        if stats[slots[0]] is None:
-            counts = self._counts[e]
-            if counts is None:
-                dur, st = _censor(self._trial, _ENDPOINTS[e], self.calendar_time, self._enrolled)
-                order = np.argsort(dur)
-                counts = self._counts[e] = _group_counts(dur[order], st[order],
-                                                         self._group[order], _N_GROUPS)
-            for j, stat in zip(slots, _logrank_slots(counts, weights)):
+        stagewise, pooled_pair = _SLOTS[e]
+        if stats[(pooled_pair if pooled else stagewise)[0]] is None:
+            by_cell, weights, slots = _FILLS[pooled, stats[pooled_pair[0]] is not None]
+            trial, rows = self._trial, self._rows
+            dur, st = _censor(trial, _ENDPOINTS[e], self.calendar_time, rows)
+            order = np.argsort(dur)
+            group = (self._cells if by_cell else trial.group)[rows]
+            counts = _group_counts(dur[order], st[order], group[order],
+                                   _N_GROUPS if by_cell else _GATE_GROUPS)
+            for j, stat in zip(slots[e], _logrank_slots(counts, weights)):
                 stats[j] = stat
         return stats
 
@@ -464,10 +495,11 @@ class AnalysisSnapshot:
         return scores
 
     def _column(self, k: int) -> tuple:
-        """Entry k of every slot's (z, p, events), with every block filled."""
-        for e in range(len(self._counts)):
-            for pooled in (True, False):
-                self.block(e, pooled)
+        """Entry k of every slot's (z, p, events), with every block filled:
+        each endpoint's stage-wise block, which fills its pooled pair too."""
+        if self._stats:
+            for e in range(len(_ENDPOINTS)):
+                self.block(e, False)
         return tuple(stat[k] for stat in self._stats)
 
     @property
@@ -492,8 +524,9 @@ class AnalysisSnapshot:
         """12 (q, clamped) pairs, `combine.normal_score` of each stage-wise
         p-value in `slot` order (entries 0-7), then of each stage's Hochberg
         intersection of F and S in `joint_slot` order (8-11)."""
-        for e in range(len(self._counts)):
-            self.endpoint_scores(e)
+        if self._scores:
+            for e in range(len(_ENDPOINTS)):
+                self.endpoint_scores(e)
         return tuple(self._scores)
 
 
@@ -525,18 +558,26 @@ def joint_slot(cohort: str, endpoint: Endpoint) -> int:
     return len(_ENDPOINTS) * row + _ENDPOINTS.index(endpoint)
 
 
-# Per block, stage-wise then pooled: the weights of its (cohort, population)
-# rows over the (cell, arm) groups, and per endpoint the slots of those rows.
-_BLOCKS = tuple(
-    (_slot_weights(cells),
-     tuple(tuple(slot(c, pop, ep) for c in cohorts for pop in Population) for ep in _ENDPOINTS))
-    for cohorts, cells in ((_STAGES, _STAGE_CELLS), (_COHORTS[2:], _POOLED_CELLS)))
-
-
-# The futility gate's rows: (subgroup, arm) groups, 2 * in_subgroup + arm, and
-# the weights of F (both cells) and S (the subgroup cell) over them.
+# (subgroup, arm) groups, 2 * in_subgroup + arm (`TrialData.group`), and the
+# weights of F (both subgroups) and S (the subgroup) over them: the pooled
+# pair's weights, and the futility gate's over its stage-1 rows.
 _GATE_GROUPS = 4
 _GATE_WEIGHTS = _slot_weights([(1, 1), (0, 1)])
+
+# Per endpoint, the slots of its stage-wise block and of its pooled pair.
+_SLOTS = tuple((tuple(slot(c, pop, ep) for c in _STAGES for pop in Population),
+                tuple(slot("pooled", pop, ep) for pop in Population)) for ep in _ENDPOINTS)
+# How `AnalysisSnapshot.block` fills a block, keyed by (pooled block read,
+# pooled pair already filled): whether the rows are counted by (cell, arm)
+# rather than (subgroup, arm), the weights, and per endpoint the slots the
+# weighted rows fill. A stage-wise read while the pooled pair is empty fills
+# all six slots in one kernel call.
+_FILLS = {
+    (True, False): (False, _GATE_WEIGHTS, tuple(pair for _, pair in _SLOTS)),
+    (False, False): (True, _slot_weights(_STAGE_CELLS + _POOLED_CELLS),
+                     tuple(sw + pair for sw, pair in _SLOTS)),
+    (False, True): (True, _slot_weights(_STAGE_CELLS), tuple(sw for sw, _ in _SLOTS)),
+}
 
 
 def _stage1_hazard_ratios(trial: TrialData, time: float, stage1: np.ndarray):
@@ -549,7 +590,7 @@ def _stage1_hazard_ratios(trial: TrialData, time: float, stage1: np.ndarray):
     the counts `cox_hazard_ratio` gives the population's sample alone."""
     dur, st = _censor(trial, Endpoint.PFS, time, stage1)
     order = np.argsort(dur)
-    group = (2 * trial.in_subgroup + trial.experimental)[stage1]
+    group = trial.group[stage1]
     counts = _GATE_WEIGHTS @ _group_counts(dur[order], st[order], group[order], _GATE_GROUPS)
     return _breslow_hr(counts[0::2]), _breslow_hr(counts[1::2])
 
@@ -559,10 +600,10 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
     """Summaries of all 12 (cohort, population, endpoint) slots at a cutoff,
     computed on first read.
 
-    An endpoint's enrolled patients are censored and sorted once, when a
-    block of its slots is first read; its pooled block (F and S) and its
-    stage-wise block (stage 1 and stage 2, F and S) are read off that one
-    order.
+    An endpoint's enrolled patients are censored, sorted and counted when a
+    block of its slots is first read: by (subgroup, arm) for a pooled pair
+    (F and S) read first, by (cell, arm) for a stage-wise block (stage 1 and
+    stage 2, F and S), which also fills the pooled pair while it is empty.
 
     With `with_hr` this is the futility gate's snapshot instead: it fits the
     stage-1 PFS Cox hazard ratios of F and S, `hr_full` and `hr_sub`, from

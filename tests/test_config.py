@@ -243,6 +243,19 @@ UNUSABLE_CASES = {
                               r"observed\.hr_full: .*> 0"),
     "zero_observed_hr_sub": ("table5_example.yaml", ("observed", "hr_sub"), 0,
                              r"observed\.hr_sub: .*> 0"),
+    # scenario values ScenarioSpec refuses; unchecked here, the error names
+    # only "scenario"
+    "zero_sub_prevalence": ("setting2.yaml", ("scenario", "sub_prevalence"), 0,
+                            r"scenario\.sub_prevalence: expected a number > 0, got 0"),
+    "zero_enroll_duration": ("setting2.yaml", ("scenario", "enroll_duration"), 0,
+                             r"scenario\.enroll_duration: expected a number > 0, got 0"),
+    "negative_median": ("setting2.yaml", ("scenario", "medians", "sub", "pfs"), -4.0,
+                        r"scenario\.medians\.sub\.pfs: expected a number > 0, got -4"),
+    "negative_hazard_ratio": ("setting2.yaml", ("scenario", "hazard_ratios", "complement", "os"),
+                              -0.7, r"scenario\.hazard_ratios\.complement\.os: .*> 0"),
+    "decreasing_trigger": ("setting2.yaml", ("scenario", "triggers", 1, "events"), 700,
+                           r"scenario\.triggers\[1\]\.events: expected at least 747, the "
+                           r"previous pfs trigger, got 700"),
 }
 
 

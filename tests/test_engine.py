@@ -391,45 +391,81 @@ def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs
     assert calls == []
 
 
-def test_snapshots_compute_only_the_blocks_read(monkeypatch, setting2, designs2):
-    # An analysis snapshot censors an endpoint's sample, and fills a block of
-    # its slots, only when an arm reads it: GSD the pooled block, a gated arm
-    # the stage-wise block behind its scores.
-    censored, blocks = [], collections.Counter()
-    censor, kernel = simdata._censor, simdata._logrank_slots
+@pytest.fixture
+def fills(monkeypatch):
+    """Every sample count made while the fixture is live, in order:
+    [endpoint, cutoff, groups counted by, slots filled]. The futility
+    snapshot's count fills no slot (None)."""
+    out = []
+    censor, count, kernel = simdata._censor, simdata._group_counts, simdata._logrank_slots
 
     def counting_censor(trial, ep, time, mask):
-        censored.append((ep, time))
+        out.append([ep, time, None, None])
         return censor(trial, ep, time, mask)
 
-    def counting_kernel(*args):
-        n_slots = args[-1].shape[0] // 4  # rows of the block's weight matrix
-        blocks[{2: "pooled", 4: "stagewise"}.get(n_slots, n_slots)] += 1
-        return kernel(*args)
+    def counting_counts(d, s, group, n_groups):
+        out[-1][2] = n_groups
+        return count(d, s, group, n_groups)
+
+    def counting_kernel(counts, weights):
+        out[-1][3] = weights.shape[0] // 4  # rows of the fill's weight matrix
+        return kernel(counts, weights)
 
     monkeypatch.setattr(simdata, "_censor", counting_censor)
+    monkeypatch.setattr(simdata, "_group_counts", counting_counts)
     monkeypatch.setattr(simdata, "_logrank_slots", counting_kernel)
+    return out
+
+
+def test_snapshots_compute_only_the_blocks_read(fills, setting2, designs2):
+    # An analysis snapshot censors and counts an endpoint's sample, and fills
+    # a block of its slots, only when an arm reads it: GSD the pooled pair,
+    # counted by (subgroup, arm), and a gated arm the stage-wise block behind
+    # its scores, counted by (cell, arm), which fills the pooled pair with it
+    # while that is empty. Here GSD reads first, so a sample it read is
+    # counted again for the gated arms.
     arms = list(designs2.values())
-    # Null replication 0: every gated arm stops at futility, so only GSD's
-    # five (analysis, endpoint) looks are computed, each one pooled block.
-    snaps, fut = replication_inputs(setting2.scenario.under_global_null(), setting2.seed, 0)
-    censored.clear()  # the futility snapshot's stage-1 PFS rows
-    traces = [run_design(d, snaps, fut) for d in arms]
-    assert {t.termination_reason for t in traces if t.design != "gsd"} == {"futility"}
-    assert len(censored) == 5 and blocks == {"pooled": 5}
-    # Power replication 0: the final analysis's PFS sample is never censored.
+    assert arms[0].kind is DesignKind.GSD
     snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
-    censored.clear()
-    blocks.clear()
+    fills.clear()
     traces = [run_design(d, snaps, fut) for d in arms]
     final_pfs = (Endpoint.PFS, snaps[2].calendar_time)
-    assert len(censored) == 5 and final_pfs not in censored
+    samples = {(ep, time) for ep, time, *_ in fills}
+    assert len(samples) == 5 and final_pfs not in samples
     gsd_end = next(t.termination_index for t in traces if t.design == "gsd")
     gsd_looks = sum(n for k, n in enumerate((2, 2, 1)) if k <= gsd_end)
-    assert blocks == {"pooled": gsd_looks, "stagewise": 5}
-    # Whole-table reads fill every block, once.
+    assert collections.Counter((g, n) for *_, g, n in fills) == {
+        (4, 2): gsd_looks, (8, 4): gsd_looks, (8, 6): 5 - gsd_looks}
+    # Whole-table reads fill every block, once: the one sample left is the
+    # final analysis's PFS, all six slots in one call.
+    fills.clear()
     assert [len(snap.z) for snap in snaps] == [12] * 3
-    assert censored[-1] == final_pfs and blocks == {"pooled": 6, "stagewise": 6}
+    assert fills == [[*final_pfs, 8, 6]]
+
+
+def test_null_replication_counts_pooled_samples_by_subgroup_and_arm(fills, setting2, designs2):
+    # Null replication 0: every gated arm stops at futility, so only GSD's
+    # five (analysis, endpoint) looks are computed, each a pooled pair read
+    # off four (subgroup, arm) groups.
+    spec = setting2.scenario.under_global_null()
+    report = harness._run_chunk(spec, list(designs2.values()), setting2.seed, [0])
+    assert {label: agg.termination["futility"] for label, agg in report.arms.items()
+            if label != "gsd"} == {label: 1 for label in designs2 if label != "gsd"}
+    assert fills[0] == [Endpoint.PFS, spec.stage1_cutoff, 4, None]  # the futility snapshot
+    assert [f[2:] for f in fills[1:]] == [[4, 2]] * 5
+    assert len({(ep, time) for ep, time, *_ in fills[1:]}) == 5
+
+
+def test_run_chunk_counts_each_sample_once(fills, setting2, designs2):
+    # The Monte Carlo runs the gated arms before GSD: a replication that
+    # passes the futility gate counts each (analysis, endpoint) sample once,
+    # by (cell, arm), and fills its six slots in one call.
+    report = harness._run_chunk(setting2.scenario, list(designs2.values()), setting2.seed, [0])
+    assert report.arms["ggsd:0.5"].termination["futility"] == 0
+    assert fills[0] == [Endpoint.PFS, setting2.scenario.stage1_cutoff, 4, None]
+    samples = collections.Counter((ep, time) for ep, time, *_ in fills[1:])
+    assert len(samples) == 5 and set(samples.values()) == {1}
+    assert [f[2:] for f in fills[1:]] == [[8, 6]] * 5
 
 
 def test_slot_tables_read_without_enum_hashing(monkeypatch, setting2, designs2):

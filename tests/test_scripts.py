@@ -47,3 +47,11 @@ def test_bench_pairs_verdicts():
     assert not compare(base, [b * 0.8 for b in base], "higher", 0.25)["worse_than_bound"]
     assert compare(base, [b * 1.06 for b in base], "lower", 0.05)["worse_than_bound"]
     assert not compare(base, [b * 1.04 for b in base], "lower", 0.05)["worse_than_bound"]
+    # Unresolved: the base's own spread is wider than the bound, unless every
+    # change run is better than every base run.
+    assert not up["unresolved"]  # IQR 1.875 < 25 % of 100
+    noisy = [60.0, 140.0, 80.0, 120.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]  # IQR 37.5
+    assert compare(noisy, [x * 1.1 for x in noisy], "higher", 0.25)["unresolved"]
+    assert not compare(noisy, [x + 81.0 for x in noisy], "higher", 0.25)["unresolved"]
+    assert compare(noisy, [x - 79.0 for x in noisy], "lower", 0.25)["unresolved"]
+    assert not compare(noisy, [x - 81.0 for x in noisy], "lower", 0.25)["unresolved"]

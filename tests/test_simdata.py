@@ -383,22 +383,33 @@ READS = ("pooled block", "stage-wise block", "endpoint_scores",
     tie_step=st.sampled_from((0.5, 1.0, 2.0)),
     cutoff=st.sampled_from(("zero", "before-events", "mid", "late")),
     first=st.sampled_from(READS),
+    second=st.sampled_from(READS),
     endpoint=st.integers(0, len(Endpoint) - 1),
 )
+@example(seed=3, n=60, prevalence=0.5, tie_step=0.5, cutoff="mid", first="pooled block",
+         second="stage-wise block", endpoint=0)
+@example(seed=3, n=60, prevalence=0.5, tie_step=0.5, cutoff="late", first="stage-wise block",
+         second="pooled block", endpoint=1)
 def test_blocks_match_one_six_slot_call_in_any_read_order(seed, n, prevalence, tie_step,
-                                                           cutoff, first, endpoint):
+                                                           cutoff, first, second, endpoint):
+    """Whichever block is read first, every slot has the bits of one 6-slot
+    call on (cell, arm) counts: a pooled pair read first off (subgroup, arm)
+    counts, a stage-wise block read after it, or a stage-wise read that
+    fills all six slots. "late" is after accrual, where a snapshot reads
+    the columns whole."""
     trial = random_trial(seed, n, prevalence, tie_step)
     spec = toy_spec(stage1_cutoff=6.0)
     first_event = min(float(np.min(trial.enroll_time + trial.event_time[ep])) for ep in Endpoint)
     time = {"zero": 0.0, "before-events": max(0.0, first_event - tie_step / 2),
             "mid": 10.0, "late": 40.0}[cutoff]
     snap = snapshot_at(trial, time, spec)
-    if first.endswith("block"):
-        snap.block(endpoint, first == "pooled block")
-    elif first == "endpoint_scores":
-        snap.endpoint_scores(endpoint)
-    else:
-        getattr(snap, first)
+    for read in (first, second):
+        if read.endswith("block"):
+            snap.block(endpoint, read == "pooled block")
+        elif read == "endpoint_scores":
+            snap.endpoint_scores(endpoint)
+        else:
+            getattr(snap, read)
     events, z, p = six_slot_tables(trial, time, spec)
     assert snap.events == events
     assert [x.hex() for x in snap.z] == [x.hex() for x in z]
