@@ -103,9 +103,10 @@ class _Collector:
 
     def positive(self, raw: dict, path: str, key: str, hi=None, what: str = "a number"):
         """A number > 0 (and <= hi); None where it is missing or rejected."""
-        v = self.number(raw, path, key, hi=hi)
-        if v is not None and v <= 0:
-            self.fail(f"{path}.{key}", f"expected {what} > 0, got {v:g}")
+        v = self.number(raw, path, key)
+        if v is not None and (v <= 0 or hi is not None and v > hi):
+            rng = "> 0" if hi is None else f"in (0, {hi:g}]"
+            self.fail(f"{path}.{key}", f"expected {what} {rng}, got {v:g}")
             return None
         return v
 

@@ -14,14 +14,14 @@ counts at the distinct event times of its endpoint's sorted sample.
 
 A snapshot computes on demand. `snapshot_at` keeps the enrolled rows at
 the cutoff (all of them, without a gather, once accrual is over); each
-patient's group is computed once per trial (`TrialData`). When
-`AnalysisSnapshot.block(e, pooled)` fills one of endpoint e's blocks, its
-enrolled rows are censored, sorted and counted per group at their distinct
-event times, and the counts are weighted by one kernel call. The groups
-are those the first reader needs: a pooled pair (F and S) read first is
-counted by (subgroup, arm), four groups; a stage-wise block (stage 1 and
-stage 2, F and S) by (cell, arm), eight groups, and while the pooled pair
-is still empty that one call fills all six slots. The Monte Carlo runs the
+patient's (subgroup, arm) group is computed once per trial (`TrialData`).
+When `AnalysisSnapshot.block(e, pooled)` fills one of endpoint e's blocks,
+its enrolled rows are censored, sorted and counted per group at their
+distinct event times, and the counts are weighted by one kernel call. The
+groups are those the reader needs: a pooled pair (F and S) is counted by
+(subgroup, arm), four groups; a stage-wise block (stage 1 and stage 2, F
+and S) by (cell, arm), eight groups, and that one call fills all six
+slots, the pooled pair included. The Monte Carlo runs the
 gated arms, which read stage-wise blocks, before GSD, which reads pooled
 pairs, so a replication counts each sample once. The counts depend only on
 the rows, not on the order of tied ones, so the sort need not be stable.
@@ -130,8 +130,7 @@ class TrialData:
 
     `group` is each patient's (subgroup, arm) group, 2 * in_subgroup + arm,
     and `last_enroll` the last enrollment time, both computed once per
-    trial; `cell_group(cutoff)` adds the stage: the (cell, arm) group,
-    computed once per stage-1 cutoff.
+    trial.
     """
 
     def __init__(self, enroll_time, in_subgroup, experimental, event_time, dropout_time):
@@ -142,14 +141,6 @@ class TrialData:
         self.dropout_time = dropout_time
         self.group = 2 * in_subgroup + experimental
         self.last_enroll = enroll_time.max(initial=-math.inf)
-        self._cells = None  # (stage-1 cutoff, (cell, arm) groups)
-
-    def cell_group(self, cutoff: float) -> np.ndarray:
-        """Each patient's (cell, arm) group, 2 * cell + arm, with cell
-        2 * (enrolled at or after `cutoff`) + in_subgroup."""
-        if self._cells is None or self._cells[0] != cutoff:
-            self._cells = (cutoff, self.group + 4 * (self.enroll_time >= cutoff))
-        return self._cells[1]
 
     def __len__(self) -> int:
         return len(self.enroll_time)
@@ -440,7 +431,7 @@ class AnalysisSnapshot:
     analysis snapshot's hazard ratios are None.
     """
 
-    __slots__ = ("calendar_time", "hr_full", "hr_sub", "_trial", "_rows", "_cells",
+    __slots__ = ("calendar_time", "hr_full", "hr_sub", "_trial", "_rows", "_cutoff",
                  "_stats", "_scores")
 
     def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec, futility: bool):
@@ -454,7 +445,7 @@ class AnalysisSnapshot:
         self.hr_full = self.hr_sub = None
         # After accrual every row is enrolled, and `...` reads whole columns.
         self._rows = ... if time > trial.last_enroll else trial.enroll_time < time
-        self._cells = trial.cell_group(spec.stage1_cutoff)
+        self._cutoff = spec.stage1_cutoff
         self._stats = [None] * _N_SLOTS
         self._scores = [None] * _N_SLOTS
 
@@ -462,22 +453,26 @@ class AnalysisSnapshot:
         """The (z, p, events) table with one block of endpoint e filled.
 
         A fill censors, sorts and counts the endpoint's enrolled rows at its
-        distinct event times and weights those counts (`_FILLS`). The pooled
-        block, read first, counts the rows by (subgroup, arm); the stage-wise
-        block counts them by (cell, arm) and fills the pooled block with it
-        while that is empty. The sort need not be stable: the counts do not
-        depend on the order of tied rows."""
+        distinct event times and weights those counts in one kernel call. The
+        pooled block counts the rows by (subgroup, arm) and fills its two
+        slots; the stage-wise block counts them by (cell, arm), 2 * cell +
+        arm, and fills all six, rewriting a pooled pair read before with the
+        same bits. The sort need not be stable: the counts do not depend on
+        the order of tied rows."""
         stats = self._stats
         stagewise, pooled_pair = _SLOTS[e]
         if stats[(pooled_pair if pooled else stagewise)[0]] is None:
-            by_cell, weights, slots = _FILLS[pooled, stats[pooled_pair[0]] is not None]
             trial, rows = self._trial, self._rows
+            if pooled:
+                group, n_groups, weights, slots = (trial.group, _GATE_GROUPS, _GATE_WEIGHTS,
+                                                   pooled_pair)
+            else:
+                group = trial.group + 4 * (trial.enroll_time >= self._cutoff)
+                n_groups, weights, slots = _N_GROUPS, _SIX_SLOT_WEIGHTS, stagewise + pooled_pair
             dur, st = _censor(trial, _ENDPOINTS[e], self.calendar_time, rows)
             order = np.argsort(dur)
-            group = (self._cells if by_cell else trial.group)[rows]
-            counts = _group_counts(dur[order], st[order], group[order],
-                                   _N_GROUPS if by_cell else _GATE_GROUPS)
-            for j, stat in zip(slots[e], _logrank_slots(counts, weights)):
+            counts = _group_counts(dur[order], st[order], group[rows][order], n_groups)
+            for j, stat in zip(slots, _logrank_slots(counts, weights)):
                 stats[j] = stat
         return stats
 
@@ -567,17 +562,9 @@ _GATE_WEIGHTS = _slot_weights([(1, 1), (0, 1)])
 # Per endpoint, the slots of its stage-wise block and of its pooled pair.
 _SLOTS = tuple((tuple(slot(c, pop, ep) for c in _STAGES for pop in Population),
                 tuple(slot("pooled", pop, ep) for pop in Population)) for ep in _ENDPOINTS)
-# How `AnalysisSnapshot.block` fills a block, keyed by (pooled block read,
-# pooled pair already filled): whether the rows are counted by (cell, arm)
-# rather than (subgroup, arm), the weights, and per endpoint the slots the
-# weighted rows fill. A stage-wise read while the pooled pair is empty fills
-# all six slots in one kernel call.
-_FILLS = {
-    (True, False): (False, _GATE_WEIGHTS, tuple(pair for _, pair in _SLOTS)),
-    (False, False): (True, _slot_weights(_STAGE_CELLS + _POOLED_CELLS),
-                     tuple(sw + pair for sw, pair in _SLOTS)),
-    (False, True): (True, _slot_weights(_STAGE_CELLS), tuple(sw for sw, _ in _SLOTS)),
-}
+# A stage-wise fill's weights over the (cell, arm) groups: its block's four
+# slots, then the pooled pair.
+_SIX_SLOT_WEIGHTS = _slot_weights(_STAGE_CELLS + _POOLED_CELLS)
 
 
 def _stage1_hazard_ratios(trial: TrialData, time: float, stage1: np.ndarray):
@@ -602,8 +589,8 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
 
     An endpoint's enrolled patients are censored, sorted and counted when a
     block of its slots is first read: by (subgroup, arm) for a pooled pair
-    (F and S) read first, by (cell, arm) for a stage-wise block (stage 1 and
-    stage 2, F and S), which also fills the pooled pair while it is empty.
+    (F and S), by (cell, arm) for a stage-wise block (stage 1 and stage 2,
+    F and S), which also fills the pooled pair.
 
     With `with_hr` this is the futility gate's snapshot instead: it fits the
     stage-1 PFS Cox hazard ratios of F and S, `hr_full` and `hr_sub`, from

@@ -246,7 +246,10 @@ UNUSABLE_CASES = {
     # scenario values ScenarioSpec refuses; unchecked here, the error names
     # only "scenario"
     "zero_sub_prevalence": ("setting2.yaml", ("scenario", "sub_prevalence"), 0,
-                            r"scenario\.sub_prevalence: expected a number > 0, got 0"),
+                            r"scenario\.sub_prevalence: expected a number in \(0, 1\], got 0"),
+    "sub_prevalence_above_one": ("setting2.yaml", ("scenario", "sub_prevalence"), 1.5,
+                                 r"scenario\.sub_prevalence: expected a number in \(0, 1\], "
+                                 r"got 1\.5"),
     "zero_enroll_duration": ("setting2.yaml", ("scenario", "enroll_duration"), 0,
                              r"scenario\.enroll_duration: expected a number > 0, got 0"),
     "negative_median": ("setting2.yaml", ("scenario", "medians", "sub", "pfs"), -4.0,

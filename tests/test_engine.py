@@ -421,9 +421,8 @@ def test_snapshots_compute_only_the_blocks_read(fills, setting2, designs2):
     # An analysis snapshot censors and counts an endpoint's sample, and fills
     # a block of its slots, only when an arm reads it: GSD the pooled pair,
     # counted by (subgroup, arm), and a gated arm the stage-wise block behind
-    # its scores, counted by (cell, arm), which fills the pooled pair with it
-    # while that is empty. Here GSD reads first, so a sample it read is
-    # counted again for the gated arms.
+    # its scores, counted by (cell, arm), which fills all six slots. Here GSD
+    # reads first, so a sample it read is counted again for the gated arms.
     arms = list(designs2.values())
     assert arms[0].kind is DesignKind.GSD
     snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
@@ -435,7 +434,7 @@ def test_snapshots_compute_only_the_blocks_read(fills, setting2, designs2):
     gsd_end = next(t.termination_index for t in traces if t.design == "gsd")
     gsd_looks = sum(n for k, n in enumerate((2, 2, 1)) if k <= gsd_end)
     assert collections.Counter((g, n) for *_, g, n in fills) == {
-        (4, 2): gsd_looks, (8, 4): gsd_looks, (8, 6): 5 - gsd_looks}
+        (4, 2): gsd_looks, (8, 6): 5}
     # Whole-table reads fill every block, once: the one sample left is the
     # final analysis's PFS, all six slots in one call.
     fills.clear()

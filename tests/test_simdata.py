@@ -393,19 +393,21 @@ READS = ("pooled block", "stage-wise block", "endpoint_scores",
 def test_blocks_match_one_six_slot_call_in_any_read_order(seed, n, prevalence, tie_step,
                                                            cutoff, first, second, endpoint):
     """Whichever block is read first, every slot has the bits of one 6-slot
-    call on (cell, arm) counts: a pooled pair read first off (subgroup, arm)
-    counts, a stage-wise block read after it, or a stage-wise read that
-    fills all six slots. "late" is after accrual, where a snapshot reads
-    the columns whole."""
+    call on (cell, arm) counts: a pooled pair off (subgroup, arm) counts, as
+    the block read returned it, and every slot of a stage-wise read, which
+    fills all six. "late" is after accrual, where a snapshot reads the
+    columns whole."""
     trial = random_trial(seed, n, prevalence, tie_step)
     spec = toy_spec(stage1_cutoff=6.0)
     first_event = min(float(np.min(trial.enroll_time + trial.event_time[ep])) for ep in Endpoint)
     time = {"zero": 0.0, "before-events": max(0.0, first_event - tie_step / 2),
             "mid": 10.0, "late": 40.0}[cutoff]
     snap = snapshot_at(trial, time, spec)
+    returned = []  # (slot, (z, p, events)) as each block read returned it
     for read in (first, second):
         if read.endswith("block"):
-            snap.block(endpoint, read == "pooled block")
+            stats = snap.block(endpoint, read == "pooled block")
+            returned += [(j, stat) for j, stat in enumerate(stats) if stat is not None]
         elif read == "endpoint_scores":
             snap.endpoint_scores(endpoint)
         else:
@@ -415,6 +417,8 @@ def test_blocks_match_one_six_slot_call_in_any_read_order(seed, n, prevalence, t
     assert [x.hex() for x in snap.z] == [x.hex() for x in z]
     assert [x.hex() for x in snap.p] == [x.hex() for x in p]
     assert snap.scores[:8] == tuple(map(normal_score, p[:8]))
+    for j, (z_j, p_j, events_j) in returned:
+        assert (z_j.hex(), p_j.hex(), events_j) == (z[j].hex(), p[j].hex(), events[j])
     if cutoff in ("zero", "before-events"):
         assert snap.events == (0,) * 12 and snap.zero_event_slots == tuple(range(12))
 
