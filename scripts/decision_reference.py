@@ -20,7 +20,9 @@ OS(F), PFS(F), OS(S), PFS(S)) followed by the termination bin: x for the
 futility stop, 1 for IA1, 2 for IA2, 3 for FA. The digest is the first 12
 hex digits of a sha256 over each analysis snapshot's calendar time, event
 counts, z and p, the futility snapshot's two hazard ratios, and every
-arm's rendered test rows (label, z, boundary z), floats as `float.hex`.
+arm's rendered test rows (label, z, boundary z), the order of each
+analysis's newly rejected hypotheses and the trace's warnings, floats as
+`float.hex`.
 
 `tests/test_decision_reference.py` recomputes the file and names the first
 differing decision, or the digest column when only statistics moved.
@@ -74,6 +76,8 @@ def digest(snaps, fsnap, traces) -> str:
         for rec in trace.analyses:
             for t in rec.tests:
                 parts.extend((t.target_label, t.z.hex(), t.boundary_z.hex()))
+            parts.append("newly:" + ",".join(rec.newly_rejected))
+        parts.extend(trace.warnings)
     return hashlib.sha256(" ".join(parts).encode()).hexdigest()[:12]
 
 
