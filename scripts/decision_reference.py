@@ -48,7 +48,6 @@ from gatedgsd.multiplicity import HYPOTHESES  # noqa: E402
 CONFIGS = ROOT / "src" / "gatedgsd" / "configs"
 REFERENCE = ROOT / "tests" / "data" / "decision_reference.txt"
 SETTINGS = ("setting1", "setting2", "setting3")
-PASSES = ("power", "null")
 N_REP = 100
 _BIN = {"futility": "x", 0: "1", 1: "2", 2: "3"}
 _BIT = {str(h): 1 << i for i, h in enumerate(HYPOTHESES)}
@@ -58,6 +57,17 @@ def token(trace) -> str:
     mask = sum(_BIT[label] for label in trace.confirmed())
     term = "futility" if trace.termination_reason == "futility" else trace.termination_index
     return f"{mask:x}{_BIN[term]}"
+
+
+def decision_token(decision) -> str:
+    """The token of an `engine.Decision`, what the Monte Carlo computes
+    instead of a trace: its confirmed mask and the analyses it ran."""
+    return f"{decision.confirmed:x}{len(decision.analyses) or 'x'}"
+
+
+def passes(config):
+    """(pass name, scenario) of the two passes recorded per setting."""
+    return (("power", config.scenario), ("null", config.scenario.under_global_null()))
 
 
 def _hex(x: Optional[float]) -> str:
@@ -87,9 +97,7 @@ def reference_lines() -> Iterator[str]:
         config = parse_config(CONFIGS / f"{name}.yaml")
         designs = build_designs(config)
         yield " ".join(["arms", name] + [d.label for d in designs])
-        for pass_name in PASSES:
-            scenario = (config.scenario if pass_name == "power"
-                        else config.scenario.under_global_null())
+        for pass_name, scenario in passes(config):
             for rep in range(N_REP):
                 snaps, fsnap = replication_inputs(scenario, config.seed, rep)
                 traces = [run_design(d, snaps, fsnap) for d in designs]

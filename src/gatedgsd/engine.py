@@ -12,9 +12,9 @@ graphical update rule that graph has a closed form, computed here
 (`_Plan.levels`): a hypothesis holds its own alpha, plus its partner's
 once the partner is rejected.
 
-Simulated trials (`run_design`) and observed-data replay
-(`analyze_observed`) run through one decision loop; they differ only in
-where each analysis's statistics come from. Both read one wiring table,
+Simulated trials (`decide_design`, `run_design`) and observed-data replay
+(`analyze_observed`) run through one decision loop, `_decide`; they differ
+only in where each analysis's statistics come from. Both read one wiring table,
 `_CONTINUING`: the populations each continuation scenario keeps. A
 continuing population's hypothesis combines its own stage-wise cohorts,
 and an endpoint's FS intersection joins, by Hochberg, the p-values of the
@@ -23,7 +23,9 @@ populations that stage draws on.
 Within one analysis, testing iterates (test, reject, reallocate, recompute
 boundaries, retest) to a fixed point, and boundary recomputation after an
 alpha increase re-evaluates already-passed looks against the new lower
-critical values.
+critical values. The procedure's state is the bitmask of rejected targets:
+at most 2^6 masks per plan, a finite graph walk (Bretz et al. 2009, Stat.
+Med. 28:586; Maurer & Bretz 2013, Stat. Biopharm. Res. 5:311).
 
 A call does only the work that is new to its arm and data:
 
@@ -50,9 +52,20 @@ A call does only the work that is new to its arm and data:
   block when it is first read, so a gated arm stopped at futility costs no
   logrank work and no score, and no bundled arm makes the final analysis
   compute PFS.
-- Lazy records. An `AnalysisRecord` keeps its rejection bitmask; `tests`
-  and `alpha_snapshot` are rendered from it when first read, so the Monte
-  Carlo, which reads only rejections and terminations, never builds them.
+- Per-mask tests. A plan compiles, the first time a run reaches a
+  rejection mask, the tests the fixed point runs there in its visit order:
+  the FS intersections, then the hypotheses in scope, each a target, its
+  boundary row and the FS bit its rejection needs (`_Plan.tests`). An FS
+  row is the element-wise minimum of its testable members' rows, so a
+  replication re-derives no testability, row or minimum. Rows are still
+  solved on first use, so building the designs solves none.
+- Decisions, traces on request. `_decide` returns a `Decision`: the mask at
+  the end of each analysis, the order of the rejections and a per-target
+  table of (look, z). The Monte Carlo reads only its confirmed mask and
+  the number of analyses run (`decide_design`); `run_design` and
+  `analyze_observed` build the full `DecisionTrace` from it, replaying the
+  rejections through the masks they passed for the boundary each target
+  was rejected at.
 """
 
 from __future__ import annotations
@@ -77,6 +90,8 @@ __all__ = [
     "TestRecord",
     "AnalysisRecord",
     "DecisionTrace",
+    "Decision",
+    "decide_design",
     "run_design",
     "analyze_observed",
     "render_narrative",
@@ -105,6 +120,7 @@ _PARTNER = tuple(_INDEX[HypothesisId(h.population, _OTHER_ENDPOINT[h.endpoint])]
 _FS_OF = tuple(_FS_INDEX[h.endpoint] for h in HYPOTHESES)
 _IN_FULL = tuple(h.population is Population.FULL for h in HYPOTHESES)
 _SUB_MASK = sum(1 << i for i, full in enumerate(_IN_FULL) if not full)
+_HYPOTHESIS_MASK = (1 << len(HYPOTHESES)) - 1
 # The wiring: the populations that continue into stage 2 in each scenario
 # (None, GSD, keeps both).
 _CONTINUING: Dict[Optional[Scenario], Tuple[Population, ...]] = {
@@ -205,27 +221,14 @@ class TestRecord:
 
 @dataclass
 class AnalysisRecord:
-    """One analysis of a trace.
-
-    `rejected` is the bitmask of rejected targets (`_TARGETS` indices) at
-    the end of the analysis. `tests` and `alpha_snapshot` are rendered from
-    it, the arm's plan and the run's z history when first read.
-    """
+    """One analysis of a trace: what it rejected, in rejection order, and
+    every target's test row and alpha at its end."""
 
     index: int
     calendar_time: Optional[float]
     newly_rejected: List[str]
-    rejected: int
-    _run: "_Run" = field(repr=False, compare=False)
-
-    @cached_property
-    def tests(self) -> List[TestRecord]:
-        return _render_tests(self._run, self.rejected, self.index)
-
-    @cached_property
-    def alpha_snapshot(self) -> Dict[str, float]:
-        plan = self._run.plan
-        return {_TARGETS[i].label: _alpha(plan, self.rejected, i) for i in plan.in_scope}
+    tests: List[TestRecord]
+    alpha_snapshot: Dict[str, float]
 
 
 @dataclass
@@ -304,6 +307,10 @@ def _base_alpha(design: DesignSpec, h: HypothesisId, pops: Tuple[Population, ...
     return design.initial_alphas[h]
 
 
+# A test of the fixed point: (target, boundary row, FS bit a rejection needs).
+_Test = Tuple[int, Tuple[float, ...], int]
+
+
 class _Plan:
     """What one arm fixes under one continuation scenario, before any data.
 
@@ -315,11 +322,12 @@ class _Plan:
     reads (hypothesis, pooled slot) pairs of `z`; AD and gGSD read (target,
     stage-1 index, stage-2 index) triples of `scores` per wired target, and
     event-driven weights (None) read the full population's stage slots n1
-    and n2 of `events`.
+    and n2 of `events`. `tests(mask)` is the fixed point's tests at one
+    rejection bitmask, compiled when a run first reaches it.
     """
 
     __slots__ = ("pops", "in_scope", "scope_mask", "levels", "gate0", "gated", "members",
-                 "fractions", "analyses_of", "loads", "_rows")
+                 "fractions", "analyses_of", "loads", "_rows", "_tests")
 
     def __init__(self, design: DesignSpec, scenario: Optional[Scenario]):
         self.pops = pops = _CONTINUING[scenario]
@@ -350,6 +358,7 @@ class _Plan:
                 w = None if not self.gated or design.weights is None else design.weights[ep][look]
                 self.loads[k].append((ep, look, w, reads, (e, stage1[0], stage2[0])))
         self._rows = [[None, None] for _ in HYPOTHESES]
+        self._tests: Dict[int, Tuple[Optional[_Test], ...]] = {}
 
     def row(self, i: int, level: int) -> Tuple[float, ...]:
         """Hypothesis i's z boundaries at alpha `levels[i][level]`."""
@@ -359,8 +368,28 @@ class _Plan:
             self._rows[i][level] = row
         return row
 
+    def tests(self, mask: int) -> Tuple[Optional[_Test], ...]:
+        """The fixed point's tests at rejection bitmask `mask`, one per step
+        of its visit order: the FS intersections (AD, gGSD), then the
+        hypotheses in scope; None where that target cannot be rejected at
+        `mask`. An FS row is the element-wise minimum of the rows of its
+        members that are testable at `mask`."""
+        tests = self._tests.get(mask)
+        if tests is None:
+            tests = []
+            if self.gated:
+                for t in _FS:
+                    rows = () if mask >> t & 1 else [
+                        _row(self, mask, i) for i in self.members[t] if _testable(self, mask, i)]
+                    tests.append((t, tuple(map(min, zip(*rows))), 0) if rows else None)
+            for i in self.in_scope:
+                tests.append((i, _row(self, mask, i), 1 << _FS_OF[i] if self.gated else 0)
+                             if _testable(self, mask, i) else None)
+            tests = self._tests[mask] = tuple(tests)
+        return tests
 
-# -- the tests of the fixed point, on a plan and a rejection bitmask ------------
+
+# -- the fixed point, on a plan and a rejection bitmask ----------------------------
 
 
 def _alpha(plan: _Plan, mask: int, i: int) -> float:
@@ -381,82 +410,187 @@ def _testable(plan: _Plan, mask: int, i: int) -> bool:
     return plan.gate0 or not _IN_FULL[i] or bool(mask & _SUB_MASK)
 
 
-def _elementary(plan: _Plan, mask: int, hist: Dict[int, float], i: int
-                ) -> Tuple[bool, float]:
-    """Whether hypothesis i crosses at any recorded look, and its boundary
-    at the latest look."""
-    row = _row(plan, mask, i)
-    crossed = False
-    for look, z in hist.items():  # looks are entered in increasing order
-        if z >= row[look]:
-            crossed = True
-    return crossed, row[look]
+def _fixed_point(plan: _Plan, z: Tuple[List[Tuple[int, float]], ...], mask: int,
+                 order: List[int]) -> int:
+    """One analysis: test, reject, reallocate, retest, until a pass over
+    the visit order rejects nothing. A target crosses when its statistic at
+    any recorded look reaches that look's boundary; a test after a rejection
+    reads the new mask's boundaries. Appends each rejected target to `order`
+    and returns the analysis's final mask."""
+    tests = plan.tests(mask)
+    changed = True
+    while changed:
+        changed = False
+        for p in range(len(tests)):
+            test = tests[p]
+            if test is None:
+                continue
+            t, row, need = test
+            for look, value in z[t]:
+                if value >= row[look]:
+                    break
+            else:
+                continue
+            if mask & need != need:
+                continue  # blocked by the closed-testing gate
+            mask |= 1 << t
+            order.append(t)
+            tests = plan.tests(mask)
+            changed = True
+    return mask
 
 
-def _intersection(plan: _Plan, mask: int, hist: Optional[Dict[int, float]], t: int
-                  ) -> Tuple[bool, float]:
-    """Whether FS intersection t crosses at any recorded look, and its
-    boundary at the latest look.
+class Decision(NamedTuple):
+    """One arm's decisions on one trial, as `_decide` computes them.
 
-    Boundary per look: the minimum critical value over the member
-    hypotheses currently carrying allocated alpha (and, for gGSD, admitted
-    by the hierarchy gate).
+    `analyses` holds the rejection bitmask over `_TARGETS` at the end of
+    each analysis run (none after a futility stop, when `plan` is None),
+    `order` the rejected targets in the order the fixed point rejected
+    them, `times` each analysis's calendar time, and `z[t]` target t's
+    (look, z) pairs in look order. `first` lists the targets in the order
+    they first got a statistic, and `clamps` the (analysis, target) pairs
+    whose combined scores were clamped. `run_design` and `analyze_observed`
+    build a `DecisionTrace` from it.
     """
-    rows = [_row(plan, mask, i) for i in plan.members[t] if _testable(plan, mask, i)]
-    if not hist or not rows:
-        return False, math.nan
-    crossed = False
-    for look, z in hist.items():
-        c = min(row[look] for row in rows)
-        if z >= c:
-            crossed = True
-    return crossed, c
+
+    design: DesignSpec
+    scenario: Optional[Scenario]
+    futility: Optional[SelectionDecision]
+    plan: Optional[_Plan]
+    analyses: List[int] = ()
+    order: List[int] = ()
+    times: List[Optional[float]] = ()
+    z: Tuple[List[Tuple[int, float]], ...] = ()
+    first: List[int] = ()
+    clamps: List[Tuple[int, int]] = ()
+
+    @property
+    def confirmed(self) -> int:
+        """The confirmed rejections: a bitmask, bit i for HYPOTHESES[i]."""
+        return self.analyses[-1] & _HYPOTHESIS_MASK if self.analyses else 0
+
+    @property
+    def warnings(self) -> List[str]:
+        return [f"analysis {k + 1}: degenerate p-value clamped for {_TARGETS[i].label}"
+                for k, i in self.clamps]
+
+    def enter(self, i: int, look: int, z: float):
+        """Record target i's statistic at one of its looks."""
+        hist = self.z[i]
+        if not hist:
+            self.first.append(i)
+        hist.append((look, z))
 
 
-class _Run(NamedTuple):
-    """What rendering an analysis record reads; shared by one trace's records."""
+def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
+            load: Callable[[Decision, int, object], Optional[float]], data) -> Decision:
+    """The one decision loop behind `run_design`, `decide_design` and
+    `analyze_observed`.
 
-    plan: _Plan
-    z_hist: Dict[int, Dict[int, float]]
-    reject_info: Dict[int, Tuple[float, float]]
+    Applies the end-of-stage-1 futility gate (AD, gGSD) to the two stage-1
+    PFS hazard ratios, by `select_population`, then walks the planned
+    analyses: `load(decision, k, data)` enters analysis k's statistics
+    into the decision's z table and returns its calendar time, and the fixed
+    point runs until every hypothesis in scope is rejected or the final
+    analysis is reached.
+    """
+    scenario = None
+    futility_decision = None
+    if design.kind is not DesignKind.GSD:
+        if hr_full is None or hr_sub is None:
+            raise MissingSlotError("stage-1 futility hazard ratios (HR(F), HR(S)) are required")
+        futility_decision = select_population(hr_full, hr_sub, design.futility)
+        if futility_decision.selection is Selection.STOP_FUTILITY:
+            return Decision(design, None, futility_decision, None)
+        scenario = _SCENARIO_OF[futility_decision.selection]
+    plan = design._plans[scenario]
+    masks, order, times, z = [], [], [], ([], [], [], [], [], [])
+    dec = Decision(design, scenario, futility_decision, plan, masks, order, times, z, [], [])
+    scope = plan.scope_mask
+    mask = 0
+    for k in range(design.n_analyses):
+        times.append(load(dec, k, data))
+        mask = _fixed_point(plan, z, mask, order)
+        masks.append(mask)
+        if mask & scope == scope:
+            break
+    return dec
 
 
-def _render_tests(run: _Run, mask: int, k: int) -> List[TestRecord]:
-    """Every target's latest statistic at analysis k against its boundary,
-    in the order the targets first got a statistic."""
-    plan = run.plan
+def _trace(dec: Decision) -> DecisionTrace:
+    """The full trace of a decision: per analysis, the hypotheses it
+    rejected in rejection order, every target's test row and the alphas."""
+    trace = DecisionTrace(design=dec.design.kind.value, scenario=dec.scenario,
+                          futility=dec.futility, warnings=dec.warnings)
+    plan = dec.plan
+    if plan is None:
+        trace.termination_reason = "futility"
+        return trace
+    # The boundary, and alpha, each target was rejected at: replayed through
+    # the masks the fixed point passed, whose tests it compiled.
+    rejected_by: Dict[int, Tuple[float, float]] = {}
+    mask = 0
+    order = iter(dec.order)
+    for k, end in enumerate(dec.analyses):
+        newly = []
+        while mask != end:
+            t = next(order)
+            look = _history(dec, t, k)[-1][0]
+            label = _TARGETS[t].label
+            if t < len(HYPOTHESES):
+                rejected_by[t] = (_row(plan, mask, t)[look], _alpha(plan, mask, t))
+                newly.append(label)
+            else:
+                rejected_by[t] = (plan.tests(mask)[t - len(HYPOTHESES)][1][look], math.nan)
+            trace.rejected_at[label] = k
+            mask |= 1 << t
+        trace.analyses.append(AnalysisRecord(
+            index=k, calendar_time=dec.times[k], newly_rejected=newly,
+            tests=_render_tests(dec, end, k, rejected_by),
+            alpha_snapshot={_TARGETS[i].label: _alpha(plan, end, i) for i in plan.in_scope}))
+    scope = plan.scope_mask
+    trace.termination_index = k
+    trace.termination_reason = "all-rejected" if end & scope == scope else "reached-FA"
+    return trace
+
+
+def _history(dec: Decision, t: int, k: int) -> List[Tuple[int, float]]:
+    """Target t's (look, z) pairs recorded up to analysis k."""
+    when = dec.plan.analyses_of[t]
+    return [(look, z) for look, z in dec.z[t] if when[look] <= k]
+
+
+def _render_tests(dec: Decision, mask: int, k: int,
+                  rejected_by: Mapping[int, Tuple[float, float]]) -> List[TestRecord]:
+    """Every target's latest statistic at analysis k against its boundary
+    at the analysis's end mask, in the order the targets first got a
+    statistic."""
+    plan = dec.plan
     tests = []
-    for t, hist in run.z_hist.items():
-        when = plan.analyses_of[t]
-        hist = {look: z for look, z in hist.items() if when[look] <= k}
+    for t in dec.first:
+        hist = _history(dec, t, k)
         if not hist:
             continue
-        look = max(hist)
+        look, z = hist[-1]
         rejected = bool(mask >> t & 1)
-        if t < len(HYPOTHESES):
-            if t not in plan.in_scope:
-                continue
-            alpha = _alpha(plan, mask, t)
-            if rejected:
-                c, alpha = run.reject_info[t]
-                crossed = True
-            elif alpha > 0.0:
-                crossed, c = _elementary(plan, mask, hist, t)
-            else:
+        if rejected:
+            c, alpha = rejected_by[t]
+            crossed = True
+        else:
+            if t < len(HYPOTHESES):
                 # Carrying no alpha (e.g. gGSD's OS ahead of the PFS
                 # handover): no live boundary to show.
-                c = math.nan
-                crossed = False
-        else:
-            if rejected:
-                c, _ = run.reject_info[t]
-                crossed = True
+                alpha = _alpha(plan, mask, t)
+                row = _row(plan, mask, t) if alpha > 0.0 else None
             else:
-                crossed, c = _intersection(plan, mask, hist, t)
-            alpha = math.nan
+                alpha = math.nan
+                test = plan.tests(mask)[t - len(HYPOTHESES)]
+                row = None if test is None else test[1]
+            c = math.nan if row is None else row[look]
+            crossed = row is not None and any(v >= row[j] for j, v in hist)
         tests.append(TestRecord(
             target_label=_TARGETS[t].label,
-            z=hist[look],
+            z=z,
             boundary_z=c,
             boundary_p=1.0 - norm_cdf(c) if not math.isnan(c) else math.nan,
             alpha=alpha,
@@ -466,119 +600,25 @@ def _render_tests(run: _Run, mask: int, k: int) -> List[TestRecord]:
     return tests
 
 
-class _Engine:
-    """One arm's run through one trial, for simulated and observed data.
-
-    Targets are the indices of `_TARGETS`; `rejected` is a bitmask over
-    them. Labels are looked up only where the trace is written.
-    """
-
-    def __init__(self, plan: _Plan, trace: DecisionTrace):
-        self.plan = plan
-        self.trace = trace
-        self.z_hist: Dict[int, Dict[int, float]] = {}
-        # boundary/alpha in effect when a target was rejected, for reporting
-        self.reject_info: Dict[int, Tuple[float, float]] = {}
-        self.run = _Run(plan, self.z_hist, self.reject_info)
-        self.rejected = 0
-
-    def enter(self, i: int, look: int, z: float):
-        """Record target i's statistic at one of its looks."""
-        hist = self.z_hist.get(i)
-        if hist is None:
-            hist = self.z_hist[i] = {}
-        hist[look] = z
-
-    # -- the per-analysis fixed point -----------------------------------
-
-    def run_analysis(self, k: int, calendar_time: Optional[float]):
-        plan, z_hist = self.plan, self.z_hist
-        rejected_at = self.trace.rejected_at
-        newly: List[str] = []
-        changed = True
-        while changed:
-            changed = False
-            if plan.gated:
-                for t in _FS:
-                    if self.rejected >> t & 1:
-                        continue
-                    crossed, c = _intersection(plan, self.rejected, z_hist.get(t), t)
-                    if crossed:
-                        rejected_at[_TARGETS[t].label] = k
-                        self.reject_info[t] = (c, math.nan)
-                        self.rejected |= 1 << t
-                        changed = True
-            for i in plan.in_scope:
-                hist = z_hist.get(i)
-                if hist is None or not _testable(plan, self.rejected, i):
-                    continue
-                crossed, c = _elementary(plan, self.rejected, hist, i)
-                if not crossed:
-                    continue
-                if plan.gated and not self.rejected >> _FS_OF[i] & 1:
-                    continue  # blocked by the closed-testing gate
-                label = _TARGETS[i].label
-                rejected_at[label] = k
-                self.reject_info[i] = (c, _alpha(plan, self.rejected, i))
-                newly.append(label)
-                self.rejected |= 1 << i
-                changed = True
-        self.trace.analyses.append(AnalysisRecord(
-            index=k, calendar_time=calendar_time, newly_rejected=newly,
-            rejected=self.rejected, _run=self.run))
-
-
-def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
-            load: Callable[[_Engine, int], Optional[float]]) -> DecisionTrace:
-    """The one decision loop behind `run_design` and `analyze_observed`.
-
-    Applies the end-of-stage-1 futility gate (AD, gGSD) to the two stage-1
-    PFS hazard ratios, by `select_population`, then walks the planned
-    analyses: `load(eng, k)` enters analysis k's statistics through
-    `eng.enter` and returns its calendar time, and the fixed point runs
-    until every hypothesis in scope is rejected or the final analysis is
-    reached.
-    """
-    scenario = None
-    futility_decision = None
-    if design.kind is not DesignKind.GSD:
-        if hr_full is None or hr_sub is None:
-            raise MissingSlotError("stage-1 futility hazard ratios (HR(F), HR(S)) are required")
-        futility_decision = select_population(hr_full, hr_sub, design.futility)
-        if futility_decision.selection is Selection.STOP_FUTILITY:
-            return DecisionTrace(design=design.kind.value, scenario=None,
-                                 futility=futility_decision, termination_reason="futility")
-        scenario = _SCENARIO_OF[futility_decision.selection]
-    trace = DecisionTrace(design=design.kind.value, scenario=scenario,
-                          futility=futility_decision)
-    eng = _Engine(design._plans[scenario], trace)
-    scope = eng.plan.scope_mask
-    for k in range(design.n_analyses):
-        eng.run_analysis(k, load(eng, k))
-        if eng.rejected & scope == scope:
-            trace.termination_reason = "all-rejected"
-            break
-    else:
-        trace.termination_reason = "reached-FA"
-    trace.termination_index = k
-    return trace
-
-
 def _event_driven_weights(n1: int, n2: int) -> StageWeights:
     return event_weights(n1, n2) if n1 + n2 else StageWeights(1.0, 0.0)
 
 
-def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
+def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot]) -> float:
     """GSD: pooled logrank z. AD/gGSD: inverse-normal combination of the
     snapshot's normal scores, wired per continuation scenario. Each load
     entry reads one block of its endpoint, so the snapshot computes only
     the blocks some arm reads."""
-    gated = eng.plan.gated
-    for _, look, w, reads, (e, n1, n2) in eng.plan.loads[k]:
-        if not gated:
+    snap = snapshots[k]
+    plan, z, first = dec.plan, dec.z, dec.first
+    for _, look, w, reads, (e, n1, n2) in plan.loads[k]:
+        # `Decision.enter`, inlined: this is the Monte Carlo's inner loop.
+        if not plan.gated:
             stats = snap.block(e, True)
             for i, j in reads:
-                eng.enter(i, look, stats[j][0])
+                if not z[i]:
+                    first.append(i)
+                z[i].append((look, stats[j][0]))
             continue
         if w is None:
             stats = snap.block(e, False)
@@ -588,22 +628,29 @@ def _load_snapshot(eng: _Engine, k: int, snap: AnalysisSnapshot) -> float:
         for i, j1, j2 in reads:
             (q1, clamped1), (q2, clamped2) = scores[j1], scores[j2]
             if clamped1 or clamped2:
-                eng.trace.warnings.append(
-                    f"analysis {k + 1}: degenerate p-value clamped for {_TARGETS[i].label}")
+                dec.clamps.append((k, i))
+            if not z[i]:
+                first.append(i)
             # the arithmetic of combine.inverse_normal, on the shared scores
-            eng.enter(i, look, w1 * q1 + w2 * q2)
+            z[i].append((look, w1 * q1 + w2 * q2))
     return snap.calendar_time
 
 
-def run_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
-               futility_snapshot: Optional[AnalysisSnapshot]) -> DecisionTrace:
-    """Drive one simulated trial through a design and return its trace."""
+def decide_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
+                  futility_snapshot: Optional[AnalysisSnapshot]) -> Decision:
+    """Drive one simulated trial through a design; decisions only, no trace."""
     if len(snapshots) < design.n_analyses:
         raise MissingSlotError(
             f"design plans {design.n_analyses} analyses, got {len(snapshots)} snapshots")
     hrs = (None, None) if futility_snapshot is None else (
         futility_snapshot.hr_full, futility_snapshot.hr_sub)
-    return _decide(design, *hrs, lambda eng, k: _load_snapshot(eng, k, snapshots[k]))
+    return _decide(design, *hrs, _load_snapshot, snapshots)
+
+
+def run_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
+               futility_snapshot: Optional[AnalysisSnapshot]) -> DecisionTrace:
+    """Drive one simulated trial through a design and return its trace."""
+    return _trace(decide_design(design, snapshots, futility_snapshot))
 
 
 @dataclass(frozen=True)
@@ -624,10 +671,10 @@ class ObservedData:
     p_values: Mapping[HypothesisId, Mapping[int, float]] = field(default_factory=dict)
 
 
-def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
+def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
     """Each continuing population's given p-value; for AD and gGSD then the
     FS intersection's, once all continuing populations have one."""
-    plan = eng.plan
+    plan = dec.plan
     for ep, look, *_ in plan.loads[k]:
         p = []
         for pop in plan.pops:
@@ -635,26 +682,27 @@ def _load_observed(eng: _Engine, k: int, observed: ObservedData) -> None:
             p_h = observed.p_values.get(h, {}).get(k)
             if p_h is not None:
                 p.append(p_h)
-                eng.enter(_INDEX[h], look, normal_score(p_h)[0])
+                dec.enter(_INDEX[h], look, normal_score(p_h)[0])
         if plan.gated and len(p) == len(plan.pops):
             p_fs = p[0] if len(p) == 1 else hochberg_intersection(*p)
-            eng.enter(_FS_INDEX[ep], look, normal_score(p_fs)[0])
-    _check_required_slots(eng, k)
+            dec.enter(_FS_INDEX[ep], look, normal_score(p_fs)[0])
+    _check_required_slots(dec, k)
 
 
 def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:
     """Replay the decision logic on user-supplied observed values."""
-    return _decide(design, observed.hr_full, observed.hr_sub,
-                   lambda eng, k: _load_observed(eng, k, observed))
+    return _trace(_decide(design, observed.hr_full, observed.hr_sub, _load_observed, observed))
 
 
-def _check_required_slots(eng: _Engine, k: int):
+def _check_required_slots(dec: Decision, k: int):
     """Every unrejected hypothesis of the continuing populations needs its
     p-value at each of its planned looks."""
-    for ep, look, *_ in eng.plan.loads[k]:
-        for i in eng.plan.in_scope:
-            if (_TARGETS[i].endpoint is ep and not eng.rejected >> i & 1
-                    and look not in eng.z_hist.get(i, {})):
+    mask = dec.analyses[-1] if dec.analyses else 0
+    for ep, look, *_ in dec.plan.loads[k]:
+        for i in dec.plan.in_scope:
+            hist = dec.z[i]
+            if (_TARGETS[i].endpoint is ep and not mask >> i & 1
+                    and not (hist and hist[-1][0] == look)):
                 raise MissingSlotError(
                     f"missing observed p-value for {_TARGETS[i].label} at analysis {k + 1}")
 

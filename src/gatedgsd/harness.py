@@ -22,7 +22,11 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec, run_design
+from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec
+# The Monte Carlo decides each arm without building a trace. The entry is
+# bound as `run_design`, the name perfbench/tracer.py wraps to time the
+# engine per arm.
+from .engine import decide_design as run_design
 from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population
 from .simdata import (AnalysisSnapshot, ScenarioSpec, generate_trial, schedule_analyses,
                       snapshot_at)
@@ -55,56 +59,78 @@ def true_null_hypotheses(setting: ScenarioSpec) -> Tuple[HypothesisId, ...]:
     return tuple(nulls)
 
 
+# A replication's termination bin is the number of analyses it ran: 0 is
+# the futility stop.
 TERMINATION_BINS = ("futility",) + ANALYSIS_NAMES
+
+
+def _mask(hypotheses: Iterable[HypothesisId]) -> int:
+    """The bitmask of some hypotheses, bit i for HYPOTHESES[i]."""
+    return sum(1 << HYPOTHESES.index(h) for h in hypotheses)
+
+
+def _pair(pop: Population) -> int:
+    """The bitmask of a population's two hypotheses."""
+    return _mask(HypothesisId(pop, ep) for ep in Endpoint)
+
+
 # The subgroup's two hypotheses, whose joint rejection is power in S.
-SUB_LABELS = tuple(str(HypothesisId(Population.SUB, ep)) for ep in Endpoint)
+SUB_MASK = _pair(Population.SUB)
 
 
 @dataclass
 class DesignAggregate:
-    """Counting accumulator for one design arm; merged associatively."""
+    """Counting accumulator for one design arm; merged associatively.
+
+    `by_mask[m]` counts the replications whose confirmed rejections are the
+    bitmask m (bit i: HYPOTHESES[i]) and `by_bin[b]` those that ended in
+    TERMINATION_BINS[b]; labels appear only in `rejection_counts` and
+    `termination`."""
 
     n: int = 0
     fwer_hits: int = 0
     power_s_hits: int = 0
     power_sorf_hits: int = 0
-    rejection_counts: Dict[str, int] = field(default_factory=dict)
-    termination: Dict[str, int] = field(
-        default_factory=lambda: {b: 0 for b in TERMINATION_BINS})
+    by_mask: List[int] = field(default_factory=lambda: [0] * (1 << len(HYPOTHESES)))
+    by_bin: List[int] = field(default_factory=lambda: [0] * len(TERMINATION_BINS))
 
-    def add(self, confirmed: Mapping[str, int], term_bin: str,
-            null_labels: Sequence[str], eligible_labels: Sequence[Sequence[str]]):
-        """Count one replication. `confirmed` maps each rejected hypothesis's
-        label to its analysis; `null_labels` are the true nulls and
-        `eligible_labels` the hypothesis pairs of the populations whose
-        power counts."""
+    def add(self, mask: int, term_bin: int, null_mask: int, eligible: Sequence[int]):
+        """Count one replication. `mask` holds its confirmed rejections,
+        `null_mask` the true nulls and `eligible` the hypothesis pairs of the
+        populations whose power counts, all as bitmasks."""
         self.n += 1
-        self.termination[term_bin] = self.termination.get(term_bin, 0) + 1
-        if not confirmed:
+        self.by_bin[term_bin] += 1
+        self.by_mask[mask] += 1
+        if not mask:
             return
-        if any(label in confirmed for label in null_labels):
+        if mask & null_mask:
             self.fwer_hits += 1
-        if all(label in confirmed for label in SUB_LABELS):
+        if mask & SUB_MASK == SUB_MASK:
             self.power_s_hits += 1
-        if any(all(label in confirmed for label in pair) for pair in eligible_labels):
+        if any(mask & pair == pair for pair in eligible):
             self.power_sorf_hits += 1
-        for label in confirmed:
-            self.rejection_counts[label] = self.rejection_counts.get(label, 0) + 1
 
     def merge(self, other: "DesignAggregate") -> "DesignAggregate":
-        out = DesignAggregate(
+        return DesignAggregate(
             n=self.n + other.n,
             fwer_hits=self.fwer_hits + other.fwer_hits,
             power_s_hits=self.power_s_hits + other.power_s_hits,
             power_sorf_hits=self.power_sorf_hits + other.power_sorf_hits,
+            by_mask=[a + b for a, b in zip(self.by_mask, other.by_mask)],
+            by_bin=[a + b for a, b in zip(self.by_bin, other.by_bin)],
         )
-        for src in (self.rejection_counts, other.rejection_counts):
-            for k, v in src.items():
-                out.rejection_counts[k] = out.rejection_counts.get(k, 0) + v
-        for src in (self.termination, other.termination):
-            for k, v in src.items():
-                out.termination[k] = out.termination.get(k, 0) + v
-        return out
+
+    @property
+    def rejection_counts(self) -> Dict[str, int]:
+        """Replications that confirmed each hypothesis, by label; a
+        hypothesis never confirmed is absent."""
+        counts = {str(h): sum(c for m, c in enumerate(self.by_mask) if m >> i & 1)
+                  for i, h in enumerate(HYPOTHESES)}
+        return {label: c for label, c in counts.items() if c}
+
+    @property
+    def termination(self) -> Dict[str, int]:
+        return dict(zip(TERMINATION_BINS, self.by_bin))
 
     # -- point estimates with binomial Monte Carlo standard errors -------
 
@@ -147,12 +173,6 @@ class SimulationReport:
         return merged
 
 
-def _termination_bin(trace) -> str:
-    if trace.termination_reason == "futility":
-        return "futility"
-    return ANALYSIS_NAMES[trace.termination_index]
-
-
 def replication_inputs(setting: ScenarioSpec, seed: int, rep: int
                        ) -> Tuple[List[AnalysisSnapshot], AnalysisSnapshot]:
     """What replication `rep` feeds every design arm: one snapshot per
@@ -168,10 +188,10 @@ def replication_inputs(setting: ScenarioSpec, seed: int, rep: int
 def _run_chunk(setting: ScenarioSpec, designs: Sequence[DesignSpec],
                seed: int, reps: Iterable[int]) -> SimulationReport:
     nulls = true_null_hypotheses(setting)
-    null_labels = tuple(str(h) for h in nulls)
-    eligible = tuple(tuple(str(HypothesisId(pop, ep)) for ep in Endpoint) for pop in Population
+    null_mask = _mask(nulls)
+    eligible = tuple(_pair(pop) for pop in Population
                      if any(h.population is pop and h not in nulls for h in HYPOTHESES))
-    report = SimulationReport(setting.name, seed, 0, null_labels)
+    report = SimulationReport(setting.name, seed, 0, tuple(str(h) for h in nulls))
     aggregates = [report.arms.setdefault(d.label, DesignAggregate()) for d in designs]
     # Gated arms first: an arm that passes the futility gate reads stage-wise
     # blocks, which fill the pooled pairs GSD reads, so each sample is counted
@@ -180,8 +200,8 @@ def _run_chunk(setting: ScenarioSpec, designs: Sequence[DesignSpec],
     for rep in reps:
         snaps, fsnap = replication_inputs(setting, seed, rep)
         for d, agg in arms:
-            trace = run_design(d, snaps, fsnap)
-            agg.add(trace.confirmed(), _termination_bin(trace), null_labels, eligible)
+            decision = run_design(d, snaps, fsnap)
+            agg.add(decision.confirmed, len(decision.analyses), null_mask, eligible)
         report.n_rep += 1
     return report
 
@@ -235,8 +255,7 @@ def summarize(reports: Sequence[SimulationReport]) -> Dict[str, List[dict]]:
             power_rows.append({**base,
                                "power_s": round(ps, 6), "se_s": round(ps_se, 6),
                                "power_sorf": round(psf, 6), "se_sorf": round(psf_se, 6)})
-            for b in TERMINATION_BINS:
-                count = agg.termination.get(b, 0)
+            for b, count in agg.termination.items():
                 term_rows.append({**base, "stage": b, "count": count,
                                   "fraction": round(count / agg.n, 6) if agg.n else math.nan})
     return {"fwer": fwer_rows, "power": power_rows, "termination": term_rows}

@@ -2,12 +2,12 @@
 
 The four population-by-endpoint hypotheses and the Hochberg intersection
 p-value across populations. An intersection test's boundary is the
-minimum of its members' boundaries (`engine._intersection`). Alpha passes
+minimum of its members' boundaries (`engine._Plan.tests`). Alpha passes
 only between PFS and OS within one population, each edge with weight 1,
 and never across populations; the engine computes that graph's update
 rule in closed form (`engine._Plan.levels`). The closed-testing
 gate that turns boundary crossings into confirmed rejections lives in the
-engine's per-analysis fixed point (`engine._Engine.run_analysis`).
+engine's per-analysis fixed point (`engine._fixed_point`).
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ and each statistic bit for bit, not only the aggregate tables in runs/.
 import importlib.util
 from pathlib import Path
 
+from gatedgsd import harness
+from gatedgsd.config import build_designs, parse_config
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -27,6 +30,43 @@ def test_decisions_match_reference():
     diff = ref.first_difference(expected, list(ref.reference_lines()))
     assert diff is None, (
         "first differing decision: setting {} pass {} replication {} arm {}: "
+        "expected {}, got {}".format(*diff))
+
+
+def test_monte_carlo_path_matches_reference(monkeypatch):
+    # The same per-replication tokens through the Monte Carlo's own path:
+    # `_run_chunk`, which decides every arm in its own order and builds no
+    # trace. Elsewhere only aggregates pin that path, where two opposite
+    # errors can cancel. The digest column is the file's own: this path
+    # computes decisions, not statistics.
+    ref = _reference_script()
+    expected = ref.REFERENCE.read_text().splitlines()
+    digests = iter(line.split()[-1] for line in expected if not line.startswith("arms"))
+    decided = []
+    decide = harness.run_design
+
+    def recording(design, *inputs):
+        decision = decide(design, *inputs)
+        decided.append((design.label, decision))
+        return decision
+
+    monkeypatch.setattr(harness, "run_design", recording)
+    actual = []
+    for name in ref.SETTINGS:
+        config = parse_config(ref.CONFIGS / f"{name}.yaml")
+        designs = build_designs(config)
+        actual.append(" ".join(["arms", name] + [d.label for d in designs]))
+        for pass_name, scenario in ref.passes(config):
+            decided.clear()
+            harness._run_chunk(scenario, designs, config.seed, range(ref.N_REP))
+            assert len(decided) == ref.N_REP * len(designs)
+            for rep in range(ref.N_REP):
+                by_label = dict(decided[rep * len(designs):(rep + 1) * len(designs)])
+                tokens = [ref.decision_token(by_label[d.label]) for d in designs]
+                actual.append(" ".join([name, pass_name, str(rep), *tokens, next(digests)]))
+    diff = ref.first_difference(expected, actual)
+    assert diff is None, (
+        "first differing Monte Carlo decision: setting {} pass {} replication {} arm {}: "
         "expected {}, got {}".format(*diff))
 
 

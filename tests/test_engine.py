@@ -337,19 +337,71 @@ def test_scores_follow_the_wiring(setting2, designs2, scenario, ep):
 
 
 def test_monte_carlo_builds_no_test_records(monkeypatch, setting2, designs2):
-    built = []
-    init = engine.TestRecord.__init__
+    # The Monte Carlo decides each arm without a trace: no DecisionTrace, no
+    # AnalysisRecord and no TestRecord, whatever the replication.
+    built = collections.defaultdict(list)
+    for cls in (engine.DecisionTrace, engine.AnalysisRecord, engine.TestRecord):
+        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls.__name__].append(args or kwargs)
+            _init(self, *args, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args or kwargs)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(engine.TestRecord, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     run_monte_carlo(setting2.scenario, list(designs2.values()), 3, setting2.seed)
-    assert built == []
-    # A trace still renders its records when they are read.
+    run_monte_carlo(setting2.scenario.under_global_null(), list(designs2.values()), 3,
+                    setting2.seed)
+    assert built == {}
+    # A trace still renders its records when one is asked for.
     trace = _traces(setting2, ("gsd",), 1)[0][1]
-    assert trace.analyses[0].tests and len(built) == len(trace.analyses[0].tests)
+    assert trace.analyses[0].tests and len(built["TestRecord"]) == len(trace.analyses[0].tests)
+
+
+def test_build_designs_solves_no_boundary(setting2):
+    # Boundary rows, and the per-mask tests built from them, are solved when
+    # a run first reaches them, not when the arms or their plans are built.
+    cached_boundaries.cache_clear()
+    designs = build_designs(setting2)
+    assert len(designs) == 17 and all(d._plans for d in designs)
+    assert cached_boundaries.cache_info().misses == 0
+    assert all(not plan._tests for d in designs for plan in d._plans.values())
+
+
+class _ClampedScores:
+    """A snapshot whose PFS stage-1 scores of F and of the FS intersection
+    read as clamped, values unchanged."""
+
+    CLAMPED = (slot("stage1", Population.FULL, Endpoint.PFS),
+               simdata.joint_slot("stage1", Endpoint.PFS))
+
+    def __init__(self, snap):
+        self._snap = snap
+
+    def __getattr__(self, name):
+        return getattr(self._snap, name)
+
+    def endpoint_scores(self, e):
+        scores = list(self._snap.endpoint_scores(e))
+        for j in self.CLAMPED:
+            scores[j] = (scores[j][0], True)
+        return scores
+
+
+def test_clamp_warnings_reach_the_trace(setting2, designs2):
+    # A clamped score is recorded per (analysis, target) while deciding, and
+    # worded only when the warnings are read: on the trace and the decision.
+    snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
+    clamped = [_ClampedScores(snap) for snap in snaps]
+    design = designs2["ggsd:0.5"]
+    trace = run_design(design, clamped, fut)
+    pfs_looks = design.endpoint_analyses[Endpoint.PFS]
+    expected = [f"analysis {k + 1}: degenerate p-value clamped for {label}"
+                for k in pfs_looks if k <= trace.termination_index
+                for label in ("PFS(FS)", "PFS(F)")]
+    assert expected and trace.warnings == expected
+    assert trace.to_dict()["warnings"] == expected
+    assert engine.decide_design(design, clamped, fut).warnings == expected
+    # The values are the snapshot's own, so the decisions do not move.
+    plain = run_design(design, snaps, fut)
+    assert plain.warnings == [] and plain.rejected_at == trace.rejected_at
 
 
 def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs2):
