@@ -144,6 +144,11 @@ def _parse_scenario(col: _Collector, raw, name: str,
         _endpoint_map(col, table.get(pop, {}), f"scenario.{key}.{pop}", positive=True)
         for key, table in (("medians", med), ("hazard_ratios", hrs))
         for pop in ("sub", "complement"))
+    annual_dropout = _endpoint_map(col, m.get("annual_dropout", {}), "scenario.annual_dropout")
+    for ep, rate in annual_dropout.items():
+        if not 0.0 <= rate < 1.0:  # a rate of 1 loses every patient at once
+            col.fail(f"scenario.annual_dropout.{ep.value}",
+                     f"expected a rate in [0, 1), got {rate:g}")
     triggers = []
     last: Dict[str, int] = {}  # each endpoint's previous event target
     raw_triggers = m.get("triggers", [])
@@ -180,8 +185,7 @@ def _parse_scenario(col: _Collector, raw, name: str,
             median_complement=median_complement,
             hr_sub=hr_sub,
             hr_complement=hr_complement,
-            annual_dropout=_endpoint_map(col, m.get("annual_dropout", {}),
-                                         "scenario.annual_dropout"),
+            annual_dropout=annual_dropout,
             triggers=tuple(triggers),
         )
     except (TypeError, ValueError) as exc:

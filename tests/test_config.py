@@ -9,6 +9,7 @@ from gatedgsd import config
 from gatedgsd.config import ConfigError, build_designs, parse_config
 from gatedgsd.engine import DesignKind
 from gatedgsd.multiplicity import H_S_OS, Endpoint
+from gatedgsd.simdata import generate_trial
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
 SETTINGS = ["setting1.yaml", "setting2.yaml", "setting3.yaml", "table5_example.yaml"]
@@ -259,6 +260,16 @@ UNUSABLE_CASES = {
     "decreasing_trigger": ("setting2.yaml", ("scenario", "triggers", 1, "events"), 700,
                            r"scenario\.triggers\[1\]\.events: expected at least 747, the "
                            r"previous pfs trigger, got 700"),
+    # a dropout rate `generate_trial` refuses; unchecked, the first trial
+    # raises with no field path
+    "dropout_above_one": ("setting2.yaml", ("scenario", "annual_dropout", "pfs"), 1.5,
+                          r"scenario\.annual_dropout\.pfs: expected a rate in \[0, 1\), "
+                          r"got 1\.5"),
+    "dropout_of_one": ("setting2.yaml", ("scenario", "annual_dropout", "os"), 1.0,
+                       r"scenario\.annual_dropout\.os: expected a rate in \[0, 1\), got 1"),
+    "negative_dropout": ("setting2.yaml", ("scenario", "annual_dropout", "pfs"), -0.1,
+                         r"scenario\.annual_dropout\.pfs: expected a rate in \[0, 1\), "
+                         r"got -0\.1"),
 }
 
 
@@ -269,6 +280,14 @@ def test_unusable_design_value_rejected_with_field_path(tmp_path, case):
     _put(doc, where, value)
     with pytest.raises(ConfigError, match=path):
         parse_config(write(tmp_path, doc))
+
+
+def test_zero_dropout_accepted(tmp_path):
+    doc = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    doc["scenario"]["annual_dropout"] = {"pfs": 0, "os": 0}
+    config = parse_config(write(tmp_path, doc))
+    assert set(config.scenario.annual_dropout.values()) == {0}
+    generate_trial(config.scenario, (config.seed, 0))
 
 
 # -- weight sets and observed values that would give a silently wrong answer --
