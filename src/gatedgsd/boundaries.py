@@ -15,6 +15,15 @@ anchor a; every other value comes from the identity
 tail(b) = tail(a) - integral of f_k from a to b, by Gauss-Legendre
 quadrature of the same density that gives the slope. So the solver needs
 no vectorised erfc, and nothing on the runtime path imports scipy.
+
+Every sub-density value the solver takes, on a search panel or at the next
+look's grid, comes from one routine, `_density`. It builds exp(-u^2) with u
+the scaled node differences and applies the normal constant to the summed
+vector, not to the matrix. `crossing_probability` keeps the exact-formula
+kernel `numerics.norm_kernel`, so that it stays an independent route. The
+two kernels round differently in the last bits, so boundary rows reproduce
+to 1e-10 in z (`find_root`'s bracket width), not bit for bit, across changes
+to the solver's arithmetic.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ _GRID_NODES = 320
 _GRID_SD = 6.5
 _Z_CAP = 12.0  # saturate instead of chasing underflowing spends
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Gauss-Legendre rule on [-1, 1] for each panel of the search's quadrature.
 _PANEL = gauss_grid(-1.0, 1.0, 8)
 # The certifying routes: `crossing_probability`'s Z-scale grid and the
@@ -98,6 +108,23 @@ def _tail(b: float, points: np.ndarray, wd: np.ndarray, sigma: float) -> float:
     return 0.5 * float(np.dot(wd, np.fromiter(map(math.erfc, z), float, len(z))))
 
 
+def _density(x: np.ndarray, y: np.ndarray, wd: np.ndarray, sigma: float) -> np.ndarray:
+    """The vector sum_j wd_j phi((x_i - y_j) / sigma) / sigma: the sub-density
+    at the points `x` of a look whose previous look's density, times its grid
+    weights, is `wd` at the points `y`.
+
+    With c = 1 / (sigma sqrt 2), the matrix is exp(-u^2), u_ij = x_i c - y_j c,
+    built in four passes (subtract, square, negate, exp); the constant
+    1 / (sigma sqrt(2 pi)) multiplies the product vector, not the matrix.
+    """
+    c = 1.0 / (sigma * _SQRT2)
+    u = np.subtract.outer(x * c, y * c)
+    np.square(u, out=u)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    return (u @ wd) * (_INV_SQRT_2PI / sigma)
+
+
 @lru_cache(maxsize=64)
 def _panels(n: int):
     """Gauss-Legendre nodes of n equal panels on [0, 2n] (each panel two
@@ -123,7 +150,7 @@ def _search_function(points: np.ndarray, wd: np.ndarray, sigma: float, anchor: f
         n = max(1, math.ceil(abs(b - anchor) / sigma))
         half = 0.5 * (b - anchor) / n
         nodes, weights = _panels(n)
-        f = norm_kernel(anchor + half * nodes, points, sigma) @ wd
+        f = _density(anchor + half * nodes, points, wd, sigma)
         return at_anchor - half * float(f[:-1] @ weights), -float(f[-1])
 
     return excess
@@ -197,7 +224,7 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float]) -> Bounda
             if k == 0:
                 new_density = norm_pdf(new_grid.points / sd_k) / sd_k
             else:
-                new_density = norm_kernel(new_grid.points, grid.points, sigma) @ wd
+                new_density = _density(new_grid.points, grid.points, wd, sigma)
             grid, density = new_grid, new_density
         spent_prev = spent
     nominal = tuple(1.0 - norm_cdf(c) for c in z_bounds)

@@ -97,7 +97,10 @@ class _Collector:
             self.fail(f"{path}.{key}", f"expected an integer, got {v!r}")
             return default
         if lo is not None and v < lo or hi is not None and v > hi:
-            self.fail(f"{path}.{key}", f"value {v} outside [{lo}, {hi}]")
+            what = "an integer" if integer else "a number"
+            rng = (f">= {lo:g}" if hi is None else f"<= {hi:g}" if lo is None
+                   else f"in [{lo:g}, {hi:g}]")
+            self.fail(f"{path}.{key}", f"expected {what} {rng}, got {v:g}")
             return default
         return int(v) if integer else float(v)
 
@@ -138,6 +141,8 @@ def _parse_scenario(col: _Collector, raw, name: str,
                          ("sub", "complement"), ("sub", "complement"))
     # Parsed before the error check below, so that each bad value is reported
     # under its own path rather than by ScenarioSpec under "scenario".
+    sample_size = col.number(m, "scenario", "sample_size", lo=2, integer=True)
+    stage1_cutoff = col.number(m, "scenario", "stage1_cutoff", lo=0.0)
     sub_prevalence = col.positive(m, "scenario", "sub_prevalence", hi=1.0)
     enroll_duration = col.positive(m, "scenario", "enroll_duration")
     median_sub, median_complement, hr_sub, hr_complement = (
@@ -169,6 +174,10 @@ def _parse_scenario(col: _Collector, raw, name: str,
         if n is not None and n < last.get(ep, 0):
             col.fail(f"scenario.triggers[{i}].events",
                      f"expected at least {last[ep]}, the previous {ep} trigger, got {n}")
+        elif n is not None and sample_size is not None and n > sample_size:
+            # each patient has at most one event per endpoint
+            col.fail(f"scenario.triggers[{i}].events",
+                     f"expected at most {sample_size}, the sample size, got {n}")
         elif n is not None:
             last[ep] = n
             triggers.append(AnalysisTrigger(_ENDPOINTS[ep], n))
@@ -177,10 +186,10 @@ def _parse_scenario(col: _Collector, raw, name: str,
     try:
         return ScenarioSpec(
             name=name,
-            sample_size=col.number(m, "scenario", "sample_size", lo=2, integer=True),
+            sample_size=sample_size,
             sub_prevalence=sub_prevalence,
             enroll_duration=enroll_duration,
-            stage1_cutoff=col.number(m, "scenario", "stage1_cutoff", lo=0.0),
+            stage1_cutoff=stage1_cutoff,
             median_sub=median_sub,
             median_complement=median_complement,
             hr_sub=hr_sub,

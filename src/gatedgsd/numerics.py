@@ -70,7 +70,10 @@ def norm_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
 
     In-place ufuncs perform the same IEEE operations in the same order as
     `norm_pdf((x[:, None] - y[None, :]) / sigma) / sigma`, so the result is
-    bit-identical to it without the temporaries.
+    bit-identical to it without the temporaries. It is the kernel of the
+    certifying route `boundaries.crossing_probability`; the boundary solver
+    sums the same kernel with its own, cheaper arithmetic
+    (`boundaries._density`), so the two routes do not share their rounding.
     """
     k = np.subtract.outer(x, y)
     k /= sigma

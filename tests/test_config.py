@@ -257,6 +257,13 @@ UNUSABLE_CASES = {
                         r"scenario\.medians\.sub\.pfs: expected a number > 0, got -4"),
     "negative_hazard_ratio": ("setting2.yaml", ("scenario", "hazard_ratios", "complement", "os"),
                               -0.7, r"scenario\.hazard_ratios\.complement\.os: .*> 0"),
+    # a trigger above the sample size can never be met; unchecked, `simulate`
+    # fails on the first replication
+    "trigger_above_sample_size": ("setting2.yaml", ("scenario", "triggers", 2, "events"), 1000,
+                                  r"scenario\.triggers\[2\]\.events: expected at most 924, the "
+                                  r"sample size, got 1000"),
+    "negative_stage1_cutoff": ("setting2.yaml", ("scenario", "stage1_cutoff"), -3,
+                               r"scenario\.stage1_cutoff: expected a number >= 0, got -3"),
     "decreasing_trigger": ("setting2.yaml", ("scenario", "triggers", 1, "events"), 700,
                            r"scenario\.triggers\[1\]\.events: expected at least 747, the "
                            r"previous pfs trigger, got 700"),
@@ -280,6 +287,24 @@ def test_unusable_design_value_rejected_with_field_path(tmp_path, case):
     _put(doc, where, value)
     with pytest.raises(ConfigError, match=path):
         parse_config(write(tmp_path, doc))
+
+
+def test_sample_size_reported_with_other_scenario_errors(tmp_path):
+    # Read after the scenario's error check, a bad sample size was reported
+    # only once every other scenario error was fixed, and then twice.
+    doc = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    doc["scenario"]["sample_size"] = 1.5
+    doc["scenario"]["medians"]["sub"]["pfs"] = -4
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, doc))
+    assert err.value.errors == ["scenario.sample_size: expected an integer, got 1.5",
+                                "scenario.medians.sub.pfs: expected a number > 0, got -4"]
+
+
+def test_trigger_at_sample_size_accepted(tmp_path):
+    doc = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    doc["scenario"]["triggers"][2]["events"] = doc["scenario"]["sample_size"]
+    assert parse_config(write(tmp_path, doc)).scenario.triggers[2].events == 924
 
 
 def test_zero_dropout_accepted(tmp_path):
