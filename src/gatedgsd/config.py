@@ -98,8 +98,7 @@ class _Collector:
             return default
         if lo is not None and v < lo or hi is not None and v > hi:
             what = "an integer" if integer else "a number"
-            rng = (f">= {lo:g}" if hi is None else f"<= {hi:g}" if lo is None
-                   else f"in [{lo:g}, {hi:g}]")
+            rng = f">= {lo:g}" if hi is None else f"in [{lo:g}, {hi:g}]"
             self.fail(f"{path}.{key}", f"expected {what} {rng}, got {v:g}")
             return default
         return int(v) if integer else float(v)
