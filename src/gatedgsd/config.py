@@ -12,6 +12,7 @@ and design slug -> `ObservedData`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -56,11 +57,12 @@ class RunConfig:
 
 
 def _is_number(v, integer: bool = False) -> bool:
-    """A YAML number (an int, if `integer`). Python counts bools as ints,
-    but YAML's true/false are neither numbers nor analysis indices."""
+    """A finite YAML number (an int, if `integer`). Python counts bools as
+    ints, but YAML's true/false are neither numbers nor analysis indices,
+    and no field takes .nan or .inf."""
     if isinstance(v, bool):
         return False
-    return isinstance(v, int) if integer else isinstance(v, (int, float))
+    return isinstance(v, int) or not integer and isinstance(v, float) and math.isfinite(v)
 
 
 class _Collector:
@@ -326,6 +328,11 @@ def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tupl
                 per_look[idx] = float(p)
             p_values[h] = per_look
         per_design[design_slug] = ObservedData(**hrs, p_values=p_values)
+    gated = [slug for slug in per_design if slug != "gsd"]
+    for key in hrs:
+        if gated and key not in m:
+            col.fail(f"observed.{key}", f"missing required key: the futility gate of "
+                                        f"observed.p_values.{gated[0]} reads it")
     return per_design
 
 

@@ -5,9 +5,11 @@ pooled event counts, snapshots the test statistics once, and then feeds the
 same snapshots to every design arm (the designs differ only in how they
 test, not in the data). The snapshots compute what the arms read, and the
 gated arms run before GSD: their stage-wise reads fill the pooled pairs GSD
-reads, so each sample is counted once (`simdata`). Aggregation is an
-associative fold over replication outcomes, so replications can be
-partitioned across processes without changing the result.
+reads, so each sample is counted once (`simdata`). Each arm keeps one
+histogram of replications by (termination bin, confirmed mask), and every
+rate, count and table is read off it. Merging adds histograms, so
+replications can be partitioned across processes without changing the
+result.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ def true_null_hypotheses(setting: ScenarioSpec) -> Tuple[HypothesisId, ...]:
 # A replication's termination bin is the number of analyses it ran: 0 is
 # the futility stop.
 TERMINATION_BINS = ("futility",) + ANALYSIS_NAMES
+_N_MASKS = 1 << len(HYPOTHESES)
 
 
 def _mask(hypotheses: Iterable[HypothesisId]) -> int:
@@ -74,103 +77,88 @@ def _pair(pop: Population) -> int:
     return _mask(HypothesisId(pop, ep) for ep in Endpoint)
 
 
-# The subgroup's two hypotheses, whose joint rejection is power in S.
-SUB_MASK = _pair(Population.SUB)
+def _criteria(true_nulls: Iterable[HypothesisId]) -> Dict[str, List[int]]:
+    """The confirmed masks that count toward each reported rate: FWER, a
+    true null rejected; power in S, both S hypotheses rejected; power in S
+    or F, both hypotheses of some population that is not wholly null."""
+    null, sub = _mask(true_nulls), _pair(Population.SUB)
+    pairs = [pair for pair in map(_pair, Population) if pair & ~null]
+    tests = {"fwer": lambda m: m & null,
+             "power_s": lambda m: m & sub == sub,
+             "power_sorf": lambda m: any(m & pair == pair for pair in pairs)}
+    return {name: [m for m in range(_N_MASKS) if test(m)] for name, test in tests.items()}
 
 
 @dataclass
 class DesignAggregate:
-    """Counting accumulator for one design arm; merged associatively.
+    """Counting accumulator for one design arm, merged by addition.
 
-    `by_mask[m]` counts the replications whose confirmed rejections are the
-    bitmask m (bit i: HYPOTHESES[i]) and `by_bin[b]` those that ended in
-    TERMINATION_BINS[b]; labels appear only in `rejection_counts` and
-    `termination`."""
+    `counts[b * _N_MASKS + m]` counts the replications that ended in
+    TERMINATION_BINS[b] with the confirmed rejections m (bit i:
+    HYPOTHESES[i]). Every count, rate and table is read off it; labels
+    appear only in `rejection_counts` and `termination`."""
 
-    n: int = 0
-    fwer_hits: int = 0
-    power_s_hits: int = 0
-    power_sorf_hits: int = 0
-    by_mask: List[int] = field(default_factory=lambda: [0] * (1 << len(HYPOTHESES)))
-    by_bin: List[int] = field(default_factory=lambda: [0] * len(TERMINATION_BINS))
-
-    def add(self, mask: int, term_bin: int, null_mask: int, eligible: Sequence[int]):
-        """Count one replication. `mask` holds its confirmed rejections,
-        `null_mask` the true nulls and `eligible` the hypothesis pairs of the
-        populations whose power counts, all as bitmasks."""
-        self.n += 1
-        self.by_bin[term_bin] += 1
-        self.by_mask[mask] += 1
-        if not mask:
-            return
-        if mask & null_mask:
-            self.fwer_hits += 1
-        if mask & SUB_MASK == SUB_MASK:
-            self.power_s_hits += 1
-        if any(mask & pair == pair for pair in eligible):
-            self.power_sorf_hits += 1
+    counts: List[int] = field(default_factory=lambda: [0] * (len(TERMINATION_BINS) * _N_MASKS))
 
     def merge(self, other: "DesignAggregate") -> "DesignAggregate":
-        return DesignAggregate(
-            n=self.n + other.n,
-            fwer_hits=self.fwer_hits + other.fwer_hits,
-            power_s_hits=self.power_s_hits + other.power_s_hits,
-            power_sorf_hits=self.power_sorf_hits + other.power_sorf_hits,
-            by_mask=[a + b for a, b in zip(self.by_mask, other.by_mask)],
-            by_bin=[a + b for a, b in zip(self.by_bin, other.by_bin)],
-        )
+        return DesignAggregate([a + b for a, b in zip(self.counts, other.counts)])
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts)
+
+    def mask_totals(self) -> List[int]:
+        """Replications per confirmed mask, over every termination bin."""
+        return [sum(self.counts[m::_N_MASKS]) for m in range(_N_MASKS)]
 
     @property
     def rejection_counts(self) -> Dict[str, int]:
         """Replications that confirmed each hypothesis, by label; a
         hypothesis never confirmed is absent."""
-        counts = {str(h): sum(c for m, c in enumerate(self.by_mask) if m >> i & 1)
+        totals = self.mask_totals()
+        counts = {str(h): sum(c for m, c in enumerate(totals) if m >> i & 1)
                   for i, h in enumerate(HYPOTHESES)}
         return {label: c for label, c in counts.items() if c}
 
     @property
     def termination(self) -> Dict[str, int]:
-        return dict(zip(TERMINATION_BINS, self.by_bin))
-
-    # -- point estimates with binomial Monte Carlo standard errors -------
-
-    def _rate(self, hits: int) -> Tuple[float, float]:
-        if self.n == 0:
-            return math.nan, math.nan
-        p = hits / self.n
-        return p, math.sqrt(p * (1.0 - p) / self.n)
-
-    @property
-    def fwer(self):
-        return self._rate(self.fwer_hits)
-
-    @property
-    def power_s(self):
-        return self._rate(self.power_s_hits)
-
-    @property
-    def power_sorf(self):
-        return self._rate(self.power_sorf_hits)
+        return {label: sum(self.counts[b * _N_MASKS:(b + 1) * _N_MASKS])
+                for b, label in enumerate(TERMINATION_BINS)}
 
 
 @dataclass
 class SimulationReport:
     setting: str
     seed: int
-    n_rep: int
-    true_nulls: Tuple[str, ...]
+    true_nulls: Tuple[HypothesisId, ...]
     arms: Dict[str, DesignAggregate] = field(default_factory=dict)
 
     def merge(self, other: "SimulationReport") -> "SimulationReport":
         if other.setting != self.setting or other.seed != self.seed:
             raise ValueError("cannot merge reports from different runs")
-        merged = SimulationReport(self.setting, self.seed,
-                                  self.n_rep + other.n_rep, self.true_nulls)
+        merged = SimulationReport(self.setting, self.seed, self.true_nulls)
         for label in {**self.arms, **other.arms}:
             a = self.arms.get(label, DesignAggregate())
             b = other.arms.get(label, DesignAggregate())
             merged.arms[label] = a.merge(b)
         return merged
+
+    def rates(self) -> Dict[str, Dict[str, Tuple[float, float]]]:
+        """Per arm, the FWER, power_s and power_sorf rates, each with its
+        binomial Monte Carlo standard error."""
+        criteria = _criteria(self.true_nulls)
+        out = {}
+        for label, agg in self.arms.items():
+            totals = agg.mask_totals()
+            n = sum(totals)
+            rates = out[label] = {}
+            for name, masks in criteria.items():
+                if n == 0:
+                    rates[name] = math.nan, math.nan
+                    continue
+                p = sum(map(totals.__getitem__, masks)) / n
+                rates[name] = p, math.sqrt(p * (1.0 - p) / n)
+        return out
 
 
 def replication_inputs(setting: ScenarioSpec, seed: int, rep: int
@@ -187,22 +175,17 @@ def replication_inputs(setting: ScenarioSpec, seed: int, rep: int
 
 def _run_chunk(setting: ScenarioSpec, designs: Sequence[DesignSpec],
                seed: int, reps: Iterable[int]) -> SimulationReport:
-    nulls = true_null_hypotheses(setting)
-    null_mask = _mask(nulls)
-    eligible = tuple(_pair(pop) for pop in Population
-                     if any(h.population is pop and h not in nulls for h in HYPOTHESES))
-    report = SimulationReport(setting.name, seed, 0, tuple(str(h) for h in nulls))
-    aggregates = [report.arms.setdefault(d.label, DesignAggregate()) for d in designs]
+    report = SimulationReport(setting.name, seed, true_null_hypotheses(setting))
+    counts = [report.arms.setdefault(d.label, DesignAggregate()).counts for d in designs]
     # Gated arms first: an arm that passes the futility gate reads stage-wise
     # blocks, which fill the pooled pairs GSD reads, so each sample is counted
     # once.
-    arms = sorted(zip(designs, aggregates), key=lambda arm: arm[0].kind is DesignKind.GSD)
+    arms = sorted(zip(designs, counts), key=lambda arm: arm[0].kind is DesignKind.GSD)
     for rep in reps:
         snaps, fsnap = replication_inputs(setting, seed, rep)
-        for d, agg in arms:
+        for d, arm_counts in arms:
             decision = run_design(d, snaps, fsnap)
-            agg.add(decision.confirmed, len(decision.analyses), null_mask, eligible)
-        report.n_rep += 1
+            arm_counts[len(decision.analyses) * _N_MASKS + decision.confirmed] += 1
     return report
 
 
@@ -242,22 +225,22 @@ def summarize(reports: Sequence[SimulationReport]) -> Dict[str, List[dict]]:
         raise ValueError("no reports to summarize")
     fwer_rows, power_rows, term_rows = [], [], []
     for rep in reports:
+        rates = rep.rates()
         for label in sorted(rep.arms):
-            agg = rep.arms[label]
-            fwer, fwer_se = agg.fwer
-            ps, ps_se = agg.power_s
-            psf, psf_se = agg.power_sorf
-            base = {"setting": rep.setting, "arm": label, "reps": agg.n,
-                    "seed": rep.seed}
+            termination = rep.arms[label].termination
+            n = sum(termination.values())
+            (fwer, fwer_se), (ps, ps_se), (psf, psf_se) = (
+                rates[label][name] for name in ("fwer", "power_s", "power_sorf"))
+            base = {"setting": rep.setting, "arm": label, "reps": n, "seed": rep.seed}
             fwer_rows.append({**base,
                               "has_true_nulls": bool(rep.true_nulls),
                               "fwer": round(fwer, 6), "se": round(fwer_se, 6)})
             power_rows.append({**base,
                                "power_s": round(ps, 6), "se_s": round(ps_se, 6),
                                "power_sorf": round(psf, 6), "se_sorf": round(psf_se, 6)})
-            for b, count in agg.termination.items():
+            for b, count in termination.items():
                 term_rows.append({**base, "stage": b, "count": count,
-                                  "fraction": round(count / agg.n, 6) if agg.n else math.nan})
+                                  "fraction": round(count / n, 6) if n else math.nan})
     return {"fwer": fwer_rows, "power": power_rows, "termination": term_rows}
 
 

@@ -84,8 +84,8 @@ def mc_runs():
     return out
 
 
-def rate(agg, attr):
-    return getattr(agg, attr) / agg.n
+def rate(report, label, criterion):
+    return report.rates()[label][criterion][0]
 
 
 # -- criterion 1: boundary engine -------------------------------------------
@@ -128,8 +128,8 @@ def test_c1_round_trip_50_designs_under_1s():
 @pytest.mark.parametrize("name", SETTINGS)
 def test_c2_fwer_at_most_alpha(mc_runs, name):
     null = mc_runs[name]["null"]
-    for label, agg in null.arms.items():
-        assert rate(agg, "fwer_hits") <= 0.025, f"{name}/{label}"
+    for label in null.arms:
+        assert rate(null, label, "fwer") <= 0.025, f"{name}/{label}"
 
 
 @pytest.mark.parametrize("name", SETTINGS)
@@ -137,9 +137,9 @@ def test_c2_gated_fwer_near_benchmark(mc_runs, name):
     null = mc_runs[name]["null"]
     lo = BENCH_FWER_GGSD[0] - FWER_TOL
     hi = BENCH_FWER_GGSD[1] + FWER_TOL
-    for label, agg in null.arms.items():
+    for label in null.arms:
         if label.startswith("ggsd:"):
-            assert lo <= rate(agg, "fwer_hits") <= hi, f"{name}/{label}"
+            assert lo <= rate(null, label, "fwer") <= hi, f"{name}/{label}"
 
 
 @pytest.mark.parametrize("name", SETTINGS)
@@ -163,7 +163,7 @@ def test_c2_reproduces_committed_runs(mc_runs, name):
 
 @pytest.mark.parametrize("name", SETTINGS)
 def test_c3_power_band_gsd(mc_runs, name):
-    got = rate(mc_runs[name]["power"].arms["gsd"], "power_s_hits")
+    got = rate(mc_runs[name]["power"], "gsd", "power_s")
     want = BENCH_POWER_GSD[name]
     assert abs(got - want) <= POWER_TOL, (
         f"{name}: GSD power_S {got:.4f} vs benchmark {want}; {INDEPENDENCE_NOTE}")
@@ -171,7 +171,7 @@ def test_c3_power_band_gsd(mc_runs, name):
 
 @pytest.mark.parametrize("name", SETTINGS)
 def test_c3_power_band_gated(mc_runs, name):
-    got = rate(mc_runs[name]["power"].arms[f"ggsd:{HEADLINE}"], "power_s_hits")
+    got = rate(mc_runs[name]["power"], f"ggsd:{HEADLINE}", "power_s")
     want = BENCH_POWER_GGSD[name]
     assert abs(got - want) <= POWER_TOL, (
         f"{name}: gGSD power_S {got:.4f} vs benchmark {want}; {INDEPENDENCE_NOTE}")
@@ -180,9 +180,9 @@ def test_c3_power_band_gated(mc_runs, name):
 @pytest.mark.parametrize("name", SETTINGS)
 def test_c3_ordering_gated_beats_gsd(mc_runs, name):
     power = mc_runs[name]["power"]
-    gsd = rate(power.arms["gsd"], "power_s_hits")
+    gsd = rate(power, "gsd", "power_s")
     for label in W1_GE_W2:
-        got = rate(power.arms[f"ggsd:{label}"], "power_s_hits")
+        got = rate(power, f"ggsd:{label}", "power_s")
         assert got > gsd, (
             f"{name}: gGSD[{label}] power_S {got:.4f} <= GSD {gsd:.4f}; "
             f"{INDEPENDENCE_NOTE}")
@@ -191,8 +191,8 @@ def test_c3_ordering_gated_beats_gsd(mc_runs, name):
 def test_c3_ordering_gated_at_least_ad_setting3(mc_runs):
     power = mc_runs["setting3"]["power"]
     for label in ALL_SETS:
-        gg = rate(power.arms[f"ggsd:{label}"], "power_s_hits")
-        ad = rate(power.arms[f"ad:{label}"], "power_s_hits")
+        gg = rate(power, f"ggsd:{label}", "power_s")
+        ad = rate(power, f"ad:{label}", "power_s")
         assert gg >= ad, f"setting3 weights {label}: {gg:.4f} < {ad:.4f}"
 
 

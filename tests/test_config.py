@@ -1,5 +1,6 @@
 """Configuration parsing and validation."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,22 @@ UNUSABLE_CASES = {
     "negative_dropout": ("setting2.yaml", ("scenario", "annual_dropout", "pfs"), -0.1,
                          r"scenario\.annual_dropout\.pfs: expected a rate in \[0, 1\), "
                          r"got -0\.1"),
+    # .nan and .inf are YAML floats but no usable value: unchecked, an infinite
+    # seed raised OverflowError, a NaN seed failed with no path, a NaN hazard
+    # ratio made `simulate` miss its event triggers, a NaN weight made a
+    # combined z that never crosses, and an infinite observed HR broke
+    # analysis.json
+    "infinite_seed": ("setting2.yaml", ("simulation", "seed"), math.inf,
+                      r"simulation\.seed: expected a number, got inf"),
+    "nan_seed": ("setting2.yaml", ("simulation", "seed"), math.nan,
+                 r"simulation\.seed: expected a number, got nan"),
+    "nan_hazard_ratio": ("setting1.yaml", ("scenario", "hazard_ratios", "sub", "os"), math.nan,
+                         r"scenario\.hazard_ratios\.sub\.os: expected a number, got nan"),
+    "nan_weight": ("setting2.yaml", ("weights", 1, "pfs", 0), [math.nan, 0.8],
+                   r"weights\[1\]\.pfs\[0\]: expected \[w1_squared, w2_squared\], "
+                   r"got \[nan, 0\.8\]"),
+    "infinite_observed_hr": ("table5_example.yaml", ("observed", "hr_sub"), math.inf,
+                             r"observed\.hr_sub: expected a number, got inf"),
 }
 
 
@@ -346,3 +363,18 @@ def test_observed_values_need_one_arm_per_kind(tmp_path):
     assert not any(e.startswith("observed.p_values.gsd") for e in err.value.errors)
     del doc["observed"]["p_values"]["ggsd"]
     assert len(build_designs(parse_config(write(tmp_path, doc)))) == 5
+
+
+@pytest.mark.parametrize("key", ["hr_full", "hr_sub"])
+def test_gated_replay_needs_both_observed_hrs(tmp_path, key):
+    # Without an HR, `analyze` printed the GSD narrative and then failed in
+    # the AD arm's futility gate, naming no field and writing no analysis.json.
+    doc = _table5_doc()
+    del doc["observed"][key]
+    with pytest.raises(ConfigError, match=rf"observed\.{key}: missing required key") as err:
+        parse_config(write(tmp_path, doc))
+    assert len(err.value.errors) == 1
+    # GSD has no futility gate: its replay alone needs neither HR.
+    del doc["observed"]["p_values"]["ggsd"]
+    observed = parse_config(write(tmp_path, doc)).observed
+    assert set(observed) == {"gsd"} and getattr(observed["gsd"], key) is None

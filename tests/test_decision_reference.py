@@ -12,6 +12,7 @@ from pathlib import Path
 
 from gatedgsd import harness
 from gatedgsd.config import build_designs, parse_config
+from gatedgsd.multiplicity import HYPOTHESES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,15 +34,22 @@ def test_decisions_match_reference():
         "expected {}, got {}".format(*diff))
 
 
+def _cell(token):
+    """The histogram cell of a reference token: termination bin, then mask."""
+    term = 0 if token[-1] == "x" else int(token[-1])
+    return term << len(HYPOTHESES) | int(token[:-1], 16)
+
+
 def test_monte_carlo_path_matches_reference(monkeypatch):
     # The same per-replication tokens through the Monte Carlo's own path:
     # `_run_chunk`, which decides every arm in its own order and builds no
     # trace. Elsewhere only aggregates pin that path, where two opposite
     # errors can cancel. The digest column is the file's own: this path
-    # computes decisions, not statistics.
+    # computes decisions, not statistics. Each arm's histogram in the report
+    # `_run_chunk` returns must be the tally of that arm's reference tokens.
     ref = _reference_script()
     expected = ref.REFERENCE.read_text().splitlines()
-    digests = iter(line.split()[-1] for line in expected if not line.startswith("arms"))
+    rows = iter(line.split() for line in expected if not line.startswith("arms"))
     decided = []
     decide = harness.run_design
 
@@ -51,23 +59,32 @@ def test_monte_carlo_path_matches_reference(monkeypatch):
         return decision
 
     monkeypatch.setattr(harness, "run_design", recording)
-    actual = []
+    actual, histograms = [], []
     for name in ref.SETTINGS:
         config = parse_config(ref.CONFIGS / f"{name}.yaml")
         designs = build_designs(config)
         actual.append(" ".join(["arms", name] + [d.label for d in designs]))
         for pass_name, scenario in ref.passes(config):
             decided.clear()
-            harness._run_chunk(scenario, designs, config.seed, range(ref.N_REP))
+            report = harness._run_chunk(scenario, designs, config.seed, range(ref.N_REP))
             assert len(decided) == ref.N_REP * len(designs)
+            tally = {d.label: [0] * (len(harness.TERMINATION_BINS) << len(HYPOTHESES))
+                     for d in designs}
             for rep in range(ref.N_REP):
+                row = next(rows)
+                for d, token in zip(designs, row[3:-1]):
+                    tally[d.label][_cell(token)] += 1
                 by_label = dict(decided[rep * len(designs):(rep + 1) * len(designs)])
                 tokens = [ref.decision_token(by_label[d.label]) for d in designs]
-                actual.append(" ".join([name, pass_name, str(rep), *tokens, next(digests)]))
+                actual.append(" ".join([name, pass_name, str(rep), *tokens, row[-1]]))
+            counts = {label: agg.counts for label, agg in report.arms.items()}
+            histograms.append((name, pass_name, counts, tally))
     diff = ref.first_difference(expected, actual)
     assert diff is None, (
         "first differing Monte Carlo decision: setting {} pass {} replication {} arm {}: "
         "expected {}, got {}".format(*diff))
+    for name, pass_name, counts, tally in histograms:
+        assert counts == tally, f"{name} {pass_name}"
 
 
 def test_first_difference_names_the_arm():
