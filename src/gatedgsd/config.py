@@ -13,6 +13,7 @@ and design slug -> `ObservedData`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -59,10 +60,12 @@ class RunConfig:
 def _is_number(v, integer: bool = False) -> bool:
     """A finite YAML number (an int, if `integer`). Python counts bools as
     ints, but YAML's true/false are neither numbers nor analysis indices,
-    and no field takes .nan or .inf."""
+    and no field takes .nan, .inf or an integer too large for a float."""
     if isinstance(v, bool):
         return False
-    return isinstance(v, int) or not integer and isinstance(v, float) and math.isfinite(v)
+    if isinstance(v, int):
+        return abs(v) <= sys.float_info.max
+    return not integer and isinstance(v, float) and math.isfinite(v)
 
 
 class _Collector:

@@ -197,7 +197,8 @@ def test_density_matches_exact_kernel(monkeypatch):
     agrees with `norm_kernel(x, y, sigma) @ wd` to 1e-13 relative; the
     largest difference measured is about 4e-15."""
     rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
-    density, sizes = boundaries._density, []
+    density, look_grid = boundaries._density, boundaries._look_grid
+    sizes, grid_sizes = [], []
 
     def checked(x, y, wd, sigma):
         got = density(x, y, wd, sigma)
@@ -205,12 +206,41 @@ def test_density_matches_exact_kernel(monkeypatch):
         sizes.append(len(x))
         return got
 
+    def sized(fr, k, b, refine=1):
+        grid = look_grid(fr, k, b, refine)
+        if k > 0:  # the first look's density is the normal pdf, not a `_density` sum
+            grid_sizes.append(len(grid.points))
+        return grid
+
     monkeypatch.setattr(boundaries, "_density", checked)
+    monkeypatch.setattr(boundaries, "_look_grid", sized)
     for row in rows:
         compute_boundaries(*row)
-    # both callers were checked: next-look grids and search panels (8n + 1 nodes)
-    assert boundaries._GRID_NODES in sizes
-    assert any(n != boundaries._GRID_NODES for n in sizes)
+    # both callers were checked: every next-look grid `_look_grid` sized after
+    # the first look, and search panels (8n + 1 nodes)
+    assert grid_sizes
+    assert all(sizes.count(n) >= grid_sizes.count(n) for n in grid_sizes)
+    assert len(sizes) > len(grid_sizes)
+
+
+# Closely spaced looks, where the next look's increment kernel is narrow: 0.01
+# apart, 1e-4 apart (the node cap binds), and a random five-look design with
+# two looks 6e-4 apart.
+CLOSE_LOOKS = ((0.025, (0.5, 0.51, 1.0)), (0.025, (0.5, 0.5001, 1.0)),
+               (0.0043, (0.0342, 0.2512, 0.5158, 0.5164, 1.0)))
+
+
+def test_rows_converged_in_the_grid(monkeypatch):
+    """Quadrupling every look grid's nodes moves no critical value of the
+    bundled plan rows or of the close-look designs by more than 2e-10 in z,
+    about the root search's tolerance. The fixed 320-node grid the solver
+    used before fails this: quadrupling it moves (0.5, 0.5001, 1.0) by 0.024
+    and the five-look design by 1.7e-6."""
+    rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
+    for alpha, fractions in rows + list(CLOSE_LOOKS):
+        got = compute_boundaries(alpha, fractions).z_bounds
+        fine = compute_boundaries(alpha, fractions, refine=4).z_bounds
+        assert max(abs(a - b) for a, b in zip(got, fine)) <= 2e-10, (alpha, fractions)
 
 
 # The fraction sets the three crossing-probability routes are compared on.
@@ -279,7 +309,7 @@ def test_search_values_match_exact_tail_across_bracket(fractions):
     t1, t2 = fractions
     sd1, sigma = math.sqrt(t1), math.sqrt(t2 - t1)
     b1 = compute_boundaries(0.025, fractions).z_bounds[0] * sd1
-    grid = gauss_grid(-boundaries._GRID_SD * sd1, b1, boundaries._GRID_NODES)
+    grid = boundaries._look_grid(fractions, 0, b1)
     wd = grid.weights * norm_pdf(grid.points / sd1) / sd1
     anchor = 1.7 * math.sqrt(t2)
     search = boundaries._search_function(grid.points, wd, sigma, anchor,
@@ -324,7 +354,7 @@ def direct_sum_boundaries(alpha_total, fractions):
             b_k = find_root(excess, -cap, cap, -sd_k * norm_quantile(inc), tol=1e-10)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
-            new_grid = gauss_grid(-boundaries._GRID_SD * sd_k, b_k, boundaries._GRID_NODES)
+            new_grid = boundaries._look_grid(fr, k, b_k)
             if k == 0:
                 density = norm_pdf(new_grid.points / sd_k) / sd_k
             else:

@@ -294,6 +294,14 @@ UNUSABLE_CASES = {
                    r"got \[nan, 0\.8\]"),
     "infinite_observed_hr": ("table5_example.yaml", ("observed", "hr_sub"), math.inf,
                              r"observed\.hr_sub: expected a number, got inf"),
+    # an integer literal too large for a float (401 digits): unchecked, its
+    # conversion raised OverflowError with no field path
+    "huge_hazard_ratio": ("setting2.yaml", ("scenario", "hazard_ratios", "sub", "os"), 10**400,
+                          r"scenario\.hazard_ratios\.sub\.os: expected a number, got 10{400}$"),
+    "huge_weight": ("setting2.yaml", ("weights", 1, "pfs", 0), [10**400, 0.8],
+                    r"weights\[1\]\.pfs\[0\]: expected \[w1_squared, w2_squared\], got \[10{400}, "),
+    "huge_negative_sample_size": ("setting2.yaml", ("scenario", "sample_size"), -10**400,
+                                  r"scenario\.sample_size: expected a number, got -10{400}$"),
 }
 
 
