@@ -8,12 +8,13 @@ sub-density of the underlying Brownian-motion statistic is propagated on
 a quadrature grid restricted to the continuation region, and each
 critical value is the root of "incremental crossing probability equals
 incremental alpha spend". Each look's grid has 3 nodes per sd of the
-narrower of the two increment kernels it meets (`_look_grid`), so
-closely spaced looks get finer grids and widely spaced ones coarser. The crossing probability's slope in the
-critical value is minus the statistic's sub-density f_k there, so each
-root is found by safeguarded Newton in a handful of evaluations. A look
-sums the normal tail over its grid (`math.erfc`) once, at the search's
-anchor a; every other value comes from the identity
+narrower of the two increment kernels it meets (`_look_grid`), so closely
+spaced looks get finer grids and widely spaced ones coarser. The crossing
+probability's slope in the critical value is minus the statistic's
+sub-density f_k there, so each root is found by safeguarded Newton in a
+handful of evaluations. A look sums the normal tail over its grid
+(`math.erfc`) once, at the search's anchor a; every other value comes from
+the identity
 tail(b) = tail(a) - integral of f_k from a to b, by Gauss-Legendre
 quadrature of the same density that gives the slope. So the solver needs
 no vectorised erfc, and nothing on the runtime path imports scipy.
@@ -49,14 +50,12 @@ __all__ = [
     "cached_boundaries",
 ]
 
-# Look grids (`_look_grid`): [-6.5 sd_k, b_k], with 3 nodes per sd of the
-# narrower increment kernel the grid meets, clamped to [32, 1024] nodes.
-# Quadrupling the nodes moves no bundled row, and none of 300 random 2-5-look
-# designs, by more than 2e-10 in z. The cap binds for looks less than about
-# 5e-4 apart in information; it bounds a look transition to a 1024 x 1024
-# kernel. At (0.5, 0.5 + d, 1.0) the rows still converge to 2e-10 for
-# d = 1e-4, but quadrupling moves them by 7e-7, 6e-5 and 0.016 in z for
-# d = 5e-5, 2e-5 and 1e-5.
+# Look grids (`_look_grid`). With 3 nodes per sd, quadrupling the nodes moves
+# no bundled row, and none of 300 random 2-5-look designs, by more than 2e-10
+# in z. The cap bounds a look transition to a 1024 x 1024 kernel and binds for
+# looks less than about 5e-4 apart in information. At (0.5, 0.5 + d, 1.0) the
+# rows still converge to 2e-10 for d = 1e-4, but quadrupling moves them by
+# 7e-7, 6e-5 and 0.016 in z for d = 5e-5, 2e-5 and 1e-5.
 _GRID_SD = 6.5
 _NODES_PER_SD = 3.0
 _GRID_FLOOR = 32

@@ -30,7 +30,7 @@ from gatedgsd.boundaries import (
     ldobf_spend,
 )
 from gatedgsd.config import build_designs, parse_config
-from gatedgsd.numerics import BracketError, gauss_grid, norm_cdf, norm_kernel, norm_pdf
+from gatedgsd.numerics import BracketError, norm_cdf, norm_kernel, norm_pdf
 
 CONFIG_DIR = Path(gatedgsd.__file__).resolve().parent / "configs"
 
