@@ -12,28 +12,27 @@ narrower of the two increment kernels it meets (`_look_grid`), so closely
 spaced looks get finer grids and widely spaced ones coarser. The crossing
 probability's slope in the critical value is minus the statistic's
 sub-density f_k there, so each root is found by safeguarded Newton in a
-handful of evaluations. A look sums the normal tail over its grid
-(`math.erfc`) once, at the search's anchor a; every other value comes from
-the identity
-tail(b) = tail(a) - integral of f_k from a to b, by Gauss-Legendre
-quadrature of the same density that gives the slope. So the solver needs
-no vectorised erfc, and nothing on the runtime path imports scipy.
+handful of evaluations. Every look after the first evaluates its search
+directly (`_excess`): at each iterate b it sums the increment's normal tail
+(`math.erfc`, mapped over the grid) and the normal density over its grid.
+So the solver needs no vectorised erfc, and nothing on the runtime path
+imports scipy.
 
-Every sub-density value the solver takes, on a search panel or at the next
-look's grid, comes from one routine, `_density`. It builds exp(-u^2) with u
-the scaled node differences and applies the normal constant to the summed
-vector, not to the matrix. `crossing_probability` keeps the exact-formula
-kernel `numerics.norm_kernel`, so that it stays an independent route. The
-two kernels round differently in the last bits, so boundary rows reproduce
-to 1e-10 in z (`find_root`'s bracket width), not bit for bit, across changes
-to the solver's arithmetic.
+The look-to-look transitions take the sub-density at the next look's grid
+from one routine, `_density`. It builds exp(-u^2) with u the scaled node
+differences and applies the normal constant to the summed vector, not to
+the matrix; `_excess` does the same at its one point.
+`crossing_probability` keeps the exact-formula kernel `numerics.norm_kernel`,
+so that it stays an independent route. The two kernels round differently in
+the last bits, so boundary rows reproduce to 1e-10 in z (`find_root`'s
+bracket width), not bit for bit, across changes to the solver's arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -41,6 +40,7 @@ import numpy as np
 from .numerics import Grid, find_root, gauss_grid, norm_cdf, norm_kernel, norm_pdf, norm_quantile
 
 __all__ = [
+    "MIN_LOOK_GAP",
     "ldobf_spend",
     "BoundarySet",
     "SpendingError",
@@ -55,7 +55,9 @@ __all__ = [
 # in z. The cap bounds a look transition to a 1024 x 1024 kernel and binds for
 # looks less than about 5e-4 apart in information. At (0.5, 0.5 + d, 1.0) the
 # rows still converge to 2e-10 for d = 1e-4, but quadrupling moves them by
-# 7e-7, 6e-5 and 0.016 in z for d = 5e-5, 2e-5 and 1e-5.
+# 7e-7, 6e-5 and 0.016 in z for d = 5e-5, 2e-5 and 1e-5, so looks closer than
+# MIN_LOOK_GAP are rejected rather than solved that far off.
+MIN_LOOK_GAP = 5e-5
 _GRID_SD = 6.5
 _NODES_PER_SD = 3.0
 _GRID_FLOOR = 32
@@ -63,8 +65,6 @@ _GRID_CAP = 1024
 _Z_CAP = 12.0  # saturate instead of chasing underflowing spends
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Gauss-Legendre rule on [-1, 1] for each panel of the search's quadrature.
-_PANEL = gauss_grid(-1.0, 1.0, 8)
 # The certifying routes: `crossing_probability`'s Z-scale grid and the
 # absolute error target of the multivariate-normal CDF.
 _CROSSING_NODES = 480
@@ -106,15 +106,9 @@ def _validate_fractions(fractions: Sequence[float]) -> Tuple[float, ...]:
         raise ValueError(f"fractions must lie in (0, 1]: {fr}")
     if any(b <= a for a, b in zip(fr, fr[1:])):
         raise ValueError(f"fractions must be strictly increasing: {fr}")
+    if any(b - a < MIN_LOOK_GAP for a, b in zip(fr, fr[1:])):
+        raise ValueError(f"consecutive fractions must be at least {MIN_LOOK_GAP:g} apart: {fr}")
     return fr
-
-
-def _tail(b: float, points: np.ndarray, wd: np.ndarray, sigma: float) -> float:
-    """P(S_k >= b): the increment's normal tail summed exactly over the
-    continuation sub-density (`wd`: its values times the weights of the grid
-    `points`; `sigma`: the sd of S_k - S_{k-1})."""
-    z = ((b - points) / (sigma * _SQRT2)).tolist()
-    return 0.5 * float(np.dot(wd, np.fromiter(map(math.erfc, z), float, len(z))))
 
 
 def _density(x: np.ndarray, y: np.ndarray, wd: np.ndarray, sigma: float) -> np.ndarray:
@@ -134,35 +128,23 @@ def _density(x: np.ndarray, y: np.ndarray, wd: np.ndarray, sigma: float) -> np.n
     return (u @ wd) * (_INV_SQRT_2PI / sigma)
 
 
-@lru_cache(maxsize=64)
-def _panels(n: int):
-    """Gauss-Legendre nodes of n equal panels on [0, 2n] (each panel two
-    units wide), followed by the end point 2n; and their weights."""
-    nodes = np.append(np.add.outer(np.arange(1.0, 2.0 * n, 2.0), _PANEL.points), 2.0 * n)
-    weights = np.tile(_PANEL.weights, n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+def _excess(points: np.ndarray, wd: np.ndarray, sigma: float, inc: float, b: float):
+    """P(S_k >= b) less the spend `inc`, and its slope in b, for a look after
+    the first: the increment's normal tail and minus its density, summed over
+    the continuation sub-density (`wd`: its values times the weights of the
+    grid `points`; `sigma`: the sd of S_k - S_{k-1}).
 
-
-def _search_function(points: np.ndarray, wd: np.ndarray, sigma: float, anchor: float,
-                     at_anchor: float):
-    """The excess (crossing probability less the spend) of a look after the
-    first, and its slope, from its exact value `at_anchor` at `anchor`.
-
-    The crossing probability at b is the anchor's less the integral of the
-    sub-density f_k of S_k from the anchor to b, taken by Gauss-Legendre on
-    equal panels no wider than `sigma`, f_k's own scale, so every b in the
-    bracket is accurate. The slope is -f_k(b), from the same kernel.
+    With c = 1 / (sigma sqrt 2) and u = b c - points c, the tail is
+    sum wd erfc(u) / 2 and the density sum wd exp(-u^2) / (sigma sqrt(2 pi)),
+    `_density`'s arithmetic at the one point b, without a 2-D product.
     """
-    def excess(b):
-        n = max(1, math.ceil(abs(b - anchor) / sigma))
-        half = 0.5 * (b - anchor) / n
-        nodes, weights = _panels(n)
-        f = _density(anchor + half * nodes, points, wd, sigma)
-        return at_anchor - half * float(f[:-1] @ weights), -float(f[-1])
-
-    return excess
+    c = 1.0 / (sigma * _SQRT2)
+    u = b * c - points * c
+    tail = np.fromiter(map(math.erfc, u.tolist()), float, len(u))
+    np.square(u, out=u)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    return 0.5 * float(tail @ wd) - inc, -float(u @ wd) * (_INV_SQRT_2PI / sigma)
 
 
 def _look_grid(fr: Sequence[float], k: int, b: float, refine: int = 1) -> Grid:
@@ -197,12 +179,12 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
     Each look's critical value b solves "crossing probability at b equals the
     incremental spend" by safeguarded Newton (`find_root`) on the analytic
     slope of the crossing probability, minus the sub-density of S_k at b. The
-    search starts at a = -sqrt(t_k) Phi^-1(spend), the root the first look
-    has exactly. A later look sums its tail once (`_tail`) and takes every
-    other value from that one (`_search_function`). The continuation
-    sub-density is then advanced by convolution with the increment normal
-    density, on a grid sized by `_look_grid`; `refine` multiplies every
-    grid's node count, to check that the rows have converged.
+    search starts at -sqrt(t_k) Phi^-1(spend), the root the first look has
+    exactly. A later look sums its tail and slope over its grid at every
+    iterate (`_excess`). The continuation sub-density is then advanced by
+    convolution with the increment normal density, on a grid sized by
+    `_look_grid`; `refine` multiplies every grid's node count, to check that
+    the rows have converged.
     """
     fr = _validate_fractions(fractions)
     spent_prev = 0.0
@@ -228,6 +210,7 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
         else:
             sigma = math.sqrt(t - fr[k - 1])
             wd = grid.weights * density
+            excess = partial(_excess, grid.points, wd, sigma, inc)
             mass = float(np.sum(wd))
             # At -cap the tail is the whole continuation mass, at least
             # 1 - alpha up to about 1e-8, while inc <= alpha < 0.5: the excess
@@ -235,24 +218,18 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
             at_floor = mass - inc
             # The grid lies below the last boundary (b_k still holds it), so
             # the tail at the cap is at most mass * Q((cap - b_k) / sigma).
-            # Only if that bound leaves the sign open is the tail summed at
-            # the cap, which then anchors the search: (point, excess there).
+            # Only if that bound leaves the sign open is the tail summed there.
             at_cap = mass * 0.5 * math.erfc((cap - b_k) / (sigma * _SQRT2)) - inc
-            anchor = None
             if at_cap >= 0.0:
-                at_cap = _tail(cap, grid.points, wd, sigma) - inc
-                anchor = cap, at_cap
+                at_cap = excess(cap)[0]
         if at_cap >= 0.0:
             b_k = cap
         else:
-            start = -sd_k * norm_quantile(inc)  # inc > 0 on an unsaturated look
-            if k > 0:
-                anchor = anchor or (start, _tail(start, grid.points, wd, sigma) - inc)
-                excess = _search_function(grid.points, wd, sigma, *anchor)
-            # find_root reads only the values of the bracket ends, known above
+            # find_root reads only the values of the bracket ends, known above;
+            # inc > 0 on an unsaturated look, so the start point exists
             ends = {-cap: (at_floor, 0.0), cap: (at_cap, 0.0)}
             b_k = find_root(lambda b: ends[b] if b in ends else excess(b), -cap, cap,
-                            start, tol=1e-10)
+                            -sd_k * norm_quantile(inc), tol=1e-10)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
             new_grid = _look_grid(fr, k, b_k, refine)

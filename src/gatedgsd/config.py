@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import yaml
 
+from .boundaries import MIN_LOOK_GAP
 from .combine import StageWeights
 from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec, ObservedData
 from .futility import FutilityRule
@@ -360,7 +361,9 @@ def parse_config(path: str) -> RunConfig:
     if name is None:
         col.fail("config.name", "expected a string")
         name = "unnamed"
-    alpha = col.number(top, "config", "alpha", default=0.025, lo=0.0, hi=0.5)
+    alpha = col.number(top, "config", "alpha", default=0.025)
+    if not 0.0 < alpha < 0.5:  # the range `ldobf_spend` accepts
+        col.fail("config.alpha", f"expected a number in (0, 0.5), got {alpha:g}")
 
     designs = col.expect_map(
         top.get("designs", {}), "designs",
@@ -400,6 +403,9 @@ def parse_config(path: str) -> RunConfig:
                 continue
             if any(b <= a for a, b in zip(val, val[1:])):
                 col.fail(pth, f"fractions must be strictly increasing, got {val!r}")
+            elif any(b - a < MIN_LOOK_GAP for a, b in zip(val, val[1:])):
+                col.fail(pth, f"consecutive fractions must be at least {MIN_LOOK_GAP:g} apart "
+                              f"for the boundaries to be solved, got {val!r}")
             if len(val) != len(endpoint_analyses.get(ep, ())):
                 col.fail(pth, f"{len(val)} fractions but endpoint has "
                               f"{len(endpoint_analyses.get(ep, ()))} planned analyses")

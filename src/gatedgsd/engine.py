@@ -327,7 +327,7 @@ class _Plan:
     """
 
     __slots__ = ("pops", "in_scope", "scope_mask", "levels", "gate0", "gated", "members",
-                 "fractions", "analyses_of", "loads", "_rows", "_tests")
+                 "fractions", "analyses_of", "loads", "_tests")
 
     def __init__(self, design: DesignSpec, scenario: Optional[Scenario]):
         self.pops = pops = _CONTINUING[scenario]
@@ -357,16 +357,11 @@ class _Plan:
             for look, k in enumerate(design.endpoint_analyses[ep]):
                 w = None if not self.gated or design.weights is None else design.weights[ep][look]
                 self.loads[k].append((ep, look, w, reads, (e, stage1[0], stage2[0])))
-        self._rows = [[None, None] for _ in HYPOTHESES]
         self._tests: Dict[int, Tuple[Optional[_Test], ...]] = {}
 
     def row(self, i: int, level: int) -> Tuple[float, ...]:
         """Hypothesis i's z boundaries at alpha `levels[i][level]`."""
-        row = self._rows[i][level]
-        if row is None:
-            row = cached_boundaries(round(self.levels[i][level], 12), self.fractions[i]).z_bounds
-            self._rows[i][level] = row
-        return row
+        return cached_boundaries(round(self.levels[i][level], 12), self.fractions[i]).z_bounds
 
     def tests(self, mask: int) -> Tuple[Optional[_Test], ...]:
         """The fixed point's tests at rejection bitmask `mask`, one per step

@@ -193,9 +193,9 @@ def test_newton_evaluations_per_look(monkeypatch):
 def test_density_matches_exact_kernel(monkeypatch):
     """The solver's `_density` rounds differently from `numerics.norm_kernel`
     (the constant goes on the summed vector, 1/sigma inside the square), but
-    at every look transition and search panel of the bundled plan rows it
-    agrees with `norm_kernel(x, y, sigma) @ wd` to 1e-13 relative; the
-    largest difference measured is about 4e-15."""
+    at every look transition of the bundled plan rows it agrees with
+    `norm_kernel(x, y, sigma) @ wd` to 1e-13 relative; the largest difference
+    measured is about 4e-15."""
     rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
     density, look_grid = boundaries._density, boundaries._look_grid
     sizes, grid_sizes = [], []
@@ -216,11 +216,9 @@ def test_density_matches_exact_kernel(monkeypatch):
     monkeypatch.setattr(boundaries, "_look_grid", sized)
     for row in rows:
         compute_boundaries(*row)
-    # both callers were checked: every next-look grid `_look_grid` sized after
-    # the first look, and search panels (8n + 1 nodes)
+    # every next-look grid `_look_grid` sized after the first look was checked
     assert grid_sizes
     assert all(sizes.count(n) >= grid_sizes.count(n) for n in grid_sizes)
-    assert len(sizes) > len(grid_sizes)
 
 
 # Closely spaced looks, where the next look's increment kernel is narrow: 0.01
@@ -258,73 +256,61 @@ def test_saturated_looks_pin_the_cap():
 
 
 def test_crossing_probability_evaluated_once_per_point(monkeypatch):
-    """Every look after the first takes the exact tail once: at the cap if it
-    saturates, else at the anchor of its search (the start point, or the cap
-    when the saturation bound left the sign open). The search never
-    evaluates one point twice, nor a bracket end, whose value is known."""
+    """No look after the first evaluates its search function twice at one
+    point, nor at a bracket end inside the search, whose value is known; a
+    saturated look sums its tail once, at the cap."""
     looks = {}
-    tail, search = boundaries._tail, boundaries._search_function
+    excess = boundaries._excess
 
-    def look(points):
+    def recording(points, wd, sigma, inc, b):
         # within one solve, each look after the first has its own grid
-        return looks.setdefault(points.tobytes(), {"tails": [], "points": []})
-
-    def recording_tail(b, points, *args):
-        look(points)["tails"].append(b)
-        return tail(b, points, *args)
-
-    def recording_search(points, *args):
-        excess, seen = search(points, *args), look(points)["points"]
-
-        def recorded(b):
-            seen.append(b)
-            return excess(b)
-
-        return recorded
+        looks.setdefault(points.tobytes(), []).append(b)
+        return excess(points, wd, sigma, inc, b)
 
     rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
     rows += [(0.025, fractions) for fractions, _ in SATURATED]
-    monkeypatch.setattr(boundaries, "_tail", recording_tail)
-    monkeypatch.setattr(boundaries, "_search_function", recording_search)
+    monkeypatch.setattr(boundaries, "_excess", recording)
+    saturated = 0
     for alpha, fractions in rows:
         looks.clear()
-        compute_boundaries(alpha, fractions)
+        z = compute_boundaries(alpha, fractions).z_bounds
         assert len(looks) == len(fractions) - 1, (alpha, fractions)
-        for seen, t in zip(looks.values(), fractions[1:]):
+        for points, t, z_k in zip(looks.values(), fractions[1:], z[1:]):
             cap = boundaries._Z_CAP * math.sqrt(t)
-            points = seen["points"]
             assert len(set(points)) == len(points), (alpha, fractions)
-            assert all(-cap < b < cap for b in points), (alpha, fractions)
-            if points:
-                assert len(seen["tails"]) == 1, (alpha, fractions)
-            else:
-                assert seen["tails"] == [cap], (alpha, fractions)
+            assert all(-cap < b < cap for b in points if b != cap), (alpha, fractions)
+            if z_k == pytest.approx(boundaries._Z_CAP, abs=1e-12):
+                saturated += 1
+                assert points == [cap], (alpha, fractions)
+    assert saturated
 
 
 @pytest.mark.parametrize("fractions", [(0.5, 1.0), (0.69, 0.92), (0.25, 0.3)])
 def test_search_values_match_exact_tail_across_bracket(fractions):
-    """A second look's search function, anchored near its root with no spend
-    subtracted, gives the exact tail and minus the sub-density at points
-    spread over the whole bracket [-cap, cap], far from the anchor too."""
+    """A second look's search function, with no spend subtracted, gives the
+    exact tail (scipy's erfc summed over the grid) and minus the sub-density
+    (the exact kernel `norm_kernel` summed) at points spread over the whole
+    bracket [-cap, cap]."""
+    from scipy.special import erfc
+
     t1, t2 = fractions
     sd1, sigma = math.sqrt(t1), math.sqrt(t2 - t1)
     b1 = compute_boundaries(0.025, fractions).z_bounds[0] * sd1
     grid = boundaries._look_grid(fractions, 0, b1)
     wd = grid.weights * norm_pdf(grid.points / sd1) / sd1
-    anchor = 1.7 * math.sqrt(t2)
-    search = boundaries._search_function(grid.points, wd, sigma, anchor,
-                                         boundaries._tail(anchor, grid.points, wd, sigma))
     cap = boundaries._Z_CAP * math.sqrt(t2)
     for b in np.linspace(-cap, cap, 97):
-        value, slope = search(b)
-        assert value == pytest.approx(boundaries._tail(b, grid.points, wd, sigma), abs=1e-14)
-        density = float(np.sum(wd * norm_pdf((b - grid.points) / sigma))) / sigma
+        value, slope = boundaries._excess(grid.points, wd, sigma, 0.0, b)
+        tail = 0.5 * float(np.sum(wd * erfc((b - grid.points) / (sigma * math.sqrt(2.0)))))
+        assert value == pytest.approx(tail, abs=1e-14)
+        density = float(norm_kernel(np.array([b]), grid.points, sigma)[0] @ wd)
         assert slope == pytest.approx(-density, rel=1e-12, abs=1e-300)
 
 
 def direct_sum_boundaries(alpha_total, fractions):
-    """The solver before the one-tail identity: each search value sums the
-    increment's normal tail over the grid with scipy's vectorised erfc."""
+    """A reference solver with its own arithmetic after the first look: each
+    search value sums the increment's normal tail over the grid with scipy's
+    vectorised erfc, and every density comes from `norm_kernel`."""
     from scipy.special import erfc
 
     from gatedgsd.numerics import find_root, norm_kernel, norm_quantile
@@ -417,6 +403,10 @@ def test_invalid_fractions_rejected():
         compute_boundaries(0.025, (0.5, 1.2))
     with pytest.raises(ValueError):
         compute_boundaries(0.6, (1.0,))
+    # looks too close to solve on the capped grid
+    for fractions in ((0.5, 0.50001, 1.0), (0.5, 0.50002, 1.0)):
+        with pytest.raises(ValueError, match="apart"):
+            compute_boundaries(0.025, fractions)
 
 
 def test_cached_boundaries_identical_and_shared():

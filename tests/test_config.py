@@ -84,6 +84,21 @@ def test_alpha_sum_mismatch_rejected(tmp_path, base_doc):
         parse_config(write(tmp_path, base_doc))
 
 
+@pytest.mark.parametrize("alpha", [0, 0.5])
+def test_alpha_out_of_range_rejected(tmp_path, alpha):
+    # With per-hypothesis alphas that sum to it, the file used to pass parsing
+    # and fail only in `build_designs`, with no field path.
+    doc = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    scale = alpha / doc["alpha"]
+    doc["alpha"] = alpha
+    for block in doc["designs"]["alphas"].values():
+        for slug in block:
+            block[slug] *= scale
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, doc))
+    assert err.value.errors == [f"config.alpha: expected a number in (0, 0.5), got {alpha:g}"]
+
+
 def test_bad_weight_squares_rejected(tmp_path, base_doc):
     base_doc["weights"][2]["pfs"] = [[0.9, 0.9], [0.5, 0.5]]
     with pytest.raises(ConfigError):
@@ -235,6 +250,12 @@ UNUSABLE_CASES = {
                                  [0.73, 0.60, 1.0],
                                  r"designs\.fractions\.sub\.os: fractions must be strictly "
                                  r"increasing"),
+    # looks closer than boundaries.MIN_LOOK_GAP; unchecked, their rows were
+    # solved up to 0.02 off in z without a word
+    "fractions_too_close": ("setting2.yaml", ("designs", "fractions", "full", "os"),
+                            [0.5, 0.50002, 1.0],
+                            r"designs\.fractions\.full\.os: consecutive fractions must be at "
+                            r"least 5e-05 apart"),
     # no hazard ratio passes a zero threshold; unchecked, the futility rule
     # is dropped and the error names no field
     "zero_threshold": ("setting2.yaml", ("designs", "futility", "theta_full"), 0,
