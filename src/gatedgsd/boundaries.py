@@ -1,7 +1,9 @@
 """Lan-DeMets O'Brien-Fleming alpha spending and group-sequential efficacy
 boundaries.
 
-All three designs spend alpha by this one function, `ldobf_spend`.
+All three designs spend alpha by this one function, `ldobf_spend`. The
+fractions a boundary can be solved at obey one rule, `fraction_problem`,
+which the solver, `DesignSpec` and `parse_config` apply.
 Boundaries are solved look by look by recursive numerical integration
 (Jennison & Turnbull 2000, Group Sequential Methods, ch. 19): the
 sub-density of the underlying Brownian-motion statistic is propagated on
@@ -33,11 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .numerics import Grid, find_root, gauss_grid, norm_cdf, norm_kernel, norm_pdf, norm_quantile
+from .rules import ALPHA, POSITIVE, UNIT, refuse
 
 __all__ = [
     "MIN_LOOK_GAP",
@@ -77,10 +80,7 @@ class SpendingError(ValueError):
 
 def ldobf_spend(alpha_total: float, t: float) -> float:
     """Lan-DeMets O'Brien-Fleming cumulative one-sided alpha spend s(t; alpha)."""
-    if not 0.0 < alpha_total < 0.5:
-        raise ValueError(f"alpha_total must be in (0, 0.5), got {alpha_total}")
-    if t <= 0.0:
-        raise ValueError(f"information fraction must be positive, got {t}")
+    refuse((("alpha_total", ALPHA(alpha_total)), ("t", POSITIVE(t))))
     if t >= 1.0:
         return alpha_total
     return 2.0 * (1.0 - norm_cdf(norm_quantile(1.0 - alpha_total / 2.0) / math.sqrt(t)))
@@ -98,17 +98,23 @@ class BoundarySet:
         return len(self.fractions)
 
 
-def _validate_fractions(fractions: Sequence[float]) -> Tuple[float, ...]:
-    fr = tuple(float(t) for t in fractions)
-    if not fr:
-        raise ValueError("at least one information fraction is required")
-    if any(t <= 0.0 or t > 1.0 for t in fr):
-        raise ValueError(f"fractions must lie in (0, 1]: {fr}")
-    if any(b <= a for a, b in zip(fr, fr[1:])):
-        raise ValueError(f"fractions must be strictly increasing: {fr}")
-    if any(b - a < MIN_LOOK_GAP for a, b in zip(fr, fr[1:])):
-        raise ValueError(f"consecutive fractions must be at least {MIN_LOOK_GAP:g} apart: {fr}")
-    return fr
+@lru_cache(maxsize=1024)
+def fraction_problem(fractions: Tuple[float, ...]) -> Optional[str]:
+    """None if boundaries can be solved at these information fractions (at
+    least one, each in (0, 1], increasing by at least MIN_LOOK_GAP), else the
+    reason. Memoized: every arm of a config checks the same few."""
+    if not fractions:
+        return "expected at least one information fraction"
+    for t in fractions:
+        if UNIT(t):
+            return UNIT(t)
+    for a, b in zip(fractions, fractions[1:]):
+        if b <= a:
+            return f"fractions must be strictly increasing, got {list(fractions)}"
+        if b - a < MIN_LOOK_GAP:
+            return (f"consecutive fractions must be at least {MIN_LOOK_GAP:g} apart for the "
+                    f"boundaries to be solved, got {list(fractions)}")
+    return None
 
 
 def _density(x: np.ndarray, y: np.ndarray, wd: np.ndarray, sigma: float) -> np.ndarray:
@@ -186,7 +192,8 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
     `_look_grid`; `refine` multiplies every grid's node count, to check that
     the rows have converged.
     """
-    fr = _validate_fractions(fractions)
+    fr = tuple(float(t) for t in fractions)
+    refuse((("fractions", fraction_problem(fr)),))
     spent_prev = 0.0
     grid = None
     density = None  # sub-density values on grid.points

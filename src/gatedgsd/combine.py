@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Tuple
 
 from .numerics import norm_quantile
+from .rules import NONNEGATIVE, SQUARE, sum_problem
 
 __all__ = [
     "StageWeights",
@@ -37,16 +38,19 @@ class StageWeights:
     w2: float
 
     def __post_init__(self):
-        if self.w1 < 0 or self.w2 < 0:
-            raise ValueError(f"weights must be nonnegative: ({self.w1}, {self.w2})")
-        if abs(self.w1 **2 + self.w2 **2 - 1.0) > 1e-12:
-            raise ValueError(f"w1^2 + w2^2 must equal 1: ({self.w1}, {self.w2})")
+        reason = NONNEGATIVE(self.w1) or NONNEGATIVE(self.w2)
+        squares = sum_problem((self.w1 ** 2, self.w2 ** 2), 1)
+        if reason or squares:
+            raise ValueError(f"weights ({self.w1}, {self.w2}): {reason or 'squares ' + squares}")
 
     @classmethod
     def from_squares(cls, v1: float, v2: float) -> "StageWeights":
-        if abs(v1 + v2 - 1.0) > 1e-9:
-            raise ValueError(f"squared weights must sum to 1: ({v1}, {v2})")
-        return cls(math.sqrt(v1), math.sqrt(max(1.0 - v1, 0.0)))
+        """Weights from their squares, each in [0, 1] and summing to 1. The
+        second weight is taken as sqrt(1 - v1)."""
+        reason = SQUARE(v1) or SQUARE(v2) or sum_problem((v1, v2), 1)
+        if reason:
+            raise ValueError(f"squared weights ({v1:g}, {v2:g}): {reason}")
+        return cls(math.sqrt(v1), math.sqrt(1.0 - v1))
 
 
 def event_weights(n1: int, n2: int) -> StageWeights:

@@ -4,6 +4,8 @@ A config bundles the data-generating scenario, the per-design alpha
 allocations, the combination-test weight sets, simulation controls, and
 (optionally) observed values for an analyze run. Validation is collected:
 every problem in the file is reported in one pass, with its field path.
+The parser checks types and shapes; each value then goes through the rule
+its constructor applies (`rules`), with None for a value already refused.
 
 Weight sets and observed values come out as plain mappings: weight-set
 label -> the arms' `DesignSpec.weights` (None for event-driven weights),
@@ -19,12 +21,14 @@ from typing import Dict, List, Optional, Tuple
 
 import yaml
 
-from .boundaries import MIN_LOOK_GAP
+from .boundaries import fraction_problem
 from .combine import StageWeights
-from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec, ObservedData
+from .engine import (ANALYSIS_NAMES, DesignKind, DesignSpec, ObservedData, schedule_problem,
+                     split_problems)
 from .futility import FutilityRule
 from .multiplicity import HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population
-from .simdata import AnalysisTrigger, ScenarioSpec
+from .rules import ALPHA, COUNT, POSITIVE, SEED, UNIT
+from .simdata import SCENARIO_SCALARS, AnalysisTrigger, ScenarioSpec, scenario_problems
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_designs"]
 
@@ -91,43 +95,33 @@ class _Collector:
                 self.fail(f"{path}.{key}", "missing required key")
         return raw
 
-    def number(self, raw: dict, path: str, key: str, default=None,
-               lo=None, hi=None, integer=False):
+    def check(self, path: str, value, rule):
+        """`value` if `rule` accepts it; else None, with the reason under `path`."""
+        reason = rule(value)
+        if reason:
+            self.fail(path, reason)
+            return None
+        return value
+
+    def number(self, raw: dict, path: str, key: str, rule=None, integer=False):
+        """`raw[key]` as a float (an int, if `integer`) that `rule` accepts;
+        None where it is missing or refused."""
         if key not in raw:
-            return default
+            return None
         v = raw[key]
         if not _is_number(v):
             self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
-            return default
+            return None
         if integer and int(v) != v:
             self.fail(f"{path}.{key}", f"expected an integer, got {v!r}")
-            return default
-        if lo is not None and v < lo or hi is not None and v > hi:
-            what = "an integer" if integer else "a number"
-            rng = f">= {lo:g}" if hi is None else f"in [{lo:g}, {hi:g}]"
-            self.fail(f"{path}.{key}", f"expected {what} {rng}, got {v:g}")
-            return default
-        return int(v) if integer else float(v)
-
-    def positive(self, raw: dict, path: str, key: str, hi=None, what: str = "a number"):
-        """A number > 0 (and <= hi); None where it is missing or rejected."""
-        v = self.number(raw, path, key)
-        if v is not None and (v <= 0 or hi is not None and v > hi):
-            rng = "> 0" if hi is None else f"in (0, {hi:g}]"
-            self.fail(f"{path}.{key}", f"expected {what} {rng}, got {v:g}")
             return None
-        return v
+        v = int(v) if integer else float(v)
+        return v if rule is None else self.check(f"{path}.{key}", v, rule)
 
 
-def _endpoint_map(col: _Collector, raw, path: str, positive: bool = False
-                  ) -> Dict[Endpoint, float]:
-    out: Dict[Endpoint, float] = {}
+def _endpoint_map(col: _Collector, raw, path: str) -> Dict[Endpoint, Optional[float]]:
     m = col.expect_map(raw, path, ("pfs", "os"), ("pfs", "os"))
-    for slug, ep in _ENDPOINTS.items():
-        v = col.positive(m, path, slug) if positive else col.number(m, path, slug)
-        if v is not None:
-            out[ep] = v
-    return out
+    return {ep: col.number(m, path, slug) for slug, ep in _ENDPOINTS.items()}
 
 
 def _parse_scenario(col: _Collector, raw, name: str,
@@ -144,23 +138,16 @@ def _parse_scenario(col: _Collector, raw, name: str,
                          ("sub", "complement"), ("sub", "complement"))
     hrs = col.expect_map(m.get("hazard_ratios", {}), "scenario.hazard_ratios",
                          ("sub", "complement"), ("sub", "complement"))
-    # Parsed before the error check below, so that each bad value is reported
-    # under its own path rather than by ScenarioSpec under "scenario".
-    sample_size = col.number(m, "scenario", "sample_size", lo=2, integer=True)
-    stage1_cutoff = col.number(m, "scenario", "stage1_cutoff", lo=0.0)
-    sub_prevalence = col.positive(m, "scenario", "sub_prevalence", hi=1.0)
-    enroll_duration = col.positive(m, "scenario", "enroll_duration")
-    median_sub, median_complement, hr_sub, hr_complement = (
-        _endpoint_map(col, table.get(pop, {}), f"scenario.{key}.{pop}", positive=True)
+    fields = {key: col.number(m, "scenario", key, integer=rule.integer)
+              for key, rule in SCENARIO_SCALARS}
+    (fields["median_sub"], fields["median_complement"], fields["hr_sub"],
+     fields["hr_complement"]) = (
+        _endpoint_map(col, table.get(pop, {}), f"scenario.{key}.{pop}")
         for key, table in (("medians", med), ("hazard_ratios", hrs))
         for pop in ("sub", "complement"))
-    annual_dropout = _endpoint_map(col, m.get("annual_dropout", {}), "scenario.annual_dropout")
-    for ep, rate in annual_dropout.items():
-        if not 0.0 <= rate < 1.0:  # a rate of 1 loses every patient at once
-            col.fail(f"scenario.annual_dropout.{ep.value}",
-                     f"expected a rate in [0, 1), got {rate:g}")
+    fields["annual_dropout"] = _endpoint_map(col, m.get("annual_dropout", {}),
+                                             "scenario.annual_dropout")
     triggers = []
-    last: Dict[str, int] = {}  # each endpoint's previous event target
     raw_triggers = m.get("triggers", [])
     if not isinstance(raw_triggers, list) or not raw_triggers:
         col.fail("scenario.triggers", "expected a nonempty list")
@@ -172,61 +159,16 @@ def _parse_scenario(col: _Collector, raw, name: str,
         tm = col.expect_map(t, f"scenario.triggers[{i}]",
                             ("endpoint", "events"), ("endpoint", "events"))
         ep = tm.get("endpoint")
-        if ep not in _ENDPOINTS:
+        endpoint = _ENDPOINTS.get(ep) if isinstance(ep, str) else None
+        events = col.number(tm, f"scenario.triggers[{i}]", "events", integer=True)
+        if endpoint is None:
             col.fail(f"scenario.triggers[{i}].endpoint", f"expected pfs|os, got {ep!r}")
-            continue
-        n = col.number(tm, f"scenario.triggers[{i}]", "events", lo=1, integer=True)
-        if n is not None and n < last.get(ep, 0):
-            col.fail(f"scenario.triggers[{i}].events",
-                     f"expected at least {last[ep]}, the previous {ep} trigger, got {n}")
-        elif n is not None and sample_size is not None and n > sample_size:
-            # each patient has at most one event per endpoint
-            col.fail(f"scenario.triggers[{i}].events",
-                     f"expected at most {sample_size}, the sample size, got {n}")
-        elif n is not None:
-            last[ep] = n
-            triggers.append(AnalysisTrigger(_ENDPOINTS[ep], n))
-    if col.errors:
-        return None
-    try:
-        return ScenarioSpec(
-            name=name,
-            sample_size=sample_size,
-            sub_prevalence=sub_prevalence,
-            enroll_duration=enroll_duration,
-            stage1_cutoff=stage1_cutoff,
-            median_sub=median_sub,
-            median_complement=median_complement,
-            hr_sub=hr_sub,
-            hr_complement=hr_complement,
-            annual_dropout=annual_dropout,
-            triggers=tuple(triggers),
-        )
-    except (TypeError, ValueError) as exc:
-        col.fail("scenario", str(exc))
-        return None
-
-
-def _parse_alphas(col: _Collector, raw, path: str, alpha: float,
-                  per_population: bool) -> Dict[HypothesisId, float]:
-    m = col.expect_map(raw, path, tuple(HYPOTHESIS_SLUGS), tuple(HYPOTHESIS_SLUGS))
-    out: Dict[HypothesisId, float] = {}
-    for slug, h in HYPOTHESIS_SLUGS.items():
-        v = col.number(m, path, slug, lo=0.0, hi=0.5)
-        if v is not None:
-            out[h] = v
-    if len(out) == 4:
-        tol = 1e-9
-        if per_population:
-            for pop, tag in ((Population.FULL, "full"), (Population.SUB, "sub")):
-                total = sum(v for h, v in out.items() if h.population is pop)
-                if abs(total - alpha) > tol:
-                    col.fail(path, f"{tag}-population alphas sum to {total}, expected {alpha}")
-        else:
-            total = sum(out.values())
-            if abs(total - alpha) > tol:
-                col.fail(path, f"alphas sum to {total}, expected {alpha}")
-    return out
+        ok = endpoint is not None and events is not None
+        triggers.append(AnalysisTrigger(endpoint, events) if ok else None)
+    fields["triggers"] = tuple(triggers)
+    for path, reason in scenario_problems(fields):
+        col.fail(f"scenario.{path}", reason)
+    return None if col.errors else ScenarioSpec(name=name, **fields)
 
 
 def _parse_weight_pairs(col: _Collector, raw, path: str,
@@ -291,9 +233,7 @@ def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tupl
         col.fail("observed.p_values", "expected a mapping keyed by design")
         pv = {}
     per_design: Dict[str, ObservedData] = {}
-    hrs = {}
-    for key in ("hr_full", "hr_sub"):
-        hrs[key] = col.positive(m, "observed", key, what="a hazard ratio")
+    hrs = {key: col.number(m, "observed", key, rule=POSITIVE) for key in ("hr_full", "hr_sub")}
     for design_slug, slots in pv.items():
         if design_slug not in ("gsd", "ad", "ggsd"):
             col.fail(f"observed.p_values.{design_slug}", "unknown design (gsd|ad|ggsd)")
@@ -325,11 +265,9 @@ def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tupl
                              f"{h.endpoint.value} has no planned look at "
                              f"{ANALYSIS_NAMES[idx]} (designs.endpoint_analyses)")
                     continue
-                if not _is_number(p) or not 0 < p <= 1:
-                    col.fail(f"observed.p_values.{design_slug}.{slug}.{key}",
-                             f"expected a p-value in (0, 1], got {p!r}")
-                    continue
-                per_look[idx] = float(p)
+                p = col.number(entry, f"observed.p_values.{design_slug}.{slug}", key, rule=UNIT)
+                if p is not None:
+                    per_look[idx] = p
             p_values[h] = per_look
         per_design[design_slug] = ObservedData(**hrs, p_values=p_values)
     gated = [slug for slug in per_design if slug != "gsd"]
@@ -361,9 +299,7 @@ def parse_config(path: str) -> RunConfig:
     if name is None:
         col.fail("config.name", "expected a string")
         name = "unnamed"
-    alpha = col.number(top, "config", "alpha", default=0.025)
-    if not 0.0 < alpha < 0.5:  # the range `ldobf_spend` accepts
-        col.fail("config.alpha", f"expected a number in (0, 0.5), got {alpha:g}")
+    alpha = col.number(top, "config", "alpha", rule=ALPHA)
 
     designs = col.expect_map(
         top.get("designs", {}), "designs",
@@ -375,18 +311,14 @@ def parse_config(path: str) -> RunConfig:
     endpoint_analyses: Dict[Endpoint, Tuple[int, ...]] = {}
     for slug, ep in _ENDPOINTS.items():
         val = ea_raw.get(slug)
-        if not isinstance(val, list) or not all(
-                _is_number(v, integer=True) and 1 <= v <= len(ANALYSIS_NAMES) for v in val):
-            col.fail(f"designs.endpoint_analyses.{slug}",
-                     f"expected a list of analysis indices in 1..{len(ANALYSIS_NAMES)} "
-                     f"{ANALYSIS_NAMES}, got {val!r}")
-            endpoint_analyses[ep] = ()
-        elif any(b <= a for a, b in zip(val, val[1:])):
-            col.fail(f"designs.endpoint_analyses.{slug}",
-                     f"analysis indices must be strictly increasing, got {val!r}")
+        pth = f"designs.endpoint_analyses.{slug}"
+        if not isinstance(val, list) or not all(_is_number(v, integer=True) for v in val):
+            col.fail(pth, f"expected a list of analysis numbers (1 = {ANALYSIS_NAMES[0]}), "
+                          f"got {val!r}")
             endpoint_analyses[ep] = ()
         else:
-            endpoint_analyses[ep] = tuple(v - 1 for v in val)
+            endpoint_analyses[ep] = col.check(pth, tuple(v - 1 for v in val),
+                                              schedule_problem) or ()
 
     fr_raw = col.expect_map(designs.get("fractions", {}), "designs.fractions",
                             ("full", "sub"), ("full", "sub"))
@@ -397,35 +329,30 @@ def parse_config(path: str) -> RunConfig:
         for ep_slug, ep in _ENDPOINTS.items():
             val = pm.get(ep_slug)
             pth = f"designs.fractions.{pop_slug}.{ep_slug}"
-            if not isinstance(val, list) or not all(
-                    _is_number(v) and 0 < v <= 1 for v in val):
-                col.fail(pth, f"expected a list of fractions in (0, 1], got {val!r}")
+            if not isinstance(val, list) or not all(map(_is_number, val)):
+                col.fail(pth, f"expected a list of fractions, got {val!r}")
                 continue
-            if any(b <= a for a, b in zip(val, val[1:])):
-                col.fail(pth, f"fractions must be strictly increasing, got {val!r}")
-            elif any(b - a < MIN_LOOK_GAP for a, b in zip(val, val[1:])):
-                col.fail(pth, f"consecutive fractions must be at least {MIN_LOOK_GAP:g} apart "
-                              f"for the boundaries to be solved, got {val!r}")
-            if len(val) != len(endpoint_analyses.get(ep, ())):
+            fractions[HypothesisId(pop, ep)] = col.check(
+                pth, tuple(float(v) for v in val), fraction_problem)
+            if len(val) != len(endpoint_analyses[ep]):
                 col.fail(pth, f"{len(val)} fractions but endpoint has "
-                              f"{len(endpoint_analyses.get(ep, ()))} planned analyses")
-            fractions[HypothesisId(pop, ep)] = tuple(float(v) for v in val)
+                              f"{len(endpoint_analyses[ep])} planned analyses")
 
     al_raw = col.expect_map(designs.get("alphas", {}), "designs.alphas",
                             ("gsd", "ggsd"), ("gsd", "ggsd"))
-    alphas = {
-        "gsd": _parse_alphas(col, al_raw.get("gsd", {}), "designs.alphas.gsd",
-                             alpha, per_population=False),
-        "ggsd": _parse_alphas(col, al_raw.get("ggsd", {}), "designs.alphas.ggsd",
-                              alpha, per_population=True),
-    }
+    alphas: Dict[str, Dict[HypothesisId, float]] = {}
+    for design, by_population in (("gsd", False), ("ggsd", True)):
+        path = f"designs.alphas.{design}"
+        m = col.expect_map(al_raw.get(design, {}), path,
+                           tuple(HYPOTHESIS_SLUGS), tuple(HYPOTHESIS_SLUGS))
+        alphas[design] = {h: col.number(m, path, slug) for slug, h in HYPOTHESIS_SLUGS.items()}
+        for suffix, reason in split_problems(alpha, alphas[design], by_population):
+            col.fail(path + suffix, reason)
 
     fut_raw = col.expect_map(designs.get("futility", {}), "designs.futility",
                              ("theta_full", "theta_sub"), ("theta_full", "theta_sub"))
-    thetas = {}
-    for key in ("theta_full", "theta_sub"):
-        thetas[key] = col.positive(fut_raw, "designs.futility", key,
-                                   what="a hazard-ratio threshold")
+    thetas = {key: col.number(fut_raw, "designs.futility", key, rule=POSITIVE)
+              for key in ("theta_full", "theta_sub")}
     futility = FutilityRule(**thetas) if all(thetas.values()) else None
 
     looks = {ep: len(v) for ep, v in endpoint_analyses.items()}
@@ -433,8 +360,8 @@ def parse_config(path: str) -> RunConfig:
 
     sim = col.expect_map(top.get("simulation", {}), "simulation",
                          ("reps", "seed"), ("reps", "seed"))
-    reps = col.number(sim, "simulation", "reps", default=2000, lo=1, integer=True)
-    seed = col.number(sim, "simulation", "seed", default=0, integer=True)
+    reps = col.number(sim, "simulation", "reps", rule=COUNT, integer=True)
+    seed = col.number(sim, "simulation", "seed", rule=SEED, integer=True)
 
     observed = None
     if "observed" in top:

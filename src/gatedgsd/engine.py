@@ -76,11 +76,13 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .boundaries import cached_boundaries
+from .boundaries import cached_boundaries, fraction_problem
 from .combine import Scenario, StageWeights, event_weights, normal_score
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
-from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population, hochberg_intersection
+from .multiplicity import (HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population,
+                           hochberg_intersection)
 from .numerics import norm_cdf
+from .rules import ALPHA, NONNEGATIVE, refuse, sum_problem
 from .simdata import AnalysisSnapshot, joint_slot, slot
 
 __all__ = [
@@ -121,6 +123,7 @@ _FS_OF = tuple(_FS_INDEX[h.endpoint] for h in HYPOTHESES)
 _IN_FULL = tuple(h.population is Population.FULL for h in HYPOTHESES)
 _SUB_MASK = sum(1 << i for i, full in enumerate(_IN_FULL) if not full)
 _HYPOTHESIS_MASK = (1 << len(HYPOTHESES)) - 1
+_SLUG = {h: slug for slug, h in HYPOTHESIS_SLUGS.items()}
 # The wiring: the populations that continue into stage 2 in each scenario
 # (None, GSD, keeps both).
 _CONTINUING: Dict[Optional[Scenario], Tuple[Population, ...]] = {
@@ -142,6 +145,34 @@ class MissingSlotError(ValueError):
     """A required snapshot or observed-data slot is absent."""
 
 
+def split_problems(alpha: Optional[float], alphas: Mapping[HypothesisId, Optional[float]],
+                   by_population: bool) -> List[Tuple[str, str]]:
+    """(path suffix, reason) for each way `alphas` fails to split `alpha`: a
+    share below 0 (".<slug>"), or shares not summing to `alpha`, in each
+    population if `by_population` (""). None, already refused, stops the sums."""
+    out = [(f".{_SLUG[h]}", r) for h, a in alphas.items() if (r := NONNEGATIVE(a))]
+    if out or alpha is None or None in alphas.values():
+        return out
+    for pop in (Population if by_population else (None,)):
+        reason = sum_problem([a for h, a in alphas.items() if pop in (None, h.population)], alpha)
+        if reason:
+            out.append(("", f"{pop.value}-population alphas {reason}" if pop else f"alphas {reason}"))
+    return out
+
+
+def schedule_problem(looks: Sequence[int]) -> Optional[str]:
+    """None if one endpoint's 0-based analysis indices are nonempty, among
+    ANALYSIS_NAMES and strictly increasing, else the reason (numbered from 1)."""
+    if not looks:
+        return "expected at least one analysis"
+    if not all(0 <= i < len(ANALYSIS_NAMES) for i in looks):
+        return (f"expected analyses numbered 1..{len(ANALYSIS_NAMES)} {ANALYSIS_NAMES}, "
+                f"got {[i + 1 for i in looks]}")
+    if any(b <= a for a, b in zip(looks, looks[1:])):
+        return f"analysis indices must be strictly increasing, got {[i + 1 for i in looks]}"
+    return None
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Everything pre-specified about one design arm."""
@@ -158,37 +189,22 @@ class DesignSpec:
     label: str = ""
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise DesignConfigError(f"alpha must lie in (0, 0.5): {self.alpha}")
-        missing = [h for h in HYPOTHESES if h not in self.initial_alphas]
-        if missing:
-            raise DesignConfigError(f"initial alphas missing for {missing}")
-        tol = 1e-9
-        if self.kind in (DesignKind.GSD, DesignKind.AD):
-            total = sum(self.initial_alphas.values())
-            if abs(total - self.alpha) > tol:
-                raise DesignConfigError(
-                    f"{self.kind.value}: initial alphas sum to {total}, expected {self.alpha}")
-        else:
-            for pop in Population:
-                total = sum(a for h, a in self.initial_alphas.items() if h.population is pop)
-                if abs(total - self.alpha) > tol:
-                    raise DesignConfigError(
-                        f"ggsd: {pop.value} alphas sum to {total}, expected {self.alpha}")
-        for ep, looks in self.endpoint_analyses.items():
-            if any(b <= a for a, b in zip(looks, looks[1:])):
-                raise DesignConfigError(
-                    f"{ep.value}: analysis schedule {looks} is not strictly increasing")
+        problems = [("alpha", ALPHA(self.alpha))]
+        problems += [(f"initial_alphas{suffix}", reason) for suffix, reason in split_problems(
+            self.alpha, self.initial_alphas, self.kind is DesignKind.GGSD)]
+        problems += [(f"endpoint_analyses.{ep.value}", reason)
+                     for ep, looks in self.endpoint_analyses.items()
+                     if (reason := schedule_problem(looks))]
         for h in HYPOTHESES:
-            fr = self.fractions.get(h)
-            looks = self.endpoint_analyses.get(h.endpoint)
-            if fr is None or looks is None:
-                raise DesignConfigError(f"fractions/analysis schedule missing for {h}")
+            fr, looks = self.fractions.get(h), self.endpoint_analyses.get(h.endpoint)
+            if fr is None or looks is None or h not in self.initial_alphas:
+                raise DesignConfigError(f"alphas, fractions or analysis schedule missing for {h}")
             if len(fr) != len(looks):
-                raise DesignConfigError(
-                    f"{h}: {len(fr)} fractions but {len(looks)} planned analyses")
-        if self.n_analyses > len(ANALYSIS_NAMES):
-            raise DesignConfigError(f"at most {len(ANALYSIS_NAMES)} analyses can be planned")
+                problems.append((str(h), f"{len(fr)} fractions but {len(looks)} planned analyses"))
+            reason = fraction_problem(tuple(fr))
+            if reason:
+                problems.append((f"fractions.{h.population.value}.{h.endpoint.value}", reason))
+        refuse(problems, DesignConfigError)
         if self.kind is not DesignKind.GSD and self.futility is None:
             raise DesignConfigError(f"{self.kind.value} requires a futility rule")
         if self.kind is not DesignKind.GSD and self.weights is not None:

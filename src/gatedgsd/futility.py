@@ -19,6 +19,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .numerics import norm_quantile
+from .rules import POSITIVE, refuse
 
 __all__ = ["FutilityRule", "Selection", "SelectionDecision", "calibrate_threshold",
            "select_population"]
@@ -43,8 +44,7 @@ class FutilityRule:
     theta_sub: float
 
     def __post_init__(self):
-        if self.theta_full <= 0 or self.theta_sub <= 0:
-            raise ValueError("thresholds must be positive")
+        refuse((("theta_full", POSITIVE(self.theta_full)), ("theta_sub", POSITIVE(self.theta_sub))))
 
 
 class Selection(Enum):

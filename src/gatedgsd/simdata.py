@@ -51,13 +51,14 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .combine import normal_score
 from .multiplicity import Endpoint, Population, hochberg_intersection
 from .numerics import find_root, norm_cdf
+from .rules import COUNT, DROPOUT, NONNEGATIVE, POSITIVE, SAMPLE_SIZE, UNIT, refuse
 
 __all__ = [
     "ScenarioSpec",
@@ -87,9 +88,48 @@ class AnalysisTrigger:
     events: int
 
 
+# The scenario's value rules, each with its field's path under `scenario:` in
+# a config: the scalars, then the per-endpoint maps (path + ".pfs" or ".os").
+SCENARIO_SCALARS = (("sample_size", SAMPLE_SIZE), ("sub_prevalence", UNIT),
+                    ("enroll_duration", POSITIVE), ("stage1_cutoff", NONNEGATIVE))
+SCENARIO_MAPS = (("median_sub", "medians.sub", POSITIVE),
+                 ("median_complement", "medians.complement", POSITIVE),
+                 ("hr_sub", "hazard_ratios.sub", POSITIVE),
+                 ("hr_complement", "hazard_ratios.complement", POSITIVE),
+                 ("annual_dropout", "annual_dropout", DROPOUT))
+
+
+def scenario_problems(fields: Mapping[str, object]) -> List[Tuple[str, str]]:
+    """(path under `scenario:`, reason) for each of `fields`, ScenarioSpec's
+    fields by name, that the tables above refuse, and each trigger whose event
+    count is below 1, below its endpoint's previous trigger or above the
+    sample size. None, a value or trigger already refused, is skipped."""
+    out = [(key, rule(fields.get(key))) for key, rule in SCENARIO_SCALARS]
+    out += [(f"{path}.{ep.value}", rule(v)) for key, path, rule in SCENARIO_MAPS
+            for ep, v in fields.get(key, {}).items()]
+    n = fields.get("sample_size")
+    n = None if SAMPLE_SIZE(n) else n
+    last: Dict[Endpoint, int] = {}  # each endpoint's previous event target
+    for i, tr in enumerate(fields.get("triggers", ())):
+        if tr is None:
+            continue
+        prev = last.get(tr.endpoint, 0)
+        reason = COUNT(tr.events)
+        if not reason and tr.events < prev:
+            reason = (f"expected at least {prev}, the previous {tr.endpoint.value} trigger, "
+                      f"got {tr.events}")
+        elif not reason and n is not None and tr.events > n:
+            reason = f"expected at most {n}, the sample size, got {tr.events}"  # one event each
+        elif not reason:
+            last[tr.endpoint] = tr.events
+        out.append((f"triggers[{i}].events", reason))
+    return [(path, reason) for path, reason in out if reason]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Simulation truth: enrollment, event-time, and scheduling parameters."""
+    """Simulation truth: enrollment, event-time, and scheduling parameters.
+    Raises ValueError for the values `scenario_problems` refuses."""
 
     name: str
     sample_size: int
@@ -104,21 +144,7 @@ class ScenarioSpec:
     triggers: Tuple[AnalysisTrigger, ...] = ()
 
     def __post_init__(self):
-        if not 0.0 < self.sub_prevalence <= 1.0:
-            raise ValueError("sub_prevalence must lie in (0, 1]")
-        if self.sample_size <= 0 or self.enroll_duration <= 0:
-            raise ValueError("sample size and enrollment duration must be positive")
-        for m in (self.median_sub, self.median_complement):
-            if any(v <= 0 for v in m.values()):
-                raise ValueError("medians must be positive")
-        if any(v <= 0 for v in list(self.hr_sub.values()) + list(self.hr_complement.values())):
-            raise ValueError("hazard ratios must be positive")
-        counts: Dict[Endpoint, int] = {}
-        for tr in self.triggers:
-            prev = counts.get(tr.endpoint, 0)
-            if tr.events < prev:
-                raise ValueError("analysis triggers must be nondecreasing per endpoint")
-            counts[tr.endpoint] = tr.events
+        refuse(scenario_problems(vars(self)))
 
     def under_global_null(self) -> "ScenarioSpec":
         """Copy with every hazard ratio forced to 1 (FWER runs)."""
@@ -167,12 +193,6 @@ class TrialData:
         return rows
 
 
-def _monthly_dropout_hazard(annual_rate: float) -> float:
-    if not 0.0 <= annual_rate < 1.0:
-        raise ValueError(f"annual dropout rate must lie in [0, 1): {annual_rate}")
-    return -math.log(1.0 - annual_rate) / 12.0 if annual_rate > 0 else 0.0
-
-
 def generate_trial(spec: ScenarioSpec, seed) -> TrialData:
     """Simulate one trial; deterministic given (spec, seed)."""
     rng = np.random.default_rng(seed)
@@ -188,7 +208,8 @@ def generate_trial(spec: ScenarioSpec, seed) -> TrialData:
         hr = (spec.hr_complement[ep], spec.hr_sub[ep])
         hazard = np.array([b * h for b, hr_b in zip(base, hr) for h in (1.0, hr_b)])
         trial.event_time[ep] = rng.exponential(1.0, size=n) / hazard[trial.group]
-        mu = _monthly_dropout_hazard(spec.annual_dropout.get(ep, 0.0))
+        rate = spec.annual_dropout.get(ep, 0.0)  # per year; mu is the monthly hazard
+        mu = -math.log(1.0 - rate) / 12.0 if rate > 0 else 0.0
         if mu > 0:
             trial.dropout_time[ep] = rng.exponential(1.0 / mu, size=n)
         else:

@@ -89,6 +89,14 @@ def test_simulate_seed_override_changes_outputs(tmp_path):
     assert (out1 / "power.csv").read_bytes() != (out2 / "power.csv").read_bytes()
 
 
+def test_negative_seed_override_refused(tmp_path, capsys):
+    # numpy refused it after the designs were built, naming no flag
+    assert run("simulate", "--config", CONFIG_DIR / "setting1.yaml",
+               "--reps", 2, "--seed", -5, "--out", tmp_path) == 1
+    assert "--seed: expected an integer >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "power.csv").exists()
+
+
 def test_threads_equivalent_to_serial(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("simulate", "--config", CONFIG_DIR / "setting1.yaml",

@@ -1,16 +1,22 @@
 """Configuration parsing and validation."""
 
+import copy
+import dataclasses
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedgsd import config
 from gatedgsd.config import ConfigError, build_designs, parse_config
 from gatedgsd.engine import DesignKind
 from gatedgsd.multiplicity import H_S_OS, Endpoint
-from gatedgsd.simdata import generate_trial
+from gatedgsd.rules import ALPHA, POSITIVE
+from gatedgsd.simdata import SCENARIO_MAPS, SCENARIO_SCALARS, generate_trial
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
 SETTINGS = ["setting1.yaml", "setting2.yaml", "setting3.yaml", "table5_example.yaml"]
@@ -323,6 +329,24 @@ UNUSABLE_CASES = {
                     r"weights\[1\]\.pfs\[0\]: expected \[w1_squared, w2_squared\], got \[10{400}, "),
     "huge_negative_sample_size": ("setting2.yaml", ("scenario", "sample_size"), -10**400,
                                   r"scenario\.sample_size: expected a number, got -10{400}$"),
+    # an empty schedule: the errors named the fractions and weights it left
+    # misaligned, but not the schedule
+    "empty_schedule": ("setting2.yaml", ("designs", "endpoint_analyses", "pfs"), [],
+                       r"designs\.endpoint_analyses\.pfs: expected at least one analysis"),
+    # squared weights outside [0, 1]: reported as a math domain error, or by
+    # weights computed from the first square alone
+    "negative_first_square": ("setting2.yaml", ("weights", 1, "pfs", 0), [-0.1, 1.1],
+                              r"weights\[1\]\.pfs\[0\]: squared weights \(-0\.1, 1\.1\): "
+                              r"expected a number in \[0, 1\], got -0\.1"),
+    "negative_second_square": ("setting2.yaml", ("weights", 1, "pfs", 0), [1.1, -0.1],
+                               r"weights\[1\]\.pfs\[0\]: squared weights \(1\.1, -0\.1\): "
+                               r"expected a number in \[0, 1\], got 1\.1"),
+    # a list where an endpoint name belongs: it raised TypeError (unhashable)
+    "list_trigger_endpoint": ("setting2.yaml", ("scenario", "triggers", 0, "endpoint"), ["pfs"],
+                              r"scenario\.triggers\[0\]\.endpoint: expected pfs\|os, got \['pfs'\]"),
+    # a negative seed: numpy refused it when `simulate` ran, naming no field
+    "negative_seed": ("setting2.yaml", ("simulation", "seed"), -1,
+                      r"simulation\.seed: expected an integer >= 0, got -1"),
 }
 
 
@@ -345,6 +369,21 @@ def test_sample_size_reported_with_other_scenario_errors(tmp_path):
         parse_config(write(tmp_path, doc))
     assert err.value.errors == ["scenario.sample_size: expected an integer, got 1.5",
                                 "scenario.medians.sub.pfs: expected a number > 0, got -4"]
+
+
+def test_empty_schedule_rejected_with_its_path(tmp_path):
+    # With its fractions and weights emptied too, the file parsed and
+    # `build_designs` failed on `max()` of an empty sequence.
+    doc = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    doc["designs"]["endpoint_analyses"]["pfs"] = []
+    for pop in ("full", "sub"):
+        doc["designs"]["fractions"][pop]["pfs"] = []
+    for weights in doc["weights"]:
+        if "pfs" in weights:
+            weights["pfs"] = []
+    with pytest.raises(ConfigError, match=r"designs\.endpoint_analyses\.pfs: expected at least "
+                                          r"one analysis"):
+        parse_config(write(tmp_path, doc))
 
 
 def test_trigger_at_sample_size_accepted(tmp_path):
@@ -407,3 +446,79 @@ def test_gated_replay_needs_both_observed_hrs(tmp_path, key):
     del doc["observed"]["p_values"]["ggsd"]
     observed = parse_config(write(tmp_path, doc)).observed
     assert set(observed) == {"gsd"} and getattr(observed["gsd"], key) is None
+
+
+# -- every interval rule, at and across its bounds ------------------------------
+
+
+def _scaled(alphas, scale):
+    return {key: a * scale for key, a in alphas.items()}
+
+
+def _ruled_fields():
+    """(field path, rule, edit, build) for each field of setting2 that an
+    interval rule checks: `edit(doc, v)` puts v in the config file, and
+    `build(cfg, v)` constructs what the field configures, with v in place of
+    cfg's value, as a direct caller would."""
+    fields = [(f"scenario.{key}", rule, None,
+               lambda cfg, v, key=key: dataclasses.replace(cfg.scenario, **{key: v}))
+              for key, rule in SCENARIO_SCALARS]
+    fields += [(f"scenario.{path}.{ep.value}", rule, None,
+                lambda cfg, v, key=key, ep=ep: dataclasses.replace(
+                    cfg.scenario, **{key: {**getattr(cfg.scenario, key), ep: v}}))
+               for key, path, rule in SCENARIO_MAPS for ep in Endpoint]
+    fields += [(f"designs.futility.{key}", POSITIVE, None,
+                lambda cfg, v, key=key: dataclasses.replace(cfg.futility, **{key: v}))
+               for key in ("theta_full", "theta_sub")]
+
+    def edit_alpha(doc, v):  # the per-hypothesis alphas keep summing to it
+        for block in doc["designs"]["alphas"].values():
+            block.update(_scaled(block, v / doc["alpha"]))
+        doc["alpha"] = v
+
+    def build_alpha(cfg, v):
+        return [dataclasses.replace(arm, alpha=v, initial_alphas=_scaled(
+            arm.initial_alphas, v / cfg.alpha)) for arm in build_designs(cfg)]
+
+    return fields + [("config.alpha", ALPHA, edit_alpha, build_alpha)]
+
+
+RULED_FIELDS = _ruled_fields()
+SETTING2 = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+
+
+def _edge_values(rule):
+    """Each finite bound of `rule`, one ulp either side, and values inside."""
+    ends = (rule.lo,) if rule.hi == math.inf else (rule.lo, rule.hi)
+    inside = ((rule.lo + 1, rule.lo + 1000) if rule.hi == math.inf
+              else ((rule.lo + rule.hi) / 2, rule.lo + (rule.hi - rule.lo) / 10))
+    return [x for e in ends
+            for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))] + list(inside)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(field=st.sampled_from(RULED_FIELDS), data=st.data())
+def test_parse_and_constructors_apply_the_same_rules(field, data):
+    path, rule, edit, build = field
+    value = data.draw(st.sampled_from(_edge_values(rule)))
+    doc = copy.deepcopy(SETTING2)
+    if edit:
+        edit(doc, value)
+    else:
+        _put(doc, path.split("."), value)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "cfg.yaml"
+        p.write_text(yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)))
+        try:
+            parse_config(p)
+            parsed = None
+        except ConfigError as exc:
+            parsed = exc.errors
+    try:
+        build(parse_config(CONFIG_DIR / "setting2.yaml"), value)
+        built = None
+    except ValueError as exc:
+        built = str(exc)
+    assert (parsed is None) == (built is None), (path, value, parsed, built)
+    if rule(value):
+        assert any(e.startswith(f"{path}: ") for e in parsed), (path, value, parsed)

@@ -282,6 +282,12 @@ def test_design_spec_validation(designs2):
     with pytest.raises(DesignConfigError, match="strictly increasing"):
         dataclasses.replace(good, endpoint_analyses={Endpoint.PFS: (1, 0),
                                                      Endpoint.OS: (0, 1, 2)})
+    # an empty schedule, and fractions that are not increasing: both were
+    # built, and failed later with no field name
+    with pytest.raises(DesignConfigError, match=r"endpoint_analyses\.pfs: expected at least one"):
+        dataclasses.replace(good, endpoint_analyses={Endpoint.PFS: (), Endpoint.OS: (0, 1, 2)})
+    with pytest.raises(DesignConfigError, match=r"fractions\.full\.os: fractions must be strictly"):
+        dataclasses.replace(good, fractions={**good.fractions, H_F_OS: (0.6, 0.5, 1.0)})
     # an AD arm needs a weight table per endpoint; None means event-driven
     ad = designs2["ad:0.5"]
     with pytest.raises(DesignConfigError, match="weight table missing or misaligned"):

@@ -93,7 +93,9 @@ def test_schedule_monotone_and_meets_targets():
 
 
 def test_unreachable_trigger_raises():
-    spec = toy_spec(triggers=(AnalysisTrigger(Endpoint.PFS, 100_000),))
+    # ScenarioSpec refuses a trigger above the sample size; one at it passes,
+    # and dropout leaves this trial short of it.
+    spec = toy_spec(triggers=(AnalysisTrigger(Endpoint.PFS, 400),))
     trial = generate_trial(spec, (5, 2))
     with pytest.raises(SchedulingError):
         schedule_analyses(trial, spec)
