@@ -45,8 +45,9 @@ class StageWeights:
 
     @classmethod
     def from_squares(cls, v1: float, v2: float) -> "StageWeights":
-        """Weights from their squares, each in [0, 1] and summing to 1. The
-        second weight is taken as sqrt(1 - v1)."""
+        """Weights from their squares, each in [0, 1] and summing to 1. w2 is
+        sqrt(1 - v1): for pairs like (0.7, 0.3) it differs from sqrt(v2) in
+        the last bit, and the committed runs were made with it."""
         reason = SQUARE(v1) or SQUARE(v2) or sum_problem((v1, v2), 1)
         if reason:
             raise ValueError(f"squared weights ({v1:g}, {v2:g}): {reason}")
