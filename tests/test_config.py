@@ -485,6 +485,7 @@ def _ruled_fields():
 
 RULED_FIELDS = _ruled_fields()
 SETTING2 = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+SETTING2_CONFIG = parse_config(CONFIG_DIR / "setting2.yaml")
 
 
 def _edge_values(rule):
@@ -515,7 +516,7 @@ def test_parse_and_constructors_apply_the_same_rules(field, data):
         except ConfigError as exc:
             parsed = exc.errors
     try:
-        build(parse_config(CONFIG_DIR / "setting2.yaml"), value)
+        build(SETTING2_CONFIG, value)
         built = None
     except ValueError as exc:
         built = str(exc)
