@@ -26,7 +26,7 @@ from .engine import analyze_observed, render_narrative
 from .futility import calibrate_threshold
 from .harness import (atomic_write_text, rows_to_csv, run_monte_carlo, simulation_tables,
                       write_manifest, write_tables)
-from .rules import SEED, refuse
+from .rules import COUNT, SEED, refuse
 from .simdata import generate_trial
 
 __all__ = ["main"]
@@ -88,8 +88,8 @@ def cmd_thresholds(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     seed = args.seed if args.seed is not None else config.seed
-    refuse((("--seed", SEED(seed)),))
     reps = args.reps if args.reps is not None else config.reps
+    refuse((("--seed", SEED(seed)), ("--reps", COUNT(reps)), ("--threads", COUNT(args.threads))))
     out_dir = args.out or "."
     designs = build_designs(config)
 

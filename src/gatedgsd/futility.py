@@ -19,7 +19,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .numerics import norm_quantile
-from .rules import POSITIVE, refuse
+from .rules import GATE_EVENTS, POSITIVE, PROBABILITY, refuse
 
 __all__ = ["FutilityRule", "Selection", "SelectionDecision", "calibrate_threshold",
            "select_population"]
@@ -27,12 +27,8 @@ __all__ = ["FutilityRule", "Selection", "SelectionDecision", "calibrate_threshol
 
 def calibrate_threshold(true_hr: float, events: int, gamma: float) -> float:
     """Hazard-ratio threshold with P(HR_hat > theta | true_hr) = gamma."""
-    if true_hr <= 0:
-        raise ValueError("true_hr must be positive")
-    if events < 4:
-        raise ValueError(f"need at least 4 events for the variance model, got {events}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    refuse((("true_hr", POSITIVE(true_hr)), ("events", GATE_EVENTS(events)),
+            ("gamma", PROBABILITY(gamma))))
     return true_hr * math.exp(norm_quantile(1.0 - gamma) * 2.0 / math.sqrt(events))
 
 

@@ -30,6 +30,7 @@ from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec
 # engine per arm.
 from .engine import decide_design as run_design
 from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population
+from .rules import COUNT, refuse
 from .simdata import (AnalysisSnapshot, ScenarioSpec, generate_trial, schedule_analyses,
                       snapshot_at)
 
@@ -197,8 +198,7 @@ def run_monte_carlo(setting: ScenarioSpec, designs: Sequence[DesignSpec],
     r draws from the dedicated substream seeded by (seed, r), so the result
     does not depend on how replications are partitioned across workers.
     """
-    if n_rep < 1:
-        raise ValueError("n_rep must be >= 1")
+    refuse((("n_rep", COUNT(n_rep)),))
     labels = [d.label for d in designs]
     if len(set(labels)) != len(labels):
         raise ValueError(f"design labels must be unique: {labels}")

@@ -39,8 +39,10 @@ SQUARE = Interval(0, 1)  # a squared combination weight
 DROPOUT = Interval(0, 1, hi_open=True, noun="a rate")  # a rate of 1 loses everyone at once
 ALPHA = Interval(0, 0.5, lo_open=True, hi_open=True)  # a total alpha `ldobf_spend` can spend
 SAMPLE_SIZE = Interval(2, integer=True)  # a patient for each arm
-COUNT = Interval(1, integer=True)  # replications, an event trigger
+COUNT = Interval(1, integer=True)  # replications, worker processes, an event trigger
 SEED = Interval(0, integer=True)  # what numpy's generators take
+PROBABILITY = Interval(0, 1, lo_open=True, hi_open=True)  # a futility gate's miss rate
+GATE_EVENTS = Interval(4, integer=True)  # the fewest the gate's variance model takes
 
 
 def sum_problem(values: Sequence[float], total: float) -> Optional[str]:

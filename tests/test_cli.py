@@ -89,11 +89,19 @@ def test_simulate_seed_override_changes_outputs(tmp_path):
     assert (out1 / "power.csv").read_bytes() != (out2 / "power.csv").read_bytes()
 
 
-def test_negative_seed_override_refused(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, reason", [
     # numpy refused it after the designs were built, naming no flag
-    assert run("simulate", "--config", CONFIG_DIR / "setting1.yaml",
-               "--reps", 2, "--seed", -5, "--out", tmp_path) == 1
-    assert "--seed: expected an integer >= 0, got -5" in capsys.readouterr().err
+    ("--seed", -5, "expected an integer >= 0, got -5"),
+    # the harness refused it as `n_rep`
+    ("--reps", 0, "expected an integer >= 1, got 0"),
+    # ran serially without a word
+    ("--threads", -3, "expected an integer >= 1, got -3"),
+])
+def test_bad_simulate_override_refused(tmp_path, capsys, flag, value, reason):
+    argv = {"--reps": 2, flag: value}
+    assert run("simulate", "--config", CONFIG_DIR / "setting1.yaml", "--out", tmp_path,
+               *[a for item in argv.items() for a in item]) == 1
+    assert f"{flag}: {reason}" in capsys.readouterr().err
     assert not (tmp_path / "power.csv").exists()
 
 
