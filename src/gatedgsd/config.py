@@ -28,7 +28,8 @@ from .engine import (ANALYSIS_NAMES, DesignKind, DesignSpec, ObservedData, sched
 from .futility import FutilityRule
 from .multiplicity import HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population
 from .rules import ALPHA, COUNT, POSITIVE, SEED, UNIT
-from .simdata import SCENARIO_SCALARS, AnalysisTrigger, ScenarioSpec, scenario_problems
+from .simdata import (SCENARIO_MAPS, SCENARIO_SCALARS, AnalysisTrigger, ScenarioSpec,
+                      scenario_problems)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_designs"]
 
@@ -83,14 +84,15 @@ class _Collector:
         self.errors.append(f"{path}: {message}")
 
     def expect_map(self, raw, path: str, allowed: Tuple[str, ...],
-                   required: Tuple[str, ...] = ()) -> dict:
+                   required: Optional[Tuple[str, ...]] = None) -> dict:
+        """`raw` as a mapping ({} if not one); `required` defaults to all of `allowed`."""
         if not isinstance(raw, dict):
             self.fail(path, f"expected a mapping, got {type(raw).__name__}")
             return {}
         for key in raw:
             if key not in allowed:
                 self.fail(f"{path}.{key}", "unknown key")
-        for key in required:
+        for key in allowed if required is None else required:
             if key not in raw:
                 self.fail(f"{path}.{key}", "missing required key")
         return raw
@@ -120,33 +122,28 @@ class _Collector:
 
 
 def _endpoint_map(col: _Collector, raw, path: str) -> Dict[Endpoint, Optional[float]]:
-    m = col.expect_map(raw, path, ("pfs", "os"), ("pfs", "os"))
+    m = col.expect_map(raw, path, tuple(_ENDPOINTS))
     return {ep: col.number(m, path, slug) for slug, ep in _ENDPOINTS.items()}
 
 
 def _parse_scenario(col: _Collector, raw, name: str,
-                    n_analyses: int) -> Optional[ScenarioSpec]:
-    m = col.expect_map(
-        raw, "scenario",
-        ("sample_size", "sub_prevalence", "enroll_duration", "stage1_cutoff",
-         "medians", "hazard_ratios", "annual_dropout", "triggers"),
-        ("sample_size", "sub_prevalence", "enroll_duration", "stage1_cutoff",
-         "medians", "hazard_ratios", "annual_dropout", "triggers"))
+                    n_analyses: Optional[int]) -> Optional[ScenarioSpec]:
+    tables: Dict[str, Tuple[str, ...]] = {}  # each map's table, with its populations if any
+    for _, path, _ in SCENARIO_MAPS:
+        table, *pop = path.split(".")
+        tables[table] = tables.get(table, ()) + tuple(pop)
+    m = col.expect_map(raw, "scenario", tuple(key for key, _ in SCENARIO_SCALARS)
+                       + tuple(tables) + ("triggers",))
     if not m:
         return None
-    med = col.expect_map(m.get("medians", {}), "scenario.medians",
-                         ("sub", "complement"), ("sub", "complement"))
-    hrs = col.expect_map(m.get("hazard_ratios", {}), "scenario.hazard_ratios",
-                         ("sub", "complement"), ("sub", "complement"))
     fields = {key: col.number(m, "scenario", key, integer=rule.integer)
               for key, rule in SCENARIO_SCALARS}
-    (fields["median_sub"], fields["median_complement"], fields["hr_sub"],
-     fields["hr_complement"]) = (
-        _endpoint_map(col, table.get(pop, {}), f"scenario.{key}.{pop}")
-        for key, table in (("medians", med), ("hazard_ratios", hrs))
-        for pop in ("sub", "complement"))
-    fields["annual_dropout"] = _endpoint_map(col, m.get("annual_dropout", {}),
-                                             "scenario.annual_dropout")
+    by_pop = {table: col.expect_map(m.get(table, {}), f"scenario.{table}", pops)
+              for table, pops in tables.items() if pops}
+    for key, path, _ in SCENARIO_MAPS:
+        table, _, pop = path.partition(".")
+        raw_map = by_pop[table].get(pop, {}) if pop else m.get(table, {})
+        fields[key] = _endpoint_map(col, raw_map, f"scenario.{path}")
     triggers = []
     raw_triggers = m.get("triggers", [])
     if not isinstance(raw_triggers, list) or not raw_triggers:
@@ -156,8 +153,7 @@ def _parse_scenario(col: _Collector, raw, name: str,
         col.fail("scenario.triggers", f"{len(raw_triggers)} triggers for {n_analyses} "
                                       "planned analyses (designs.endpoint_analyses)")
     for i, t in enumerate(raw_triggers):
-        tm = col.expect_map(t, f"scenario.triggers[{i}]",
-                            ("endpoint", "events"), ("endpoint", "events"))
+        tm = col.expect_map(t, f"scenario.triggers[{i}]", ("endpoint", "events"))
         ep = tm.get("endpoint")
         endpoint = _ENDPOINTS.get(ep) if isinstance(ep, str) else None
         events = col.number(tm, f"scenario.triggers[{i}]", "events", integer=True)
@@ -172,9 +168,11 @@ def _parse_scenario(col: _Collector, raw, name: str,
 
 
 def _parse_weight_pairs(col: _Collector, raw, path: str,
-                        n_looks: int) -> Tuple[StageWeights, ...]:
-    if not isinstance(raw, list) or len(raw) != n_looks:
-        col.fail(path, f"expected a list of {n_looks} (w1^2, w2^2) pairs")
+                        looks: Optional[Tuple[int, ...]]) -> Tuple[StageWeights, ...]:
+    """One endpoint's pairs, one per look; any number if the schedule was refused."""
+    if not isinstance(raw, list) or (looks is not None and len(raw) != len(looks)):
+        count = "" if looks is None else f"{len(looks)} "
+        col.fail(path, f"expected a list of {count}(w1^2, w2^2) pairs")
         return ()
     out = []
     for i, pair in enumerate(raw):
@@ -188,7 +186,8 @@ def _parse_weight_pairs(col: _Collector, raw, path: str,
     return tuple(out)
 
 
-def _parse_weights(col: _Collector, raw, looks: Dict[Endpoint, int]) -> Dict[str, Optional[dict]]:
+def _parse_weights(col: _Collector, raw,
+                   looks: Dict[Endpoint, Optional[tuple]]) -> Dict[str, Optional[dict]]:
     if not isinstance(raw, list) or not raw:
         col.fail("weights", "expected a nonempty list of weight sets")
         return {}
@@ -225,7 +224,7 @@ def _analysis_index(col: _Collector, key, path: str) -> Optional[int]:
     return None
 
 
-def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tuple[int, ...]],
+def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Optional[tuple]],
                     n_weight_sets: int) -> Dict[str, ObservedData]:
     m = col.expect_map(raw, "observed", ("hr_full", "hr_sub", "p_values"), ("p_values",))
     pv = m.get("p_values", {})
@@ -244,7 +243,7 @@ def _parse_observed(col: _Collector, raw, endpoint_analyses: Dict[Endpoint, Tupl
                      f"{n_weight_sets} weight sets make {n_weight_sets} {design_slug} arms; "
                      f"observed values can be replayed only with one weight set")
         dmap = col.expect_map(slots, f"observed.p_values.{design_slug}",
-                              tuple(HYPOTHESIS_SLUGS))
+                              tuple(HYPOTHESIS_SLUGS), ())
         p_values: Dict[HypothesisId, Dict[int, float]] = {}
         for slug, h in HYPOTHESIS_SLUGS.items():
             if slug not in dmap:
@@ -301,31 +300,28 @@ def parse_config(path: str) -> RunConfig:
         name = "unnamed"
     alpha = col.number(top, "config", "alpha", rule=ALPHA)
 
-    designs = col.expect_map(
-        top.get("designs", {}), "designs",
-        ("endpoint_analyses", "fractions", "alphas", "futility"),
-        ("endpoint_analyses", "fractions", "alphas", "futility"))
+    designs = col.expect_map(top.get("designs", {}), "designs",
+                             ("endpoint_analyses", "fractions", "alphas", "futility"))
 
-    ea_raw = col.expect_map(designs.get("endpoint_analyses", {}),
-                            "designs.endpoint_analyses", ("pfs", "os"), ("pfs", "os"))
-    endpoint_analyses: Dict[Endpoint, Tuple[int, ...]] = {}
+    # an endpoint's schedule, or None where it is refused: nothing is counted against it
+    ea_raw = col.expect_map(designs.get("endpoint_analyses", {}), "designs.endpoint_analyses",
+                            tuple(_ENDPOINTS))
+    endpoint_analyses: Dict[Endpoint, Optional[Tuple[int, ...]]] = {}
     for slug, ep in _ENDPOINTS.items():
         val = ea_raw.get(slug)
         pth = f"designs.endpoint_analyses.{slug}"
         if not isinstance(val, list) or not all(_is_number(v, integer=True) for v in val):
             col.fail(pth, f"expected a list of analysis numbers (1 = {ANALYSIS_NAMES[0]}), "
                           f"got {val!r}")
-            endpoint_analyses[ep] = ()
+            endpoint_analyses[ep] = None
         else:
-            endpoint_analyses[ep] = col.check(pth, tuple(v - 1 for v in val),
-                                              schedule_problem) or ()
+            endpoint_analyses[ep] = col.check(pth, tuple(v - 1 for v in val), schedule_problem)
 
-    fr_raw = col.expect_map(designs.get("fractions", {}), "designs.fractions",
-                            ("full", "sub"), ("full", "sub"))
+    fr_raw = col.expect_map(designs.get("fractions", {}), "designs.fractions", ("full", "sub"))
     fractions: Dict[HypothesisId, Tuple[float, ...]] = {}
     for pop_slug, pop in (("full", Population.FULL), ("sub", Population.SUB)):
         pm = col.expect_map(fr_raw.get(pop_slug, {}), f"designs.fractions.{pop_slug}",
-                            ("pfs", "os"), ("pfs", "os"))
+                            tuple(_ENDPOINTS))
         for ep_slug, ep in _ENDPOINTS.items():
             val = pm.get(ep_slug)
             pth = f"designs.fractions.{pop_slug}.{ep_slug}"
@@ -334,32 +330,29 @@ def parse_config(path: str) -> RunConfig:
                 continue
             fractions[HypothesisId(pop, ep)] = col.check(
                 pth, tuple(float(v) for v in val), fraction_problem)
-            if len(val) != len(endpoint_analyses[ep]):
-                col.fail(pth, f"{len(val)} fractions but endpoint has "
-                              f"{len(endpoint_analyses[ep])} planned analyses")
+            looks = endpoint_analyses[ep]
+            if looks is not None and len(val) != len(looks):
+                col.fail(pth, f"{len(val)} fractions but endpoint has {len(looks)} "
+                              "planned analyses")
 
-    al_raw = col.expect_map(designs.get("alphas", {}), "designs.alphas",
-                            ("gsd", "ggsd"), ("gsd", "ggsd"))
+    al_raw = col.expect_map(designs.get("alphas", {}), "designs.alphas", ("gsd", "ggsd"))
     alphas: Dict[str, Dict[HypothesisId, float]] = {}
     for design, by_population in (("gsd", False), ("ggsd", True)):
         path = f"designs.alphas.{design}"
-        m = col.expect_map(al_raw.get(design, {}), path,
-                           tuple(HYPOTHESIS_SLUGS), tuple(HYPOTHESIS_SLUGS))
+        m = col.expect_map(al_raw.get(design, {}), path, tuple(HYPOTHESIS_SLUGS))
         alphas[design] = {h: col.number(m, path, slug) for slug, h in HYPOTHESIS_SLUGS.items()}
         for suffix, reason in split_problems(alpha, alphas[design], by_population):
             col.fail(path + suffix, reason)
 
     fut_raw = col.expect_map(designs.get("futility", {}), "designs.futility",
-                             ("theta_full", "theta_sub"), ("theta_full", "theta_sub"))
+                             ("theta_full", "theta_sub"))
     thetas = {key: col.number(fut_raw, "designs.futility", key, rule=POSITIVE)
               for key in ("theta_full", "theta_sub")}
     futility = FutilityRule(**thetas) if all(thetas.values()) else None
 
-    looks = {ep: len(v) for ep, v in endpoint_analyses.items()}
-    weight_sets = _parse_weights(col, top.get("weights"), looks)
+    weight_sets = _parse_weights(col, top.get("weights"), endpoint_analyses)
 
-    sim = col.expect_map(top.get("simulation", {}), "simulation",
-                         ("reps", "seed"), ("reps", "seed"))
+    sim = col.expect_map(top.get("simulation", {}), "simulation", ("reps", "seed"))
     reps = col.number(sim, "simulation", "reps", rule=COUNT, integer=True)
     seed = col.number(sim, "simulation", "seed", rule=SEED, integer=True)
 
@@ -367,7 +360,8 @@ def parse_config(path: str) -> RunConfig:
     if "observed" in top:
         observed = _parse_observed(col, top["observed"], endpoint_analyses, len(weight_sets))
 
-    n_analyses = 1 + max((max(v) for v in endpoint_analyses.values() if v), default=-1)
+    n_analyses = None if None in endpoint_analyses.values() else (
+        1 + max(max(v) for v in endpoint_analyses.values()))
     scenario = _parse_scenario(col, top.get("scenario", {}), name, n_analyses)
     if col.errors:
         raise ConfigError(col.errors)

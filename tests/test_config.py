@@ -384,6 +384,14 @@ def test_empty_schedule_rejected_with_its_path(tmp_path):
     with pytest.raises(ConfigError, match=r"designs\.endpoint_analyses\.pfs: expected at least "
                                           r"one analysis"):
         parse_config(write(tmp_path, doc))
+    # A refused schedule is reported alone: the fraction, weight-table and
+    # trigger counts are not checked against it (each used to add 9 errors).
+    for looks in ([], [2, 1], [1, 2, 5]):
+        doc = copy.deepcopy(SETTING2)
+        doc["designs"]["endpoint_analyses"]["pfs"] = looks
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, doc))
+        assert [e.split(":")[0] for e in err.value.errors] == ["designs.endpoint_analyses.pfs"]
 
 
 def test_trigger_at_sample_size_accepted(tmp_path):
