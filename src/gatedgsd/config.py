@@ -162,7 +162,7 @@ def _parse_scenario(col: _Collector, raw, name: str,
         ok = endpoint is not None and events is not None
         triggers.append(AnalysisTrigger(endpoint, events) if ok else None)
     fields["triggers"] = tuple(triggers)
-    for path, reason in scenario_problems(fields):
+    for path, reason in scenario_problems(fields, skip_none=True):
         col.fail(f"scenario.{path}", reason)
     return None if col.errors else ScenarioSpec(name=name, **fields)
 
@@ -341,7 +341,8 @@ def parse_config(path: str) -> RunConfig:
         path = f"designs.alphas.{design}"
         m = col.expect_map(al_raw.get(design, {}), path, tuple(HYPOTHESIS_SLUGS))
         alphas[design] = {h: col.number(m, path, slug) for slug, h in HYPOTHESIS_SLUGS.items()}
-        for suffix, reason in split_problems(alpha, alphas[design], by_population):
+        for suffix, reason in split_problems(alpha, alphas[design], by_population,
+                                             skip_none=True):
             col.fail(path + suffix, reason)
 
     fut_raw = col.expect_map(designs.get("futility", {}), "designs.futility",

@@ -77,7 +77,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .boundaries import cached_boundaries, fraction_problem
-from .combine import Scenario, StageWeights, event_weights, normal_score
+from .combine import Scenario, StageWeights, normal_score
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import (HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population,
                            hochberg_intersection)
@@ -146,11 +146,12 @@ class MissingSlotError(ValueError):
 
 
 def split_problems(alpha: Optional[float], alphas: Mapping[HypothesisId, Optional[float]],
-                   by_population: bool) -> List[Tuple[str, str]]:
+                   by_population: bool, skip_none: bool = False) -> List[Tuple[str, str]]:
     """(path suffix, reason) for each way `alphas` fails to split `alpha`: a
-    share below 0 (".<slug>"), or shares not summing to `alpha`, in each
-    population if `by_population` (""). None, already refused, stops the sums."""
-    out = [(f".{_SLUG[h]}", r) for h, a in alphas.items() if (r := NONNEGATIVE(a))]
+    share below 0 or None (".<slug>"), or shares not summing to `alpha`, in
+    each population if `by_population` (""). A None stops the sums; with
+    `skip_none` (a value already refused) it is not reported."""
+    out = [(f".{_SLUG[h]}", r) for h, a in alphas.items() if (r := NONNEGATIVE(a, skip_none))]
     if out or alpha is None or None in alphas.values():
         return out
     for pop in (Population if by_population else (None,)):
@@ -611,10 +612,6 @@ def _render_tests(dec: Decision, mask: int, k: int,
     return tests
 
 
-def _event_driven_weights(n1: int, n2: int) -> StageWeights:
-    return event_weights(n1, n2) if n1 + n2 else StageWeights(1.0, 0.0)
-
-
 def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot]) -> float:
     """GSD: pooled logrank z. AD/gGSD: inverse-normal combination of the
     snapshot's normal scores, wired per continuation scenario. Each load
@@ -631,10 +628,13 @@ def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot])
                     first.append(i)
                 z[i].append((look, stats[j][0]))
             continue
-        if w is None:
+        if w is None:  # `combine.event_weights`' arithmetic; (1, 0) without events
             stats = snap.block(e, False)
-            w = _event_driven_weights(stats[n1][2], stats[n2][2])
-        w1, w2 = w.w1, w.w2
+            d1, d2 = stats[n1][2], stats[n2][2]
+            total = d1 + d2
+            w1, w2 = (math.sqrt(d1 / total), math.sqrt(d2 / total)) if total else (1.0, 0.0)
+        else:
+            w1, w2 = w.w1, w.w2
         scores = snap.endpoint_scores(e)
         for i, j1, j2 in reads:
             (q1, clamped1), (q2, clamped2) = scores[j1], scores[j2]

@@ -53,8 +53,8 @@ def true_null_hypotheses(setting: ScenarioSpec) -> Tuple[HypothesisId, ...]:
     """Hypotheses whose configured hazard ratios make them true nulls."""
     nulls = []
     for h in HYPOTHESES:
-        hr_s = setting.hr_sub.get(h.endpoint, 1.0)
-        hr_c = setting.hr_complement.get(h.endpoint, 1.0)
+        hr_s = setting.hr_sub[h.endpoint]
+        hr_c = setting.hr_complement[h.endpoint]
         is_null = hr_s == 1.0 if h.population is Population.SUB else (
             hr_s == 1.0 and hr_c == 1.0)
         if is_null:

@@ -1,9 +1,10 @@
 """Value rules: each interval a configured number must lie in, written once.
 
 A rule returns None for a value it accepts, else the reason, worded to follow
-the value's field path ("expected a number in (0, 1], got 0"). It passes None,
-a value whose type was already refused, so `parse_config` reports every reason
-in one pass; the constructors raise the same reasons through `refuse`.
+the value's field path ("expected a number in (0, 1], got 0"). It refuses None
+unless told to skip it: `parse_config` passes None for a value whose type it
+has already refused, so it reports every reason in one pass. The constructors
+raise the same reasons through `refuse`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ class Interval:
                 f"in {'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}")
         self.expected = f"expected {noun or ('an integer' if integer else 'a number')} {span}"
 
-    def __call__(self, v) -> Optional[str]:
-        if v is None or ((self.lo < v if self.lo_open else self.lo <= v)
-                         and (v < self.hi if self.hi_open else v <= self.hi)
-                         and not (self.integer and v % 1)):
+    def __call__(self, v, skip_none: bool = False) -> Optional[str]:
+        if v is None:
+            return None if skip_none else f"{self.expected}, got None"
+        if ((self.lo < v if self.lo_open else self.lo <= v)
+                and (v < self.hi if self.hi_open else v <= self.hi)
+                and not (self.integer and v % 1)):
             return None
         return f"{self.expected}, got {v:g}"
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -99,19 +99,24 @@ SCENARIO_MAPS = (("median_sub", "medians.sub", POSITIVE),
                  ("annual_dropout", "annual_dropout", DROPOUT))
 
 
-def scenario_problems(fields: Mapping[str, object]) -> List[Tuple[str, str]]:
+def scenario_problems(fields: Mapping[str, object], skip_none: bool = False) -> List[Tuple[str, str]]:
     """(path under `scenario:`, reason) for each of `fields`, ScenarioSpec's
-    fields by name, that the tables above refuse, and each trigger whose event
-    count is below 1, below its endpoint's previous trigger or above the
-    sample size. None, a value or trigger already refused, is skipped."""
-    out = [(key, rule(fields.get(key))) for key, rule in SCENARIO_SCALARS]
-    out += [(f"{path}.{ep.value}", rule(v)) for key, path, rule in SCENARIO_MAPS
-            for ep, v in fields.get(key, {}).items()]
+    fields by name, that the tables above refuse (a value missing from a map
+    is None), no trigger, and each trigger whose event count is below 1,
+    below its endpoint's previous trigger or above the sample size. With
+    `skip_none`, None, a value or trigger already refused, is skipped, and
+    so is an empty trigger list."""
+    out = [(key, rule(fields.get(key), skip_none)) for key, rule in SCENARIO_SCALARS]
+    out += [(f"{path}.{ep.value}", rule((fields.get(key) or {}).get(ep), skip_none))
+            for key, path, rule in SCENARIO_MAPS for ep in Endpoint]
+    if not (skip_none or fields.get("triggers")):
+        out.append(("triggers", "expected at least one trigger"))
     n = fields.get("sample_size")
     n = None if SAMPLE_SIZE(n) else n
     last: Dict[Endpoint, int] = {}  # each endpoint's previous event target
-    for i, tr in enumerate(fields.get("triggers", ())):
+    for i, tr in enumerate(fields.get("triggers") or ()):
         if tr is None:
+            out.append((f"triggers[{i}]", None if skip_none else "expected a trigger, got None"))
             continue
         prev = last.get(tr.endpoint, 0)
         reason = COUNT(tr.events)
@@ -129,19 +134,19 @@ def scenario_problems(fields: Mapping[str, object]) -> List[Tuple[str, str]]:
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Simulation truth: enrollment, event-time, and scheduling parameters.
-    Raises ValueError for the values `scenario_problems` refuses."""
+    Raises ValueError for what `scenario_problems` refuses."""
 
     name: str
     sample_size: int
     sub_prevalence: float
     enroll_duration: float  # months
     stage1_cutoff: float  # calendar months; enrollment before this is stage 1
-    median_sub: Dict[Endpoint, float] = field(default_factory=dict)
-    median_complement: Dict[Endpoint, float] = field(default_factory=dict)
-    hr_sub: Dict[Endpoint, float] = field(default_factory=dict)
-    hr_complement: Dict[Endpoint, float] = field(default_factory=dict)
-    annual_dropout: Dict[Endpoint, float] = field(default_factory=dict)
-    triggers: Tuple[AnalysisTrigger, ...] = ()
+    median_sub: Dict[Endpoint, float]
+    median_complement: Dict[Endpoint, float]
+    hr_sub: Dict[Endpoint, float]
+    hr_complement: Dict[Endpoint, float]
+    annual_dropout: Dict[Endpoint, float]
+    triggers: Tuple[AnalysisTrigger, ...]
 
     def __post_init__(self):
         refuse(scenario_problems(vars(self)))
@@ -208,7 +213,7 @@ def generate_trial(spec: ScenarioSpec, seed) -> TrialData:
         hr = (spec.hr_complement[ep], spec.hr_sub[ep])
         hazard = np.array([b * h for b, hr_b in zip(base, hr) for h in (1.0, hr_b)])
         trial.event_time[ep] = rng.exponential(1.0, size=n) / hazard[trial.group]
-        rate = spec.annual_dropout.get(ep, 0.0)  # per year; mu is the monthly hazard
+        rate = spec.annual_dropout[ep]  # per year; mu is the monthly hazard
         mu = -math.log(1.0 - rate) / 12.0 if rate > 0 else 0.0
         if mu > 0:
             trial.dropout_time[ep] = rng.exponential(1.0 / mu, size=n)
@@ -300,19 +305,22 @@ _SCRATCH = _Scratch()
 
 def _group_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray,
                   n_groups: int) -> np.ndarray:
-    """Per-group counts at the distinct event times of one sorted sample.
+    """Per-group counts at the distinct event times of one sample.
 
-    d and s are the durations in ascending order and their event flags, and
-    `group` is each row's group, (cell, arm) or (subgroup, arm). The result stacks two blocks of
+    d and s are the rows' durations and event flags (bool), and `group` is
+    each row's group, (cell, arm) or (subgroup, arm); the rows are sorted by
+    duration here. The result stacks two blocks of
     `n_groups` rows over the event times: rows gone by each event time, then
     events at each time. Every block of slots read off the sample is a
     weighting of these rows (`_logrank_slots`). A row's bucket depends only
     on its own duration, so the counts depend only on the multiset of
-    (duration, flag, group) rows: tied rows may come in any order. They are
+    (duration, flag, group) rows: the sort need not be stable. They are
     integers below 2**53 held as float64, so every sum of them is exact.
     The result lives in the thread's scratch buffer (`_Scratch`): it holds
     until the next count.
     """
+    order = np.argsort(d)
+    d, s, group = d[order], s[order], group[order]
     n = len(d)
     # A row's bucket counts the event times at which it is still at risk:
     # the distinct event times up to its own duration, ties included. Runs
@@ -390,9 +398,7 @@ def logrank_test(duration: np.ndarray, status: np.ndarray, experimental: np.ndar
     Returns (z, one_sided_p, events). A stratum with no events, or with
     one arm only, carries no evidence: (0, 1, events).
     """
-    order = np.argsort(duration, kind="stable")
-    counts = _group_counts(duration[order], status[order].astype(bool),
-                           experimental[order].astype(np.intp), 2)
+    counts = _group_counts(duration, status.astype(bool), experimental.astype(np.intp), 2)
     return _logrank_slots(counts, _ONE_SLOT)[0]
 
 
@@ -403,9 +409,7 @@ def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
 
     Raises ValueError when there is no event.
     """
-    order = np.argsort(duration)
-    counts = _group_counts(duration[order], status[order].astype(bool),
-                           experimental[order].astype(np.intp), 2)
+    counts = _group_counts(duration, status.astype(bool), experimental.astype(np.intp), 2)
     hr = _breslow_hr(_ONE_SLOT @ counts)
     if hr is None:
         raise ValueError("no events: hazard ratio is not estimable")
@@ -512,8 +516,7 @@ class AnalysisSnapshot:
         pooled block counts the rows by (subgroup, arm) and fills its two
         slots; the stage-wise block counts them by (cell, arm), 2 * cell +
         arm, and fills all six, rewriting a pooled pair read before with the
-        same bits. The sort need not be stable: the counts do not depend on
-        the order of tied rows."""
+        same bits."""
         stats = self._stats
         stagewise, pooled_pair = _SLOTS[e]
         if stats[(pooled_pair if pooled else stagewise)[0]] is None:
@@ -525,8 +528,7 @@ class AnalysisSnapshot:
                 group = trial.group + 4 * (trial.enroll_time >= self._cutoff)
                 n_groups, weights, slots = _N_GROUPS, _SIX_SLOT_WEIGHTS, stagewise + pooled_pair
             dur, st = _censor(trial, _ENDPOINTS[e], self.calendar_time, rows)
-            order = np.argsort(dur)
-            counts = _group_counts(dur[order], st[order], group[rows][order], n_groups)
+            counts = _group_counts(dur, st, group[rows], n_groups)
             for j, stat in zip(slots, _logrank_slots(counts, weights)):
                 stats[j] = stat
         return stats
@@ -631,9 +633,7 @@ def _stage1_hazard_ratios(trial: TrialData, time: float, stage1: np.ndarray):
     those. A fit reads only the population's own event times, so it sees
     the counts `cox_hazard_ratio` gives the population's sample alone."""
     dur, st = _censor(trial, Endpoint.PFS, time, stage1)
-    order = np.argsort(dur)
-    group = trial.group[stage1]
-    counts = _GATE_WEIGHTS @ _group_counts(dur[order], st[order], group[order], _GATE_GROUPS)
+    counts = _GATE_WEIGHTS @ _group_counts(dur, st, trial.group[stage1], _GATE_GROUPS)
     return _breslow_hr(counts[0::2]), _breslow_hr(counts[1::2])
 
 

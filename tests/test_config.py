@@ -479,14 +479,14 @@ def _ruled_fields():
                 lambda cfg, v, key=key: dataclasses.replace(cfg.futility, **{key: v}))
                for key in ("theta_full", "theta_sub")]
 
-    def edit_alpha(doc, v):  # the per-hypothesis alphas keep summing to it
+    def edit_alpha(doc, v):  # the per-hypothesis alphas keep summing to it; None goes in as is
         for block in doc["designs"]["alphas"].values():
-            block.update(_scaled(block, v / doc["alpha"]))
+            block.update(_scaled(block, 1 if v is None else v / doc["alpha"]))
         doc["alpha"] = v
 
     def build_alpha(cfg, v):
         return [dataclasses.replace(arm, alpha=v, initial_alphas=_scaled(
-            arm.initial_alphas, v / cfg.alpha)) for arm in build_designs(cfg)]
+            arm.initial_alphas, 1 if v is None else v / cfg.alpha)) for arm in build_designs(cfg)]
 
     return fields + [("config.alpha", ALPHA, edit_alpha, build_alpha)]
 
@@ -496,13 +496,24 @@ SETTING2 = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
 SETTING2_CONFIG = parse_config(CONFIG_DIR / "setting2.yaml")
 
 
+def test_constructors_refuse_none():
+    # Each used to construct and then fail with a TypeError in
+    # `select_population`, `generate_trial` or the arm's boundary plans.
+    with pytest.raises(ValueError, match="theta_full: .*got None; theta_sub: .*got None"):
+        dataclasses.replace(SETTING2_CONFIG.futility, theta_full=None, theta_sub=None)
+    with pytest.raises(ValueError, match=r"^sample_size: .*got None$"):
+        dataclasses.replace(SETTING2_CONFIG.scenario, sample_size=None)
+    with pytest.raises(ValueError, match=r"^alpha: expected a number in \(0, 0\.5\), got None$"):
+        dataclasses.replace(build_designs(SETTING2_CONFIG)[1], alpha=None)
+
+
 def _edge_values(rule):
-    """Each finite bound of `rule`, one ulp either side, and values inside."""
+    """None, each finite bound of `rule`, one ulp either side, and values inside."""
     ends = (rule.lo,) if rule.hi == math.inf else (rule.lo, rule.hi)
     inside = ((rule.lo + 1, rule.lo + 1000) if rule.hi == math.inf
               else ((rule.lo + rule.hi) / 2, rule.lo + (rule.hi - rule.lo) / 10))
-    return [x for e in ends
-            for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))] + list(inside)
+    return [None] + [x for e in ends for x in (
+        math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))] + list(inside)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

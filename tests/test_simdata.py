@@ -101,6 +101,27 @@ def test_unreachable_trigger_raises():
         schedule_analyses(trial, spec)
 
 
+# case -> (toy_spec overrides, the error naming the field)
+UNSIMULABLE_SPECS = {
+    "map_without_os": (dict(hr_sub={Endpoint.PFS: 0.7}), r"hazard_ratios\.sub\.os: .*got None"),
+    "dropout_without_pfs": (dict(annual_dropout={Endpoint.OS: 0.01}),
+                            r"annual_dropout\.pfs: .*got None"),
+    "none_map": (dict(median_complement=None), r"medians\.complement\.pfs: .*got None"),
+    "no_trigger": (dict(triggers=()), r"triggers: expected at least one trigger"),
+    "none_sample_size": (dict(sample_size=None), r"sample_size: expected an integer >= 2, got None"),
+    "none_cutoff": (dict(stage1_cutoff=None), r"stage1_cutoff: expected a number >= 0, got None"),
+}
+
+
+@pytest.mark.parametrize("case", UNSIMULABLE_SPECS)
+def test_spec_that_cannot_be_simulated_refused(case):
+    # Each used to construct and then fail in `generate_trial` (KeyError or
+    # TypeError) or in `schedule_analyses`, naming no field.
+    overrides, message = UNSIMULABLE_SPECS[case]
+    with pytest.raises(ValueError, match=message):
+        toy_spec(**overrides)
+
+
 def test_logrank_agrees_with_scipy():
     rng = np.random.default_rng(17)
     for _ in range(20):
