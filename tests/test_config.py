@@ -497,12 +497,10 @@ SETTING2_CONFIG = parse_config(CONFIG_DIR / "setting2.yaml")
 
 
 def test_constructors_refuse_none():
-    # Each used to construct and then fail with a TypeError in
-    # `select_population`, `generate_trial` or the arm's boundary plans.
+    # Each used to construct and then fail with a TypeError, in
+    # `select_population` or in the arm's boundary plans.
     with pytest.raises(ValueError, match="theta_full: .*got None; theta_sub: .*got None"):
         dataclasses.replace(SETTING2_CONFIG.futility, theta_full=None, theta_sub=None)
-    with pytest.raises(ValueError, match=r"^sample_size: .*got None$"):
-        dataclasses.replace(SETTING2_CONFIG.scenario, sample_size=None)
     with pytest.raises(ValueError, match=r"^alpha: expected a number in \(0, 0\.5\), got None$"):
         dataclasses.replace(build_designs(SETTING2_CONFIG)[1], alpha=None)
 
