@@ -40,7 +40,7 @@ class FutilityRule:
     theta_sub: float
 
     def __post_init__(self):
-        refuse((key, POSITIVE(v)) for key, v in vars(self).items())
+        refuse((("theta_full", POSITIVE(self.theta_full)), ("theta_sub", POSITIVE(self.theta_sub))))
 
 
 class Selection(Enum):
