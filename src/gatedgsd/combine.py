@@ -39,7 +39,7 @@ class StageWeights:
 
     def __post_init__(self):
         reason = NONNEGATIVE(self.w1) or NONNEGATIVE(self.w2)
-        squares = sum_problem((self.w1 ** 2, self.w2 ** 2), 1)
+        squares = None if reason else sum_problem((self.w1 ** 2, self.w2 ** 2), 1)
         if reason or squares:
             raise ValueError(f"weights ({self.w1}, {self.w2}): {reason or 'squares ' + squares}")
 

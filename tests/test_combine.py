@@ -20,6 +20,8 @@ def test_stage_weights_validation():
         StageWeights(0.9, 0.9)
     with pytest.raises(ValueError):
         StageWeights(-0.6, 0.8)
+    with pytest.raises(ValueError, match=r"expected a number >= 0, got None"):
+        StageWeights(None, 1.0)  # a TypeError from None ** 2 before the rules refused None
     w = StageWeights.from_squares(0.7, 0.3)
     assert w.w1 == pytest.approx(math.sqrt(0.7))
     assert w.w2 == pytest.approx(math.sqrt(0.3))
