@@ -34,6 +34,11 @@ from .simdata import (SCENARIO_MAPS, SCENARIO_SCALARS, AnalysisTrigger, Scenario
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_designs"]
 
 _ENDPOINTS = {"pfs": Endpoint.PFS, "os": Endpoint.OS}
+# The keys under `scenario:`, and the populations of each table of per-endpoint
+# maps (none for annual_dropout), from the paths of `simdata.SCENARIO_MAPS`.
+_MAP_PATHS = [path.partition(".")[::2] for _, path, _ in SCENARIO_MAPS]  # (table, population)
+_SCENARIO_TABLES = {t: tuple(p for u, p in _MAP_PATHS if u == t and p) for t, _ in _MAP_PATHS}
+_SCENARIO_KEYS = tuple(key for key, _ in SCENARIO_SCALARS) + tuple(_SCENARIO_TABLES) + ("triggers",)
 # libyaml's loader when PyYAML was built with it: the same documents and
 # errors (file and line named) at a fraction of the pure-Python parse time.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -122,26 +127,20 @@ class _Collector:
 
 
 def _endpoint_map(col: _Collector, raw, path: str) -> Dict[Endpoint, Optional[float]]:
-    m = col.expect_map(raw, path, tuple(_ENDPOINTS))
+    m = col.expect_map(raw, path, ("pfs", "os"))
     return {ep: col.number(m, path, slug) for slug, ep in _ENDPOINTS.items()}
 
 
 def _parse_scenario(col: _Collector, raw, name: str,
                     n_analyses: Optional[int]) -> Optional[ScenarioSpec]:
-    tables: Dict[str, Tuple[str, ...]] = {}  # each map's table, with its populations if any
-    for _, path, _ in SCENARIO_MAPS:
-        table, *pop = path.split(".")
-        tables[table] = tables.get(table, ()) + tuple(pop)
-    m = col.expect_map(raw, "scenario", tuple(key for key, _ in SCENARIO_SCALARS)
-                       + tuple(tables) + ("triggers",))
+    m = col.expect_map(raw, "scenario", _SCENARIO_KEYS)
     if not m:
         return None
     fields = {key: col.number(m, "scenario", key, integer=rule.integer)
               for key, rule in SCENARIO_SCALARS}
     by_pop = {table: col.expect_map(m.get(table, {}), f"scenario.{table}", pops)
-              for table, pops in tables.items() if pops}
-    for key, path, _ in SCENARIO_MAPS:
-        table, _, pop = path.partition(".")
+              for table, pops in _SCENARIO_TABLES.items() if pops}
+    for (key, path, _), (table, pop) in zip(SCENARIO_MAPS, _MAP_PATHS):
         raw_map = by_pop[table].get(pop, {}) if pop else m.get(table, {})
         fields[key] = _endpoint_map(col, raw_map, f"scenario.{path}")
     triggers = []
@@ -305,7 +304,7 @@ def parse_config(path: str) -> RunConfig:
 
     # an endpoint's schedule, or None where it is refused: nothing is counted against it
     ea_raw = col.expect_map(designs.get("endpoint_analyses", {}), "designs.endpoint_analyses",
-                            tuple(_ENDPOINTS))
+                            ("pfs", "os"))
     endpoint_analyses: Dict[Endpoint, Optional[Tuple[int, ...]]] = {}
     for slug, ep in _ENDPOINTS.items():
         val = ea_raw.get(slug)
@@ -321,7 +320,7 @@ def parse_config(path: str) -> RunConfig:
     fractions: Dict[HypothesisId, Tuple[float, ...]] = {}
     for pop_slug, pop in (("full", Population.FULL), ("sub", Population.SUB)):
         pm = col.expect_map(fr_raw.get(pop_slug, {}), f"designs.fractions.{pop_slug}",
-                            tuple(_ENDPOINTS))
+                            ("pfs", "os"))
         for ep_slug, ep in _ENDPOINTS.items():
             val = pm.get(ep_slug)
             pth = f"designs.fractions.{pop_slug}.{ep_slug}"

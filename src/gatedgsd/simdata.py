@@ -107,8 +107,8 @@ def scenario_problems(fields: Mapping[str, object], skip_none: bool = False) -> 
     `skip_none`, None, a value or trigger already refused, is skipped, and
     so is an empty trigger list."""
     out = [(key, rule(fields.get(key), skip_none)) for key, rule in SCENARIO_SCALARS]
-    out += [(f"{path}.{ep.value}", rule((fields.get(key) or {}).get(ep), skip_none))
-            for key, path, rule in SCENARIO_MAPS for ep in Endpoint]
+    out += [(f"{path}.{ep.value}", r) for key, path, rule in SCENARIO_MAPS for ep in _ENDPOINTS
+            if (r := rule((fields.get(key) or {}).get(ep), skip_none))]
     if not (skip_none or fields.get("triggers")):
         out.append(("triggers", "expected at least one trigger"))
     n = fields.get("sample_size")
