@@ -39,14 +39,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import Grid, find_root, gauss_grid, norm_cdf, norm_kernel, norm_pdf, norm_quantile
+from .numerics import (_INV_SQRT_2PI, _SQRT2, Grid, find_root, gauss_grid, norm_cdf, norm_kernel,
+                       norm_pdf, norm_quantile)
 from .rules import ALPHA, POSITIVE, UNIT, refuse
 
 __all__ = [
     "MIN_LOOK_GAP",
     "ldobf_spend",
     "BoundarySet",
-    "SpendingError",
     "compute_boundaries",
     "crossing_probability",
     "crossing_probability_mvn",
@@ -66,16 +66,10 @@ _NODES_PER_SD = 3.0
 _GRID_FLOOR = 32
 _GRID_CAP = 1024
 _Z_CAP = 12.0  # saturate instead of chasing underflowing spends
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # The certifying routes: `crossing_probability`'s Z-scale grid and the
 # absolute error target of the multivariate-normal CDF.
 _CROSSING_NODES = 480
 _MVN_ABSEPS = 1e-8
-
-
-class SpendingError(ValueError):
-    """Raised for infeasible (non-increasing) cumulative spend."""
 
 
 def ldobf_spend(alpha_total: float, t: float) -> float:
@@ -200,12 +194,7 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
     z_bounds = []
     for k, t in enumerate(fr):
         spent = ldobf_spend(alpha_total, t)
-        inc = spent - spent_prev
-        if inc < -1e-15:
-            raise SpendingError(
-                f"cumulative spend decreases at look {k + 1}: {spent} < {spent_prev}"
-            )
-        inc = max(inc, 0.0)
+        inc = max(spent - spent_prev, 0.0)
         sd_k = math.sqrt(t)
         cap = _Z_CAP * sd_k
         if k == 0:

@@ -129,21 +129,9 @@ def cmd_analyze(args) -> int:
         print(f"--- {slug} ---")
         print(narrative)
     if args.out:
-        text = json.dumps(_sanitize_nan(outputs), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        text = json.dumps(outputs, indent=2, sort_keys=True, allow_nan=False) + "\n"
         atomic_write_text(os.path.join(args.out, "analysis.json"), text)
     return 0
-
-
-def _sanitize_nan(obj):
-    """json.dumps(allow_nan=False) rejects NaN; swap them for None first."""
-    if isinstance(obj, dict):
-        return {k: _sanitize_nan(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_sanitize_nan(v) for v in obj]
-    if isinstance(obj, float) and obj != obj:
-        return None
-    return obj
 
 
 def cmd_report(args) -> int:

@@ -80,7 +80,7 @@ from .boundaries import cached_boundaries, fraction_problem
 from .combine import Scenario, StageWeights, normal_score
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import (HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population,
-                           hochberg_intersection)
+                           hochberg_intersection, hypothesis_mask)
 from .numerics import norm_cdf
 from .rules import ALPHA, NONNEGATIVE, refuse, sum_problem
 from .simdata import AnalysisSnapshot, joint_slot, slot
@@ -115,14 +115,13 @@ _TARGETS = tuple([_Target(str(h), h.endpoint) for h in HYPOTHESES]
 _FS_INDEX = {ep: len(HYPOTHESES) + i for i, ep in enumerate(Endpoint)}
 _INDEX = {h: i for i, h in enumerate(HYPOTHESES)}
 _FS = tuple(_FS_INDEX.values())
-# Per hypothesis: the same population's other endpoint, its endpoint's FS
-# target, and whether it is in F.
+# Per hypothesis: the same population's other endpoint, and its endpoint's FS
+# target.
 _PARTNER = tuple(_INDEX[HypothesisId(h.population, _OTHER_ENDPOINT[h.endpoint])]
                  for h in HYPOTHESES)
 _FS_OF = tuple(_FS_INDEX[h.endpoint] for h in HYPOTHESES)
-_IN_FULL = tuple(h.population is Population.FULL for h in HYPOTHESES)
-_SUB_MASK = sum(1 << i for i, full in enumerate(_IN_FULL) if not full)
-_HYPOTHESIS_MASK = (1 << len(HYPOTHESES)) - 1
+_SUB_MASK = hypothesis_mask(HypothesisId(Population.SUB, ep) for ep in Endpoint)
+_HYPOTHESIS_MASK = hypothesis_mask(HYPOTHESES)
 _SLUG = {h: slug for slug, h in HYPOTHESIS_SLUGS.items()}
 # The wiring: the populations that continue into stage 2 in each scenario
 # (None, GSD, keeps both).
@@ -287,9 +286,9 @@ class DecisionTrace:
                         {
                             "target": t.target_label,
                             "z": round(t.z, 6),
-                            "boundary_z": round(t.boundary_z, 6),
-                            "nominal_p": round(t.boundary_p, 8),
-                            "alpha": round(t.alpha, 8),
+                            "boundary_z": _rounded(t.boundary_z, 6),
+                            "nominal_p": _rounded(t.boundary_p, 8),
+                            "alpha": _rounded(t.alpha, 8),
                             "crossed": t.crossed,
                             "confirmed": t.confirmed,
                         }
@@ -301,6 +300,12 @@ class DecisionTrace:
             ],
             "warnings": self.warnings,
         }
+
+
+def _rounded(x: float, digits: int) -> Optional[float]:
+    """`x` rounded for `to_dict`, or None where the trace holds NaN: no live
+    boundary, or an FS target's alpha."""
+    return None if math.isnan(x) else round(x, digits)
 
 
 _SCENARIO_OF = {
@@ -416,10 +421,10 @@ def _row(plan: _Plan, mask: int, i: int) -> Tuple[float, ...]:
 
 def _testable(plan: _Plan, mask: int, i: int) -> bool:
     # Out-of-scope hypotheses carry no alpha, so they never pass. gGSD's
-    # hierarchy gate admits F once an S hypothesis is rejected.
+    # hierarchy gate admits S, and F once an S hypothesis is rejected.
     if mask >> i & 1 or plan.levels[i][mask >> _PARTNER[i] & 1] <= 0.0:
         return False
-    return plan.gate0 or not _IN_FULL[i] or bool(mask & _SUB_MASK)
+    return plan.gate0 or bool((mask | 1 << i) & _SUB_MASK)
 
 
 def _fixed_point(plan: _Plan, z: Tuple[List[Tuple[int, float]], ...], mask: int,
@@ -684,8 +689,11 @@ class ObservedData:
 
 def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
     """Each continuing population's given p-value; for AD and gGSD then the
-    FS intersection's, once all continuing populations have one."""
+    FS intersection's, once all continuing populations have one. Every
+    hypothesis of the continuing populations not yet rejected needs its
+    p-value at each of its planned looks."""
     plan = dec.plan
+    mask = dec.analyses[-1] if dec.analyses else 0
     for ep, look, *_ in plan.loads[k]:
         p = []
         for pop in plan.pops:
@@ -694,28 +702,16 @@ def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
             if p_h is not None:
                 p.append(p_h)
                 dec.enter(_INDEX[h], look, normal_score(p_h)[0])
+            elif not mask >> _INDEX[h] & 1:
+                raise MissingSlotError(f"missing observed p-value for {h} at analysis {k + 1}")
         if plan.gated and len(p) == len(plan.pops):
             p_fs = p[0] if len(p) == 1 else hochberg_intersection(*p)
             dec.enter(_FS_INDEX[ep], look, normal_score(p_fs)[0])
-    _check_required_slots(dec, k)
 
 
 def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:
     """Replay the decision logic on user-supplied observed values."""
     return _trace(_decide(design, observed.hr_full, observed.hr_sub, _load_observed, observed))
-
-
-def _check_required_slots(dec: Decision, k: int):
-    """Every unrejected hypothesis of the continuing populations needs its
-    p-value at each of its planned looks."""
-    mask = dec.analyses[-1] if dec.analyses else 0
-    for ep, look, *_ in dec.plan.loads[k]:
-        for i in dec.plan.in_scope:
-            hist = dec.z[i]
-            if (_TARGETS[i].endpoint is ep and not mask >> i & 1
-                    and not (hist and hist[-1][0] == look)):
-                raise MissingSlotError(
-                    f"missing observed p-value for {_TARGETS[i].label} at analysis {k + 1}")
 
 
 def render_narrative(trace: DecisionTrace) -> str:

@@ -29,7 +29,7 @@ from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec
 # bound as `run_design`, the name perfbench/tracer.py wraps to time the
 # engine per arm.
 from .engine import decide_design as run_design
-from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population
+from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population, hypothesis_mask
 from .rules import COUNT, refuse
 from .simdata import (AnalysisSnapshot, ScenarioSpec, generate_trial, schedule_analyses,
                       snapshot_at)
@@ -68,25 +68,17 @@ TERMINATION_BINS = ("futility",) + ANALYSIS_NAMES
 _N_MASKS = 1 << len(HYPOTHESES)
 
 
-def _mask(hypotheses: Iterable[HypothesisId]) -> int:
-    """The bitmask of some hypotheses, bit i for HYPOTHESES[i]."""
-    return sum(1 << HYPOTHESES.index(h) for h in hypotheses)
-
-
-def _pair(pop: Population) -> int:
-    """The bitmask of a population's two hypotheses."""
-    return _mask(HypothesisId(pop, ep) for ep in Endpoint)
-
-
 def _criteria(true_nulls: Iterable[HypothesisId]) -> Dict[str, List[int]]:
     """The confirmed masks that count toward each reported rate: FWER, a
     true null rejected; power in S, both S hypotheses rejected; power in S
     or F, both hypotheses of some population that is not wholly null."""
-    null, sub = _mask(true_nulls), _pair(Population.SUB)
-    pairs = [pair for pair in map(_pair, Population) if pair & ~null]
+    null = hypothesis_mask(true_nulls)
+    pairs = {pop: hypothesis_mask(HypothesisId(pop, ep) for ep in Endpoint) for pop in Population}
+    sub = pairs[Population.SUB]
+    live = [pair for pair in pairs.values() if pair & ~null]
     tests = {"fwer": lambda m: m & null,
              "power_s": lambda m: m & sub == sub,
-             "power_sorf": lambda m: any(m & pair == pair for pair in pairs)}
+             "power_sorf": lambda m: any(m & pair == pair for pair in live)}
     return {name: [m for m in range(_N_MASKS) if test(m)] for name, test in tests.items()}
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 __all__ = [
     "Population",
@@ -21,6 +22,7 @@ __all__ = [
     "HypothesisId",
     "HYPOTHESES",
     "HYPOTHESIS_SLUGS",
+    "hypothesis_mask",
     "hochberg_intersection",
 ]
 
@@ -57,6 +59,11 @@ HYPOTHESIS_SLUGS = {
     "sub_pfs": H_S_PFS,
     "sub_os": H_S_OS,
 }
+
+
+def hypothesis_mask(hypotheses: Iterable[HypothesisId]) -> int:
+    """The bitmask of some hypotheses: bit i is HYPOTHESES[i]."""
+    return sum(1 << HYPOTHESES.index(h) for h in hypotheses)
 
 
 def hochberg_intersection(p_full: float, p_sub: float) -> float:

@@ -7,8 +7,8 @@ pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,20 +23,12 @@ class BracketError(ValueError):
     """Raised when a root bracket does not enclose a sign change."""
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Fixed quadrature grid: abscissae and weights."""
+class Grid(NamedTuple):
+    """Fixed quadrature grid: abscissae and weights. `gauss_grid` makes
+    them increasing and positive."""
 
     points: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights must have equal length")
-        if np.any(np.diff(self.points) <= 0):
-            raise ValueError("points must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
 
 
 @lru_cache(maxsize=64)
