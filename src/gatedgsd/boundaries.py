@@ -77,7 +77,7 @@ def ldobf_spend(alpha_total: float, t: float) -> float:
     refuse((("alpha_total", ALPHA(alpha_total)), ("t", POSITIVE(t))))
     if t >= 1.0:
         return alpha_total
-    return 2.0 * (1.0 - norm_cdf(norm_quantile(1.0 - alpha_total / 2.0) / math.sqrt(t)))
+    return 2.0 * (1.0 - norm_cdf(-norm_quantile(alpha_total / 2.0) / math.sqrt(t)))
 
 
 @dataclass(frozen=True)

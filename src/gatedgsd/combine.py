@@ -81,9 +81,10 @@ def clamp_p(p: float) -> Tuple[float, bool]:
 
 
 def normal_score(p: float) -> Tuple[float, bool]:
-    """q = Phi^-1(1 - p) of the clamped p-value, and whether clamping fired."""
+    """q = Phi^-1(1 - p) of the clamped p-value, taken as -Phi^-1(p) so that
+    a small p is not rounded by 1 - p, and whether clamping fired."""
     p, clamped = clamp_p(p)
-    return norm_quantile(1.0 - p), clamped
+    return -norm_quantile(p), clamped
 
 
 def inverse_normal(p1: float, p2: float, w: StageWeights) -> float:

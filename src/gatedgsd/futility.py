@@ -29,7 +29,7 @@ def calibrate_threshold(true_hr: float, events: int, gamma: float) -> float:
     """Hazard-ratio threshold with P(HR_hat > theta | true_hr) = gamma."""
     refuse((("true_hr", POSITIVE(true_hr)), ("events", GATE_EVENTS(events)),
             ("gamma", PROBABILITY(gamma))))
-    return true_hr * math.exp(norm_quantile(1.0 - gamma) * 2.0 / math.sqrt(events))
+    return true_hr * math.exp(-norm_quantile(gamma) * 2.0 / math.sqrt(events))
 
 
 @dataclass(frozen=True)

@@ -93,23 +93,23 @@ def norm_quantile(p: float) -> float:
     """Inverse standard normal CDF.
 
     Acklam's rational approximation polished with one Halley step against
-    erfc, which brings the result to near machine precision.
+    erfc, which brings the result to near machine precision. Above 1/2 it
+    returns -Phi^-1(1 - p): 1 - p is exact there, while a Halley step
+    against Phi(x) near 1 would lose the digits that 1 - Phi(x) holds.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
+    if p > 0.5:
+        return -norm_quantile(1.0 - p)
     if p < _P_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
+    else:
         q = p - 0.5
         r = q * q
         x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
              / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
     # Halley refinement: e = CDF(x) - p, u = e / pdf(x).
     e = 0.5 * math.erfc(-x / _SQRT2) - p
     u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)

@@ -107,8 +107,8 @@ def test_observed_ggsd_both_gates_full_behind_sub(designs2):
     assert trace.termination_index == 2
     assert trace.termination_reason == "reached-FA"
     fs = {t.target_label: t.z for t in trace.analyses[0].tests}
-    assert fs["PFS(FS)"] == norm_quantile(1.0 - hochberg_intersection(0.001, 0.02))
-    assert fs["OS(FS)"] == norm_quantile(1.0 - hochberg_intersection(0.3, 0.3))
+    assert fs["PFS(FS)"] == -norm_quantile(hochberg_intersection(0.001, 0.02))
+    assert fs["OS(FS)"] == -norm_quantile(hochberg_intersection(0.3, 0.3))
 
 
 @pytest.mark.parametrize("scenario, hrs, expected", [
@@ -127,7 +127,7 @@ def test_observed_fs_p_is_the_continuing_populations(designs2, scenario, hrs, ex
     assert trace.scenario is scenario
     for rec in trace.analyses:
         z = {t.target_label: t.z for t in rec.tests}
-        assert z["PFS(FS)"] == z["OS(FS)"] == norm_quantile(1.0 - expected)
+        assert z["PFS(FS)"] == z["OS(FS)"] == -norm_quantile(expected)
 
 
 def test_observed_ad_sub_only_passes_alpha_within_sub(designs2):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,11 @@ def test_norm_quantile_matches_scipy():
     ours = np.array([norm_quantile(p) for p in ps])
     ref = scipy.stats.norm.ppf(ps)
     np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-9)
+    # Near 1 the quantile is -Phi^-1(1 - p); a Halley step against Phi(x) ~ 1
+    # was off by 7.4e-9 at 1 - 1e-12, the clamp of `combine.normal_score`.
+    near_one = [1 - 1e-12, 1 - 1e-6]
+    np.testing.assert_allclose([norm_quantile(p) for p in near_one],
+                               scipy.special.ndtri(near_one), rtol=1e-14, atol=0)
 
 
 @given(st.floats(min_value=1e-10, max_value=1.0 - 1e-10))
