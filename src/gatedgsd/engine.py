@@ -189,29 +189,31 @@ class DesignSpec:
     label: str = ""
 
     def __post_init__(self):
+        gated = self.kind is not DesignKind.GSD
+        weights = self.weights if gated else None  # None: event-driven, or GSD's none
         problems = [("alpha", ALPHA(self.alpha))]
         problems += [(f"initial_alphas{suffix}", reason) for suffix, reason in split_problems(
             self.alpha, self.initial_alphas, self.kind is DesignKind.GGSD)]
-        problems += [(f"endpoint_analyses.{ep.value}", reason)
-                     for ep, looks in self.endpoint_analyses.items()
-                     if (reason := schedule_problem(looks))]
+        for ep in Endpoint:
+            looks = self.endpoint_analyses.get(ep)
+            problems.append((f"endpoint_analyses.{ep.value}", "analysis schedule missing"
+                             if looks is None else schedule_problem(looks)))
+            if weights is not None and len(weights.get(ep) or ()) != len(looks or ()):
+                problems.append((f"weights.{ep.value}", "weight table missing or misaligned"))
         for h in HYPOTHESES:
+            path = f"fractions.{h.population.value}.{h.endpoint.value}"
             fr, looks = self.fractions.get(h), self.endpoint_analyses.get(h.endpoint)
-            if fr is None or looks is None or h not in self.initial_alphas:
-                raise DesignConfigError(f"alphas, fractions or analysis schedule missing for {h}")
-            if len(fr) != len(looks):
-                problems.append((str(h), f"{len(fr)} fractions but {len(looks)} planned analyses"))
-            reason = fraction_problem(tuple(fr))
-            if reason:
-                problems.append((f"fractions.{h.population.value}.{h.endpoint.value}", reason))
+            if h not in self.initial_alphas:
+                problems.append((f"initial_alphas.{_SLUG[h]}", "alpha missing"))
+            if fr is None:
+                problems.append((path, "fractions missing"))
+                continue
+            if looks is not None and len(fr) != len(looks):
+                problems.append((path, f"{len(fr)} fractions but {len(looks)} planned analyses"))
+            problems.append((path, fraction_problem(tuple(fr))))
+        if gated and self.futility is None:
+            problems.append(("futility", f"{self.kind.value} requires a futility rule"))
         refuse(problems, DesignConfigError)
-        if self.kind is not DesignKind.GSD and self.futility is None:
-            raise DesignConfigError(f"{self.kind.value} requires a futility rule")
-        if self.kind is not DesignKind.GSD and self.weights is not None:
-            for ep in Endpoint:
-                w = self.weights.get(ep)
-                if w is None or len(w) != len(self.endpoint_analyses[ep]):
-                    raise DesignConfigError(f"weight table missing or misaligned for {ep}")
 
     @cached_property
     def n_analyses(self) -> int:

@@ -292,6 +292,14 @@ def test_design_spec_validation(designs2):
     ad = designs2["ad:0.5"]
     with pytest.raises(DesignConfigError, match="weight table missing or misaligned"):
         dataclasses.replace(ad, weights={})
+    # every refusal is gathered, each under its field path
+    with pytest.raises(DesignConfigError,
+                       match=r"^weights\.os: weight table missing or misaligned$"):
+        dataclasses.replace(ad, weights={Endpoint.PFS: ad.weights[Endpoint.PFS]})
+    no_pfs_f = {h: fr for h, fr in ad.fractions.items() if h != H_F_PFS}
+    with pytest.raises(DesignConfigError,
+                       match=r"^alpha: expected .*got 0\.7; .*fractions\.full\.pfs: fractions missing$"):
+        dataclasses.replace(ad, fractions=no_pfs_f, alpha=0.7)
     for arm, event_driven in ((ad, False), (dataclasses.replace(ad, weights=None), True)):
         ws = [w for plan in arm._plans.values() for load in plan.loads for _, _, w, *_ in load]
         assert ws and all((w is None) is event_driven for w in ws)
