@@ -22,7 +22,7 @@ from gatedgsd.engine import (
     render_narrative,
     run_design,
 )
-from gatedgsd.combine import Scenario, inverse_normal
+from gatedgsd.combine import Scenario, event_weights, inverse_normal
 from gatedgsd.futility import Selection
 from gatedgsd.harness import replication_inputs, run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
@@ -75,8 +75,19 @@ def test_observed_replay_deterministic(example_config):
     designs = {d.label.split(":")[0]: d for d in build_designs(example_config)}
     a = analyze_observed(designs["ggsd"], example_config.observed["ggsd"])
     b = analyze_observed(designs["ggsd"], example_config.observed["ggsd"])
-    # json text comparison: NaN boundary placeholders defeat dict equality
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    # to_dict writes None, not NaN, where there is no boundary or alpha, so
+    # the dicts compare equal as they are
+    assert a.to_dict() == b.to_dict()
+
+
+def test_observed_futility_stop_narrative(designs2):
+    # Hazard ratios that fail both thresholds stop the trial at the gate:
+    # nothing is tested, so no p-value is needed.
+    trace = analyze_observed(designs2["ggsd:0.5"], ObservedData(hr_full=5.0, hr_sub=5.0))
+    assert trace.futility.selection is Selection.STOP_FUTILITY
+    assert render_narrative(trace).splitlines()[-2:] == [
+        "Trial stopped for futility at the end of stage 1.", "No hypotheses tested"]
+    assert trace.to_dict()["termination"]["reason"] == "futility"
 
 
 def test_observed_missing_slot_raises(designs2):
@@ -345,6 +356,33 @@ def test_scores_follow_the_wiring(setting2, designs2, scenario, ep):
             assert not (clamped1 or clamped2)
             for w in weights:
                 assert w.w1 * q1 + w.w2 * q2 == inverse_normal(p1, p2, w)
+
+
+def test_event_driven_weights_are_event_weights(setting2, designs2):
+    # An event-driven arm weighs the stages by the full population's
+    # stage-wise event counts of the endpoint: every z it records is bit for
+    # bit combine.inverse_normal of the wired p-values with
+    # combine.event_weights of those counts.
+    arms = [d for d in designs2.values() if d.kind is not DesignKind.GSD and d.weights is None]
+    assert {d.kind for d in arms} == {DesignKind.AD, DesignKind.GGSD}
+    checked = collections.Counter()
+    for rep in range(6):
+        snaps, fut = replication_inputs(setting2.scenario, setting2.seed, rep)
+        for design in arms:
+            dec = engine.decide_design(design, snaps, fut)
+            for t, hist in enumerate(dec.z):
+                label, ep = engine._TARGETS[t]
+                for look, z in hist:
+                    snap = snaps[design.endpoint_analyses[ep][look]]
+                    p = {(stage, pop): snap.p[slot(stage, pop, ep)]
+                         for stage in ("stage1", "stage2") for pop in Population}
+                    (p1, p2), = [(p1, p2) for target, p1, p2 in _wiring(dec.scenario, ep, p)
+                                 if target == label]
+                    d1, d2 = (snap.events[slot(stage, Population.FULL, ep)]
+                              for stage in ("stage1", "stage2"))
+                    assert z == inverse_normal(p1, p2, event_weights(d1, d2)), (rep, label, look)
+                    checked[design.kind, ep] += 1
+    assert len(checked) == 4  # both arms and both endpoints were checked
 
 
 # -- work per call ------------------------------------------------------------

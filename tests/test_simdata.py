@@ -92,6 +92,16 @@ def test_schedule_monotone_and_meets_targets():
     assert snap.events[slot("pooled", Population.FULL, Endpoint.PFS)] >= 200
 
 
+def test_schedule_clamps_to_the_previous_analysis():
+    # An OS trigger met before the preceding PFS trigger opens its analysis
+    # at the PFS analysis's time, not before it.
+    spec = toy_spec(triggers=(AnalysisTrigger(Endpoint.PFS, 200), AnalysisTrigger(Endpoint.OS, 10)))
+    trial = generate_trial(spec, (5, 2))
+    times = schedule_analyses(trial, spec)
+    assert simdata._observed_event_calendar_times(trial, Endpoint.OS)[9] < times[0]
+    assert times[1] == times[0]
+
+
 def test_unreachable_trigger_raises():
     # ScenarioSpec refuses a trigger above the sample size; one at it passes,
     # and dropout leaves this trial short of it.
