@@ -194,15 +194,18 @@ class DesignSpec:
         problems = [("alpha", ALPHA(self.alpha))]
         problems += [(f"initial_alphas{suffix}", reason) for suffix, reason in split_problems(
             self.alpha, self.initial_alphas, self.kind is DesignKind.GGSD)]
+        schedules = {}  # each endpoint's schedule; None where missing or refused
         for ep in Endpoint:
             looks = self.endpoint_analyses.get(ep)
-            problems.append((f"endpoint_analyses.{ep.value}", "analysis schedule missing"
-                             if looks is None else schedule_problem(looks)))
-            if weights is not None and len(weights.get(ep) or ()) != len(looks or ()):
+            reason = "analysis schedule missing" if looks is None else schedule_problem(looks)
+            problems.append((f"endpoint_analyses.{ep.value}", reason))
+            schedules[ep] = looks = None if reason else looks
+            if weights is not None and (weights.get(ep) is None
+                                        or looks is not None and len(weights[ep]) != len(looks)):
                 problems.append((f"weights.{ep.value}", "weight table missing or misaligned"))
         for h in HYPOTHESES:
             path = f"fractions.{h.population.value}.{h.endpoint.value}"
-            fr, looks = self.fractions.get(h), self.endpoint_analyses.get(h.endpoint)
+            fr, looks = self.fractions.get(h), schedules[h.endpoint]
             if h not in self.initial_alphas:
                 problems.append((f"initial_alphas.{_SLUG[h]}", "alpha missing"))
             if fr is None:

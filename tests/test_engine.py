@@ -294,9 +294,14 @@ def test_design_spec_validation(designs2):
         dataclasses.replace(good, endpoint_analyses={Endpoint.PFS: (1, 0),
                                                      Endpoint.OS: (0, 1, 2)})
     # an empty schedule, and fractions that are not increasing: both were
-    # built, and failed later with no field name
-    with pytest.raises(DesignConfigError, match=r"endpoint_analyses\.pfs: expected at least one"):
+    # built, and failed later with no field name. A refused or missing
+    # schedule is reported alone, without the counts of fractions against it
+    with pytest.raises(DesignConfigError,
+                       match=r"^endpoint_analyses\.pfs: expected at least one analysis$"):
         dataclasses.replace(good, endpoint_analyses={Endpoint.PFS: (), Endpoint.OS: (0, 1, 2)})
+    with pytest.raises(DesignConfigError,
+                       match=r"^endpoint_analyses\.pfs: analysis schedule missing$"):
+        dataclasses.replace(designs2["ad:0.5"], endpoint_analyses={Endpoint.OS: (0, 1, 2)})
     with pytest.raises(DesignConfigError, match=r"fractions\.full\.os: fractions must be strictly"):
         dataclasses.replace(good, fractions={**good.fractions, H_F_OS: (0.6, 0.5, 1.0)})
     # an AD arm needs a weight table per endpoint; None means event-driven
