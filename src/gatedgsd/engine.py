@@ -82,7 +82,7 @@ from .futility import FutilityRule, Selection, SelectionDecision, select_populat
 from .multiplicity import (HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population,
                            hochberg_intersection, hypothesis_mask)
 from .numerics import norm_cdf
-from .rules import ALPHA, NONNEGATIVE, refuse, sum_problem
+from .rules import ALPHA, NONNEGATIVE, POSITIVE, UNIT, refuse, sum_problem
 from .simdata import AnalysisSnapshot, joint_slot, slot
 
 __all__ = [
@@ -503,6 +503,14 @@ class Decision(NamedTuple):
             self.first.append(i)
         hist.append((look, z))
 
+    def enter_p(self, k: int, i: int, look: int, p: float):
+        """Record the normal score of target i's p-value at analysis k, one
+        of its looks, and the clamp if it fired."""
+        q, clamped = normal_score(p)
+        if clamped:
+            self.clamps.append((k, i))
+        self.enter(i, look, q)
+
 
 def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
             load: Callable[[Decision, int, object], Optional[float]], data) -> Decision:
@@ -691,6 +699,18 @@ class ObservedData:
     hr_sub: Optional[float] = None
     p_values: Mapping[HypothesisId, Mapping[int, float]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Raises ValueError naming each hazard ratio that is not positive and
+        each p-value outside (0, 1], by hypothesis and analysis
+        ("p_values.full_pfs.IA1"), with the rules `parse_config` applies."""
+        problems = [(key, POSITIVE(getattr(self, key), skip_none=True))
+                    for key in ("hr_full", "hr_sub")]
+        names = dict(enumerate(ANALYSIS_NAMES))  # an index past the names keeps its number
+        for h, by_analysis in self.p_values.items():
+            problems += [(f"p_values.{_SLUG[h]}.{names.get(k, k)}", UNIT(p))
+                         for k, p in by_analysis.items()]
+        refuse(problems)
+
 
 def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
     """Each continuing population's given p-value; for AD and gGSD then the
@@ -706,12 +726,12 @@ def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
             p_h = observed.p_values.get(h, {}).get(k)
             if p_h is not None:
                 p.append(p_h)
-                dec.enter(_INDEX[h], look, normal_score(p_h)[0])
+                dec.enter_p(k, _INDEX[h], look, p_h)
             elif not mask >> _INDEX[h] & 1:
                 raise MissingSlotError(f"missing observed p-value for {h} at analysis {k + 1}")
         if plan.gated and len(p) == len(plan.pops):
             p_fs = p[0] if len(p) == 1 else hochberg_intersection(*p)
-            dec.enter(_FS_INDEX[ep], look, normal_score(p_fs)[0])
+            dec.enter_p(k, _FS_INDEX[ep], look, p_fs)
 
 
 def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:

@@ -9,35 +9,42 @@ A snapshot holds 12 slots, 3 cohorts (stage 1, stage 2, pooled) x 2
 populations x 2 endpoints, as tuples in one fixed order; `slot` gives a
 statistic's index and is the one place that knows the layout. Every patient
 sits in one of four stage x subgroup cells, and each (cohort, population)
-row is a union of cells, so a row's counts are sums of per-cell, per-arm
-counts at the distinct event times of its endpoint's sorted sample.
+row is a union of cells.
 
 A snapshot computes on demand. `snapshot_at` keeps the enrolled rows at
 the cutoff (all of them, without a gather, once accrual is over); each
-patient's (subgroup, arm) group is computed once per trial (`TrialData`).
-When `AnalysisSnapshot.block(e, pooled)` fills one of endpoint e's blocks,
-its enrolled rows are censored, sorted and counted per group at their
-distinct event times, and the counts are weighted by one kernel call. The
-groups are those the reader needs: a pooled pair (F and S) is counted by
+patient's (subgroup, arm) and (cell, arm) groups are computed once per
+trial (`TrialData.group`, `TrialData.cell_group`). When
+`AnalysisSnapshot.block(e, pooled)` fills one of endpoint e's blocks, its
+enrolled rows are censored and counted by one kernel call
+(`_slot_counts`). The kernel sorts the rows by duration once and lists
+them slot by slot, so each slot's rows are one contiguous run of the list
+in duration order, about 3n entries for a six-slot fill of n rows. At an
+event row, the slot's rows at risk are its run from that row on, and the
+experimental ones come from one cumsum of the arm flags. A sample with no
+tied durations (checked once) has one event per event row; with ties, a
+slot's tied event rows collapse into one event time, at risk from the
+tie's first row. Nothing is held per group and event time. The groups are
+those the reader needs: a pooled pair (F and S) lists the rows by
 (subgroup, arm), four groups; a stage-wise block (stage 1 and stage 2, F
 and S) by (cell, arm), eight groups, and that one call fills all six
-slots, the pooled pair included. The Monte Carlo runs the
-gated arms, which read stage-wise blocks, before GSD, which reads pooled
-pairs, so a replication counts each sample once. The counts depend only on
-the rows, not on the order of tied ones, so the sort need not be stable.
-They are exact integers, and each slot's sums are the same additions in the
-same order whichever call fills it, so every slot has the same bits in any
-read order. Reading a whole table fills every block. `logrank_test` is the
-same kernel with a single slot.
+slots, the pooled pair included. The Monte Carlo runs the gated arms,
+which read stage-wise blocks, before GSD, which reads pooled pairs, so a
+replication counts each sample once. The counts depend only on the rows,
+not on the order of tied ones, so the sort need not be stable. They are
+exact integers, and each slot's sums are the same additions in the same
+order whichever call fills it, so every slot has the same bits in any read
+order. Reading a whole table fills every block. `logrank_test` is the same
+kernel with a single slot.
 
 The futility gate's snapshot computes no slots. It counts its stage-1 PFS
-rows per (subgroup, arm) group the same way, once, and fits the Cox hazard
-ratios of F and S from those counts (`_breslow_hr`, the one Cox fit, which
-`cox_hazard_ratio` runs on a single sample). The fit is exact about a
-monotone or flat likelihood, and brackets a finite root in an interval
-whose ends have known score signs, so it evaluates the score only inside;
-it returns no NaN, and like the counts, its bits do not depend on patient
-order.
+rows by (subgroup, arm) the same way, once, and fits the Cox hazard ratios
+of F and S from the same per-slot counts a logrank reads (`_breslow_hr`,
+the one Cox fit, which `cox_hazard_ratio` runs on a single sample). The
+fit is exact about a monotone or flat likelihood, and brackets a finite
+root in an interval whose ends have known score signs, so it evaluates the
+score only inside; it returns no NaN, and like the counts, its bits do not
+depend on patient order.
 
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
@@ -49,7 +56,6 @@ read.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -162,7 +168,8 @@ class TrialData:
 
     `group` is each patient's (subgroup, arm) group, 2 * in_subgroup + arm,
     and `last_enroll` the last enrollment time, both computed once per
-    trial.
+    trial; `cell_group` keeps the (cell, arm) groups of the last stage-1
+    cutoff asked for.
     """
 
     def __init__(self, enroll_time, in_subgroup, experimental, event_time, dropout_time):
@@ -173,6 +180,7 @@ class TrialData:
         self.dropout_time = dropout_time
         self.group = 2 * in_subgroup + experimental
         self.last_enroll = enroll_time.max(initial=-math.inf)
+        self._cells = (None, None)  # (stage-1 cutoff, its (cell, arm) groups)
 
     def __len__(self) -> int:
         return len(self.enroll_time)
@@ -180,6 +188,13 @@ class TrialData:
     def stage(self, cutoff: float) -> np.ndarray:
         """Stage labels: 1 for enrollment strictly before the cutoff."""
         return np.where(self.enroll_time < cutoff, 1, 2)
+
+    def cell_group(self, cutoff: float) -> np.ndarray:
+        """Each patient's (cell, arm) group, 2 * cell + arm, with cells as
+        in `_STAGE_CELLS`: 2 * (enrolled at or after `cutoff`) + in_subgroup."""
+        if self._cells[0] != cutoff:
+            self._cells = cutoff, self.group + 4 * (self.enroll_time >= cutoff)
+        return self._cells[1]
 
     def to_rows(self, cutoff: float) -> List[Dict[str, float]]:
         stage = self.stage(cutoff)
@@ -260,128 +275,79 @@ def _censor(trial: TrialData, ep: Endpoint, time: float, mask: np.ndarray):
     return np.minimum(latent, seen), latent <= seen
 
 
-def _slot_weights(slot_cells) -> np.ndarray:
-    """0/1 matrix that turns per-group counts into per-slot counts.
+def _slot_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray, member: np.ndarray):
+    """Per-slot counts at each slot's event times in one sample, along its
+    rows listed slot by slot in duration order (see the module docstring).
 
-    `slot_cells` has one 0/1 row per slot over the cells. Group 2c is cell
-    c's control arm and 2c + 1 its experimental arm. The kernel's counts
-    stack two blocks of group rows (rows gone by each event time, then
-    events at each time); the product stacks four blocks of slot rows: gone
-    in both arms, gone in the experimental arm, events in both arms,
-    experimental events.
-    """
-    cells = np.asarray(slot_cells, dtype=np.float64)
-    per_slot = np.vstack([np.repeat(cells, 2, axis=1), np.kron(cells, (0.0, 1.0))])
-    return np.kron(np.eye(2), per_slot)
-
-
-class _Scratch(threading.local):
-    """Float64 buffers that the count kernel reuses from call to call, one
-    set per thread, each grown to twice its size when an array does not fit.
-
-    A stage-wise fill of a setting2 sample builds a 16 x 830 count matrix, a
-    24 x 830 slot product and a 12 x 830 at-risk matrix (106, 160 and 80 KB).
-    Allocated and freed in every fill, arrays of that size cost a Monte Carlo
-    replication about 300 minor page faults (`getrusage`, setting2 power
-    pass) and a quarter of its time, unless something else in the process
-    has first raised glibc's dynamic mmap and trim thresholds. Kept, they
-    cost none. An array taken from here is valid until the next `take` of
-    the same name, so no caller keeps one past the fill it serves.
-    """
-
-    def __init__(self):
-        self.buffers: Dict[str, np.ndarray] = {}
-
-    def take(self, name: str, rows: int, cols: int) -> np.ndarray:
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < rows * cols:
-            buf = np.empty(max(rows * cols, 0 if buf is None else 2 * buf.size))
-            self.buffers[name] = buf
-        return buf[:rows * cols].reshape(rows, cols)
-
-
-_SCRATCH = _Scratch()
-
-
-def _group_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray,
-                  n_groups: int) -> np.ndarray:
-    """Per-group counts at the distinct event times of one sample.
-
-    d and s are the rows' durations and event flags (bool), and `group` is
-    each row's group, (cell, arm) or (subgroup, arm); the rows are sorted by
-    duration here. The result stacks two blocks of
-    `n_groups` rows over the event times: rows gone by each event time, then
-    events at each time. Every block of slots read off the sample is a
-    weighting of these rows (`_logrank_slots`). A row's bucket depends only
-    on its own duration, so the counts depend only on the multiset of
-    (duration, flag, group) rows: the sort need not be stable. They are
-    integers below 2**53 held as float64, so every sum of them is exact.
-    The result lives in the thread's scratch buffer (`_Scratch`): it holds
-    until the next count.
+    d and s are the rows' durations and event flags (bool), `group` each
+    row's group, 2 * cell + arm ((cell, arm) or (subgroup, arm)), and
+    `member` a 0/1 table of slots x groups. Returns (counts, ends, sizes).
+    `counts` is 4 x R float64, one column per (slot, event time) with an
+    event, slot-major and in time order: rows at risk in both arms and in
+    the experimental arm, then events in both arms and in the experimental
+    arm. Slot k's columns end at ends[k], and sizes[k] is its (rows,
+    experimental rows).
     """
     order = np.argsort(d)
-    d, s, group = d[order], s[order], group[order]
-    n = len(d)
-    # A row's bucket counts the event times at which it is still at risk:
-    # the distinct event times up to its own duration, ties included. Runs
-    # of tied durations are marked at their first row, so all rows of a run
-    # share one bucket and a group's rows in buckets 0..j are those gone by
-    # event time j.
-    new_run = np.ones(n, dtype=bool)
-    np.not_equal(d[1:], d[:-1], out=new_run[1:])
-    run_start = np.where(new_run, np.arange(n), 0)
-    np.maximum.accumulate(run_start, out=run_start)
-    bucket = np.zeros(n, dtype=np.intp)
-    bucket[run_start[s]] = 1
-    np.cumsum(bucket, out=bucket)
-    width = int(bucket[-1]) + 1 if n else 1
-    # Count rows per (group, bucket) and, below them, events per (group, time);
-    # an event row's own time is the last one it is at risk at.
-    index = group * width + bucket
-    counts = np.bincount(np.concatenate([index, index[s] + n_groups * width - 1]),
-                         minlength=2 * n_groups * width).reshape(2 * n_groups, width)
-    np.cumsum(counts[:n_groups], axis=1, out=counts[:n_groups])
-    out = _SCRATCH.take("counts", 2 * n_groups, width)
-    out[...] = counts
-    return out
+    d, group = d[order], group[order]
+    n, n_slots = len(d), len(member)
+    pos = np.flatnonzero(member.take(group, axis=1))
+    # Each entry's 2 * event flag + arm, read off the sorted rows listed
+    # once per slot.
+    flags = np.concatenate([(2 * s[order] + (group & 1)).astype(np.int8)] * n_slots).take(pos)
+    arm = flags & 1
+    exp_before = np.zeros(len(pos) + 1, dtype=np.intp)  # experimental entries before each
+    np.cumsum(arm, out=exp_before[1:])
+    ends = np.searchsorted(pos, np.arange(1, n_slots + 1) * n)
+    at = np.flatnonzero(flags > 1)  # the list's event rows
+    d_tot, d_exp = 1, arm.take(at)  # events at each event time
+    new_run = d[1:] != d[:-1]
+    if len(at) and not new_run.all():
+        # An event row is at risk from its slot's first entry at or after
+        # the first sorted row of its run of tied durations; the slot's
+        # event rows that share that entry are one event time.
+        run_start = np.where(np.concatenate(([True], new_run)), np.arange(n), 0)
+        np.maximum.accumulate(run_start, out=run_start)
+        entry = pos.take(at)
+        row = entry % n
+        at = np.searchsorted(pos, entry - row + run_start.take(row))
+        first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+        d_tot = np.diff(first, append=len(at))
+        d_exp = np.add.reduceat(d_exp, first)
+        at = at.take(first)
+    starts = np.concatenate(([0], ends[:-1]))
+    end = np.repeat(ends, ends - starts).take(at)  # each event time's slot end
+    counts = np.empty((4, len(at)))
+    np.subtract(end, at, out=counts[0])
+    np.subtract(exp_before.take(end), exp_before.take(at), out=counts[1])
+    counts[2], counts[3] = d_tot, d_exp
+    rows = (ends - starts).tolist()
+    exp_rows = (exp_before.take(ends) - exp_before.take(starts)).tolist()
+    return counts, np.searchsorted(at, ends).tolist(), list(zip(rows, exp_rows))
 
 
-def _logrank_slots(counts: np.ndarray, weights: np.ndarray) -> List[Tuple[float, float, int]]:
-    """One-sided logrank (z, p, events) for every slot of one sorted sample.
-
-    `counts` comes from `_group_counts`, and `weights` (from `_slot_weights`)
-    says which groups make up each slot, so a slot's counts are sums over
-    its groups. At-risk counts are taken at the first row of a tied
-    duration, so a patient censored at t is still at risk at t; events at
-    one time are collapsed.
-    """
-    n_slots, width = weights.shape[0] // 4, counts.shape[1]
-    slot_counts = np.matmul(weights, counts, out=_SCRATCH.take("slots", 4 * n_slots, width))
-    size = slot_counts[:2 * n_slots, -1:]
-    at_risk = np.subtract(size, slot_counts[:2 * n_slots],
-                          out=_SCRATCH.take("at_risk", 2 * n_slots, width)).reshape(2, -1)
-    died = slot_counts[2 * n_slots:].reshape(2, -1)
-    # Each slot sums over its own event times only, as one contiguous run:
-    # the same additions in the same order as a sample holding that slot
-    # alone, so a block of slots gives each slot the bits of any other block.
-    runs = np.flatnonzero(died[0] > 0)
-    ends = np.searchsorted(runs, np.arange(1, n_slots + 1) * width).tolist()
-    n_tot, n_exp = at_risk.take(runs, axis=1)
-    d_tot, d_exp = died.take(runs, axis=1)
+def _logrank_slots(counts: np.ndarray, ends: List[int],
+                   sizes: List[Tuple[int, int]]) -> List[Tuple[float, float, int]]:
+    """One-sided logrank (z, p, events) for every slot of one sample, from
+    `_slot_counts`. A slot with no event, or with one arm only, carries no
+    evidence: (0, 1, events)."""
+    n_tot, n_exp, d_tot, d_exp = counts
     share = n_exp / n_tot
-    terms = np.empty((3, len(runs)))
+    terms = np.empty((3, counts.shape[1]))
     np.subtract(d_exp, d_tot * n_exp / n_tot, out=terms[0])
     var = np.multiply(d_tot, share, out=terms[1])
     var *= 1.0 - share
     var *= n_tot - d_tot
     var /= np.maximum(n_tot - 1.0, 1.0)
     terms[2] = d_tot
-    sizes = size.ravel().tolist()
     out = []
-    for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
+    # Each slot sums over its own event times only, as one contiguous run:
+    # the same additions in the same order as a sample holding that slot
+    # alone, so a block of slots gives each slot the bits of any other block.
+    for lo, hi, (n_all, n_x) in zip([0] + ends, ends, sizes):
         u, v, n_ev = np.add.reduce(terms[:, lo:hi], axis=1).tolist()
-        n_ev, n_x = int(n_ev), sizes[n_slots + k]
-        if n_ev == 0 or n_x == 0 or n_x == sizes[k] or v <= 0.0:
+        n_ev = int(n_ev)
+        if n_ev == 0 or n_x == 0 or n_x == n_all or v <= 0.0:
             out.append((0.0, 1.0, n_ev))
             continue
         z = -u / math.sqrt(v)  # fewer experimental events than expected => z > 0
@@ -389,7 +355,11 @@ def _logrank_slots(counts: np.ndarray, weights: np.ndarray) -> List[Tuple[float,
     return out
 
 
-_ONE_SLOT = _slot_weights([[1]])
+def _one_slot(duration: np.ndarray, status: np.ndarray, experimental: np.ndarray):
+    """`_slot_counts` of one sample as a single slot: F over (subgroup, arm)
+    groups with every row in the complement."""
+    return _slot_counts(duration, status.astype(bool), experimental.astype(np.intp),
+                        _POOLED_PAIR[:1])
 
 
 def logrank_test(duration: np.ndarray, status: np.ndarray, experimental: np.ndarray):
@@ -398,8 +368,7 @@ def logrank_test(duration: np.ndarray, status: np.ndarray, experimental: np.ndar
     Returns (z, one_sided_p, events). A stratum with no events, or with
     one arm only, carries no evidence: (0, 1, events).
     """
-    counts = _group_counts(duration, status.astype(bool), experimental.astype(np.intp), 2)
-    return _logrank_slots(counts, _ONE_SLOT)[0]
+    return _logrank_slots(*_one_slot(duration, status, experimental))[0]
 
 
 def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
@@ -409,8 +378,7 @@ def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
 
     Raises ValueError when there is no event.
     """
-    counts = _group_counts(duration, status.astype(bool), experimental.astype(np.intp), 2)
-    hr = _breslow_hr(_ONE_SLOT @ counts)
+    hr = _breslow_hr(_one_slot(duration, status, experimental)[0])
     if hr is None:
         raise ValueError("no events: hazard ratio is not estimable")
     return hr
@@ -419,9 +387,9 @@ def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
 def _breslow_hr(counts: np.ndarray) -> Optional[float]:
     """The Cox HR (Breslow ties) of one slot, None where it has no event.
 
-    `counts` holds one slot's rows of a `_slot_weights` product: rows gone
-    by each event time in both arms and in the experimental arm, then the
-    events in both arms and in the experimental arm. The score
+    `counts` holds one slot's columns of `_slot_counts`: rows at risk in
+    both arms and in the experimental arm, then events in both arms and in
+    the experimental arm, at each of the slot's event times. The score
     U(beta) = sum over event times of d_exp - d * share(beta), with share the
     experimental arm's weight of the risk set, falls as beta grows, from
     U(-inf) = experimental events - events at times with no control row at
@@ -437,12 +405,10 @@ def _breslow_hr(counts: np.ndarray) -> Optional[float]:
     - otherwise the root is finite, and `find_root` (Newton kept inside a
       sign bracket) finds it to `_COX_TOL` in beta.
     """
-    times = np.flatnonzero(counts[2])
-    if not len(times):
+    if not counts.shape[1]:
         return None
-    gone, gone_exp, d, d_exp = counts.take(times, axis=1)
-    n_exp = counts[1, -1] - gone_exp
-    n_ctl = counts[0, -1] - gone - n_exp
+    n_tot, n_exp, d, d_exp = counts
+    n_ctl = n_tot - n_exp
     has_ctl = n_ctl > 0
     u_lo = float(np.add.reduce(d_exp[has_ctl]))
     both = has_ctl & (n_exp > 0)
@@ -511,25 +477,22 @@ class AnalysisSnapshot:
     def block(self, e: int, pooled: bool) -> List[Tuple[float, float, int]]:
         """The (z, p, events) table with one block of endpoint e filled.
 
-        A fill censors, sorts and counts the endpoint's enrolled rows at its
-        distinct event times and weights those counts in one kernel call. The
-        pooled block counts the rows by (subgroup, arm) and fills its two
-        slots; the stage-wise block counts them by (cell, arm), 2 * cell +
-        arm, and fills all six, rewriting a pooled pair read before with the
-        same bits."""
+        A fill censors the endpoint's enrolled rows and counts them slot by
+        slot along their duration order in one kernel call. The pooled block
+        lists the rows by (subgroup, arm) and fills its two slots; the
+        stage-wise block lists them by (cell, arm) and fills all six,
+        rewriting a pooled pair read before with the same bits."""
         stats = self._stats
         stagewise, pooled_pair = _SLOTS[e]
         if stats[(pooled_pair if pooled else stagewise)[0]] is None:
             trial, rows = self._trial, self._rows
             if pooled:
-                group, n_groups, weights, slots = (trial.group, _GATE_GROUPS, _GATE_WEIGHTS,
-                                                   pooled_pair)
+                group, member, slots = trial.group, _POOLED_PAIR, pooled_pair
             else:
-                group = trial.group + 4 * (trial.enroll_time >= self._cutoff)
-                n_groups, weights, slots = _N_GROUPS, _SIX_SLOT_WEIGHTS, stagewise + pooled_pair
+                group, member = trial.cell_group(self._cutoff), _SIX_SLOTS
+                slots = stagewise + pooled_pair
             dur, st = _censor(trial, _ENDPOINTS[e], self.calendar_time, rows)
-            counts = _group_counts(dur, st, group[rows], n_groups)
-            for j, stat in zip(slots, _logrank_slots(counts, weights)):
+            for j, stat in zip(slots, _logrank_slots(*_slot_counts(dur, st, group[rows], member))):
                 stats[j] = stat
         return stats
 
@@ -590,7 +553,6 @@ _STAGES = _COHORTS[:2]
 _STAGE_CELLS = [(1, 1, 0, 0), (0, 1, 0, 0),  # stage1
                 (0, 0, 1, 1), (0, 0, 0, 1)]  # stage2
 _POOLED_CELLS = [(1, 1, 1, 1), (0, 1, 0, 1)]
-_N_GROUPS = 2 * len(_STAGE_CELLS[0])  # (cell, arm) groups
 _ENDPOINTS = tuple(Endpoint)
 _N_SLOTS = 2 * len(_COHORTS) * len(_ENDPOINTS)
 
@@ -610,31 +572,29 @@ def joint_slot(cohort: str, endpoint: Endpoint) -> int:
     return len(_ENDPOINTS) * row + _ENDPOINTS.index(endpoint)
 
 
-# (subgroup, arm) groups, 2 * in_subgroup + arm (`TrialData.group`), and the
-# weights of F (both subgroups) and S (the subgroup) over them: the pooled
-# pair's weights, and the futility gate's over its stage-1 rows.
-_GATE_GROUPS = 4
-_GATE_WEIGHTS = _slot_weights([(1, 1), (0, 1)])
-
 # Per endpoint, the slots of its stage-wise block and of its pooled pair.
 _SLOTS = tuple((tuple(slot(c, pop, ep) for c in _STAGES for pop in Population),
                 tuple(slot("pooled", pop, ep) for pop in Population)) for ep in _ENDPOINTS)
-# A stage-wise fill's weights over the (cell, arm) groups: its block's four
-# slots, then the pooled pair.
-_SIX_SLOT_WEIGHTS = _slot_weights(_STAGE_CELLS + _POOLED_CELLS)
+# `_slot_counts`' member tables: group 2c + arm is in a slot when cell c is.
+# A stage-wise fill's six slots over the (cell, arm) groups, its block's
+# four then the pooled pair; and F (both subgroups) and S (the subgroup)
+# over the (subgroup, arm) groups of `TrialData.group`, the pooled pair's
+# and the futility gate's over its stage-1 rows.
+_SIX_SLOTS = np.repeat(np.array(_STAGE_CELLS + _POOLED_CELLS, dtype=bool), 2, axis=1)
+_POOLED_PAIR = np.repeat(np.array([(1, 1), (0, 1)], dtype=bool), 2, axis=1)
 
 
 def _stage1_hazard_ratios(trial: TrialData, time: float, stage1: np.ndarray):
     """Stage-1 PFS Cox HRs at a cutoff, F then S; None where a population has
     no event. `stage1` selects the stage-1 rows enrolled by the cutoff.
 
-    The rows are censored, sorted and counted per (subgroup, arm) group once
-    (`_group_counts`), and each population's counts are a weighting of
-    those. A fit reads only the population's own event times, so it sees
-    the counts `cox_hazard_ratio` gives the population's sample alone."""
+    The rows are censored, sorted and counted slot by slot once
+    (`_slot_counts`, F and S over (subgroup, arm) groups), and each fit
+    reads its population's own columns: the counts `cox_hazard_ratio` gives
+    the population's sample alone."""
     dur, st = _censor(trial, Endpoint.PFS, time, stage1)
-    counts = _GATE_WEIGHTS @ _group_counts(dur, st, trial.group[stage1], _GATE_GROUPS)
-    return _breslow_hr(counts[0::2]), _breslow_hr(counts[1::2])
+    counts, (f_end, s_end), _ = _slot_counts(dur, st, trial.group[stage1], _POOLED_PAIR)
+    return _breslow_hr(counts[:, :f_end]), _breslow_hr(counts[:, f_end:s_end])
 
 
 def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,

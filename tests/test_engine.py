@@ -188,6 +188,38 @@ def test_observed_futility_stop(designs2):
     assert trace.confirmed() == {}
 
 
+def test_observed_clamped_p_values_warn(designs2):
+    # A p-value of 1 is clamped before its normal score is taken; the replay
+    # records it per (analysis, target), as a simulated arm does.
+    design = designs2["gsd"]
+    p = {h: {k: 1.0 for k in design.endpoint_analyses[h.endpoint]}
+         for h in (H_F_PFS, H_S_PFS, H_F_OS, H_S_OS)}
+    trace = analyze_observed(design, ObservedData(p_values=p))
+    assert trace.confirmed() == {}
+    per_analysis = (("PFS(F)", "PFS(S)", "OS(F)", "OS(S)"),) * 2 + (("OS(F)", "OS(S)"),)
+    assert trace.warnings == [f"analysis {k + 1}: degenerate p-value clamped for {label}"
+                              for k, labels in enumerate(per_analysis) for label in labels]
+    assert trace.to_dict()["warnings"] == trace.warnings
+    # gGSD also clamps each endpoint's FS intersection, Hochberg of two 1s.
+    gated = analyze_observed(designs2["ggsd:0.5"], ObservedData(0.7, 0.7, p_values=p))
+    assert "analysis 1: degenerate p-value clamped for PFS(FS)" in gated.warnings
+    plain = analyze_observed(design, ObservedData(p_values={h: {k: 0.5 for k in looks}
+                                                            for h, looks in p.items()}))
+    assert plain.warnings == []
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(p_values={H_F_PFS: {0: 1.5}}), r"^p_values\.full_pfs\.IA1: .*\(0, 1\], got 1\.5$"),
+    (dict(p_values={H_S_OS: {0: 0.2, 2: 0.0}}), r"^p_values\.sub_os\.FA: .*got 0$"),
+    (dict(hr_full=0.0, hr_sub=-1.0), r"^hr_full: .*got 0; hr_sub: .*got -1$"),
+], ids=["p_above_1", "p_zero", "hazard_ratios"])
+def test_observed_data_refuses_values_out_of_range(fields, message):
+    # These used to construct; p = 1.5 then failed in the Hochberg
+    # intersection, naming no field.
+    with pytest.raises(ValueError, match=message):
+        ObservedData(**fields)
+
+
 # -- simulated traces and their invariants ----------------------------------
 
 
@@ -506,22 +538,22 @@ def fills(monkeypatch):
     [endpoint, cutoff, groups counted by, slots filled]. The futility
     snapshot's count fills no slot (None)."""
     out = []
-    censor, count, kernel = simdata._censor, simdata._group_counts, simdata._logrank_slots
+    censor, count, kernel = simdata._censor, simdata._slot_counts, simdata._logrank_slots
 
     def counting_censor(trial, ep, time, mask):
         out.append([ep, time, None, None])
         return censor(trial, ep, time, mask)
 
-    def counting_counts(d, s, group, n_groups):
-        out[-1][2] = n_groups
-        return count(d, s, group, n_groups)
+    def counting_counts(d, s, group, member):
+        out[-1][2] = member.shape[1]  # groups the slots are made of
+        return count(d, s, group, member)
 
-    def counting_kernel(counts, weights):
-        out[-1][3] = weights.shape[0] // 4  # rows of the fill's weight matrix
-        return kernel(counts, weights)
+    def counting_kernel(counts, ends, sizes):
+        out[-1][3] = len(ends)
+        return kernel(counts, ends, sizes)
 
     monkeypatch.setattr(simdata, "_censor", counting_censor)
-    monkeypatch.setattr(simdata, "_group_counts", counting_counts)
+    monkeypatch.setattr(simdata, "_slot_counts", counting_counts)
     monkeypatch.setattr(simdata, "_logrank_slots", counting_kernel)
     return out
 

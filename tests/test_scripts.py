@@ -55,3 +55,14 @@ def test_bench_pairs_verdicts():
     assert not compare(noisy, [x + 81.0 for x in noisy], "higher", 0.25)["unresolved"]
     assert compare(noisy, [x - 79.0 for x in noisy], "lower", 0.25)["unresolved"]
     assert not compare(noisy, [x - 81.0 for x in noisy], "lower", 0.25)["unresolved"]
+
+
+def test_scale_probe_small(capsys):
+    probe = _load(next(p for p in SCRIPTS if p.name == "scale_probe.py"))
+    assert probe.main(["--reps", "2"]) == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:4] for row in rows] == [[f"x{f}", name, str(924 * f), "2"]
+                                         for f in (1, 4, 16) for name in ("power", "null")]
+    for row in rows:
+        ms, faults = map(float, row[4:])
+        assert ms > 0.0 and faults >= 0.0

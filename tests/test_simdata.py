@@ -17,16 +17,15 @@ from gatedgsd.engine import MissingSlotError, run_design
 from gatedgsd.futility import select_population
 from gatedgsd.harness import replication_inputs
 from gatedgsd.multiplicity import Endpoint, Population, hochberg_intersection
-from gatedgsd.numerics import norm_cdf
+from gatedgsd.numerics import find_root, norm_cdf
 from gatedgsd.simdata import (
     AnalysisTrigger,
     ScenarioSpec,
     SchedulingError,
     TrialData,
     _censor,
-    _group_counts,
     _logrank_slots,
-    _slot_weights,
+    _slot_counts,
     cox_hazard_ratio,
     generate_trial,
     joint_slot,
@@ -365,16 +364,133 @@ def test_snapshot_kernel_hand_built_edges():
     assert len(empty.zero_event_slots) == 12 and set(empty.z) == {0.0}
 
 
-# The six (cohort, population) rows of one endpoint in a single kernel call,
-# over the cells stage-1 complement, stage-1 subgroup, stage-2 complement,
-# stage-2 subgroup: stage 1 F and S, stage 2 F and S, pooled F and S.
-SIX_SLOT_WEIGHTS = _slot_weights([(1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1),
-                                  (1, 1, 1, 1), (0, 1, 0, 1)])
+# -- the reference route: the groups x event-times grid kernel ---------------
+# The snapshot kernel counted each sample on a dense grid until it moved to
+# one list of slot rows in duration order. The grid route is kept here as
+# written then, apart from the reused per-thread buffers (plain arrays here),
+# to check the list kernel bit for bit.
+
+
+def grid_slot_weights(slot_cells) -> np.ndarray:
+    """0/1 matrix that turns per-group counts into per-slot counts.
+
+    `slot_cells` has one 0/1 row per slot over the cells. Group 2c is cell
+    c's control arm and 2c + 1 its experimental arm. The kernel's counts
+    stack two blocks of group rows (rows gone by each event time, then
+    events at each time); the product stacks four blocks of slot rows: gone
+    in both arms, gone in the experimental arm, events in both arms,
+    experimental events.
+    """
+    cells = np.asarray(slot_cells, dtype=np.float64)
+    per_slot = np.vstack([np.repeat(cells, 2, axis=1), np.kron(cells, (0.0, 1.0))])
+    return np.kron(np.eye(2), per_slot)
+
+
+def grid_group_counts(d, s, group, n_groups):
+    """Per-group counts at the distinct event times of one sample: two blocks
+    of `n_groups` rows over the event times, rows gone by each event time,
+    then events at each time."""
+    order = np.argsort(d)
+    d, s, group = d[order], s[order], group[order]
+    n = len(d)
+    # A row's bucket counts the event times at which it is still at risk:
+    # the distinct event times up to its own duration, ties included. Runs
+    # of tied durations are marked at their first row, so all rows of a run
+    # share one bucket and a group's rows in buckets 0..j are those gone by
+    # event time j.
+    new_run = np.ones(n, dtype=bool)
+    np.not_equal(d[1:], d[:-1], out=new_run[1:])
+    run_start = np.where(new_run, np.arange(n), 0)
+    np.maximum.accumulate(run_start, out=run_start)
+    bucket = np.zeros(n, dtype=np.intp)
+    bucket[run_start[s]] = 1
+    np.cumsum(bucket, out=bucket)
+    width = int(bucket[-1]) + 1 if n else 1
+    # Count rows per (group, bucket) and, below them, events per (group, time);
+    # an event row's own time is the last one it is at risk at.
+    index = group * width + bucket
+    counts = np.bincount(np.concatenate([index, index[s] + n_groups * width - 1]),
+                         minlength=2 * n_groups * width).reshape(2 * n_groups, width)
+    np.cumsum(counts[:n_groups], axis=1, out=counts[:n_groups])
+    return counts.astype(np.float64)
+
+
+def grid_logrank_slots(counts, weights):
+    """One-sided logrank (z, p, events) for every slot, off the grid."""
+    n_slots, width = weights.shape[0] // 4, counts.shape[1]
+    slot_counts = np.matmul(weights, counts)
+    size = slot_counts[:2 * n_slots, -1:]
+    at_risk = np.subtract(size, slot_counts[:2 * n_slots]).reshape(2, -1)
+    died = slot_counts[2 * n_slots:].reshape(2, -1)
+    runs = np.flatnonzero(died[0] > 0)
+    ends = np.searchsorted(runs, np.arange(1, n_slots + 1) * width).tolist()
+    n_tot, n_exp = at_risk.take(runs, axis=1)
+    d_tot, d_exp = died.take(runs, axis=1)
+    share = n_exp / n_tot
+    terms = np.empty((3, len(runs)))
+    np.subtract(d_exp, d_tot * n_exp / n_tot, out=terms[0])
+    var = np.multiply(d_tot, share, out=terms[1])
+    var *= 1.0 - share
+    var *= n_tot - d_tot
+    var /= np.maximum(n_tot - 1.0, 1.0)
+    terms[2] = d_tot
+    sizes = size.ravel().tolist()
+    out = []
+    for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        u, v, n_ev = np.add.reduce(terms[:, lo:hi], axis=1).tolist()
+        n_ev, n_x = int(n_ev), sizes[n_slots + k]
+        if n_ev == 0 or n_x == 0 or n_x == sizes[k] or v <= 0.0:
+            out.append((0.0, 1.0, n_ev))
+            continue
+        z = -u / math.sqrt(v)
+        out.append((z, 1.0 - norm_cdf(z), n_ev))
+    return out
+
+
+def grid_breslow_hr(counts):
+    """The Cox HR (Breslow ties) of one slot's four weighted grid rows, None
+    where it has no event."""
+    times = np.flatnonzero(counts[2])
+    if not len(times):
+        return None
+    gone, gone_exp, d, d_exp = counts.take(times, axis=1)
+    n_exp = counts[1, -1] - gone_exp
+    n_ctl = counts[0, -1] - gone - n_exp
+    has_ctl = n_ctl > 0
+    u_lo = float(np.add.reduce(d_exp[has_ctl]))
+    both = has_ctl & (n_exp > 0)
+    d, ratio = d[both], n_ctl[both] / n_exp[both]
+    u_hi = u_lo - float(np.add.reduce(d))
+    if u_lo == 0.0 or u_hi == 0.0:
+        return 1.0 if u_lo == u_hi else (0.0 if u_lo == 0.0 else math.inf)
+
+    def score(beta):
+        share = ratio * math.exp(-beta)
+        share += 1.0
+        np.reciprocal(share, out=share)
+        expected = d * share
+        u = float(np.add.reduce(expected))
+        return u_lo - u, float(np.add.reduce(expected * share)) - u
+
+    lo = math.log(u_lo / float(np.add.reduce(d / ratio))) - 1.0
+    hi = math.log(float(np.add.reduce(d * ratio)) / -u_hi) + 1.0
+    ends = {lo: (u_lo, 0.0), hi: (u_hi, 0.0)}
+    return math.exp(find_root(lambda beta: ends[beta] if beta in ends else score(beta),
+                              lo, hi, 0.0, tol=simdata._COX_TOL))
+
+
+# The six (cohort, population) rows of one endpoint over the cells stage-1
+# complement, stage-1 subgroup, stage-2 complement, stage-2 subgroup: stage 1
+# F and S, stage 2 F and S, pooled F and S. F and S over (subgroup, arm).
+GRID_SIX_SLOTS = grid_slot_weights([(1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1),
+                                    (1, 1, 1, 1), (0, 1, 0, 1)])
+GRID_PAIR = grid_slot_weights([(1, 1), (0, 1)])
+GRID_ONE_SLOT = grid_slot_weights([[1]])
 
 
 def six_slot_tables(trial, time, spec):
-    """(events, z, p) in slot order from one 6-slot `_logrank_slots` call per
-    endpoint on the endpoint's whole censored, stably sorted sample."""
+    """(events, z, p) in slot order from one 6-slot grid call per endpoint on
+    the endpoint's whole censored, stably sorted sample."""
     enrolled = trial.enroll_time < time
     cell = 2 * (trial.enroll_time >= spec.stage1_cutoff) + trial.in_subgroup
     group = (2 * cell + trial.experimental)[enrolled]
@@ -382,8 +498,8 @@ def six_slot_tables(trial, time, spec):
     for ep in Endpoint:
         dur, st_ = _censor(trial, ep, time, enrolled)
         order = np.argsort(dur, kind="stable")
-        counts = _group_counts(dur[order], st_[order], group[order], simdata._N_GROUPS)
-        per_endpoint.append(_logrank_slots(counts, SIX_SLOT_WEIGHTS))
+        counts = grid_group_counts(dur[order], st_[order], group[order], 8)
+        per_endpoint.append(grid_logrank_slots(counts, GRID_SIX_SLOTS))
     rows = [per_endpoint[e][k] for k in range(6) for e in range(len(Endpoint))]
     z, p, events = zip(*rows)
     return events, z, p
@@ -456,6 +572,55 @@ def test_blocks_match_one_six_slot_call_in_any_read_order(seed, n, prevalence, t
         assert snap.events == (0,) * 12 and snap.zero_event_slots == tuple(range(12))
 
 
+def bits(stats):
+    return [None if x is None else (x[0].hex(), x[1].hex(), x[2]) for x in stats]
+
+
+def hex_or_none(hr):
+    return None if hr is None else hr.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    prevalence=st.sampled_from((0.0, 0.03, 0.97, 1.0)),
+    tie_step=st.sampled_from((0.5, 1.0, 2.0)),
+    time=st.sampled_from((0.0, 3.0, 6.0, 10.0, 40.0)),
+)
+@example(seed=0, n=1, prevalence=0.0, tie_step=0.5, time=0.0)
+def test_slot_list_kernel_matches_the_grid_bit_for_bit(seed, n, prevalence, tie_step, time):
+    """The slot-list kernel gives every slot of a stage-wise or pooled fill
+    the (z, p, events) bits of the grid route, the futility gate the same
+    hazard ratios, and `logrank_test` and `cox_hazard_ratio` the grid's
+    one-slot values. Time 0 leaves the samples empty."""
+    trial = random_trial(seed, n, prevalence, tie_step)
+    spec = toy_spec(stage1_cutoff=6.0)
+    rows = trial.enroll_time < time
+    cells, pairs = trial.cell_group(spec.stage1_cutoff)[rows], trial.group[rows]
+    for ep in Endpoint:
+        dur, st_ = _censor(trial, ep, time, rows)
+        for group, member, n_groups, weights in ((cells, simdata._SIX_SLOTS, 8, GRID_SIX_SLOTS),
+                                                 (pairs, simdata._POOLED_PAIR, 4, GRID_PAIR)):
+            want = grid_logrank_slots(grid_group_counts(dur, st_, group, n_groups), weights)
+            assert bits(_logrank_slots(*_slot_counts(dur, st_, group, member))) == bits(want)
+        x = trial.experimental[rows]
+        one = grid_group_counts(dur, st_, x.astype(np.intp), 2)
+        assert bits([logrank_test(dur, st_, x)]) == bits(grid_logrank_slots(one, GRID_ONE_SLOT))
+        want_hr = grid_breslow_hr(GRID_ONE_SLOT @ one)
+        if want_hr is None:
+            with pytest.raises(ValueError):
+                cox_hazard_ratio(dur, st_, x)
+        else:
+            assert cox_hazard_ratio(dur, st_, x).hex() == want_hr.hex()
+    stage1 = (trial.enroll_time < spec.stage1_cutoff) & rows
+    dur, st_ = _censor(trial, Endpoint.PFS, time, stage1)
+    pair = GRID_PAIR @ grid_group_counts(dur, st_, trial.group[stage1], 4)
+    fut = snapshot_at(trial, time, spec, with_hr=True)
+    assert [hex_or_none(fut.hr_full), hex_or_none(fut.hr_sub)] == [
+        hex_or_none(grid_breslow_hr(pair[0::2])), hex_or_none(grid_breslow_hr(pair[1::2]))]
+
+
 def test_futility_hazard_ratios_bit_identical():
     cfg = parse_config(CONFIG_DIR / "setting2.yaml")
     spec = cfg.scenario
@@ -510,12 +675,8 @@ def shuffled(trial, seed):
                      {ep: t[perm] for ep, t in trial.dropout_time.items()})
 
 
-def bits(stats):
-    return [None if x is None else (x[0].hex(), x[1].hex(), x[2]) for x in stats]
-
-
 def hr_bits(snap):
-    return [None if hr is None else hr.hex() for hr in (snap.hr_full, snap.hr_sub)]
+    return [hex_or_none(hr) for hr in (snap.hr_full, snap.hr_sub)]
 
 
 @settings(max_examples=100, deadline=None)
