@@ -3,14 +3,14 @@
 
 Runs setting2's power and global-null passes, every design arm at one
 thread, with the sample size and every event trigger scaled by each factor
-(x1, x4 and x16 by default), and prints per replication the wall time and
+x1, x4 and x16, and prints per replication the wall time and
 the minor page faults of this process (`resource.getrusage`). Each row first
 runs one untimed replication, which also solves the boundaries the arms
 share. The script sets no allocator variable; the fault counts are those of
 the allocator as the environment leaves it.
 
 Usage:
-    python scripts/scale_probe.py [--reps N] [--scales 1,4,16]
+    python scripts/scale_probe.py [--reps N]
 """
 
 import argparse
@@ -25,6 +25,7 @@ from gatedgsd.harness import run_monte_carlo
 from gatedgsd.simdata import AnalysisTrigger
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
+SCALES = (1, 4, 16)
 
 
 def scaled(spec, factor: int):
@@ -48,13 +49,12 @@ def probe(spec, designs, reps: int, seed: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=200, help="timed replications per row")
-    ap.add_argument("--scales", default="1,4,16", help="comma-separated size factors")
     args = ap.parse_args(argv)
 
     cfg = parse_config(CONFIGS / "setting2.yaml")
     designs = build_designs(cfg)
     print(f"{'scale':>5} {'pass':>5} {'patients':>8} {'reps':>5} {'ms/rep':>8} {'faults/rep':>10}")
-    for factor in (int(x) for x in args.scales.split(",")):
+    for factor in SCALES:
         power = scaled(cfg.scenario, factor)
         for name, spec in (("power", power), ("null", power.under_global_null())):
             ms, faults = probe(spec, designs, args.reps, cfg.seed)
