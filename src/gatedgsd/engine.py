@@ -63,9 +63,10 @@ A call does only the work that is new to its arm and data:
   the end of each analysis, the order of the rejections and a per-target
   table of (look, z). The Monte Carlo reads only its confirmed mask and
   the number of analyses run (`decide_design`); `run_design` and
-  `analyze_observed` build the full `DecisionTrace` from it, replaying the
-  rejections through the masks they passed for the boundary each target
-  was rejected at.
+  `analyze_observed` build the full `DecisionTrace` from it in one pass,
+  replaying the rejections through the masks they passed for the mask and
+  look each target was rejected on. Every row, live or rejected, reads its
+  boundary row and alpha through one lookup at a mask (`_bound`).
 """
 
 from __future__ import annotations
@@ -496,20 +497,15 @@ class Decision(NamedTuple):
         return [f"analysis {k + 1}: degenerate p-value clamped for {_TARGETS[i].label}"
                 for k, i in self.clamps]
 
-    def enter(self, i: int, look: int, z: float):
-        """Record target i's statistic at one of its looks."""
-        hist = self.z[i]
-        if not hist:
-            self.first.append(i)
-        hist.append((look, z))
-
     def enter_p(self, k: int, i: int, look: int, p: float):
         """Record the normal score of target i's p-value at analysis k, one
         of its looks, and the clamp if it fired."""
         q, clamped = normal_score(p)
         if clamped:
             self.clamps.append((k, i))
-        self.enter(i, look, q)
+        if not self.z[i]:
+            self.first.append(i)
+        self.z[i].append((look, q))
 
 
 def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
@@ -556,27 +552,37 @@ def _trace(dec: Decision) -> DecisionTrace:
     if plan is None:
         trace.termination_reason = "futility"
         return trace
-    # The boundary, and alpha, each target was rejected at: replayed through
-    # the masks the fixed point passed, whose tests it compiled.
-    rejected_by: Dict[int, Tuple[float, float]] = {}
+    # The mask and look each target was rejected on: replayed through the
+    # masks the fixed point passed.
+    rejected_on: Dict[int, Tuple[int, int]] = {}
     mask = 0
     order = iter(dec.order)
     for k, end in enumerate(dec.analyses):
         newly = []
         while mask != end:
             t = next(order)
-            look = _history(dec, t, k)[-1][0]
-            label = _TARGETS[t].label
+            rejected_on[t] = (mask, _history(dec, t, k)[-1][0])
             if t < len(HYPOTHESES):
-                rejected_by[t] = (_row(plan, mask, t)[look], _alpha(plan, mask, t))
-                newly.append(label)
-            else:
-                rejected_by[t] = (plan.tests(mask)[t - len(HYPOTHESES)][1][look], math.nan)
-            trace.rejected_at[label] = k
+                newly.append(_TARGETS[t].label)
+            trace.rejected_at[_TARGETS[t].label] = k
             mask |= 1 << t
+        tests = []
+        for t in dec.first:  # in the order the targets first got a statistic
+            hist = _history(dec, t, k)
+            if not hist:
+                continue
+            look, z = hist[-1]
+            confirmed = bool(end >> t & 1)
+            at, look = rejected_on[t] if confirmed else (end, look)
+            row, alpha = _bound(plan, at, t)
+            c = math.nan if row is None else row[look]
+            tests.append(TestRecord(
+                target_label=_TARGETS[t].label, z=z, boundary_z=c,
+                boundary_p=math.nan if row is None else 1.0 - norm_cdf(c), alpha=alpha,
+                crossed=confirmed or row is not None and any(v >= row[j] for j, v in hist),
+                confirmed=confirmed))
         trace.analyses.append(AnalysisRecord(
-            index=k, calendar_time=dec.times[k], newly_rejected=newly,
-            tests=_render_tests(dec, end, k, rejected_by),
+            index=k, calendar_time=dec.times[k], newly_rejected=newly, tests=tests,
             alpha_snapshot={_TARGETS[i].label: _alpha(plan, end, i) for i in plan.in_scope}))
     scope = plan.scope_mask
     trace.termination_index = k
@@ -590,44 +596,16 @@ def _history(dec: Decision, t: int, k: int) -> List[Tuple[int, float]]:
     return [(look, z) for look, z in dec.z[t] if when[look] <= k]
 
 
-def _render_tests(dec: Decision, mask: int, k: int,
-                  rejected_by: Mapping[int, Tuple[float, float]]) -> List[TestRecord]:
-    """Every target's latest statistic at analysis k against its boundary
-    at the analysis's end mask, in the order the targets first got a
-    statistic."""
-    plan = dec.plan
-    tests = []
-    for t in dec.first:
-        hist = _history(dec, t, k)
-        if not hist:
-            continue
-        look, z = hist[-1]
-        rejected = bool(mask >> t & 1)
-        if rejected:
-            c, alpha = rejected_by[t]
-            crossed = True
-        else:
-            if t < len(HYPOTHESES):
-                # Carrying no alpha (e.g. gGSD's OS ahead of the PFS
-                # handover): no live boundary to show.
-                alpha = _alpha(plan, mask, t)
-                row = _row(plan, mask, t) if alpha > 0.0 else None
-            else:
-                alpha = math.nan
-                test = plan.tests(mask)[t - len(HYPOTHESES)]
-                row = None if test is None else test[1]
-            c = math.nan if row is None else row[look]
-            crossed = row is not None and any(v >= row[j] for j, v in hist)
-        tests.append(TestRecord(
-            target_label=_TARGETS[t].label,
-            z=z,
-            boundary_z=c,
-            boundary_p=1.0 - norm_cdf(c) if not math.isnan(c) else math.nan,
-            alpha=alpha,
-            crossed=crossed,
-            confirmed=rejected,
-        ))
-    return tests
+def _bound(plan: _Plan, mask: int, t: int) -> Tuple[Optional[Tuple[float, ...]], float]:
+    """Target t's boundary row and alpha at rejection bitmask `mask`. The
+    row is None where a hypothesis carries no alpha (e.g. gGSD's OS ahead
+    of the PFS handover) or an FS target has no testable member; an FS
+    target's alpha is NaN."""
+    if t >= len(HYPOTHESES):
+        test = plan.tests(mask)[t - len(HYPOTHESES)]
+        return None if test is None else test[1], math.nan
+    alpha = _alpha(plan, mask, t)
+    return _row(plan, mask, t) if alpha > 0.0 else None, alpha
 
 
 def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot]) -> float:
@@ -638,7 +616,7 @@ def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot])
     snap = snapshots[k]
     plan, z, first = dec.plan, dec.z, dec.first
     for _, look, w, reads, (e, n1, n2) in plan.loads[k]:
-        # `Decision.enter`, inlined: this is the Monte Carlo's inner loop.
+        # `enter_p`'s entries, inlined: this is the Monte Carlo's inner loop.
         if not plan.gated:
             stats = snap.block(e, True)
             for i, j in reads:
