@@ -64,9 +64,10 @@ A call does only the work that is new to its arm and data:
   table of (look, z). The Monte Carlo reads only its confirmed mask and
   the number of analyses run (`decide_design`); `run_design` and
   `analyze_observed` build the full `DecisionTrace` from it in one pass,
-  replaying the rejections through the masks they passed for the mask and
-  look each target was rejected on. Every row, live or rejected, reads its
-  boundary row and alpha through one lookup at a mask (`_bound`).
+  replaying the rejections through the masks they passed for the mask
+  each target was rejected on. Every row, live or rejected, reads its
+  boundary row and alpha through one lookup at a mask (`_bound`); which
+  look a row shows is `TestRecord`'s rule.
 """
 
 from __future__ import annotations
@@ -232,6 +233,15 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class TestRecord:
+    """One target's row in one analysis: its boundary row and alpha at the
+    mask it was rejected on (`confirmed`), else at the analysis's end, and
+    the fixed point's own test of it there, the first look whose z reaches
+    the row (`crossed`), else the latest look. A rejected target's row thus
+    shows the statistic and boundary it was rejected on, which may be from
+    an earlier look than the analysis that rejected it. No boundary (NaN)
+    where a hypothesis carries no alpha or an FS target has no testable
+    member; `alpha` is NaN on FS rows."""
+
     target_label: str
     z: float
     boundary_z: float
@@ -243,8 +253,9 @@ class TestRecord:
 
 @dataclass
 class AnalysisRecord:
-    """One analysis of a trace: what it rejected, in rejection order, and
-    every target's test row and alpha at its end."""
+    """One analysis of a trace: what it rejected, in rejection order, a row
+    for every target with a statistic so far, in the order the targets
+    first got one, and each in-scope hypothesis's alpha at its end."""
 
     index: int
     calendar_time: Optional[float]
@@ -552,35 +563,35 @@ def _trace(dec: Decision) -> DecisionTrace:
     if plan is None:
         trace.termination_reason = "futility"
         return trace
-    # The mask and look each target was rejected on: replayed through the
-    # masks the fixed point passed.
-    rejected_on: Dict[int, Tuple[int, int]] = {}
+    # The mask each target was rejected on: replayed through the masks the
+    # fixed point passed.
+    rejected_on: Dict[int, int] = {}
     mask = 0
     order = iter(dec.order)
     for k, end in enumerate(dec.analyses):
         newly = []
         while mask != end:
             t = next(order)
-            rejected_on[t] = (mask, _history(dec, t, k)[-1][0])
+            rejected_on[t] = mask
             if t < len(HYPOTHESES):
                 newly.append(_TARGETS[t].label)
             trace.rejected_at[_TARGETS[t].label] = k
             mask |= 1 << t
         tests = []
-        for t in dec.first:  # in the order the targets first got a statistic
+        for t in dec.first:
             hist = _history(dec, t, k)
             if not hist:
                 continue
-            look, z = hist[-1]
             confirmed = bool(end >> t & 1)
-            at, look = rejected_on[t] if confirmed else (end, look)
-            row, alpha = _bound(plan, at, t)
+            row, alpha = _bound(plan, rejected_on[t] if confirmed else end, t)
+            # the fixed point's own test: the first look that reaches the row
+            crossing = [] if row is None else [(j, v) for j, v in hist if v >= row[j]]
+            look, z = crossing[0] if crossing else hist[-1]
             c = math.nan if row is None else row[look]
             tests.append(TestRecord(
                 target_label=_TARGETS[t].label, z=z, boundary_z=c,
                 boundary_p=math.nan if row is None else 1.0 - norm_cdf(c), alpha=alpha,
-                crossed=confirmed or row is not None and any(v >= row[j] for j, v in hist),
-                confirmed=confirmed))
+                crossed=bool(crossing), confirmed=confirmed))
         trace.analyses.append(AnalysisRecord(
             index=k, calendar_time=dec.times[k], newly_rejected=newly, tests=tests,
             alpha_snapshot={_TARGETS[i].label: _alpha(plan, end, i) for i in plan.in_scope}))

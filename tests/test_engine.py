@@ -5,6 +5,7 @@ import dataclasses
 import enum
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,12 @@ def test_observed_rereads_earlier_look_after_alpha_increase(designs2):
     assert trace.confirmed() == {"PFS(S)": 1, "OS(S)": 1}
     assert trace.termination_index == 1
     assert trace.termination_reason == "all-rejected"
+    # The IA2 row shows the statistic OS(S) was rejected on, its IA1 z
+    # against the raised IA1 boundary, not its IA2 z.
+    row = next(t for t in trace.analyses[1].tests if t.target_label == "OS(S)")
+    assert (row.z, row.boundary_z) == pytest.approx((z1, raised[0]), abs=1e-9)
+    assert row.crossed and row.confirmed
+    assert f"IA2: OS(S) z = {z1:.4f} vs boundary {raised[0]:.4f}" in render_narrative(trace)
 
 
 def test_observed_futility_stop(designs2):
@@ -284,6 +291,16 @@ def check_trace(design: DesignSpec, trace):
     # rejections are final: no label rejected twice, indices within plan
     for label, k in trace.rejected_at.items():
         assert 0 <= k < design.n_analyses
+    # test rows: a crossed row shows a statistic that reaches its boundary,
+    # only a crossed target is confirmed, only an FS row has no alpha, and a
+    # confirmed hypothesis has a row in every analysis from its rejection on
+    for rec in trace.analyses:
+        for t in rec.tests:
+            assert not t.crossed or t.z >= t.boundary_z, (rec.index, t)
+            assert t.crossed or not t.confirmed, (rec.index, t)
+            assert math.isnan(t.alpha) == ("(FS)" in t.target_label), (rec.index, t)
+        shown = {t.target_label for t in rec.tests if t.confirmed}
+        assert {label for label, k in trace.confirmed().items() if k <= rec.index} <= shown
 
 
 def test_run_design_bit_identical(setting2, designs2):
