@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gatedgsd
@@ -310,7 +310,10 @@ def test_search_values_match_exact_tail_across_bracket(fractions):
 def direct_sum_boundaries(alpha_total, fractions):
     """A reference solver with its own arithmetic after the first look: each
     search value sums the increment's normal tail over the grid with scipy's
-    vectorised erfc, and every density comes from `norm_kernel`."""
+    vectorised erfc, and every density comes from `norm_kernel`. It solves
+    each look to a 1e-14 bracket, not the solver's 1e-10: two answers that
+    each sit anywhere in a 1e-10 bracket can differ by more than the 1e-10
+    the comparison allows."""
     from scipy.special import erfc
 
     from gatedgsd.numerics import find_root, norm_kernel, norm_quantile
@@ -337,7 +340,7 @@ def direct_sum_boundaries(alpha_total, fractions):
         if excess(cap)[0] >= 0.0:
             b_k = cap
         else:
-            b_k = find_root(excess, -cap, cap, -sd_k * norm_quantile(inc), tol=1e-10)
+            b_k = find_root(excess, -cap, cap, -sd_k * norm_quantile(inc), tol=1e-14)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
             new_grid = boundaries._look_grid(fr, k, b_k)
@@ -369,6 +372,7 @@ def test_bundled_rows_match_direct_sum(monkeypatch):
     t1=st.floats(min_value=0.2, max_value=0.7),
     t2=st.floats(min_value=0.75, max_value=0.98),
 )
+@example(alpha=0.0375083023287464, t1=0.3359375, t2=0.8641838605201689)
 def test_random_designs_match_direct_sum(alpha, t1, t2):
     assert_matches_direct_sum(alpha, (t1, t2, 1.0))
 
