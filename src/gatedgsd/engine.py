@@ -14,11 +14,12 @@ once the partner is rejected.
 
 Simulated trials (`decide_design`, `run_design`) and observed-data replay
 (`analyze_observed`) run through one decision loop, `_decide`; they differ
-only in where each analysis's statistics come from. Both read one wiring table,
-`_CONTINUING`: the populations each continuation scenario keeps. A
-continuing population's hypothesis combines its own stage-wise cohorts,
-and an endpoint's FS intersection joins, by Hochberg, the p-values of the
-populations that stage draws on.
+only in where each analysis's statistics come from. Both walk the reads
+each plan compiles from one wiring table, `_CONTINUING`: the populations
+each continuation scenario keeps. A continuing population's hypothesis
+combines its own stage-wise cohorts, and an endpoint's FS intersection,
+read after them, joins by Hochberg the p-values of the populations that
+stage draws on.
 
 Within one analysis, testing iterates (test, reject, reallocate, recompute
 boundaries, retest) to a fixed point, and boundary recomputation after an
@@ -254,8 +255,9 @@ class TestRecord:
 @dataclass
 class AnalysisRecord:
     """One analysis of a trace: what it rejected, in rejection order, a row
-    for every target with a statistic so far, in the order the targets
-    first got one, and each in-scope hypothesis's alpha at its end."""
+    for every target with a statistic so far, in the plan's read order
+    (each endpoint's hypotheses before its FS intersection), and each
+    in-scope hypothesis's alpha at its end."""
 
     index: int
     calendar_time: Optional[float]
@@ -359,17 +361,19 @@ class _Plan:
     in Endpoint order: (endpoint, look, weights, reads, (e, n1, n2)), where e
     is the endpoint's position, which names its blocks of the snapshot. GSD
     reads (hypothesis, pooled slot) pairs of `z`; AD and gGSD read (target,
-    stage-1 index, stage-2 index) triples of `scores` per wired target, and
-    event-driven weights (None) read the full population's stage slots n1
-    and n2 of `events`. `tests(mask)` is the fixed point's tests at one
-    rejection bitmask, compiled when a run first reaches it.
+    stage-1 index, stage-2 index) triples of `scores`, an endpoint's
+    hypotheses before its FS intersection, and event-driven weights (None)
+    read the full population's stage slots n1 and n2 of `events`. `first`
+    lists the targets in the order the reads reach them, a trace's row
+    order. `tests(mask)` is the fixed point's tests at one rejection
+    bitmask, compiled when a run first reaches it.
     """
 
-    __slots__ = ("pops", "in_scope", "scope_mask", "levels", "gate0", "gated", "members",
-                 "fractions", "analyses_of", "loads", "_tests")
+    __slots__ = ("in_scope", "scope_mask", "levels", "gate0", "gated", "members",
+                 "fractions", "analyses_of", "loads", "first", "_tests")
 
     def __init__(self, design: DesignSpec, scenario: Optional[Scenario]):
-        self.pops = pops = _CONTINUING[scenario]
+        pops = _CONTINUING[scenario]
         self.in_scope = tuple(i for i, h in enumerate(HYPOTHESES) if h.population in pops)
         self.scope_mask = sum(1 << i for i in self.in_scope)
         base = tuple(_base_alpha(design, h, pops) for h in HYPOTHESES)
@@ -388,14 +392,16 @@ class _Plan:
             if not self.gated:
                 reads = tuple((i, pooled[j]) for i, j in own)
             else:
-                # The FS intersection joins both populations at stage 1 and the
-                # continuing ones at stage 2; a hypothesis combines its own cohorts.
+                # A hypothesis combines its own cohorts; the FS intersection joins
+                # both populations at stage 1 and the continuing ones at stage 2.
                 fs2 = joint_slot("stage2", ep) if len(own) > 1 else stage2[own[0][1]]
-                reads = ((_FS_INDEX[ep], joint_slot("stage1", ep), fs2),
-                         *((i, stage1[j], stage2[j]) for i, j in own))
+                reads = (*((i, stage1[j], stage2[j]) for i, j in own),
+                         (_FS_INDEX[ep], joint_slot("stage1", ep), fs2))
             for look, k in enumerate(design.endpoint_analyses[ep]):
                 w = None if not self.gated or design.weights is None else design.weights[ep][look]
                 self.loads[k].append((ep, look, w, reads, (e, stage1[0], stage2[0])))
+        self.first = tuple(dict.fromkeys(r[0] for load in self.loads for *_, reads, _ in load
+                                         for r in reads))
         self._tests: Dict[int, Tuple[Optional[_Test], ...]] = {}
 
     def row(self, i: int, level: int) -> Tuple[float, ...]:
@@ -480,11 +486,10 @@ class Decision(NamedTuple):
     `analyses` holds the rejection bitmask over `_TARGETS` at the end of
     each analysis run (none after a futility stop, when `plan` is None),
     `order` the rejected targets in the order the fixed point rejected
-    them, `times` each analysis's calendar time, and `z[t]` target t's
-    (look, z) pairs in look order. `first` lists the targets in the order
-    they first got a statistic, and `clamps` the (analysis, target) pairs
-    whose combined scores were clamped. `run_design` and `analyze_observed`
-    build a `DecisionTrace` from it.
+    them, `times` each analysis's calendar time, `z[t]` target t's (look, z)
+    pairs in look order, and `clamps` the (analysis, target) pairs whose
+    scores were clamped, in the order they were read. `run_design` and
+    `analyze_observed` build a `DecisionTrace` from it.
     """
 
     design: DesignSpec
@@ -495,7 +500,6 @@ class Decision(NamedTuple):
     order: List[int] = ()
     times: List[Optional[float]] = ()
     z: Tuple[List[Tuple[int, float]], ...] = ()
-    first: List[int] = ()
     clamps: List[Tuple[int, int]] = ()
 
     @property
@@ -507,16 +511,6 @@ class Decision(NamedTuple):
     def warnings(self) -> List[str]:
         return [f"analysis {k + 1}: degenerate p-value clamped for {_TARGETS[i].label}"
                 for k, i in self.clamps]
-
-    def enter_p(self, k: int, i: int, look: int, p: float):
-        """Record the normal score of target i's p-value at analysis k, one
-        of its looks, and the clamp if it fired."""
-        q, clamped = normal_score(p)
-        if clamped:
-            self.clamps.append((k, i))
-        if not self.z[i]:
-            self.first.append(i)
-        self.z[i].append((look, q))
 
 
 def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
@@ -542,7 +536,7 @@ def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float
         scenario = _SCENARIO_OF[futility_decision.selection]
     plan = design._plans[scenario]
     masks, order, times, z = [], [], [], ([], [], [], [], [], [])
-    dec = Decision(design, scenario, futility_decision, plan, masks, order, times, z, [], [])
+    dec = Decision(design, scenario, futility_decision, plan, masks, order, times, z, [])
     scope = plan.scope_mask
     mask = 0
     for k in range(design.n_analyses):
@@ -578,7 +572,7 @@ def _trace(dec: Decision) -> DecisionTrace:
             trace.rejected_at[_TARGETS[t].label] = k
             mask |= 1 << t
         tests = []
-        for t in dec.first:
+        for t in plan.first:
             hist = _history(dec, t, k)
             if not hist:
                 continue
@@ -625,14 +619,11 @@ def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot])
     entry reads one block of its endpoint, so the snapshot computes only
     the blocks some arm reads."""
     snap = snapshots[k]
-    plan, z, first = dec.plan, dec.z, dec.first
+    plan, z = dec.plan, dec.z
     for _, look, w, reads, (e, n1, n2) in plan.loads[k]:
-        # `enter_p`'s entries, inlined: this is the Monte Carlo's inner loop.
         if not plan.gated:
             stats = snap.block(e, True)
             for i, j in reads:
-                if not z[i]:
-                    first.append(i)
                 z[i].append((look, stats[j][0]))
             continue
         if w is None:  # `combine.event_weights`' arithmetic; (1, 0) without events
@@ -647,8 +638,6 @@ def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot])
             (q1, clamped1), (q2, clamped2) = scores[j1], scores[j2]
             if clamped1 or clamped2:
                 dec.clamps.append((k, i))
-            if not z[i]:
-                first.append(i)
             # the arithmetic of combine.inverse_normal, on the shared scores
             z[i].append((look, w1 * q1 + w2 * q2))
     return snap.calendar_time
@@ -702,25 +691,29 @@ class ObservedData:
 
 
 def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
-    """Each continuing population's given p-value; for AD and gGSD then the
-    FS intersection's, once all continuing populations have one. Every
-    hypothesis of the continuing populations not yet rejected needs its
-    p-value at each of its planned looks."""
-    plan = dec.plan
+    """Walks the plan's reads of analysis k: a hypothesis takes its given
+    p-value, which it needs at each planned look until it is rejected; an
+    FS intersection (AD, gGSD), read after its endpoint's hypotheses, takes
+    the Hochberg p-value of theirs once every continuing population has one."""
     mask = dec.analyses[-1] if dec.analyses else 0
-    for ep, look, *_ in plan.loads[k]:
+    for _, look, _, reads, _ in dec.plan.loads[k]:
         p = []
-        for pop in plan.pops:
-            h = HypothesisId(pop, ep)
-            p_h = observed.p_values.get(h, {}).get(k)
-            if p_h is not None:
-                p.append(p_h)
-                dec.enter_p(k, _INDEX[h], look, p_h)
-            elif not mask >> _INDEX[h] & 1:
-                raise MissingSlotError(f"missing observed p-value for {h} at analysis {k + 1}")
-        if plan.gated and len(p) == len(plan.pops):
-            p_fs = p[0] if len(p) == 1 else hochberg_intersection(*p)
-            dec.enter_p(k, _FS_INDEX[ep], look, p_fs)
+        for t, *_ in reads:
+            if t >= len(HYPOTHESES):
+                if len(p) < len(reads) - 1:
+                    continue
+                p_t = p[0] if len(p) == 1 else hochberg_intersection(*p)
+            elif (p_t := observed.p_values.get(HYPOTHESES[t], {}).get(k)) is not None:
+                p.append(p_t)
+            elif mask >> t & 1:
+                continue
+            else:
+                raise MissingSlotError(
+                    f"missing observed p-value for {HYPOTHESES[t]} at analysis {k + 1}")
+            q, clamped = normal_score(p_t)
+            if clamped:
+                dec.clamps.append((k, t))
+            dec.z[t].append((look, q))
 
 
 def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:

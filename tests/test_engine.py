@@ -373,6 +373,33 @@ def test_design_spec_validation(designs2):
 # -- the wiring of simulated snapshots ------------------------------------------
 
 
+def test_simulated_and_observed_traces_list_rows_alike():
+    # Both loaders walk the plan's reads, so a simulated trace and an
+    # observed replay of one gated arm list IA1's rows in one order: each
+    # endpoint's hypotheses, then its FS intersection. The replay gets the
+    # trial's futility hazard ratios, so it continues in the same scenario,
+    # and a p-value of 0.5 at every analysis.
+    p = {h: dict.fromkeys(range(len(engine.ANALYSIS_NAMES)), 0.5) for h in engine.HYPOTHESES}
+    reached = set()
+    for path in sorted(CONFIG_DIR.glob("setting*.yaml")):
+        config = parse_config(path)
+        arms = [d for d in build_designs(config) if d.kind is not DesignKind.GSD]
+        for rep in range(60):
+            snaps, fut = replication_inputs(config.scenario, config.seed, rep)
+            observed = ObservedData(fut.hr_full, fut.hr_sub, p_values=p)
+            for design in arms:
+                simulated = run_design(design, snaps, fut)
+                if simulated.scenario is None:
+                    continue
+                replay = analyze_observed(design, observed)
+                assert replay.scenario is simulated.scenario
+                labels = [[t.target_label for t in trace.analyses[0].tests]
+                          for trace in (simulated, replay)]
+                assert labels[0] == labels[1], (path.stem, rep, design.label)
+                reached.add((design.kind, simulated.scenario))
+    assert reached == {(kind, s) for kind in (DesignKind.AD, DesignKind.GGSD) for s in Scenario}
+
+
 def _wiring(scenario, ep, p):
     """(target label, p1, p2) per target that `scenario` tests on `ep`, with
     `p` keyed by (stage, population): the pairing of stage-wise p-values
@@ -383,11 +410,11 @@ def _wiring(scenario, ep, p):
     h_full = (f"{tag}(F)", p["stage1", full], p["stage2", full])
     h_sub = (f"{tag}(S)", p["stage1", sub], p["stage2", sub])
     if scenario is Scenario.S_ONLY:
-        return [(f"{tag}(FS)", fs1, p["stage2", sub]), h_sub]
+        return [h_sub, (f"{tag}(FS)", fs1, p["stage2", sub])]
     if scenario is Scenario.F_ONLY:
-        return [(f"{tag}(FS)", fs1, p["stage2", full]), h_full]
+        return [h_full, (f"{tag}(FS)", fs1, p["stage2", full])]
     fs2 = hochberg_intersection(p["stage2", full], p["stage2", sub])
-    return [(f"{tag}(FS)", fs1, fs2), h_full, h_sub]
+    return [h_full, h_sub, (f"{tag}(FS)", fs1, fs2)]
 
 
 @pytest.mark.parametrize("ep", list(Endpoint))
@@ -501,7 +528,7 @@ def test_clamp_warnings_reach_the_trace(setting2, designs2):
     pfs_looks = design.endpoint_analyses[Endpoint.PFS]
     expected = [f"analysis {k + 1}: degenerate p-value clamped for {label}"
                 for k in pfs_looks if k <= trace.termination_index
-                for label in ("PFS(FS)", "PFS(F)")]
+                for label in ("PFS(F)", "PFS(FS)")]
     assert expected and trace.warnings == expected
     assert trace.to_dict()["warnings"] == expected
     assert engine.decide_design(design, clamped, fut).warnings == expected
