@@ -221,11 +221,9 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
         if at_cap >= 0.0:
             b_k = cap
         else:
-            # find_root reads only the values of the bracket ends, known above;
             # inc > 0 on an unsaturated look, so the start point exists
-            ends = {-cap: (at_floor, 0.0), cap: (at_cap, 0.0)}
-            b_k = find_root(lambda b: ends[b] if b in ends else excess(b), -cap, cap,
-                            -sd_k * norm_quantile(inc), tol=1e-10)
+            b_k = find_root(excess, -cap, cap, at_floor, at_cap, -sd_k * norm_quantile(inc),
+                            tol=1e-10)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
             new_grid = _look_grid(fr, k, b_k, refine)

@@ -116,21 +116,21 @@ def norm_quantile(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def find_root(f, lo: float, hi: float, x0: float, tol: float = 1e-10,
-              max_iter: int = 200) -> float:
+def find_root(f, lo: float, hi: float, flo: float, fhi: float, x0: float,
+              tol: float = 1e-10, max_iter: int = 200) -> float:
     """Root of a continuous function on a sign-changing bracket.
 
-    Safeguarded Newton: `f(x)` returns the value and the slope at x. The
-    iteration starts at `x0` and keeps the sign bracket; a Newton step that
-    would leave the bracket, or a zero slope, falls back to the midpoint.
-    Once a step is shorter than tol / 2, the next point lies tol / 2 past the
-    Newton point, so the bracket closes from both sides. Returns the
-    midpoint of a bracket no wider than `tol`. Deterministic, and converges
-    for any continuous f with f(lo) * f(hi) <= 0.
+    Safeguarded Newton: `f(x)` returns the value and the slope at x, and
+    `flo`, `fhi` are f(lo), f(hi), or values of the same signs, which the
+    caller holds. The iteration starts at `x0` and keeps the sign bracket; a
+    Newton step that would leave the bracket, or a zero slope, falls back to
+    the midpoint. Once a step is shorter than tol / 2, the next point lies
+    tol / 2 past the Newton point, so the bracket closes from both sides.
+    Returns the midpoint of a bracket no wider than `tol`. Deterministic, and
+    converges for any continuous f with f(lo) * f(hi) <= 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    flo, fhi = f(lo)[0], f(hi)[0]
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -432,9 +432,7 @@ def _breslow_hr(counts: np.ndarray) -> Optional[float]:
     # only the signs at the bracket ends; it is handed those, not U.
     lo = math.log(u_lo / float(np.add.reduce(d / ratio))) - 1.0
     hi = math.log(float(np.add.reduce(d * ratio)) / -u_hi) + 1.0
-    ends = {lo: (u_lo, 0.0), hi: (u_hi, 0.0)}
-    return math.exp(find_root(lambda beta: ends[beta] if beta in ends else score(beta),
-                              lo, hi, 0.0, tol=_COX_TOL))
+    return math.exp(find_root(score, lo, hi, u_lo, u_hi, 0.0, tol=_COX_TOL))
 
 
 class AnalysisSnapshot:

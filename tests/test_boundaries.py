@@ -159,16 +159,16 @@ def test_bundled_rows_match_bisection_secant(monkeypatch):
     newton = [compute_boundaries(*row).z_bounds for row in rows]
     # The value of each look's search function is unchanged; only the solver
     # differs, so the old one runs on the value half of the same function.
-    monkeypatch.setattr(boundaries, "find_root", lambda f, lo, hi, x0, tol: bisection_secant(
-        lambda b: f(b)[0], lo, hi, tol=tol))
+    monkeypatch.setattr(boundaries, "find_root", lambda f, lo, hi, flo, fhi, x0, tol:
+                        bisection_secant(lambda b: f(b)[0], lo, hi, tol=tol))
     for row, new in zip(rows, newton):
         old = compute_boundaries(*row).z_bounds
         assert max(abs(a - b) for a, b in zip(old, new)) <= 1e-9, row
 
 
 def test_newton_evaluations_per_look(monkeypatch):
-    """Each look's search evaluates the crossing probability at most 16 times
-    on setting2's rows, counting the two bracket ends."""
+    """Each look's search evaluates the crossing probability at most 14 times
+    on setting2's rows; the caller hands in the two bracket ends' values."""
     counts = []
     solve = boundaries.find_root
 
@@ -187,7 +187,7 @@ def test_newton_evaluations_per_look(monkeypatch):
     monkeypatch.setattr(boundaries, "find_root", counting)
     for row in rows:
         compute_boundaries(*row)
-    assert counts and max(counts) <= 16
+    assert counts and max(counts) <= 14
 
 
 def test_density_matches_exact_kernel(monkeypatch):
@@ -337,10 +337,12 @@ def direct_sum_boundaries(alpha_total, fractions):
                 return float(np.sum(_wd * tail)) - _inc, slope
 
         cap = boundaries._Z_CAP * sd_k
-        if excess(cap)[0] >= 0.0:
+        at_floor, at_cap = excess(-cap)[0], excess(cap)[0]
+        if at_cap >= 0.0:
             b_k = cap
         else:
-            b_k = find_root(excess, -cap, cap, -sd_k * norm_quantile(inc), tol=1e-14)
+            b_k = find_root(excess, -cap, cap, at_floor, at_cap, -sd_k * norm_quantile(inc),
+                            tol=1e-14)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
             new_grid = boundaries._look_grid(fr, k, b_k)

@@ -56,13 +56,13 @@ def test_norm_kernel_bit_identical_to_norm_pdf():
 
 
 def test_find_root_polynomial():
-    root = find_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, 1.0)
+    root = find_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, -2.0, 6.0, 1.0)
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-9)
 
 
 def test_find_root_requires_bracket():
     with pytest.raises(BracketError):
-        find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 0.5)
+        find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 2.0, 2.0, 0.5)
 
 
 @settings(max_examples=50)
@@ -73,7 +73,7 @@ def test_find_root_recovers_offset(c):
         v = math.tanh(x - c)
         return v, 1.0 - v * v
 
-    root = find_root(f, c - 5.0, c + 5.0, c - 3.0)
+    root = find_root(f, c - 5.0, c + 5.0, f(c - 5.0)[0], f(c + 5.0)[0], c - 3.0)
     assert root == pytest.approx(c, abs=1e-8)
 
 
@@ -86,13 +86,13 @@ def test_find_root_falls_back_to_bisection(x0, slope):
         seen.append(x)
         return x - 0.3, slope
 
-    root = find_root(f, -1.0, 1.0, x0, tol=1e-10)
+    root = find_root(f, -1.0, 1.0, -1.3, 0.7, x0, tol=1e-10)
     assert root == pytest.approx(0.3, abs=1e-10)
     if slope == 0.0:
         # Pure bisection after the start: the bracket [-1, 0.5] halves until
         # it is no wider than tol.
-        assert seen[3] == 0.5 * (-1.0 + 0.5)
-        assert len(seen) == 3 + math.ceil(math.log2(1.5 / 1e-10))
+        assert seen[1] == 0.5 * (-1.0 + 0.5)
+        assert len(seen) == 1 + math.ceil(math.log2(1.5 / 1e-10))
     else:
-        assert seen[2] == 0.0  # the midpoint of [-1, 1], not x0
-        assert len(seen) <= 5
+        assert seen[0] == 0.0  # the midpoint of [-1, 1], not x0
+        assert len(seen) <= 3

@@ -474,9 +474,7 @@ def grid_breslow_hr(counts):
 
     lo = math.log(u_lo / float(np.add.reduce(d / ratio))) - 1.0
     hi = math.log(float(np.add.reduce(d * ratio)) / -u_hi) + 1.0
-    ends = {lo: (u_lo, 0.0), hi: (u_hi, 0.0)}
-    return math.exp(find_root(lambda beta: ends[beta] if beta in ends else score(beta),
-                              lo, hi, 0.0, tol=simdata._COX_TOL))
+    return math.exp(find_root(score, lo, hi, u_lo, u_hi, 0.0, tol=simdata._COX_TOL))
 
 
 # The six (cohort, population) rows of one endpoint over the cells stage-1
