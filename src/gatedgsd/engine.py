@@ -743,10 +743,9 @@ def render_narrative(trace: DecisionTrace) -> str:
                 continue
             verdict = "rejected" if t.target_label in rec.newly_rejected else (
                 "previously rejected" if t.confirmed else "not rejected")
-            lines.append(
-                f"{name}: {t.target_label} z = {t.z:.4f} vs boundary {t.boundary_z:.4f} "
-                f"(nominal p {t.boundary_p:.4g}) -> {verdict}"
-            )
+            bound = (", no boundary (holds no alpha)" if math.isnan(t.boundary_z) else
+                     f" vs boundary {t.boundary_z:.4f} (nominal p {t.boundary_p:.4g})")
+            lines.append(f"{name}: {t.target_label} z = {t.z:.4f}{bound} -> {verdict}")
     if trace.termination_index is not None:
         lines.append(
             f"Trial terminated at {ANALYSIS_NAMES[trace.termination_index]} "

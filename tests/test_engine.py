@@ -186,6 +186,26 @@ def test_observed_rereads_earlier_look_after_alpha_increase(designs2):
     assert f"IA2: OS(S) z = {z1:.4f} vs boundary {raised[0]:.4f}" in render_narrative(trace)
 
 
+def test_narrative_names_a_hypothesis_without_alpha(designs2):
+    # gGSD with the full population alone starts all alpha on PFS(F): OS(F)
+    # holds none until PFS(F) is rejected, so its rows have no boundary
+    # (null in to_dict). The narrative says so instead of printing NaN.
+    design = designs2["ggsd:0.5"]
+    p = {h: {k: 0.3 if h is H_F_PFS else 0.003 for k in design.endpoint_analyses[h.endpoint]}
+         for h in (H_F_PFS, H_F_OS)}
+    trace = analyze_observed(design, ObservedData(hr_full=0.7, hr_sub=0.9, p_values=p))
+    assert trace.scenario is Scenario.F_ONLY and trace.confirmed() == {}
+    text = render_narrative(trace)
+    z = -norm_quantile(0.003)
+    assert "nan" not in text
+    assert [line for line in text.splitlines() if "OS(F)" in line] == [
+        f"{engine.ANALYSIS_NAMES[k]}: OS(F) z = {z:.4f}, no boundary (holds no alpha) "
+        "-> not rejected" for k in design.endpoint_analyses[Endpoint.OS]]
+    assert all(row["boundary_z"] is None and row["nominal_p"] is None
+               for a in trace.to_dict()["analyses"] for row in a["tests"]
+               if row["target"] == "OS(F)")
+
+
 def test_observed_futility_stop(designs2):
     rule = designs2["ggsd:0.5"].futility
     trace = analyze_observed(designs2["ggsd:0.5"],
