@@ -691,10 +691,11 @@ class ObservedData:
 
 
 def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
-    """Walks the plan's reads of analysis k: a hypothesis takes its given
-    p-value, which it needs at each planned look until it is rejected; an
+    """Walks the plan's reads of analysis k. A hypothesis takes its given
+    p-value, which it needs at each planned look until it is rejected. An
     FS intersection (AD, gGSD), read after its endpoint's hypotheses, takes
-    the Hochberg p-value of theirs once every continuing population has one."""
+    their Hochberg p-value, or a lone population's own, once every
+    continuing population has one."""
     mask = dec.analyses[-1] if dec.analyses else 0
     for _, look, _, reads, _ in dec.plan.loads[k]:
         p = []
