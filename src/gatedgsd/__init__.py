@@ -4,7 +4,7 @@ selection and dual time-to-event endpoints."""
 from .boundaries import (BoundarySet, cached_boundaries, compute_boundaries,
                          crossing_probability, crossing_probability_mvn,
                          ldobf_spend)
-from .combine import Scenario, StageWeights, event_weights, inverse_normal
+from .combine import StageWeights, event_weights, inverse_normal
 from .engine import (AnalysisRecord, DecisionTrace, DesignKind, DesignSpec,
                      ObservedData, TestRecord, analyze_observed,
                      render_narrative, run_design)

@@ -1,5 +1,4 @@
-"""Inverse-normal combination of stage-wise p-values, and the stage-2
-continuation scenarios.
+"""Inverse-normal combination of stage-wise p-values.
 
 `normal_score` is the one clamp-then-Phi^-1 step. Each analysis snapshot
 fills its table of normal scores one endpoint at a time
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Tuple
 
 from .numerics import norm_quantile
@@ -23,7 +21,6 @@ __all__ = [
     "event_weights",
     "inverse_normal",
     "normal_score",
-    "Scenario",
     "P_CLAMP_EPS",
 ]
 
@@ -90,9 +87,3 @@ def normal_score(p: float) -> Tuple[float, bool]:
 def inverse_normal(p1: float, p2: float, w: StageWeights) -> float:
     """Combined Z: w1 * Phi^-1(1 - p1) + w2 * Phi^-1(1 - p2)."""
     return w.w1 * normal_score(p1)[0] + w.w2 * normal_score(p2)[0]
-
-
-class Scenario(Enum):
-    S_ONLY = "s_only"
-    F_ONLY = "f_only"
-    BOTH = "both"

@@ -1,10 +1,11 @@
 """Per-trial decision engines for the three designs.
 
 GSD tests all four hypotheses on pooled data with group-sequential
-boundaries. AD and gGSD apply the futility gate at the end of stage 1, then
-combine stage-wise p-values per the continuation scenario; gGSD additionally
-tests the populations hierarchically, each carrying the full alpha
-internally.
+boundaries. AD and gGSD apply the futility gate at the end of stage 1, whose
+`futility.Selection` names the populations that continue (the continuation
+scenario), then combine stage-wise p-values of those populations; gGSD
+additionally tests the populations hierarchically, each carrying the full
+alpha internally.
 
 Alpha passing follows one fixed graph: PFS<->OS within each population,
 each edge with weight 1, and no alpha crosses populations. Under the
@@ -16,10 +17,10 @@ Simulated trials (`decide_design`, `run_design`) and observed-data replay
 (`analyze_observed`) run through one decision loop, `_decide`; they differ
 only in where each analysis's statistics come from. Both walk the reads
 each plan compiles from one wiring table, `_CONTINUING`: the populations
-each continuation scenario keeps. A continuing population's hypothesis
-combines its own stage-wise cohorts, and an endpoint's FS intersection,
-read after them, joins by Hochberg the p-values of the populations that
-stage draws on.
+each selection of the futility gate keeps. A continuing population's
+hypothesis combines its own stage-wise cohorts, and an endpoint's FS
+intersection, read after them, joins by Hochberg the p-values of the
+populations that stage draws on.
 
 Within one analysis, testing iterates (test, reject, reallocate, recompute
 boundaries, retest) to a fixed point, and boundary recomputation after an
@@ -31,7 +32,7 @@ Med. 28:586; Maurer & Bretz 2013, Stat. Biopharm. Res. 5:311).
 A call does only the work that is new to its arm and data:
 
 - Plan. What an arm fixes before seeing data is compiled once per
-  continuation scenario into a `_Plan` kept on the `DesignSpec`: the
+  continuing selection into a `_Plan` kept on the `DesignSpec`: the
   hypotheses in scope, their alphas, the starting state of gGSD's hierarchy
   gate, the members of each FS intersection, the snapshot entries each
   analysis reads (`simdata.slot`, `simdata.joint_slot`; a replication reads
@@ -80,7 +81,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .boundaries import cached_boundaries, fraction_problem
-from .combine import Scenario, StageWeights, normal_score
+from .combine import StageWeights, normal_score
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import (HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population,
                            hochberg_intersection, hypothesis_mask)
@@ -126,11 +127,15 @@ _FS_OF = tuple(_FS_INDEX[h.endpoint] for h in HYPOTHESES)
 _SUB_MASK = hypothesis_mask(HypothesisId(Population.SUB, ep) for ep in Endpoint)
 _HYPOTHESIS_MASK = hypothesis_mask(HYPOTHESES)
 _SLUG = {h: slug for slug, h in HYPOTHESIS_SLUGS.items()}
-# The wiring: the populations that continue into stage 2 in each scenario
-# (None, GSD, keeps both).
-_CONTINUING: Dict[Optional[Scenario], Tuple[Population, ...]] = {
-    None: tuple(Population), Scenario.BOTH: tuple(Population),
-    Scenario.F_ONLY: (Population.FULL,), Scenario.S_ONLY: (Population.SUB,)}
+# The wiring: the populations that continue into stage 2 after each selection
+# of the futility gate (None: GSD, which has no gate, keeps both).
+_CONTINUING: Dict[Optional[Selection], Tuple[Population, ...]] = {
+    None: tuple(Population), Selection.CONTINUE_BOTH: tuple(Population),
+    Selection.CONTINUE_FULL_ONLY: (Population.FULL,),
+    Selection.CONTINUE_SUB_ONLY: (Population.SUB,)}
+# The continuation scenario `to_dict` names after each continuing selection.
+_SCENARIO_NAMES = {Selection.CONTINUE_BOTH: "both", Selection.CONTINUE_FULL_ONLY: "f_only",
+                   Selection.CONTINUE_SUB_ONLY: "s_only"}
 
 
 class DesignKind(Enum):
@@ -226,10 +231,10 @@ class DesignSpec:
         return 1 + max(max(v) for v in self.endpoint_analyses.values())
 
     @cached_property
-    def _plans(self) -> Dict[Optional[Scenario], "_Plan"]:
-        """The compiled plan of every scenario this arm can continue in."""
-        scenarios = (None,) if self.kind is DesignKind.GSD else tuple(Scenario)
-        return {s: _Plan(self, s) for s in scenarios}
+    def _plans(self) -> Dict[Optional[Selection], "_Plan"]:
+        """The compiled plan of every selection this arm can continue after."""
+        gsd = self.kind is DesignKind.GSD
+        return {s: _Plan(self, pops) for s, pops in _CONTINUING.items() if (s is None) is gsd}
 
 
 @dataclass(frozen=True)
@@ -269,7 +274,6 @@ class AnalysisRecord:
 @dataclass
 class DecisionTrace:
     design: str
-    scenario: Optional[Scenario]
     futility: Optional[SelectionDecision]
     analyses: List[AnalysisRecord] = field(default_factory=list)
     rejected_at: Dict[str, int] = field(default_factory=dict)  # label -> analysis idx
@@ -284,7 +288,8 @@ class DecisionTrace:
     def to_dict(self) -> dict:
         return {
             "design": self.design,
-            "scenario": self.scenario.value if self.scenario else None,
+            "scenario": None if self.futility is None
+            else _SCENARIO_NAMES.get(self.futility.selection),
             "futility": None if self.futility is None else {
                 "decision": self.futility.selection.value,
                 "hr_full": self.futility.hr_full,
@@ -327,13 +332,6 @@ def _rounded(x: float, digits: int) -> Optional[float]:
     return None if math.isnan(x) else round(x, digits)
 
 
-_SCENARIO_OF = {
-    Selection.CONTINUE_BOTH: Scenario.BOTH,
-    Selection.CONTINUE_SUB_ONLY: Scenario.S_ONLY,
-    Selection.CONTINUE_FULL_ONLY: Scenario.F_ONLY,
-}
-
-
 def _base_alpha(design: DesignSpec, h: HypothesisId, pops: Tuple[Population, ...]) -> float:
     """Alpha before any rejection. GSD and AD keep the original allocations
     (alpha of a dropped population is not reallocated: only a rejection
@@ -353,7 +351,7 @@ _Test = Tuple[int, Tuple[float, ...], int]
 
 
 class _Plan:
-    """What one arm fixes under one continuation scenario, before any data.
+    """What one arm fixes before any data, with populations `pops` continuing.
 
     `levels[i]` holds hypothesis i's alpha indexed by "partner rejected":
     the graphical update rule on the PFS<->OS edges in closed form.
@@ -372,13 +370,12 @@ class _Plan:
     __slots__ = ("in_scope", "scope_mask", "levels", "gate0", "gated", "members",
                  "fractions", "analyses_of", "loads", "first", "_tests")
 
-    def __init__(self, design: DesignSpec, scenario: Optional[Scenario]):
-        pops = _CONTINUING[scenario]
+    def __init__(self, design: DesignSpec, pops: Tuple[Population, ...]):
         self.in_scope = tuple(i for i, h in enumerate(HYPOTHESES) if h.population in pops)
         self.scope_mask = sum(1 << i for i in self.in_scope)
         base = tuple(_base_alpha(design, h, pops) for h in HYPOTHESES)
         self.levels = tuple((base[i], base[i] + base[p]) for i, p in enumerate(_PARTNER))
-        self.gate0 = not (design.kind is DesignKind.GGSD and scenario is Scenario.BOTH)
+        self.gate0 = not (design.kind is DesignKind.GGSD and len(pops) == 2)
         self.gated = design.kind is not DesignKind.GSD
         self.members = {t: tuple(i for i in self.in_scope if _FS_OF[i] == t) for t in _FS}
         self.fractions = tuple(design.fractions[h] for h in HYPOTHESES)
@@ -493,7 +490,6 @@ class Decision(NamedTuple):
     """
 
     design: DesignSpec
-    scenario: Optional[Scenario]
     futility: Optional[SelectionDecision]
     plan: Optional[_Plan]
     analyses: List[int] = ()
@@ -513,30 +509,30 @@ class Decision(NamedTuple):
                 for k, i in self.clamps]
 
 
-def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float],
-            load: Callable[[Decision, int, object], Optional[float]], data) -> Decision:
+def _decide(design: DesignSpec, hrs, load: Callable[[Decision, int, object], Optional[float]],
+            data) -> Decision:
     """The one decision loop behind `run_design`, `decide_design` and
     `analyze_observed`.
 
-    Applies the end-of-stage-1 futility gate (AD, gGSD) to the two stage-1
-    PFS hazard ratios, by `select_population`, then walks the planned
+    Applies the end-of-stage-1 futility gate (AD, gGSD), by
+    `select_population`, to the two stage-1 PFS hazard ratios `hrs` holds
+    (a futility snapshot or `ObservedData`), then walks the planned
     analyses: `load(decision, k, data)` enters analysis k's statistics
     into the decision's z table and returns its calendar time, and the fixed
     point runs until every hypothesis in scope is rejected or the final
     analysis is reached.
     """
-    scenario = None
-    futility_decision = None
+    selection = futility_decision = None
     if design.kind is not DesignKind.GSD:
-        if hr_full is None or hr_sub is None:
+        if hrs is None or hrs.hr_full is None or hrs.hr_sub is None:
             raise MissingSlotError("stage-1 futility hazard ratios (HR(F), HR(S)) are required")
-        futility_decision = select_population(hr_full, hr_sub, design.futility)
-        if futility_decision.selection is Selection.STOP_FUTILITY:
-            return Decision(design, None, futility_decision, None)
-        scenario = _SCENARIO_OF[futility_decision.selection]
-    plan = design._plans[scenario]
+        futility_decision = select_population(hrs.hr_full, hrs.hr_sub, design.futility)
+        selection = futility_decision.selection
+        if selection is Selection.STOP_FUTILITY:
+            return Decision(design, futility_decision, None)
+    plan = design._plans[selection]
     masks, order, times, z = [], [], [], ([], [], [], [], [], [])
-    dec = Decision(design, scenario, futility_decision, plan, masks, order, times, z, [])
+    dec = Decision(design, futility_decision, plan, masks, order, times, z, [])
     scope = plan.scope_mask
     mask = 0
     for k in range(design.n_analyses):
@@ -551,8 +547,8 @@ def _decide(design: DesignSpec, hr_full: Optional[float], hr_sub: Optional[float
 def _trace(dec: Decision) -> DecisionTrace:
     """The full trace of a decision: per analysis, the hypotheses it
     rejected in rejection order, every target's test row and the alphas."""
-    trace = DecisionTrace(design=dec.design.kind.value, scenario=dec.scenario,
-                          futility=dec.futility, warnings=dec.warnings)
+    trace = DecisionTrace(design=dec.design.kind.value, futility=dec.futility,
+                          warnings=dec.warnings)
     plan = dec.plan
     if plan is None:
         trace.termination_reason = "futility"
@@ -649,9 +645,7 @@ def decide_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
     if len(snapshots) < design.n_analyses:
         raise MissingSlotError(
             f"design plans {design.n_analyses} analyses, got {len(snapshots)} snapshots")
-    hrs = (None, None) if futility_snapshot is None else (
-        futility_snapshot.hr_full, futility_snapshot.hr_sub)
-    return _decide(design, *hrs, _load_snapshot, snapshots)
+    return _decide(design, futility_snapshot, _load_snapshot, snapshots)
 
 
 def run_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
@@ -719,7 +713,7 @@ def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
 
 def analyze_observed(design: DesignSpec, observed: ObservedData) -> DecisionTrace:
     """Replay the decision logic on user-supplied observed values."""
-    return _trace(_decide(design, observed.hr_full, observed.hr_sub, _load_observed, observed))
+    return _trace(_decide(design, observed, _load_observed, observed))
 
 
 def render_narrative(trace: DecisionTrace) -> str:

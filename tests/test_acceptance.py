@@ -29,10 +29,10 @@ from gatedgsd.boundaries import (
     crossing_probability_mvn,
 )
 from gatedgsd.cli import main as cli_main
-from gatedgsd.combine import Scenario, StageWeights, inverse_normal
+from gatedgsd.combine import StageWeights, inverse_normal
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import DesignKind, run_design
-from gatedgsd.futility import calibrate_threshold
+from gatedgsd.futility import Selection, calibrate_threshold
 from gatedgsd.harness import rows_to_csv, run_monte_carlo, simulation_tables
 from gatedgsd.multiplicity import Population, hochberg_intersection
 from gatedgsd.simdata import generate_trial, logrank_test, schedule_analyses, snapshot_at
@@ -244,16 +244,18 @@ def test_c5_trace_properties():
                 for label, k in trace.confirmed().items():
                     ep = label.split("(")[0]
                     assert trace.rejected_at.get(f"{ep}(FS)", 99) <= k
+            both = (d.kind is DesignKind.GGSD
+                    and trace.futility.selection is Selection.CONTINUE_BOTH)
             # alpha conservation per graph scope
             for rec in trace.analyses:
-                if d.kind is DesignKind.GGSD and trace.scenario is Scenario.BOTH:
+                if both:
                     for tag in ("S", "F"):
                         tot = sum(v for l, v in rec.alpha_snapshot.items() if f"({tag})" in l)
                         assert tot <= d.alpha + 1e-9
                 else:
                     assert sum(rec.alpha_snapshot.values()) <= d.alpha + 1e-9
             # hierarchical gate
-            if d.kind is DesignKind.GGSD and trace.scenario is Scenario.BOTH:
+            if both:
                 ks = {p: [k for l, k in trace.confirmed().items() if f"({p})" in l]
                       for p in ("S", "F")}
                 if ks["F"]:

@@ -23,7 +23,7 @@ from gatedgsd.engine import (
     render_narrative,
     run_design,
 )
-from gatedgsd.combine import Scenario, event_weights, inverse_normal
+from gatedgsd.combine import event_weights, inverse_normal
 from gatedgsd.futility import Selection
 from gatedgsd.harness import replication_inputs, run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
@@ -32,6 +32,8 @@ from gatedgsd.numerics import norm_cdf, norm_quantile
 from gatedgsd.simdata import generate_trial, schedule_analyses, slot, snapshot_at
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
+# The futility gate's selections that continue into stage 2.
+CONTINUING = tuple(s for s in Selection if s is not Selection.STOP_FUTILITY)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +65,6 @@ def test_observed_replay_gated_sequence(example_config):
     designs = {d.label.split(":")[0]: d for d in build_designs(example_config)}
     trace = analyze_observed(designs["ggsd"], example_config.observed["ggsd"])
     assert trace.futility.selection is Selection.CONTINUE_FULL_ONLY
-    assert trace.scenario is Scenario.F_ONLY
     assert trace.confirmed() == {"PFS(F)": 0, "OS(F)": 1}
     assert trace.termination_index == 1
     assert trace.termination_reason == "all-rejected"
@@ -111,7 +112,7 @@ def test_observed_ggsd_both_gates_full_behind_sub(designs2):
     p = {H_F_PFS: {0: 0.001, 1: 0.0005}, H_S_PFS: {0: 0.02, 1: 0.005},
          H_F_OS: {0: 0.3, 1: 0.3, 2: 0.3}, H_S_OS: {0: 0.3, 1: 0.3, 2: 0.3}}
     trace = analyze_observed(design, ObservedData(hr_full=0.7, hr_sub=0.7, p_values=p))
-    assert trace.scenario is Scenario.BOTH
+    assert trace.futility.selection is Selection.CONTINUE_BOTH
     assert trace.confirmed() == {"PFS(F)": 1, "PFS(S)": 1}
     assert trace.rejected_at["PFS(FS)"] == 0
     assert "OS(FS)" not in trace.rejected_at
@@ -123,12 +124,12 @@ def test_observed_ggsd_both_gates_full_behind_sub(designs2):
     assert fs["OS(FS)"] == -norm_quantile(hochberg_intersection(0.3, 0.3))
 
 
-@pytest.mark.parametrize("scenario, hrs, expected", [
-    (Scenario.BOTH, (0.7, 0.7), hochberg_intersection(0.1, 0.3)),
-    (Scenario.S_ONLY, (0.9, 0.7), 0.3),
-    (Scenario.F_ONLY, (0.7, 0.9), 0.1),
+@pytest.mark.parametrize("selection, hrs, expected", [
+    (Selection.CONTINUE_BOTH, (0.7, 0.7), hochberg_intersection(0.1, 0.3)),
+    (Selection.CONTINUE_SUB_ONLY, (0.9, 0.7), 0.3),
+    (Selection.CONTINUE_FULL_ONLY, (0.7, 0.9), 0.1),
 ], ids=["both", "s_only", "f_only"])
-def test_observed_fs_p_is_the_continuing_populations(designs2, scenario, hrs, expected):
+def test_observed_fs_p_is_the_continuing_populations(designs2, selection, hrs, expected):
     # F's p-values 0.1 and S's 0.3 at every look: their Hochberg intersection
     # (0.2) differs from both, so each scenario's FS p-value shows.
     design = designs2["ad:0.5"]
@@ -136,7 +137,7 @@ def test_observed_fs_p_is_the_continuing_populations(designs2, scenario, hrs, ex
              for k in design.endpoint_analyses[h.endpoint]}
          for h in (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS)}
     trace = analyze_observed(design, ObservedData(*hrs, p_values=p))
-    assert trace.scenario is scenario
+    assert trace.futility.selection is selection
     for rec in trace.analyses:
         z = {t.target_label: t.z for t in rec.tests}
         assert z["PFS(FS)"] == z["OS(FS)"] == -norm_quantile(expected)
@@ -150,7 +151,6 @@ def test_observed_ad_sub_only_passes_alpha_within_sub(designs2):
     p = {H_S_PFS: {0: 0.001}, H_S_OS: {0: 0.01, 1: 0.005}}
     trace = analyze_observed(design, ObservedData(hr_full=0.9, hr_sub=0.7, p_values=p))
     assert trace.futility.selection is Selection.CONTINUE_SUB_ONLY
-    assert trace.scenario is Scenario.S_ONLY
     assert trace.confirmed() == {"PFS(S)": 0, "OS(S)": 1}
     assert trace.termination_index == 1
     assert trace.termination_reason == "all-rejected"
@@ -172,7 +172,7 @@ def test_observed_rereads_earlier_look_after_alpha_increase(designs2):
     p = {H_S_PFS: {0: 0.2, 1: 1e-5},
          H_S_OS: {0: 1.0 - norm_cdf(z1), 1: 1.0 - norm_cdf(z2)}}
     trace = analyze_observed(design, ObservedData(hr_full=0.9, hr_sub=0.7, p_values=p))
-    assert trace.scenario is Scenario.S_ONLY
+    assert trace.futility.selection is Selection.CONTINUE_SUB_ONLY
     assert trace.analyses[0].newly_rejected == []
     assert trace.analyses[1].newly_rejected == ["PFS(S)", "OS(S)"]
     assert trace.confirmed() == {"PFS(S)": 1, "OS(S)": 1}
@@ -194,7 +194,7 @@ def test_narrative_names_a_hypothesis_without_alpha(designs2):
     p = {h: {k: 0.3 if h is H_F_PFS else 0.003 for k in design.endpoint_analyses[h.endpoint]}
          for h in (H_F_PFS, H_F_OS)}
     trace = analyze_observed(design, ObservedData(hr_full=0.7, hr_sub=0.9, p_values=p))
-    assert trace.scenario is Scenario.F_ONLY and trace.confirmed() == {}
+    assert trace.futility.selection is Selection.CONTINUE_FULL_ONLY and trace.confirmed() == {}
     text = render_narrative(trace)
     z = -norm_quantile(0.003)
     assert "nan" not in text
@@ -294,7 +294,9 @@ def check_trace(design: DesignSpec, trace):
             assert trace.rejected_at[f"{ep}(FS)"] <= k
     # hierarchical gate: with both populations continuing, no full-population
     # rejection may precede the first subgroup rejection
-    if design.kind is DesignKind.GGSD and trace.scenario is Scenario.BOTH:
+    both = (design.kind is DesignKind.GGSD
+            and trace.futility.selection is Selection.CONTINUE_BOTH)
+    if both:
         full_k = _first_rejection_index(trace, Population.FULL)
         sub_k = _first_rejection_index(trace, Population.SUB)
         if full_k is not None:
@@ -302,7 +304,7 @@ def check_trace(design: DesignSpec, trace):
     # alpha conservation: live alpha per graph scope never exceeds its budget
     for rec in trace.analyses:
         snap = rec.alpha_snapshot
-        if design.kind is DesignKind.GGSD and trace.scenario is Scenario.BOTH:
+        if both:
             for tag in ("S", "F"):
                 tot = sum(v for lbl, v in snap.items() if f"({tag})" in lbl)
                 assert tot <= design.alpha + 1e-9
@@ -409,48 +411,51 @@ def test_simulated_and_observed_traces_list_rows_alike():
             observed = ObservedData(fut.hr_full, fut.hr_sub, p_values=p)
             for design in arms:
                 simulated = run_design(design, snaps, fut)
-                if simulated.scenario is None:
+                selection = simulated.futility.selection
+                if selection is Selection.STOP_FUTILITY:
                     continue
                 replay = analyze_observed(design, observed)
-                assert replay.scenario is simulated.scenario
+                assert replay.futility.selection is selection
                 labels = [[t.target_label for t in trace.analyses[0].tests]
                           for trace in (simulated, replay)]
                 assert labels[0] == labels[1], (path.stem, rep, design.label)
-                reached.add((design.kind, simulated.scenario))
-    assert reached == {(kind, s) for kind in (DesignKind.AD, DesignKind.GGSD) for s in Scenario}
+                reached.add((design.kind, selection))
+    assert reached == {(kind, s) for kind in (DesignKind.AD, DesignKind.GGSD) for s in CONTINUING}
 
 
-def _wiring(scenario, ep, p):
-    """(target label, p1, p2) per target that `scenario` tests on `ep`, with
-    `p` keyed by (stage, population): the pairing of stage-wise p-values
-    written out per scenario, the reference for the engine's wiring table."""
+def _wiring(selection, ep, p):
+    """(target label, p1, p2) per target tested on `ep` after `selection`,
+    with `p` keyed by (stage, population): the pairing of stage-wise p-values
+    written out per selection, the reference for the engine's wiring table."""
     tag = ep.value.upper()
     full, sub = Population.FULL, Population.SUB
     fs1 = hochberg_intersection(p["stage1", full], p["stage1", sub])
     h_full = (f"{tag}(F)", p["stage1", full], p["stage2", full])
     h_sub = (f"{tag}(S)", p["stage1", sub], p["stage2", sub])
-    if scenario is Scenario.S_ONLY:
+    if selection is Selection.CONTINUE_SUB_ONLY:
         return [h_sub, (f"{tag}(FS)", fs1, p["stage2", sub])]
-    if scenario is Scenario.F_ONLY:
+    if selection is Selection.CONTINUE_FULL_ONLY:
         return [h_full, (f"{tag}(FS)", fs1, p["stage2", full])]
     fs2 = hochberg_intersection(p["stage2", full], p["stage2", sub])
     return [h_full, h_sub, (f"{tag}(FS)", fs1, fs2)]
 
 
+# Each case is named by the continuation scenario `to_dict` writes for it.
 @pytest.mark.parametrize("ep", list(Endpoint))
-@pytest.mark.parametrize("scenario", list(Scenario))
-def test_scores_follow_the_wiring(setting2, designs2, scenario, ep):
+@pytest.mark.parametrize("selection", CONTINUING,
+                         ids=lambda s: f"Scenario.{engine._SCENARIO_NAMES[s].upper()}")
+def test_scores_follow_the_wiring(setting2, designs2, selection, ep):
     # Every arm's combined z, w1*q1 + w2*q2 on the shared scores, is bit for
     # bit combine.inverse_normal of the wired stage-wise p-values.
     weights = {w for d in designs2.values() for w in (d.weights or {}).get(ep, ())}
     assert weights
     snaps, _ = replication_inputs(setting2.scenario, setting2.seed, 0)
-    plan = designs2["ad:0.5"]._plans[scenario]
+    plan = designs2["ad:0.5"]._plans[selection]
     reads = next(reads for load in plan.loads for e, _, _, reads, _ in load if e is ep)
     for snap in snaps:
         p = {(stage, pop): snap.p[slot(stage, pop, ep)]
              for stage in ("stage1", "stage2") for pop in Population}
-        wired = _wiring(scenario, ep, p)
+        wired = _wiring(selection, ep, p)
         assert [engine._TARGETS[i].label for i, _, _ in reads] == [t for t, _, _ in wired]
         for (_, j1, j2), (_, p1, p2) in zip(reads, wired):
             (q1, clamped1), (q2, clamped2) = snap.scores[j1], snap.scores[j2]
@@ -477,8 +482,8 @@ def test_event_driven_weights_are_event_weights(setting2, designs2):
                     snap = snaps[design.endpoint_analyses[ep][look]]
                     p = {(stage, pop): snap.p[slot(stage, pop, ep)]
                          for stage in ("stage1", "stage2") for pop in Population}
-                    (p1, p2), = [(p1, p2) for target, p1, p2 in _wiring(dec.scenario, ep, p)
-                                 if target == label]
+                    wired = _wiring(dec.futility.selection, ep, p)
+                    (p1, p2), = [(p1, p2) for target, p1, p2 in wired if target == label]
                     d1, d2 = (snap.events[slot(stage, Population.FULL, ep)]
                               for stage in ("stage1", "stage2"))
                     assert z == inverse_normal(p1, p2, event_weights(d1, d2)), (rep, label, look)
@@ -575,7 +580,8 @@ def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs
     snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
     traces = [run_design(d, snaps, fut) for d in designs2.values()]
     assert len(traces) == 17
-    assert {t.scenario for t in traces if t.design != "gsd"} == {Scenario.BOTH}
+    assert {t.futility.selection for t in traces
+            if t.design != "gsd"} == {Selection.CONTINUE_BOTH}
     assert len(calls) == 6 * len(looks)
     # Every quantile is computed at most once per snapshot: running the arms
     # again computes none, and reading the whole tables computes only the

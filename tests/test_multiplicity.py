@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gatedgsd.combine import Scenario
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import DesignKind, _alpha
+from gatedgsd.futility import Selection
 from gatedgsd.multiplicity import (
     HYPOTHESES,
     Endpoint,
@@ -68,13 +68,13 @@ def general_reject(alphas, transitions, h):
     return new_alphas, new_trans
 
 
-def general_graphs(design, scenario):
+def general_graphs(design, selection):
     """The graphs the designs start from: GSD, and AD with both populations,
     share one graph at the overall alpha; otherwise each continuing
     population has its own, gGSD with one population putting all of its
     alpha on PFS."""
-    pops = {Scenario.S_ONLY: (Population.SUB,),
-            Scenario.F_ONLY: (Population.FULL,)}.get(scenario, tuple(Population))
+    pops = {Selection.CONTINUE_SUB_ONLY: (Population.SUB,),
+            Selection.CONTINUE_FULL_ONLY: (Population.FULL,)}.get(selection, tuple(Population))
     if design.kind is DesignKind.GSD or (design.kind is DesignKind.AD and len(pops) == 2):
         return [(dict(design.initial_alphas), dict(TRANSITIONS))]
     graphs = []
@@ -96,11 +96,12 @@ def test_closed_form_alpha_matches_general_update_rule():
     designs = [d for name in ("setting1", "setting2", "setting3", "table5_example")
                for d in build_designs(parse_config(CONFIG_DIR / f"{name}.yaml"))]
     for design in designs:
-        scenarios = [None] if design.kind is DesignKind.GSD else list(Scenario)
-        for scenario in scenarios:
-            start = general_graphs(design, scenario)
+        selections = [None] if design.kind is DesignKind.GSD else [
+            s for s in Selection if s is not Selection.STOP_FUTILITY]
+        for selection in selections:
+            start = general_graphs(design, selection)
             in_scope = [h for h in HYPOTHESES if any(h in a for a, _ in start)]
-            plan = design._plans[scenario]
+            plan = design._plans[selection]
             assert [HYPOTHESES[i] for i in plan.in_scope] == in_scope
             for order in itertools.permutations(in_scope):
                 graphs = list(start)
@@ -114,4 +115,4 @@ def test_closed_form_alpha_matches_general_update_rule():
                     for i, h in enumerate(HYPOTHESES):
                         expected = next((a[h] for a, _ in graphs if h in a), 0.0)
                         assert _alpha(plan, rejected, i).hex() == expected.hex(), (
-                            design.label, scenario, order[:step], str(h))
+                            design.label, selection, order[:step], str(h))
