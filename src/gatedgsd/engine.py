@@ -201,7 +201,8 @@ class DesignSpec:
         weights = self.weights if gated else None  # None: event-driven, or GSD's none
         problems = [("alpha", ALPHA(self.alpha))]
         problems += [(f"initial_alphas{suffix}", reason) for suffix, reason in split_problems(
-            self.alpha, self.initial_alphas, self.kind is DesignKind.GGSD)]
+            self.alpha, {h: self.initial_alphas.get(h) for h in HYPOTHESES},
+            self.kind is DesignKind.GGSD)]
         schedules = {}  # each endpoint's schedule; None where missing or refused
         for ep in Endpoint:
             looks = self.endpoint_analyses.get(ep)
@@ -214,8 +215,6 @@ class DesignSpec:
         for h in HYPOTHESES:
             path = f"fractions.{h.population.value}.{h.endpoint.value}"
             fr, looks = self.fractions.get(h), schedules[h.endpoint]
-            if h not in self.initial_alphas:
-                problems.append((f"initial_alphas.{_SLUG[h]}", "alpha missing"))
             if fr is None:
                 problems.append((path, "fractions missing"))
                 continue

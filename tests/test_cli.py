@@ -153,3 +153,19 @@ def test_boundaries_one_arm_per_kind_whatever_the_weight_order(tmp_path):
     assert len(keys) == len(set(keys))
     assert ((tmp_path / "a" / "boundaries.csv").read_bytes()
             == (tmp_path / "b" / "boundaries.csv").read_bytes())
+
+
+def test_boundaries_skip_a_hypothesis_without_alpha(tmp_path):
+    # gGSD may put all of the full population's alpha on PFS: OS(F) then
+    # holds none before PFS(F) is rejected and has no boundary row, while
+    # GSD and AD keep theirs.
+    raw = yaml.safe_load((CONFIG_DIR / "setting2.yaml").read_text())
+    raw["designs"]["alphas"]["ggsd"].update(full_os=0, full_pfs=0.025)
+    config = tmp_path / "no_os_alpha.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert run("boundaries", "--config", config, "--out", tmp_path) == 0
+    rows = list(csv.DictReader(open(tmp_path / "boundaries.csv")))
+    hypotheses = {(r["design"], r["hypothesis"]) for r in rows}
+    assert ("ggsd", "OS(F)") not in hypotheses
+    assert {(kind, h) for kind in ("gsd", "ad") for h in ("OS(F)", "PFS(F)", "OS(S)", "PFS(S)")
+            } | {("ggsd", h) for h in ("PFS(F)", "OS(S)", "PFS(S)")} == hypotheses

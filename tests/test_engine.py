@@ -387,9 +387,47 @@ def test_design_spec_validation(designs2):
     with pytest.raises(DesignConfigError,
                        match=r"^alpha: expected .*got 0\.7; .*fractions\.full\.pfs: fractions missing$"):
         dataclasses.replace(ad, fractions=no_pfs_f, alpha=0.7)
+    # a missing alpha is refused alone: a None stops the sums, so no sum
+    # complaint comes with it
+    no_os_f = {h: a for h, a in good.initial_alphas.items() if h != H_F_OS}
+    with pytest.raises(DesignConfigError,
+                       match=r"^initial_alphas\.full_os: expected a number >= 0, got None$"):
+        dataclasses.replace(good, initial_alphas=no_os_f)
+    with pytest.raises(DesignConfigError,
+                       match=r"^fractions\.full\.os: 2 fractions but 3 planned analyses$"):
+        dataclasses.replace(good, fractions={**good.fractions, H_F_OS: good.fractions[H_F_OS][1:]})
+    with pytest.raises(DesignConfigError, match=r"^futility: ad requires a futility rule$"):
+        dataclasses.replace(ad, futility=None)
     for arm, event_driven in ((ad, False), (dataclasses.replace(ad, weights=None), True)):
         ws = [w for plan in arm._plans.values() for load in plan.loads for _, _, w, *_ in load]
         assert ws and all((w is None) is event_driven for w in ws)
+
+
+def test_trace_lists_a_target_once_it_has_a_statistic(setting2, designs2):
+    # Every arm with its OS looks at IA2 and FA only, fractions and weights
+    # trimmed to match: no OS target has a statistic at IA1, so IA1's rows
+    # are the PFS targets alone and IA2 adds the OS rows.
+    def late_os(d):
+        fractions = {h: fr[1:] if h.endpoint is Endpoint.OS else fr
+                     for h, fr in d.fractions.items()}
+        weights = d.weights and {**d.weights, Endpoint.OS: d.weights[Endpoint.OS][1:]}
+        return dataclasses.replace(d, fractions=fractions, weights=weights, endpoint_analyses={
+            Endpoint.PFS: d.endpoint_analyses[Endpoint.PFS], Endpoint.OS: (1, 2)})
+
+    arms = [late_os(d) for d in designs2.values()]
+    for rep in range(5):
+        snaps, fut = replication_inputs(setting2.scenario, setting2.seed, rep)
+        for design in arms:
+            trace = run_design(design, snaps, fut)
+            # these replications continue with both populations in every gated arm
+            assert trace.futility is None or trace.futility.selection is Selection.CONTINUE_BOTH
+            pfs = ["PFS(F)", "PFS(S)"] + ["PFS(FS)"] * (design.kind is not DesignKind.GSD)
+            rows = [[t.target_label for t in rec.tests] for rec in trace.analyses]
+            assert rows[0] == pfs, (rep, design.label)
+            assert rows[1] == pfs + [label.replace("PFS", "OS") for label in pfs], (rep, design.label)
+            json.dumps(trace.to_dict())
+            assert "IA1: OS" not in render_narrative(trace)
+    run_monte_carlo(setting2.scenario, arms, 20, setting2.seed)
 
 
 # -- the wiring of simulated snapshots ------------------------------------------
