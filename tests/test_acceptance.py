@@ -244,8 +244,7 @@ def test_c5_trace_properties():
                 for label, k in trace.confirmed().items():
                     ep = label.split("(")[0]
                     assert trace.rejected_at.get(f"{ep}(FS)", 99) <= k
-            both = (d.kind is DesignKind.GGSD
-                    and trace.futility.selection is Selection.CONTINUE_BOTH)
+            both = d.kind is DesignKind.GGSD and trace.futility.selection is Selection.CONTINUE_BOTH
             # alpha conservation per graph scope
             for rec in trace.analyses:
                 if both:

@@ -294,8 +294,7 @@ def check_trace(design: DesignSpec, trace):
             assert trace.rejected_at[f"{ep}(FS)"] <= k
     # hierarchical gate: with both populations continuing, no full-population
     # rejection may precede the first subgroup rejection
-    both = (design.kind is DesignKind.GGSD
-            and trace.futility.selection is Selection.CONTINUE_BOTH)
+    both = design.kind is DesignKind.GGSD and trace.futility.selection is Selection.CONTINUE_BOTH
     if both:
         full_k = _first_rejection_index(trace, Population.FULL)
         sub_k = _first_rejection_index(trace, Population.SUB)
