@@ -1,6 +1,10 @@
 """Unit and property tests for the normal-distribution helpers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,14 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatedgsd.numerics import (BracketError, find_root, gauss_grid, norm_cdf, norm_kernel, norm_pdf,
-                               norm_quantile)
+import gatedgsd
+from gatedgsd.boundaries import compute_boundaries
+from gatedgsd.numerics import (BracketError, _leggauss, find_root, gauss_grid, norm_cdf, norm_kernel,
+                               norm_pdf, norm_quantile)
+
+# The solver's look grids take 32-1024 nodes (59-93 for the bundled rows),
+# and the certifying route 480.
+RULE_SIZES = (1, 2, 3, 32, *range(59, 94), 200, 480, 1024)
 
 
 def test_norm_cdf_matches_scipy():
@@ -45,6 +55,57 @@ def test_norm_pdf_vectorized():
 def test_gauss_grid_integrates_normal_density():
     g = gauss_grid(-8.0, 8.0, 160)
     assert float(np.sum(g.weights * norm_pdf(g.points))) == pytest.approx(1.0, abs=1e-12)
+
+
+def _legendre(x, kmax):
+    """P_0(x), ..., P_kmax(x) by the three-term recurrence."""
+    p = [np.ones_like(x), x]
+    for k in range(1, kmax):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return p[:kmax + 1]
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_legendre_rule(n):
+    """Increasing, exactly antisymmetric nodes; numpy's rule to rounding;
+    and exact on every polynomial of degree up to 2n - 1."""
+    x, w = _leggauss(n)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1]) and np.all(w > 0)
+    if n % 2:
+        assert x[n // 2] == 0.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, ref_x, rtol=0, atol=4.5e-16)
+    # numpy's weights near the ends are the less exact ones (its rule fails
+    # the moment check below at 5.1e-14), so they are compared loosely.
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-10 * w.max())
+    moments = np.array([np.dot(w, p) for p in _legendre(x, 2 * n - 1)])
+    moments[0] -= 2.0
+    assert np.max(np.abs(moments)) <= 1e-14
+
+
+def test_rules_need_no_eigensolve(monkeypatch):
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    _leggauss.cache_clear()
+    bounds = compute_boundaries(0.025, (0.3, 0.6, 1.0))
+    assert _leggauss.cache_info().misses >= 2 and len(bounds) == 3
+
+
+def test_solving_a_row_leaves_numpy_polynomial_unloaded():
+    """A fresh interpreter: scipy, which the tests import, loads the module."""
+    env = dict(os.environ)
+    src = str(Path(gatedgsd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "from gatedgsd.boundaries import compute_boundaries\n"
+            "compute_boundaries(0.025, (0.3, 0.6, 1.0))\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_norm_kernel_bit_identical_to_norm_pdf():
