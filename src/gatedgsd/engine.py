@@ -191,7 +191,9 @@ class DesignSpec:
     fractions: Dict[HypothesisId, Tuple[float, ...]]
     endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]
     # AD/gGSD: pre-specified weights per endpoint and look, or None for
-    # event-driven weights (`combine.event_weights`). GSD reads none.
+    # event-driven weights, which `_load_snapshot` computes inline with
+    # `combine.event_weights`' arithmetic, taking (1, 0) where no stage has
+    # an event (that function raises there). GSD reads none.
     weights: Optional[Dict[Endpoint, Tuple[StageWeights, ...]]] = field(default_factory=dict)
     futility: Optional[FutilityRule] = None
     label: str = ""

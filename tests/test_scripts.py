@@ -66,3 +66,14 @@ def test_scale_probe_small(capsys):
     for row in rows:
         ms, faults = map(float, row[4:])
         assert ms > 0.0 and faults >= 0.0
+
+
+def test_cold_probe_small(capsys):
+    probe = _load(next(p for p in SCRIPTS if p.name == "cold_probe.py"))
+    assert probe.main(["--reps", "1", "--setting", "setting2"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["setting", "reps", "boundaries_ms", "solve1024_ms", "maxrss_mib",
+                              "numpy.polynomial"]
+    name, reps, boundaries_ms, solve_ms, maxrss, loaded = row.split()
+    assert (name, reps, loaded) == ("setting2", "1", "0/1")
+    assert float(boundaries_ms) > 0.0 and float(solve_ms) > 0.0 and float(maxrss) > 0.0
