@@ -1,4 +1,5 @@
-"""Unit and property tests for the normal-distribution helpers."""
+"""Unit and property tests for the normal-distribution helpers, the root
+finder and the Gauss-Legendre rules."""
 
 import math
 import os
