@@ -52,23 +52,16 @@ class StageWeights:
 
 
 def event_weights(n1: int, n2: int) -> StageWeights:
-    """Weights proportional to the square root of per-stage event counts.
-
-    The `event_driven` arms of settings 1-3 test with these weights, taken
-    at each analysis from the full population's stage-1 and stage-2 event
-    counts for the endpoint. The engine does not call this function: its
-    snapshot loader (`engine._load_snapshot`) does the same arithmetic
-    inline, which `test_event_driven_weights_are_event_weights` holds bit
-    for bit to this function. With no events at all the loader uses
-    (1, 0), where this function raises. The weights depend on the observed
-    data instead of being fixed before the trial; whether the combination
-    test keeps its level with them is an open question.
-    """
+    """Weights proportional to the square root of per-stage event counts, or
+    (1, 0) when neither stage has an event. Event-driven arms take them at
+    each look from the full population's stage-wise event counts, so they
+    are not fixed before the trial; whether the combination test keeps its
+    level with them is an open question."""
     if n1 < 0 or n2 < 0:
         raise ValueError("event counts must be nonnegative")
     total = n1 + n2
     if total == 0:
-        raise ValueError("at least one stage must contribute events")
+        return StageWeights(1.0, 0.0)
     return StageWeights(math.sqrt(n1 / total), math.sqrt(n2 / total))
 
 

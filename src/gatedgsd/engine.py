@@ -81,7 +81,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .boundaries import cached_boundaries, fraction_problem
-from .combine import StageWeights, normal_score
+from .combine import StageWeights, event_weights, normal_score
 from .futility import FutilityRule, Selection, SelectionDecision, select_population
 from .multiplicity import (HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population,
                            hochberg_intersection, hypothesis_mask)
@@ -191,9 +191,7 @@ class DesignSpec:
     fractions: Dict[HypothesisId, Tuple[float, ...]]
     endpoint_analyses: Dict[Endpoint, Tuple[int, ...]]
     # AD/gGSD: pre-specified weights per endpoint and look, or None for
-    # event-driven weights, which `_load_snapshot` computes inline with
-    # `combine.event_weights`' arithmetic, taking (1, 0) where no stage has
-    # an event (that function raises there). GSD reads none.
+    # event-driven weights (`combine.event_weights`). GSD reads none.
     weights: Optional[Dict[Endpoint, Tuple[StageWeights, ...]]] = field(default_factory=dict)
     futility: Optional[FutilityRule] = None
     label: str = ""
@@ -357,9 +355,9 @@ class _Plan:
     `levels[i]` holds hypothesis i's alpha indexed by "partner rejected":
     the graphical update rule on the PFS<->OS edges in closed form.
     `loads[k]` lists what analysis k enters, per endpoint with a look there
-    in Endpoint order: (endpoint, look, weights, reads, (e, n1, n2)), where e
-    is the endpoint's position, which names its blocks of the snapshot. GSD
-    reads (hypothesis, pooled slot) pairs of `z`; AD and gGSD read (target,
+    in Endpoint order: (look, weights, reads, (e, n1, n2)), where e is the
+    endpoint's position, which names its blocks of the snapshot. GSD reads
+    (hypothesis, pooled slot) pairs of `z`; AD and gGSD read (target,
     stage-1 index, stage-2 index) triples of `scores`, an endpoint's
     hypotheses before its FS intersection, and event-driven weights (None)
     read the full population's stage slots n1 and n2 of `events`. `first`
@@ -397,8 +395,8 @@ class _Plan:
                          (_FS_INDEX[ep], joint_slot("stage1", ep), fs2))
             for look, k in enumerate(design.endpoint_analyses[ep]):
                 w = None if not self.gated or design.weights is None else design.weights[ep][look]
-                self.loads[k].append((ep, look, w, reads, (e, stage1[0], stage2[0])))
-        self.first = tuple(dict.fromkeys(r[0] for load in self.loads for *_, reads, _ in load
+                self.loads[k].append((look, w, reads, (e, stage1[0], stage2[0])))
+        self.first = tuple(dict.fromkeys(r[0] for load in self.loads for _, _, reads, _ in load
                                          for r in reads))
         self._tests: Dict[int, Tuple[Optional[_Test], ...]] = {}
 
@@ -617,19 +615,16 @@ def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot])
     the blocks some arm reads."""
     snap = snapshots[k]
     plan, z = dec.plan, dec.z
-    for _, look, w, reads, (e, n1, n2) in plan.loads[k]:
+    for look, w, reads, (e, n1, n2) in plan.loads[k]:
         if not plan.gated:
             stats = snap.block(e, True)
             for i, j in reads:
                 z[i].append((look, stats[j][0]))
             continue
-        if w is None:  # `combine.event_weights`' arithmetic; (1, 0) without events
+        if w is None:
             stats = snap.block(e, False)
-            d1, d2 = stats[n1][2], stats[n2][2]
-            total = d1 + d2
-            w1, w2 = (math.sqrt(d1 / total), math.sqrt(d2 / total)) if total else (1.0, 0.0)
-        else:
-            w1, w2 = w.w1, w.w2
+            w = event_weights(stats[n1][2], stats[n2][2])
+        w1, w2 = w.w1, w.w2
         scores = snap.endpoint_scores(e)
         for i, j1, j2 in reads:
             (q1, clamped1), (q2, clamped2) = scores[j1], scores[j2]
@@ -692,7 +687,7 @@ def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:
     their Hochberg p-value, or a lone population's own, once every
     continuing population has one."""
     mask = dec.analyses[-1] if dec.analyses else 0
-    for _, look, _, reads, _ in dec.plan.loads[k]:
+    for look, _, reads, _ in dec.plan.loads[k]:
         p = []
         for t, *_ in reads:
             if t >= len(HYPOTHESES):

@@ -20,6 +20,7 @@ __all__ = ["Grid", "gauss_grid", "norm_cdf", "norm_pdf", "norm_kernel", "norm_qu
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_ROOT_MAX_ITER = 200  # `find_root`'s step cap
 
 
 class BracketError(ValueError):
@@ -150,7 +151,7 @@ def norm_quantile(p: float) -> float:
 
 
 def find_root(f, lo: float, hi: float, flo: float, fhi: float, x0: float,
-              tol: float = 1e-10, max_iter: int = 200) -> float:
+              tol: float = 1e-10) -> float:
     """Root of a continuous function on a sign-changing bracket.
 
     Safeguarded Newton: `f(x)` returns the value and the slope at x, and
@@ -173,7 +174,7 @@ def find_root(f, lo: float, hi: float, flo: float, fhi: float, x0: float,
     if (flo > 0) == (fhi > 0):
         raise BracketError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
     x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         fx, slope = f(x)
         if fx == 0.0:
             return x

@@ -33,8 +33,12 @@ def test_event_weights():
     w = event_weights(100, 300)
     assert w.w1 == pytest.approx(0.5)
     assert w.w2 == pytest.approx(math.sqrt(0.75))
-    with pytest.raises(ValueError):
-        event_weights(0, 0)
+    # a look with no event in either stage puts all the weight on stage 1
+    assert event_weights(0, 0) == StageWeights(1.0, 0.0)
+    assert event_weights(7, 0) == StageWeights(1.0, 0.0)
+    for n1, n2 in ((-1, 5), (5, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            event_weights(n1, n2)
 
 
 def test_inverse_normal_known_value():

@@ -23,7 +23,7 @@ from gatedgsd.engine import (
     render_narrative,
     run_design,
 )
-from gatedgsd.combine import event_weights, inverse_normal
+from gatedgsd.combine import StageWeights, event_weights, inverse_normal
 from gatedgsd.futility import Selection
 from gatedgsd.harness import replication_inputs, run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
@@ -398,7 +398,7 @@ def test_design_spec_validation(designs2):
     with pytest.raises(DesignConfigError, match=r"^futility: ad requires a futility rule$"):
         dataclasses.replace(ad, futility=None)
     for arm, event_driven in ((ad, False), (dataclasses.replace(ad, weights=None), True)):
-        ws = [w for plan in arm._plans.values() for load in plan.loads for _, _, w, *_ in load]
+        ws = [w for plan in arm._plans.values() for load in plan.loads for _, w, *_ in load]
         assert ws and all((w is None) is event_driven for w in ws)
 
 
@@ -488,7 +488,8 @@ def test_scores_follow_the_wiring(setting2, designs2, selection, ep):
     assert weights
     snaps, _ = replication_inputs(setting2.scenario, setting2.seed, 0)
     plan = designs2["ad:0.5"]._plans[selection]
-    reads = next(reads for load in plan.loads for e, _, _, reads, _ in load if e is ep)
+    reads = next(reads for load in plan.loads for _, _, reads, (e, *_) in load
+                 if list(Endpoint)[e] is ep)
     for snap in snaps:
         p = {(stage, pop): snap.p[slot(stage, pop, ep)]
              for stage in ("stage1", "stage2") for pop in Population}
@@ -560,18 +561,23 @@ def test_build_designs_solves_no_boundary(setting2):
     assert all(not plan._tests for d in designs for plan in d._plans.values())
 
 
-class _ClampedScores:
-    """A snapshot whose PFS stage-1 scores of F and of the FS intersection
-    read as clamped, values unchanged."""
-
-    CLAMPED = (slot("stage1", Population.FULL, Endpoint.PFS),
-               simdata.joint_slot("stage1", Endpoint.PFS))
+class _SnapshotProxy:
+    """A snapshot that reads as the one it wraps, but for what a subclass
+    overrides."""
 
     def __init__(self, snap):
         self._snap = snap
 
     def __getattr__(self, name):
         return getattr(self._snap, name)
+
+
+class _ClampedScores(_SnapshotProxy):
+    """A snapshot whose PFS stage-1 scores of F and of the FS intersection
+    read as clamped, values unchanged."""
+
+    CLAMPED = (slot("stage1", Population.FULL, Endpoint.PFS),
+               simdata.joint_slot("stage1", Endpoint.PFS))
 
     def endpoint_scores(self, e):
         scores = list(self._snap.endpoint_scores(e))
@@ -597,6 +603,48 @@ def test_clamp_warnings_reach_the_trace(setting2, designs2):
     # The values are the snapshot's own, so the decisions do not move.
     plain = run_design(design, snaps, fut)
     assert plain.warnings == [] and plain.rejected_at == trace.rejected_at
+
+
+class _NoFullEvents(_SnapshotProxy):
+    """A snapshot whose stage-wise blocks report no full-population event in
+    either stage; its p-values and scores are the snapshot's own."""
+
+    def block(self, e, pooled):
+        stats = list(self._snap.block(e, pooled))
+        if not pooled:
+            for c in ("stage1", "stage2"):
+                j = slot(c, Population.FULL, list(Endpoint)[e])
+                stats[j] = (*stats[j][:2], 0)
+        return stats
+
+
+def test_event_driven_look_without_events_weighs_stage_1_alone(setting2, designs2):
+    # At a look where neither stage of the full population has an event, an
+    # event-driven arm takes weights (1, 0): each z it records there is the
+    # stage-1 score of its wiring. The other looks keep their counts.
+    snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
+    k = 0
+    proxied = [_NoFullEvents(snap) if i == k else snap for i, snap in enumerate(snaps)]
+    arms = [d for d in designs2.values() if d.kind is not DesignKind.GSD and d.weights is None]
+    assert {d.kind for d in arms} == {DesignKind.AD, DesignKind.GGSD}
+    for design in arms:
+        dec, plain = (engine.decide_design(design, s, fut) for s in (proxied, snaps))
+        assert dec.futility.selection is Selection.CONTINUE_BOTH
+        checked = 0
+        for t, (hist, plain_hist) in enumerate(zip(dec.z, plain.z)):
+            label, ep = engine._TARGETS[t]
+            looks = design.endpoint_analyses[ep]
+            for (look, z), (_, z_plain) in zip(hist, plain_hist):
+                if looks[look] != k:
+                    assert z == z_plain, (design.label, label, look)
+                    continue
+                p = {(stage, pop): snaps[k].p[slot(stage, pop, ep)]
+                     for stage in ("stage1", "stage2") for pop in Population}
+                (p1, p2), = [(p1, p2) for target, p1, p2 in _wiring(dec.futility.selection, ep, p)
+                             if target == label]
+                assert z == inverse_normal(p1, p2, StageWeights(1.0, 0.0)) != z_plain
+                checked += 1
+        assert checked, design.label
 
 
 def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs2):

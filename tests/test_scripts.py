@@ -77,3 +77,16 @@ def test_cold_probe_small(capsys):
     name, reps, boundaries_ms, solve_ms, maxrss, loaded = row.split()
     assert (name, reps, loaded) == ("setting2", "1", "0/1")
     assert float(boundaries_ms) > 0.0 and float(solve_ms) > 0.0 and float(maxrss) > 0.0
+
+
+def test_layer_probe_small(capsys):
+    probe = _load(next(p for p in SCRIPTS if p.name == "layer_probe.py"))
+    assert probe.main(["--reps", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["setting", "pass", "reps", "generate", "schedule", "futility",
+                              "fills", "engine", "total"]
+    assert [row.split()[:3] for row in rows] == [["setting2", name, "2"]
+                                                 for name in ("power", "null")]
+    for row in rows:
+        *layers, total = map(float, row.split()[3:])
+        assert all(ms > 0.0 for ms in layers) and total == pytest.approx(sum(layers), abs=5e-3)
