@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Cost of one replication, layer by layer: ms per replication.
 
-Runs a bundled setting's power and global-null passes at one thread and
-times, per replication, the layers of `harness.replication_inputs` and of
-the arms that read it:
+Runs setting2's power and global-null passes at one thread and times, per
+replication, the layers of `harness.replication_inputs` and of the arms that
+read it:
 
 - generate: `generate_trial`;
 - schedule: `schedule_analyses`;
@@ -15,11 +15,11 @@ the arms that read it:
   column is the second pass, and the fills column the difference.
 
 Each row first runs one untimed replication, which also solves the
-boundaries the arms share, and then reports the best of `--repeat` runs of
+boundaries the arms share, and then reports the best of REPEAT runs of
 `--reps` replications, column by column.
 
 Usage:
-    python scripts/layer_probe.py [--setting NAME] [--reps N] [--repeat K]
+    python scripts/layer_probe.py [--reps N]
 """
 
 import argparse
@@ -33,6 +33,7 @@ from gatedgsd.simdata import generate_trial, schedule_analyses, snapshot_at
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
 COLUMNS = ("generate", "schedule", "futility", "fills", "engine")
+REPEAT = 5
 
 
 def replication(spec, arms, seed: int, rep: int):
@@ -55,11 +56,11 @@ def replication(spec, arms, seed: int, rep: int):
     return t1 - t0, t2 - t1, t3 - t2, (t4 - t3) - (t5 - t4), t5 - t4
 
 
-def probe(spec, arms, seed: int, reps: int, repeat: int):
-    """ms per replication for each of COLUMNS, the best of `repeat` runs."""
+def probe(spec, arms, seed: int, reps: int):
+    """ms per replication for each of COLUMNS, the best of REPEAT runs."""
     replication(spec, arms, seed + 1, 0)
     best = [float("inf")] * len(COLUMNS)
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         totals = [0.0] * len(COLUMNS)
         for rep in range(reps):
             totals = [a + b for a, b in zip(totals, replication(spec, arms, seed, rep))]
@@ -69,18 +70,16 @@ def probe(spec, arms, seed: int, reps: int, repeat: int):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--setting", default="setting2", help="bundled config name")
     ap.add_argument("--reps", type=int, default=300, help="timed replications per run")
-    ap.add_argument("--repeat", type=int, default=3, help="runs per row; each column's best")
     args = ap.parse_args(argv)
 
-    cfg = parse_config(CONFIGS / f"{args.setting}.yaml")
+    cfg = parse_config(CONFIGS / "setting2.yaml")
     arms = sorted(build_designs(cfg), key=lambda d: d.kind is DesignKind.GSD)
-    print(f"{'setting':>8} {'pass':>5} {'reps':>5} "
+    print(f"{'pass':>5} {'reps':>5} "
           + " ".join(f"{c:>8}" for c in COLUMNS) + f" {'total':>8}")
     for name, spec in (("power", cfg.scenario), ("null", cfg.scenario.under_global_null())):
-        ms = probe(spec, arms, cfg.seed, args.reps, args.repeat)
-        print(f"{args.setting:>8} {name:>5} {args.reps:>5} "
+        ms = probe(spec, arms, cfg.seed, args.reps)
+        print(f"{name:>5} {args.reps:>5} "
               + " ".join(f"{x:>8.3f}" for x in ms) + f" {sum(ms):>8.3f}", flush=True)
     return 0
 

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import enum
 import importlib.util
+import itertools
 import json
 import math
 from pathlib import Path
@@ -23,7 +24,7 @@ from gatedgsd.engine import (
     render_narrative,
     run_design,
 )
-from gatedgsd.combine import StageWeights, event_weights, inverse_normal
+from gatedgsd.combine import event_weights, inverse_normal
 from gatedgsd.futility import Selection
 from gatedgsd.harness import replication_inputs, run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
@@ -502,16 +503,46 @@ def test_scores_follow_the_wiring(setting2, designs2, selection, ep):
                 assert w.w1 * q1 + w.w2 * q2 == inverse_normal(p1, p2, w)
 
 
+class _SnapshotProxy:
+    """A snapshot that reads as the one it wraps, but for what a subclass
+    overrides."""
+
+    def __init__(self, snap):
+        self._snap = snap
+
+    def __getattr__(self, name):
+        return getattr(self._snap, name)
+
+
+class _NoFullEvents(_SnapshotProxy):
+    """A snapshot whose stage-wise counts, read through `block` and `events`,
+    report no full-population event in either stage; its p-values and scores
+    are the snapshot's own."""
+
+    FULL = {slot(c, Population.FULL, ep) for c in ("stage1", "stage2") for ep in Endpoint}
+
+    def block(self, e, pooled):
+        return [stat if stat is None or j not in self.FULL else (*stat[:2], 0)
+                for j, stat in enumerate(self._snap.block(e, pooled))]
+
+    @property
+    def events(self):
+        return tuple(0 if j in self.FULL else n for j, n in enumerate(self._snap.events))
+
+
 def test_event_driven_weights_are_event_weights(setting2, designs2):
     # An event-driven arm weighs the stages by the full population's
     # stage-wise event counts of the endpoint: every z it records is bit for
     # bit combine.inverse_normal of the wired p-values with
-    # combine.event_weights of those counts.
+    # combine.event_weights of those counts. Snapshots that report no such
+    # event take weights (1, 0), so each z is the stage-1 score.
     arms = [d for d in designs2.values() if d.kind is not DesignKind.GSD and d.weights is None]
     assert {d.kind for d in arms} == {DesignKind.AD, DesignKind.GGSD}
     checked = collections.Counter()
-    for rep in range(6):
+    for rep, no_events in itertools.product(range(6), (False, True)):
         snaps, fut = replication_inputs(setting2.scenario, setting2.seed, rep)
+        if no_events:
+            snaps = [_NoFullEvents(snap) for snap in snaps]
         for design in arms:
             dec = engine.decide_design(design, snaps, fut)
             for t, hist in enumerate(dec.z):
@@ -525,8 +556,8 @@ def test_event_driven_weights_are_event_weights(setting2, designs2):
                     d1, d2 = (snap.events[slot(stage, Population.FULL, ep)]
                               for stage in ("stage1", "stage2"))
                     assert z == inverse_normal(p1, p2, event_weights(d1, d2)), (rep, label, look)
-                    checked[design.kind, ep] += 1
-    assert len(checked) == 4  # both arms and both endpoints were checked
+                    checked[no_events, design.kind, ep] += 1
+    assert len(checked) == 8  # both arms and both endpoints, with and without events
 
 
 # -- work per call ------------------------------------------------------------
@@ -561,17 +592,6 @@ def test_build_designs_solves_no_boundary(setting2):
     assert all(not plan._tests for d in designs for plan in d._plans.values())
 
 
-class _SnapshotProxy:
-    """A snapshot that reads as the one it wraps, but for what a subclass
-    overrides."""
-
-    def __init__(self, snap):
-        self._snap = snap
-
-    def __getattr__(self, name):
-        return getattr(self._snap, name)
-
-
 class _ClampedScores(_SnapshotProxy):
     """A snapshot whose PFS stage-1 scores of F and of the FS intersection
     read as clamped, values unchanged."""
@@ -603,48 +623,6 @@ def test_clamp_warnings_reach_the_trace(setting2, designs2):
     # The values are the snapshot's own, so the decisions do not move.
     plain = run_design(design, snaps, fut)
     assert plain.warnings == [] and plain.rejected_at == trace.rejected_at
-
-
-class _NoFullEvents(_SnapshotProxy):
-    """A snapshot whose stage-wise blocks report no full-population event in
-    either stage; its p-values and scores are the snapshot's own."""
-
-    def block(self, e, pooled):
-        stats = list(self._snap.block(e, pooled))
-        if not pooled:
-            for c in ("stage1", "stage2"):
-                j = slot(c, Population.FULL, list(Endpoint)[e])
-                stats[j] = (*stats[j][:2], 0)
-        return stats
-
-
-def test_event_driven_look_without_events_weighs_stage_1_alone(setting2, designs2):
-    # At a look where neither stage of the full population has an event, an
-    # event-driven arm takes weights (1, 0): each z it records there is the
-    # stage-1 score of its wiring. The other looks keep their counts.
-    snaps, fut = replication_inputs(setting2.scenario, setting2.seed, 0)
-    k = 0
-    proxied = [_NoFullEvents(snap) if i == k else snap for i, snap in enumerate(snaps)]
-    arms = [d for d in designs2.values() if d.kind is not DesignKind.GSD and d.weights is None]
-    assert {d.kind for d in arms} == {DesignKind.AD, DesignKind.GGSD}
-    for design in arms:
-        dec, plain = (engine.decide_design(design, s, fut) for s in (proxied, snaps))
-        assert dec.futility.selection is Selection.CONTINUE_BOTH
-        checked = 0
-        for t, (hist, plain_hist) in enumerate(zip(dec.z, plain.z)):
-            label, ep = engine._TARGETS[t]
-            looks = design.endpoint_analyses[ep]
-            for (look, z), (_, z_plain) in zip(hist, plain_hist):
-                if looks[look] != k:
-                    assert z == z_plain, (design.label, label, look)
-                    continue
-                p = {(stage, pop): snaps[k].p[slot(stage, pop, ep)]
-                     for stage in ("stage1", "stage2") for pop in Population}
-                (p1, p2), = [(p1, p2) for target, p1, p2 in _wiring(dec.futility.selection, ep, p)
-                             if target == label]
-                assert z == inverse_normal(p1, p2, StageWeights(1.0, 0.0)) != z_plain
-                checked += 1
-        assert checked, design.label
 
 
 def test_normal_scores_computed_once_per_snapshot(monkeypatch, setting2, designs2):

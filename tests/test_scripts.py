@@ -83,10 +83,9 @@ def test_layer_probe_small(capsys):
     probe = _load(next(p for p in SCRIPTS if p.name == "layer_probe.py"))
     assert probe.main(["--reps", "2"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["setting", "pass", "reps", "generate", "schedule", "futility",
-                              "fills", "engine", "total"]
-    assert [row.split()[:3] for row in rows] == [["setting2", name, "2"]
-                                                 for name in ("power", "null")]
+    assert header.split() == ["pass", "reps", "generate", "schedule", "futility", "fills",
+                              "engine", "total"]
+    assert [row.split()[:2] for row in rows] == [[name, "2"] for name in ("power", "null")]
     for row in rows:
-        *layers, total = map(float, row.split()[3:])
+        *layers, total = map(float, row.split()[2:])
         assert all(ms > 0.0 for ms in layers) and total == pytest.approx(sum(layers), abs=5e-3)
