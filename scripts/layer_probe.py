@@ -7,7 +7,10 @@ read it:
 
 - generate: `generate_trial`;
 - schedule: `schedule_analyses`;
-- futility: the futility snapshot, with its two Cox fits;
+- futility: the futility gate as the Monte Carlo runs it: the futility
+  snapshot's stage-1 counts plus the sign of each population's Cox score
+  at its threshold (`FutilitySnapshot.below`), which every gated arm then
+  reads from the snapshot's cache;
 - fills and engine: every design arm is decided twice on the same analysis
   snapshots, gated arms first, as the Monte Carlo orders them. The first
   pass builds the snapshots and pays the logrank fills they compute on
@@ -45,6 +48,9 @@ def replication(spec, arms, seed: int, rep: int):
     times = schedule_analyses(trial, spec)
     t2 = clock()
     futility = snapshot_at(trial, spec.stage1_cutoff, spec, with_hr=True)
+    for d in arms:
+        if d.futility is not None:
+            futility.below(d.futility)
     t3 = clock()
     snaps = [snapshot_at(trial, t, spec) for t in times]
     for d in arms:

@@ -12,8 +12,9 @@ from .futility import (FutilityRule, Selection, SelectionDecision,
                        calibrate_threshold, select_population)
 from .multiplicity import (HYPOTHESES, Endpoint, HypothesisId, Population,
                            hochberg_intersection)
-from .simdata import (AnalysisSnapshot, AnalysisTrigger, ScenarioSpec,
-                      TrialData, cox_hazard_ratio, generate_trial,
-                      logrank_test, schedule_analyses, snapshot_at)
+from .simdata import (AnalysisSnapshot, AnalysisTrigger, FutilitySnapshot,
+                      ScenarioSpec, TrialData, cox_hazard_ratio,
+                      generate_trial, logrank_test, schedule_analyses,
+                      snapshot_at)
 
 __version__ = "0.1.0"

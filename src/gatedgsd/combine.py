@@ -60,9 +60,12 @@ def event_weights(n1: int, n2: int) -> StageWeights:
     if n1 < 0 or n2 < 0:
         raise ValueError("event counts must be nonnegative")
     total = n1 + n2
-    if total == 0:
-        return StageWeights(1.0, 0.0)
-    return StageWeights(math.sqrt(n1 / total), math.sqrt(n2 / total))
+    w1, w2 = (math.sqrt(n1 / total), math.sqrt(n2 / total)) if total else (1.0, 0.0)
+    # Valid by construction, so built without `__post_init__`'s check, which
+    # would otherwise run on every event-driven load of the Monte Carlo.
+    w = object.__new__(StageWeights)
+    w.__dict__.update(w1=w1, w2=w2)
+    return w
 
 
 def clamp_p(p: float) -> Tuple[float, bool]:

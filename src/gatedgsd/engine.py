@@ -43,10 +43,13 @@ A call does only the work that is new to its arm and data:
   shared by every arm and scenario; the plan picks two entries per target,
   and each arm forms its own z = w1*q1 + w2*q2, bit for bit the value of
   `combine.inverse_normal`.
-- One futility gate. The futility snapshot fits its two stage-1 PFS hazard
-  ratios once per replication, shared by every arm; each gated arm applies
-  `select_population` to them with its own thresholds, as
-  `analyze_observed` does to the given HRs.
+- One futility gate. Each gated arm asks the gate's two questions, is
+  HR(F) below its threshold and is HR(S) below its own, and maps the answers
+  to a selection by `futility.SELECTIONS`. The futility snapshot answers by
+  the sign of each population's Cox score at log theta, once per rule and
+  replication and shared by every arm, and fits no hazard ratio;
+  `analyze_observed` compares the given HRs (`below_thresholds`). The
+  fitted HRs appear only in a trace, which fits them when it is built.
 - Demand-driven snapshots. A load entry reads one block of its endpoint
   from the snapshot: GSD the pooled z (`block(e, True)`), a gated arm the
   endpoint's six scores (`endpoint_scores(e)`), event-driven weights the
@@ -82,12 +85,12 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from .boundaries import cached_boundaries, fraction_problem
 from .combine import StageWeights, event_weights, normal_score
-from .futility import FutilityRule, Selection, SelectionDecision, select_population
+from .futility import SELECTIONS, FutilityRule, Selection, SelectionDecision, below_thresholds
 from .multiplicity import (HYPOTHESES, HYPOTHESIS_SLUGS, Endpoint, HypothesisId, Population,
                            hochberg_intersection, hypothesis_mask)
 from .numerics import norm_cdf
 from .rules import ALPHA, NONNEGATIVE, POSITIVE, UNIT, refuse, sum_problem
-from .simdata import AnalysisSnapshot, joint_slot, slot
+from .simdata import AnalysisSnapshot, FutilitySnapshot, joint_slot, slot
 
 __all__ = [
     "DesignKind",
@@ -479,8 +482,10 @@ def _fixed_point(plan: _Plan, z: Tuple[List[Tuple[int, float]], ...], mask: int,
 class Decision(NamedTuple):
     """One arm's decisions on one trial, as `_decide` computes them.
 
-    `analyses` holds the rejection bitmask over `_TARGETS` at the end of
-    each analysis run (none after a futility stop, when `plan` is None),
+    `selection` is the futility gate's (None for GSD), and `gate` what
+    answered it: the futility snapshot or the `ObservedData`. `analyses`
+    holds the rejection bitmask over `_TARGETS` at the end of each analysis
+    run (none after a futility stop, when `plan` is None),
     `order` the rejected targets in the order the fixed point rejected
     them, `times` each analysis's calendar time, `z[t]` target t's (look, z)
     pairs in look order, and `clamps` the (analysis, target) pairs whose
@@ -489,7 +494,8 @@ class Decision(NamedTuple):
     """
 
     design: DesignSpec
-    futility: Optional[SelectionDecision]
+    selection: Optional[Selection]
+    gate: object
     plan: Optional[_Plan]
     analyses: List[int] = ()
     order: List[int] = ()
@@ -503,35 +509,45 @@ class Decision(NamedTuple):
         return self.analyses[-1] & _HYPOTHESIS_MASK if self.analyses else 0
 
     @property
+    def futility(self) -> Optional[SelectionDecision]:
+        """The gate's selection with the two hazard ratios it compared (None
+        for GSD). A simulated trial's are fitted on the first read."""
+        if self.selection is None:
+            return None
+        return SelectionDecision(self.selection, self.gate.hr_full, self.gate.hr_sub)
+
+    @property
     def warnings(self) -> List[str]:
         return [f"analysis {k + 1}: degenerate p-value clamped for {_TARGETS[i].label}"
                 for k, i in self.clamps]
 
 
-def _decide(design: DesignSpec, hrs, load: Callable[[Decision, int, object], Optional[float]],
+def _decide(design: DesignSpec, gate, load: Callable[[Decision, int, object], Optional[float]],
             data) -> Decision:
     """The one decision loop behind `run_design`, `decide_design` and
     `analyze_observed`.
 
-    Applies the end-of-stage-1 futility gate (AD, gGSD), by
-    `select_population`, to the two stage-1 PFS hazard ratios `hrs` holds
-    (a futility snapshot or `ObservedData`), then walks the planned
-    analyses: `load(decision, k, data)` enters analysis k's statistics
-    into the decision's z table and returns its calendar time, and the fixed
+    Applies the end-of-stage-1 futility gate (AD, gGSD): `gate` (a futility
+    snapshot or `ObservedData`) answers whether each stage-1 PFS hazard
+    ratio is below its threshold, and `SELECTIONS` maps the answers to the
+    selection. Then it walks the planned analyses: `load(decision, k,
+    data)` enters analysis k's statistics into the decision's z table and
+    returns its calendar time, and the fixed
     point runs until every hypothesis in scope is rejected or the final
     analysis is reached.
     """
-    selection = futility_decision = None
+    selection = None
     if design.kind is not DesignKind.GSD:
-        if hrs is None or hrs.hr_full is None or hrs.hr_sub is None:
+        # None, or an analysis snapshot in its place, answers nothing.
+        below = getattr(gate, "below", lambda rule: None)(design.futility)
+        if below is None:
             raise MissingSlotError("stage-1 futility hazard ratios (HR(F), HR(S)) are required")
-        futility_decision = select_population(hrs.hr_full, hrs.hr_sub, design.futility)
-        selection = futility_decision.selection
+        selection = SELECTIONS[below]
         if selection is Selection.STOP_FUTILITY:
-            return Decision(design, futility_decision, None)
+            return Decision(design, selection, gate, None)
     plan = design._plans[selection]
     masks, order, times, z = [], [], [], ([], [], [], [], [], [])
-    dec = Decision(design, futility_decision, plan, masks, order, times, z, [])
+    dec = Decision(design, selection, gate, plan, masks, order, times, z, [])
     scope = plan.scope_mask
     mask = 0
     for k in range(design.n_analyses):
@@ -636,7 +652,7 @@ def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot])
 
 
 def decide_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
-                  futility_snapshot: Optional[AnalysisSnapshot]) -> Decision:
+                  futility_snapshot: Optional[FutilitySnapshot]) -> Decision:
     """Drive one simulated trial through a design; decisions only, no trace."""
     if len(snapshots) < design.n_analyses:
         raise MissingSlotError(
@@ -645,7 +661,7 @@ def decide_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
 
 
 def run_design(design: DesignSpec, snapshots: Sequence[AnalysisSnapshot],
-               futility_snapshot: Optional[AnalysisSnapshot]) -> DecisionTrace:
+               futility_snapshot: Optional[FutilitySnapshot]) -> DecisionTrace:
     """Drive one simulated trial through a design and return its trace."""
     return _trace(decide_design(design, snapshots, futility_snapshot))
 
@@ -678,6 +694,13 @@ class ObservedData:
             problems += [(f"p_values.{_SLUG[h]}.{names.get(k, k)}", UNIT(p))
                          for k, p in by_analysis.items()]
         refuse(problems)
+
+    def below(self, rule: FutilityRule) -> Optional[Tuple[bool, bool]]:
+        """The gate's answers on the given hazard ratios; None where one is
+        not given."""
+        if self.hr_full is None or self.hr_sub is None:
+            return None
+        return below_thresholds(self.hr_full, self.hr_sub, rule)
 
 
 def _load_observed(dec: Decision, k: int, observed: ObservedData) -> None:

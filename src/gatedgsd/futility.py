@@ -1,14 +1,19 @@
 """End-of-stage-1 futility gate and population selection.
 
-A design's rule holds the hazard-ratio thresholds as given in its config,
-and `select_population` applies it to the two stage-1 PFS hazard ratios: a
-simulated trial's, which its futility snapshot fits (`simdata.snapshot_at`),
-or an observed trial's, as given. Every gated arm of a simulated
-replication calls it, and most stop there under the global null, so its
-decision is a plain named tuple. `calibrate_threshold` derives a threshold
-from the large-sample normal model for the log hazard ratio,
-log(HR_hat) ~ N(log(true HR), 4 / events) under equal randomization, for
-choosing the thresholds beforehand (`gatedgsd thresholds`).
+A design's rule holds the hazard-ratio thresholds as given in its config.
+The gate asks one question per population, whether its stage-1 PFS hazard
+ratio is below its threshold, and `SELECTIONS` maps the two answers to the
+populations that continue. A simulated trial's futility snapshot answers by
+the sign of the Cox score at log theta, without fitting the ratio
+(`simdata.FutilitySnapshot.below`); given ratios, an observed trial's or a
+fitted one's, are compared by `below_thresholds`, and `select_population`
+returns the selection with the two ratios. Every gated arm of a simulated
+replication asks, and most stop there under the global null, so the answers
+are cached per snapshot and rule and the decision is a plain named tuple.
+`calibrate_threshold` derives a threshold from the large-sample normal
+model for the log hazard ratio, log(HR_hat) ~ N(log(true HR), 4 / events)
+under equal randomization, for choosing the thresholds beforehand
+(`gatedgsd thresholds`).
 """
 
 from __future__ import annotations
@@ -16,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 from .numerics import norm_quantile
 from .rules import GATE_EVENTS, POSITIVE, PROBABILITY, refuse
 
-__all__ = ["FutilityRule", "Selection", "SelectionDecision", "calibrate_threshold",
-           "select_population"]
+__all__ = ["FutilityRule", "Selection", "SelectionDecision", "SELECTIONS", "below_thresholds",
+           "calibrate_threshold", "select_population"]
 
 
 def calibrate_threshold(true_hr: float, events: int, gamma: float) -> float:
@@ -51,32 +56,32 @@ class Selection(Enum):
 
 
 class SelectionDecision(NamedTuple):
-    """The gate's selection and the two hazard ratios it compared. A plain
-    tuple: every gated arm of a replication builds one."""
+    """The gate's selection and the two hazard ratios it compared, as a
+    trace or a replay reports them."""
 
     selection: Selection
     hr_full: float
     hr_sub: float
 
 
-def select_population(hr_full: float, hr_sub: float, rule: FutilityRule) -> SelectionDecision:
-    """Population-selection decision from the stage-1 PFS HRs.
+# The one mapping from the gate's two answers, (HR(F) below theta_full, HR(S)
+# below theta_sub), to the selection.
+SELECTIONS = {(True, True): Selection.CONTINUE_BOTH, (False, True): Selection.CONTINUE_SUB_ONLY,
+              (True, False): Selection.CONTINUE_FULL_ONLY,
+              (False, False): Selection.STOP_FUTILITY}
 
-    The one comparison of a hazard ratio with a threshold, for simulated and
-    observed data alike. The passing condition is strict (< theta); an HR
-    exactly at the threshold fails the gate. A fitted HR may be 0 or inf
-    (`simdata.cox_hazard_ratio` on a monotone likelihood); NaN is refused.
-    """
+
+def below_thresholds(hr_full: float, hr_sub: float, rule: FutilityRule) -> Tuple[bool, bool]:
+    """The gate's two answers on given hazard ratios: each population passes
+    when its HR is strictly below its threshold, so an HR exactly at the
+    threshold fails. A fitted HR may be 0 or inf (a monotone likelihood);
+    NaN is refused."""
     if not (hr_full >= 0 and hr_sub >= 0):
         raise ValueError(f"hazard ratios must be nonnegative numbers, got {hr_full}, {hr_sub}")
-    full_ok = hr_full < rule.theta_full
-    sub_ok = hr_sub < rule.theta_sub
-    if full_ok and sub_ok:
-        sel = Selection.CONTINUE_BOTH
-    elif sub_ok:
-        sel = Selection.CONTINUE_SUB_ONLY
-    elif full_ok:
-        sel = Selection.CONTINUE_FULL_ONLY
-    else:
-        sel = Selection.STOP_FUTILITY
-    return SelectionDecision(sel, hr_full, hr_sub)
+    return hr_full < rule.theta_full, hr_sub < rule.theta_sub
+
+
+def select_population(hr_full: float, hr_sub: float, rule: FutilityRule) -> SelectionDecision:
+    """Population-selection decision from the stage-1 PFS HRs, by
+    `below_thresholds` and `SELECTIONS`."""
+    return SelectionDecision(SELECTIONS[below_thresholds(hr_full, hr_sub, rule)], hr_full, hr_sub)

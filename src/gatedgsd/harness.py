@@ -31,8 +31,8 @@ from .engine import ANALYSIS_NAMES, DesignKind, DesignSpec
 from .engine import decide_design as run_design
 from .multiplicity import HYPOTHESES, Endpoint, HypothesisId, Population, hypothesis_mask
 from .rules import COUNT, refuse
-from .simdata import (AnalysisSnapshot, ScenarioSpec, generate_trial, schedule_analyses,
-                      snapshot_at)
+from .simdata import (AnalysisSnapshot, FutilitySnapshot, ScenarioSpec, generate_trial,
+                      schedule_analyses, snapshot_at)
 
 __all__ = [
     "DesignAggregate",
@@ -155,10 +155,10 @@ class SimulationReport:
 
 
 def replication_inputs(setting: ScenarioSpec, seed: int, rep: int
-                       ) -> Tuple[List[AnalysisSnapshot], AnalysisSnapshot]:
+                       ) -> Tuple[List[AnalysisSnapshot], FutilitySnapshot]:
     """What replication `rep` feeds every design arm: one snapshot per
-    scheduled analysis, and the stage-1 futility snapshot with its hazard
-    ratios."""
+    scheduled analysis, and the stage-1 futility snapshot, which answers
+    the futility gate."""
     trial = generate_trial(setting, (seed, rep))
     times = schedule_analyses(trial, setting)
     snaps = [snapshot_at(trial, t, setting) for t in times]

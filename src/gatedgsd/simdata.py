@@ -3,7 +3,7 @@
 Patients enroll uniformly over the accrual window, are randomized 1:1, and
 carry independent latent exponential event and dropout times per endpoint.
 Snapshots censor at the analysis cutoff and produce cohort-wise logrank
-p-values plus Cox hazard-ratio estimates for the futility gate.
+p-values, and the futility gate's answer from the stage-1 Cox score.
 
 A snapshot holds 12 slots, 3 cohorts (stage 1, stage 2, pooled) x 2
 populations x 2 endpoints, as tuples in one fixed order; `slot` gives a
@@ -37,14 +37,19 @@ order whichever call fills it, so every slot has the same bits in any read
 order. Reading a whole table fills every block. `logrank_test` is the same
 kernel with a single slot.
 
-The futility gate's snapshot computes no slots. It counts its stage-1 PFS
-rows by (subgroup, arm) the same way, once, and fits the Cox hazard ratios
-of F and S from the same per-slot counts a logrank reads (`_breslow_hr`,
-the one Cox fit, which `cox_hazard_ratio` runs on a single sample). The
-fit is exact about a monotone or flat likelihood, and brackets a finite
-root in an interval whose ends have known score signs, so it evaluates the
-score only inside; it returns no NaN, and like the counts, its bits do not
-depend on patient order.
+The futility gate's snapshot (`FutilitySnapshot`) computes no slots. It
+counts its stage-1 PFS rows by (subgroup, arm) the same way, once. The gate
+needs only whether each population's Cox hazard ratio falls below its
+threshold theta, and the Breslow score U(beta) falls as beta grows, so
+HR < theta exactly when U(log theta) < 0: the snapshot answers by that sign,
+from the same per-slot counts a logrank reads, and the limits of a monotone
+or flat likelihood (HR 0, inf or 1) by comparing them with theta. The hazard
+ratios themselves are fitted only when read, by `_breslow_hr`, the one Cox
+fit, which `cox_hazard_ratio` runs on a single sample. The fit is exact
+about a monotone or flat likelihood, and brackets a finite root in an
+interval whose ends have known score signs, so it evaluates the score only
+inside; it returns no NaN, and like the counts, its bits do not depend on
+patient order.
 
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
@@ -57,7 +62,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +77,7 @@ __all__ = [
     "AnalysisTrigger",
     "TrialData",
     "AnalysisSnapshot",
+    "FutilitySnapshot",
     "SchedulingError",
     "generate_trial",
     "schedule_analyses",
@@ -288,18 +295,19 @@ def _slot_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray, member: np.nda
     arm. Slot k's columns end at ends[k], and sizes[k] is its (rows,
     experimental rows).
     """
-    order = np.argsort(d)
-    d, group = d[order], group[order]
+    order = d.argsort()
+    d, group = d.take(order), group.take(order)
     n, n_slots = len(d), len(member)
-    pos = np.flatnonzero(member.take(group, axis=1))
-    # Each entry's 2 * event flag + arm, read off the sorted rows listed
-    # once per slot.
-    flags = np.concatenate([(2 * s[order] + (group & 1)).astype(np.int8)] * n_slots).take(pos)
+    pos = member.take(group, axis=1).ravel().nonzero()[0]
+    # Each entry's 2 * event flag + arm, read off the sorted rows: entry i
+    # of the list is sorted row i mod n.
+    flags = (2 * s.take(order) + (group & 1)).astype(np.int8).take(pos, mode="wrap")
     arm = flags & 1
     exp_before = np.zeros(len(pos) + 1, dtype=np.intp)  # experimental entries before each
-    np.cumsum(arm, out=exp_before[1:])
-    ends = np.searchsorted(pos, np.arange(1, n_slots + 1) * n)
-    at = np.flatnonzero(flags > 1)  # the list's event rows
+    arm.cumsum(out=exp_before[1:])
+    bounds = pos.searchsorted(np.arange(n_slots + 1) * n)  # slot k: bounds[k] to bounds[k + 1]
+    ends = bounds[1:]
+    at = (flags > 1).nonzero()[0]  # the list's event rows
     d_tot, d_exp = 1, arm.take(at)  # events at each event time
     new_run = d[1:] != d[:-1]
     if len(at) and not new_run.all():
@@ -310,20 +318,19 @@ def _slot_counts(d: np.ndarray, s: np.ndarray, group: np.ndarray, member: np.nda
         np.maximum.accumulate(run_start, out=run_start)
         entry = pos.take(at)
         row = entry % n
-        at = np.searchsorted(pos, entry - row + run_start.take(row))
-        first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+        at = pos.searchsorted(entry - row + run_start.take(row))
+        first = np.concatenate(([True], at[1:] != at[:-1])).nonzero()[0]
         d_tot = np.diff(first, append=len(at))
         d_exp = np.add.reduceat(d_exp, first)
         at = at.take(first)
-    starts = np.concatenate(([0], ends[:-1]))
-    end = np.repeat(ends, ends - starts).take(at)  # each event time's slot end
+    end = ends.take(ends.searchsorted(at, "right"))  # each event time's slot end
     counts = np.empty((4, len(at)))
     np.subtract(end, at, out=counts[0])
     np.subtract(exp_before.take(end), exp_before.take(at), out=counts[1])
     counts[2], counts[3] = d_tot, d_exp
-    rows = (ends - starts).tolist()
-    exp_rows = (exp_before.take(ends) - exp_before.take(starts)).tolist()
-    return counts, np.searchsorted(at, ends).tolist(), list(zip(rows, exp_rows))
+    exp_at = exp_before.take(bounds)
+    sizes = zip((ends - bounds[:-1]).tolist(), (exp_at[1:] - exp_at[:-1]).tolist())
+    return counts, at.searchsorted(ends).tolist(), list(sizes)
 
 
 def _logrank_slots(counts: np.ndarray, ends: List[int],
@@ -384,29 +391,30 @@ def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
     return hr
 
 
-def _breslow_hr(counts: np.ndarray) -> Optional[float]:
-    """The Cox HR (Breslow ties) of one slot, None where it has no event.
+def _breslow_score(counts: np.ndarray):
+    """One slot's Breslow score, in the terms `_breslow_hr` and `_hr_below`
+    read: (hr, u_lo, u_hi, d, ratio).
 
     `counts` holds one slot's columns of `_slot_counts`: rows at risk in
     both arms and in the experimental arm, then events in both arms and in
     the experimental arm, at each of the slot's event times. The score
     U(beta) = sum over event times of d_exp - d * share(beta), with share the
     experimental arm's weight of the risk set, falls as beta grows, from
-    U(-inf) = experimental events - events at times with no control row at
-    risk (that is, the experimental events at times with a control row at
-    risk) to U(+inf) = experimental events - events at times with an
-    experimental row at risk. Both limits are exact sums of counts:
+    u_lo = U(-inf) = experimental events - events at times with no control
+    row at risk (that is, the experimental events at times with a control
+    row at risk) to u_hi = U(+inf) = experimental events - events at times
+    with an experimental row at risk. Only event times with both arms at
+    risk move U: with d their events and ratio their control rows per
+    experimental row, U(beta) = u_lo - sum of d / (1 + ratio * exp(-beta))
+    (`_share`). Both limits are exact sums of counts, and hr is the HR they
+    fix, or None where the root is finite:
 
     - U(-inf) = 0 > U(+inf) (no experimental event while a control row is
       at risk): the likelihood rises as beta falls, HR 0;
     - U(-inf) > 0 = U(+inf): likewise, HR inf;
     - U(-inf) = U(+inf) = 0 (no event time has both arms at risk): the
-      likelihood is flat, HR 1;
-    - otherwise the root is finite, and `find_root` (Newton kept inside a
-      sign bracket) finds it to `_COX_TOL` in beta.
+      likelihood is flat, HR 1.
     """
-    if not counts.shape[1]:
-        return None
     n_tot, n_exp, d, d_exp = counts
     n_ctl = n_tot - n_exp
     has_ctl = n_ctl > 0
@@ -414,14 +422,50 @@ def _breslow_hr(counts: np.ndarray) -> Optional[float]:
     both = has_ctl & (n_exp > 0)
     d, ratio = d[both], n_ctl[both] / n_exp[both]
     u_hi = u_lo - float(np.add.reduce(d))
+    hr = None
     if u_lo == 0.0 or u_hi == 0.0:
-        return 1.0 if u_lo == u_hi else (0.0 if u_lo == 0.0 else math.inf)
+        hr = 1.0 if u_lo == u_hi else (0.0 if u_lo == 0.0 else math.inf)
+    return hr, u_lo, u_hi, d, ratio
+
+
+def _share(ratio: np.ndarray, beta: float) -> np.ndarray:
+    """The experimental arm's weight of each risk set at log HR beta."""
+    share = ratio * math.exp(-beta)
+    share += 1.0
+    return np.reciprocal(share, out=share)
+
+
+def _hr_below(counts: np.ndarray, theta: float) -> Optional[bool]:
+    """Whether one slot's Cox HR, `_breslow_hr(counts)`, is below theta,
+    without fitting it; None where the slot has no event.
+
+    U falls as beta grows, so HR < theta exactly when U(log theta) < 0: one
+    evaluation of the score instead of a root search. A monotone or flat
+    likelihood's HR (0, inf or 1) is compared with theta as it is."""
+    if not counts.shape[1]:
+        return None
+    hr, u_lo, _, d, ratio = _breslow_score(counts)
+    if hr is not None:
+        return hr < theta
+    return float(np.add.reduce(d * _share(ratio, math.log(theta)))) > u_lo
+
+
+def _breslow_hr(counts: np.ndarray) -> Optional[float]:
+    """The Cox HR (Breslow ties) of one slot, None where it has no event.
+
+    The limits of a monotone or flat likelihood are exact
+    (`_breslow_score`); otherwise the root is finite, and `find_root`
+    (Newton kept inside a sign bracket) finds it to `_COX_TOL` in beta.
+    """
+    if not counts.shape[1]:
+        return None
+    hr, u_lo, u_hi, d, ratio = _breslow_score(counts)
+    if hr is not None:
+        return hr
 
     def score(beta):
         """U(beta) and its slope, -sum of d * share * (1 - share)."""
-        share = ratio * math.exp(-beta)
-        share += 1.0
-        np.reciprocal(share, out=share)
+        share = _share(ratio, beta)
         expected = d * share
         u = float(np.add.reduce(expected))
         return u_lo - u, float(np.add.reduce(expected * share)) - u
@@ -446,26 +490,16 @@ class AnalysisSnapshot:
     scores. Both take the endpoint's position in `Endpoint` order and return
     the whole table, (z, p, events) per slot or (q, clamped) per score, with
     those entries filled. The read-only tables (`events`, `z`, `p`,
-    `zero_event_slots`, `scores`) fill every block.
-
-    A futility snapshot (`snapshot_at(..., with_hr=True)`) holds the two
-    stage-1 PFS Cox hazard ratios instead, `hr_full` and `hr_sub` (None where
-    a population has no stage-1 PFS event); its tables are empty. An
-    analysis snapshot's hazard ratios are None.
+    `zero_event_slots`, `scores`) fill every block. Its hazard ratios are
+    None; the futility gate's are on `FutilitySnapshot`.
     """
 
-    __slots__ = ("calendar_time", "hr_full", "hr_sub", "_trial", "_rows", "_cutoff",
-                 "_stats", "_scores")
+    __slots__ = ("calendar_time", "_trial", "_rows", "_cutoff", "_stats", "_scores")
+    hr_full = hr_sub = None
 
-    def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec, futility: bool):
+    def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec):
         self.calendar_time = time
         self._trial = trial
-        if futility:
-            stage1 = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
-            self.hr_full, self.hr_sub = _stage1_hazard_ratios(trial, time, stage1)
-            self._stats = self._scores = []
-            return
-        self.hr_full = self.hr_sub = None
         # After accrual every row is enrolled, and `...` reads whole columns.
         self._rows = ... if time > trial.last_enroll else trial.enroll_time < time
         self._cutoff = spec.stage1_cutoff
@@ -499,20 +533,18 @@ class AnalysisSnapshot:
         stage-wise slots and its two Hochberg intersections."""
         scores = self._scores
         if scores[e] is None:
-            stats, ep = self.block(e, False), _ENDPOINTS[e]
-            for c in _STAGES:
-                full, sub = (slot(c, pop, ep) for pop in Population)
+            stats = self.block(e, False)
+            for full, sub, joint in _SCORE_SLOTS[e]:
                 p_full, p_sub = stats[full][1], stats[sub][1]
                 scores[full], scores[sub] = normal_score(p_full), normal_score(p_sub)
-                scores[joint_slot(c, ep)] = normal_score(hochberg_intersection(p_full, p_sub))
+                scores[joint] = normal_score(hochberg_intersection(p_full, p_sub))
         return scores
 
     def _column(self, k: int) -> tuple:
         """Entry k of every slot's (z, p, events), with every block filled:
         each endpoint's stage-wise block, which fills its pooled pair too."""
-        if self._stats:
-            for e in range(len(_ENDPOINTS)):
-                self.block(e, False)
+        for e in range(len(_ENDPOINTS)):
+            self.block(e, False)
         return tuple(stat[k] for stat in self._stats)
 
     @property
@@ -537,10 +569,50 @@ class AnalysisSnapshot:
         """12 (q, clamped) pairs, `combine.normal_score` of each stage-wise
         p-value in `slot` order (entries 0-7), then of each stage's Hochberg
         intersection of F and S in `joint_slot` order (8-11)."""
-        if self._scores:
-            for e in range(len(_ENDPOINTS)):
-                self.endpoint_scores(e)
+        for e in range(len(_ENDPOINTS)):
+            self.endpoint_scores(e)
         return tuple(self._scores)
+
+
+class FutilitySnapshot:
+    """The futility gate's snapshot (`snapshot_at(..., with_hr=True)`): the
+    stage-1 PFS rows enrolled by the cutoff, censored, sorted and counted
+    once, F and S over (subgroup, arm) groups (`_slot_counts`).
+
+    `below(rule)` answers the gate, F's and S's stage-1 PFS hazard ratios
+    each below its threshold, by the sign of the population's score at log
+    theta (`_hr_below`), once per rule. The Cox hazard ratios themselves,
+    `hr_full` and `hr_sub` (`_breslow_hr`), are fitted on first read, which
+    a trace, a test or a script makes and the Monte Carlo does not. Both
+    are None where a population has no stage-1 PFS event. It computes no
+    logrank slot, so its slot tables are empty.
+    """
+
+    z = p = events = zero_event_slots = ()
+
+    def __init__(self, trial: TrialData, time: float, spec: ScenarioSpec):
+        stage1 = (trial.enroll_time < spec.stage1_cutoff) & (trial.enroll_time < time)
+        dur, st = _censor(trial, Endpoint.PFS, time, stage1)
+        counts, (f_end, s_end), _ = _slot_counts(dur, st, trial.group[stage1], _POOLED_PAIR)
+        self._counts = counts[:, :f_end], counts[:, f_end:s_end]
+        self._below: Dict[Tuple[float, float], Optional[Tuple[bool, bool]]] = {}
+
+    @cached_property
+    def hr_full(self) -> Optional[float]:
+        return _breslow_hr(self._counts[0])
+
+    @cached_property
+    def hr_sub(self) -> Optional[float]:
+        return _breslow_hr(self._counts[1])
+
+    def below(self, rule) -> Optional[Tuple[bool, bool]]:
+        """(HR(F) < rule.theta_full, HR(S) < rule.theta_sub), without a
+        fit; None where a population has no stage-1 PFS event."""
+        thetas = rule.theta_full, rule.theta_sub
+        if thetas not in self._below:
+            full, sub = map(_hr_below, self._counts, thetas)
+            self._below[thetas] = None if full is None or sub is None else (full, sub)
+        return self._below[thetas]
 
 
 # Cells are stage x subgroup: 0 stage-1 complement, 1 stage-1 subgroup,
@@ -580,23 +652,14 @@ _SLOTS = tuple((tuple(slot(c, pop, ep) for c in _STAGES for pop in Population),
 # and the futility gate's over its stage-1 rows.
 _SIX_SLOTS = np.repeat(np.array(_STAGE_CELLS + _POOLED_CELLS, dtype=bool), 2, axis=1)
 _POOLED_PAIR = np.repeat(np.array([(1, 1), (0, 1)], dtype=bool), 2, axis=1)
-
-
-def _stage1_hazard_ratios(trial: TrialData, time: float, stage1: np.ndarray):
-    """Stage-1 PFS Cox HRs at a cutoff, F then S; None where a population has
-    no event. `stage1` selects the stage-1 rows enrolled by the cutoff.
-
-    The rows are censored, sorted and counted slot by slot once
-    (`_slot_counts`, F and S over (subgroup, arm) groups), and each fit
-    reads its population's own columns: the counts `cox_hazard_ratio` gives
-    the population's sample alone."""
-    dur, st = _censor(trial, Endpoint.PFS, time, stage1)
-    counts, (f_end, s_end), _ = _slot_counts(dur, st, trial.group[stage1], _POOLED_PAIR)
-    return _breslow_hr(counts[:, :f_end]), _breslow_hr(counts[:, f_end:s_end])
+# Per endpoint and stage, the (F slot, S slot, Hochberg intersection) entries
+# of the score table that `endpoint_scores` fills.
+_SCORE_SLOTS = tuple(tuple((*(slot(c, pop, ep) for pop in Population), joint_slot(c, ep))
+                           for c in _STAGES) for ep in _ENDPOINTS)
 
 
 def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
-                with_hr: bool = False) -> AnalysisSnapshot:
+                with_hr: bool = False) -> Union[AnalysisSnapshot, FutilitySnapshot]:
     """Summaries of all 12 (cohort, population, endpoint) slots at a cutoff,
     computed on first read.
 
@@ -605,10 +668,11 @@ def snapshot_at(trial: TrialData, time: float, spec: ScenarioSpec,
     (F and S), by (cell, arm) for a stage-wise block (stage 1 and stage 2,
     F and S), which also fills the pooled pair.
 
-    With `with_hr` this is the futility gate's snapshot instead: it fits the
-    stage-1 PFS Cox hazard ratios of F and S, `hr_full` and `hr_sub`, from
-    one count of the stage-1 rows. Its slot tables are empty.
+    With `with_hr` this is the futility gate's snapshot instead
+    (`FutilitySnapshot`): one count of the stage-1 PFS rows, which answers
+    the gate by score sign and fits `hr_full` and `hr_sub` when they are
+    read. Its slot tables are empty.
     """
     if time < 0:
         raise ValueError("snapshot time must be nonnegative")
-    return AnalysisSnapshot(trial, time, spec, with_hr)
+    return FutilitySnapshot(trial, time, spec) if with_hr else AnalysisSnapshot(trial, time, spec)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from gatedgsd import simdata
 from gatedgsd.combine import normal_score
 from gatedgsd.config import build_designs, parse_config
-from gatedgsd.engine import MissingSlotError, run_design
-from gatedgsd.futility import select_population
+from gatedgsd.engine import MissingSlotError, decide_design, run_design
+from gatedgsd.futility import SELECTIONS, FutilityRule, select_population
 from gatedgsd.harness import replication_inputs
 from gatedgsd.multiplicity import Endpoint, Population, hochberg_intersection
 from gatedgsd.numerics import find_root, norm_cdf
@@ -839,3 +839,88 @@ def test_futility_gate_on_the_bundled_settings():
                     want = d.futility and select_population(fsnap.hr_full, fsnap.hr_sub,
                                                             d.futility)
                     assert run_design(d, snaps, fsnap).futility == want, (name, rep, d.label)
+
+
+# One event time's (control rows at risk, experimental rows at risk, control
+# events, experimental events), events no more than the rows at risk.
+EVENT_TIME = st.tuples(st.integers(0, 30), st.integers(0, 30)).flatmap(
+    lambda rows: st.tuples(st.just(rows[0]), st.just(rows[1]), st.integers(0, min(rows[0], 3)),
+                           st.integers(0, min(rows[1], 3))))
+
+
+def as_counts(times):
+    """`_slot_counts`' columns of one slot from its event times' rows and
+    events; times with no event are dropped."""
+    cols = [(c + x, x, dc + dx, dx) for c, x, dc, dx in times if dc + dx]
+    return np.array(cols, dtype=float).T.reshape(4, len(cols))
+
+
+# Limits of the likelihood: no experimental event while a control row is at
+# risk (HR 0), no control event while an experimental row is (HR inf), and no
+# event time with both arms at risk (flat, HR 1).
+HR_ZERO, HR_INF, HR_FLAT = [(5, 5, 2, 0), (3, 2, 1, 0)], [(5, 5, 0, 2), (0, 4, 0, 1)], \
+    [(4, 0, 2, 0), (0, 3, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(full=st.lists(EVENT_TIME, max_size=8), sub=st.lists(EVENT_TIME, max_size=8),
+       thetas=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+       near=st.tuples(st.booleans(), st.booleans()),
+       delta=st.tuples(*[st.floats(1e-11, 1e-9).flatmap(lambda x: st.sampled_from((x, -x)))] * 2))
+@example(full=HR_ZERO, sub=HR_INF, thetas=(1.0, 1.0), near=(False, False), delta=(0.0, 0.0))
+@example(full=HR_FLAT, sub=HR_FLAT, thetas=(1.0, 1.0), near=(False, False), delta=(0.0, 0.0))
+@example(full=HR_FLAT, sub=HR_ZERO, thetas=(1.5, 0.5), near=(False, False), delta=(0.0, 0.0))
+def test_futility_sign_matches_the_fitted_comparison(full, sub, thetas, near, delta):
+    """The futility snapshot's answers, the sign of each population's score
+    at log theta, select as `select_population` on the fitted hazard ratios
+    does. With `near`, theta sits within 1e-9 of the fitted root in log HR
+    (where the root is finite); a limit (0, inf, flat 1) is compared as it
+    is, and a population with no event has no answer."""
+    counts = as_counts(full), as_counts(sub)
+    hrs = [simdata._breslow_hr(c) for c in counts]
+    thetas = [hr * math.exp(dx) if close and hr is not None and 0.0 < hr < math.inf
+              and hr != 1.0 else theta for hr, theta, close, dx in zip(hrs, thetas, near, delta)]
+    snap = object.__new__(simdata.FutilitySnapshot)
+    snap._counts, snap._below = counts, {}
+    below = snap.below(FutilityRule(*thetas))
+    if None in hrs:
+        assert below is None
+    else:
+        assert SELECTIONS[below] is select_population(*hrs, FutilityRule(*thetas)).selection
+
+
+def test_monte_carlo_gate_fits_no_hazard_ratio(monkeypatch):
+    """`decide_design` answers the gate by score sign, without a Cox fit;
+    a trace (`run_design`) fits the two hazard ratios once per snapshot."""
+    fits = []
+    fit = simdata._breslow_hr
+    monkeypatch.setattr(simdata, "_breslow_hr", lambda counts: fits.append(1) or fit(counts))
+    cfg = parse_config(CONFIG_DIR / "setting2.yaml")
+    designs = build_designs(cfg)
+    for spec in (cfg.scenario, cfg.scenario.under_global_null()):
+        for rep in range(5):
+            snaps, fsnap = replication_inputs(spec, cfg.seed, rep)
+            for d in designs:
+                decide_design(d, snaps, fsnap)
+            assert not fits
+            for d in designs:
+                run_design(d, snaps, fsnap)
+            assert len(fits) == 2
+            fits.clear()
+
+
+@pytest.mark.parametrize("prevalence, time", [(0.0, 10.0), (0.5, 0.5)])
+def test_gate_without_a_stage1_event_raises(prevalence, time):
+    """A population with no stage-1 PFS event (S with no subgroup row, or
+    both before any event) has no hazard ratio and no answer, and a gated
+    arm raises `MissingSlotError`, simulated or traced."""
+    trial = random_trial(11, 60, prevalence, 0.5)
+    spec = toy_spec(stage1_cutoff=6.0)
+    fsnap = snapshot_at(trial, time, spec, with_hr=True)
+    design = gated_design("setting2")
+    assert fsnap.hr_sub is None and fsnap.below(design.futility) is None
+    snaps = [snapshot_at(trial, time, spec)] * design.n_analyses
+    for decide in (decide_design, run_design):
+        with pytest.raises(MissingSlotError, match=r"^stage-1 futility hazard ratios "
+                                                   r"\(HR\(F\), HR\(S\)\) are required$"):
+            decide(design, snaps, fsnap)
