@@ -1,19 +1,15 @@
 """End-of-stage-1 futility gate and population selection.
 
 A design's rule holds the hazard-ratio thresholds as given in its config.
-The gate asks one question per population, whether its stage-1 PFS hazard
-ratio is below its threshold, and `SELECTIONS` maps the two answers to the
-populations that continue. A simulated trial's futility snapshot answers by
-the sign of the Cox score at log theta, without fitting the ratio
-(`simdata.FutilitySnapshot.below`); given ratios, an observed trial's or a
-fitted one's, are compared by `below_thresholds`, and `select_population`
-returns the selection with the two ratios. Every gated arm of a simulated
-replication asks, and most stop there under the global null, so the answers
-are cached per snapshot and rule and the decision is a plain named tuple.
-`calibrate_threshold` derives a threshold from the large-sample normal
-model for the log hazard ratio, log(HR_hat) ~ N(log(true HR), 4 / events)
-under equal randomization, for choosing the thresholds beforehand
-(`gatedgsd thresholds`).
+The gate asks whether each population's stage-1 PFS hazard ratio is below
+its threshold, and `SELECTIONS` maps the two answers to the populations
+that continue. A simulated trial's futility snapshot answers by the sign of
+the Cox score at log theta, without a fit (`simdata.FutilitySnapshot`);
+given ratios are compared by `below_thresholds`, which `select_population`
+also uses. `calibrate_threshold` derives a threshold from the large-sample
+normal model for the log hazard ratio, log(HR_hat) ~ N(log(true HR),
+4 / events) under equal randomization, for choosing the thresholds
+beforehand (`gatedgsd thresholds`).
 """
 
 from __future__ import annotations

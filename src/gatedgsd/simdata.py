@@ -38,18 +38,14 @@ order. Reading a whole table fills every block. `logrank_test` is the same
 kernel with a single slot.
 
 The futility gate's snapshot (`FutilitySnapshot`) computes no slots. It
-counts its stage-1 PFS rows by (subgroup, arm) the same way, once. The gate
-needs only whether each population's Cox hazard ratio falls below its
-threshold theta, and the Breslow score U(beta) falls as beta grows, so
-HR < theta exactly when U(log theta) < 0: the snapshot answers by that sign,
-from the same per-slot counts a logrank reads, and the limits of a monotone
-or flat likelihood (HR 0, inf or 1) by comparing them with theta. The hazard
-ratios themselves are fitted only when read, by `_breslow_hr`, the one Cox
-fit, which `cox_hazard_ratio` runs on a single sample. The fit is exact
-about a monotone or flat likelihood, and brackets a finite root in an
-interval whose ends have known score signs, so it evaluates the score only
-inside; it returns no NaN, and like the counts, its bits do not depend on
-patient order.
+counts its stage-1 PFS rows by (subgroup, arm) the same way, once, and
+answers the gate from those counts by the sign of each population's Cox
+score at log theta (`_hr_below`); the hazard ratios are fitted only when
+read, by `_breslow_hr`, the one Cox fit, which `cox_hazard_ratio` runs on a
+single sample. The fit is exact about a monotone or flat likelihood, and
+brackets a finite root in an interval whose ends have known score signs,
+so it evaluates the score only inside; it returns no NaN, and like the
+counts, its bits do not depend on patient order.
 
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
@@ -576,17 +572,12 @@ class AnalysisSnapshot:
 
 class FutilitySnapshot:
     """The futility gate's snapshot (`snapshot_at(..., with_hr=True)`): the
-    stage-1 PFS rows enrolled by the cutoff, censored, sorted and counted
-    once, F and S over (subgroup, arm) groups (`_slot_counts`).
-
-    `below(rule)` answers the gate, F's and S's stage-1 PFS hazard ratios
-    each below its threshold, by the sign of the population's score at log
-    theta (`_hr_below`), once per rule. The Cox hazard ratios themselves,
-    `hr_full` and `hr_sub` (`_breslow_hr`), are fitted on first read, which
-    a trace, a test or a script makes and the Monte Carlo does not. Both
-    are None where a population has no stage-1 PFS event. It computes no
-    logrank slot, so its slot tables are empty.
-    """
+    stage-1 PFS rows enrolled by the cutoff, counted once, F and S over
+    (subgroup, arm) groups. `below(rule)` answers the gate by score sign,
+    once per rule; `hr_full` and `hr_sub` are fitted on first read, which a
+    trace, a test or a script makes and the Monte Carlo does not. Both are
+    None where a population has no stage-1 PFS event. Its slot tables are
+    empty."""
 
     z = p = events = zero_event_slots = ()
 
