@@ -3,8 +3,9 @@
 
 Shows, per design arm and hypothesis, the Z-scale critical value and its
 nominal one-sided p-value at each planned analysis, plus a three-route
-consistency check of the crossing probability (solver recursion,
-conditional-recursion integrator, library multivariate-normal CDF).
+consistency check of the crossing probability (solver recursion, and the
+conditional-recursion integrator and library multivariate-normal CDF of
+`tests/routes.py`).
 
 It then checks the solver's quadrature grids: for every boundary row the
 compiled plans of the bundled configs reach, and for three designs with
@@ -17,11 +18,15 @@ import pathlib
 import sys
 
 from gatedgsd import boundaries
-from gatedgsd.boundaries import compute_boundaries, crossing_probability, crossing_probability_mvn
+from gatedgsd.boundaries import compute_boundaries
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.multiplicity import HYPOTHESES
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))  # the second routes
+from routes import crossing_probability, crossing_probability_mvn, finer_grids  # noqa: E402
+
+CONFIGS = ROOT / "src" / "gatedgsd" / "configs"
 CLOSE_LOOKS = ((0.025, (0.5, 0.51, 1.0)), (0.025, (0.5, 0.5001, 1.0)),
                (0.0043, (0.0342, 0.2512, 0.5158, 0.5164, 1.0)))
 
@@ -40,9 +45,10 @@ def plan_rows():
 
 def grid_check(alpha, fractions):
     """Each look grid's node count, and the largest |dz| against grids with
-    four times the nodes."""
+    four times the nodes (`finer_grids`)."""
     z = compute_boundaries(alpha, fractions).z_bounds
-    fine = compute_boundaries(alpha, fractions, refine=4).z_bounds
+    with finer_grids():
+        fine = compute_boundaries(alpha, fractions).z_bounds
     nodes = [len(boundaries._look_grid(fractions, k, z[k] * math.sqrt(fractions[k])).points)
              for k in range(len(fractions) - 1)]
     return nodes, max(abs(a - b) for a, b in zip(z, fine))

@@ -16,18 +16,15 @@ probability's slope in the critical value is minus the statistic's
 sub-density f_k there, so each root is found by safeguarded Newton in a
 handful of evaluations. Every look after the first evaluates its search
 directly (`_excess`): at each iterate b it sums the increment's normal tail
-(`math.erfc`, mapped over the grid) and the normal density over its grid.
-So the solver needs no vectorised erfc, and nothing on the runtime path
-imports scipy.
+(`math.erfc`, mapped over the grid) and the normal density over its grid,
+so the solver needs no vectorised erfc.
 
 The look-to-look transitions take the sub-density at the next look's grid
 from one routine, `_density`. It builds exp(-u^2) with u the scaled node
 differences and applies the normal constant to the summed vector, not to
-the matrix; `_excess` does the same at its one point.
-`crossing_probability` keeps the exact-formula kernel `numerics.norm_kernel`,
-so that it stays an independent route. The two kernels round differently in
-the last bits, so boundary rows reproduce to 1e-10 in z (`find_root`'s
-bracket width), not bit for bit, across changes to the solver's arithmetic.
+the matrix; `_excess` does the same at its one point. Boundary rows
+reproduce to 1e-10 in z (`find_root`'s bracket width), not bit for bit,
+across changes to that arithmetic.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import (_INV_SQRT_2PI, _SQRT2, Grid, find_root, gauss_grid, norm_cdf, norm_kernel,
-                       norm_pdf, norm_quantile)
+from .numerics import (_INV_SQRT_2PI, _SQRT2, Grid, find_root, gauss_grid, norm_cdf, norm_pdf,
+                       norm_quantile)
 from .rules import ALPHA, POSITIVE, UNIT, refuse
 
 __all__ = [
@@ -48,8 +45,6 @@ __all__ = [
     "ldobf_spend",
     "BoundarySet",
     "compute_boundaries",
-    "crossing_probability",
-    "crossing_probability_mvn",
     "cached_boundaries",
 ]
 
@@ -66,10 +61,6 @@ _NODES_PER_SD = 3.0
 _GRID_FLOOR = 32
 _GRID_CAP = 1024
 _Z_CAP = 12.0  # saturate instead of chasing underflowing spends
-# The certifying routes: `crossing_probability`'s Z-scale grid and the
-# absolute error target of the multivariate-normal CDF.
-_CROSSING_NODES = 480
-_MVN_ABSEPS = 1e-8
 
 
 def ldobf_spend(alpha_total: float, t: float) -> float:
@@ -147,7 +138,7 @@ def _excess(points: np.ndarray, wd: np.ndarray, sigma: float, inc: float, b: flo
     return 0.5 * float(tail @ wd) - inc, -float(u @ wd) * (_INV_SQRT_2PI / sigma)
 
 
-def _look_grid(fr: Sequence[float], k: int, b: float, refine: int = 1) -> Grid:
+def _look_grid(fr: Sequence[float], k: int, b: float) -> Grid:
     """The Gauss-Legendre grid on [-6.5 sd_k, b] (b: look k's boundary on the
     S scale) that carries look k's continuation sub-density to look k + 1.
 
@@ -155,24 +146,16 @@ def _look_grid(fr: Sequence[float], k: int, b: float, refine: int = 1) -> Grid:
     (sd sigma_k, with sigma_1 = sd_1), and the next look integrates it against
     the increment kernel of sd sigma_{k+1}, so the node count follows the
     narrower of the two: n = ceil(3 width / min(sigma_k, sigma_{k+1})), clamped
-    to [32, 1024]. `refine` > 1 splits the range into that many equal panels
-    of n nodes each, a grid with `refine` times the nodes per sd that reuses
-    the n-node rule.
+    to [32, 1024].
     """
     t_prev = fr[k - 1] if k else 0.0
     sigma = math.sqrt(min(fr[k] - t_prev, fr[k + 1] - fr[k]))
     lo = -_GRID_SD * math.sqrt(fr[k])
     n = min(max(math.ceil(_NODES_PER_SD * (b - lo) / sigma), _GRID_FLOOR), _GRID_CAP)
-    if refine == 1:
-        return gauss_grid(lo, b, n)
-    edges = np.linspace(lo, b, refine + 1)
-    panels = [gauss_grid(p, q, n) for p, q in zip(edges[:-1], edges[1:])]
-    return Grid(points=np.concatenate([g.points for g in panels]),
-                weights=np.concatenate([g.weights for g in panels]))
+    return gauss_grid(lo, b, n)
 
 
-def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
-                       refine: int = 1) -> BoundarySet:
+def compute_boundaries(alpha_total: float, fractions: Sequence[float]) -> BoundarySet:
     """Solve the z-boundaries that realize `ldobf_spend`.
 
     Works on the S-scale (S_k = sqrt(t_k) Z_k has independent increments).
@@ -183,8 +166,7 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
     exactly. A later look sums its tail and slope over its grid at every
     iterate (`_excess`). The continuation sub-density is then advanced by
     convolution with the increment normal density, on a grid sized by
-    `_look_grid`; `refine` multiplies every grid's node count, to check that
-    the rows have converged.
+    `_look_grid`.
     """
     fr = tuple(float(t) for t in fractions)
     refuse((("fractions", fraction_problem(fr)),))
@@ -226,7 +208,7 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
                             tol=1e-10)
         z_bounds.append(b_k / sd_k)
         if k < len(fr) - 1:
-            new_grid = _look_grid(fr, k, b_k, refine)
+            new_grid = _look_grid(fr, k, b_k)
             if k == 0:
                 new_density = norm_pdf(new_grid.points / sd_k) / sd_k
             else:
@@ -235,55 +217,6 @@ def compute_boundaries(alpha_total: float, fractions: Sequence[float], *,
         spent_prev = spent
     nominal = tuple(1.0 - norm_cdf(c) for c in z_bounds)
     return BoundarySet(fractions=fr, z_bounds=tuple(z_bounds), nominal_p=nominal)
-
-
-def crossing_probability(bounds: BoundarySet) -> float:
-    """P(Z_k >= c_k for some k) under H0.
-
-    Forward pass written independently of compute_boundaries: it works on the
-    Z scale with the Markov conditional Z_{k+1} | Z_k = r z + s N(0,1),
-    r = sqrt(t_k / t_{k+1}), s = sqrt(1 - r^2), marching the continuation
-    density over a Gauss grid below each boundary. The boundary solver and
-    this integrator can therefore certify each other via round-trips.
-    """
-    fr = bounds.fractions
-    cb = [min(c, 38.0) for c in bounds.z_bounds]
-    if len(bounds) == 1:
-        return 1.0 - norm_cdf(cb[0])
-    lo = -9.0
-    grid = gauss_grid(lo, cb[0], _CROSSING_NODES)
-    density = norm_pdf(grid.points)
-    for k in range(1, len(bounds)):
-        r = math.sqrt(fr[k - 1] / fr[k])
-        s = math.sqrt(1.0 - r * r)
-        new_grid = gauss_grid(lo, cb[k], _CROSSING_NODES)
-        kernel = norm_kernel(new_grid.points, r * grid.points, s)
-        density = kernel @ (grid.weights * density)
-        grid = new_grid
-    return float(1.0 - np.sum(grid.weights * density))
-
-
-def crossing_probability_mvn(bounds: BoundarySet) -> float:
-    """Same quantity via the multivariate-normal CDF over the canonical
-    correlation Cov(Z_i, Z_j) = sqrt(t_i / t_j). Slow but a third,
-    library-backed route that certifies the other two, in the tests and in
-    `scripts/boundary_report.py`.
-
-    The only code in the package that uses scipy, which is therefore a
-    `test` extra, not a dependency: it is imported here, on call.
-    """
-    from scipy.stats import multivariate_normal
-
-    k = len(bounds)
-    if k == 1:
-        return 1.0 - norm_cdf(bounds.z_bounds[0])
-    fr = np.asarray(bounds.fractions)
-    cov = np.sqrt(np.minimum.outer(fr, fr) / np.maximum.outer(fr, fr))
-    upper = np.minimum(np.asarray(bounds.z_bounds), 38.0)
-    p_none = multivariate_normal.cdf(
-        upper, mean=np.zeros(k), cov=cov, allow_singular=True,
-        maxpts=2_000_000 * k, abseps=_MVN_ABSEPS, releps=0.0)
-    return float(1.0 - p_none)
 
 
 @lru_cache(maxsize=8192)

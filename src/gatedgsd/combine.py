@@ -3,8 +3,8 @@
 `normal_score` is the one clamp-then-Phi^-1 step. Each analysis snapshot
 fills its table of normal scores one endpoint at a time
 (`simdata.AnalysisSnapshot.endpoint_scores`; `.scores` is the whole
-table); the engine's wiring picks two per test, and its w1*q1 + w2*q2 on
-them is bit for bit `inverse_normal`.
+table); the engine's wiring picks two per test and combines them as
+w1*q1 + w2*q2.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .rules import NONNEGATIVE, SQUARE, sum_problem
 __all__ = [
     "StageWeights",
     "event_weights",
-    "inverse_normal",
     "normal_score",
     "P_CLAMP_EPS",
 ]
@@ -83,7 +82,3 @@ def normal_score(p: float) -> Tuple[float, bool]:
     p, clamped = clamp_p(p)
     return -norm_quantile(p), clamped
 
-
-def inverse_normal(p1: float, p2: float, w: StageWeights) -> float:
-    """Combined Z: w1 * Phi^-1(1 - p1) + w2 * Phi^-1(1 - p2)."""
-    return w.w1 * normal_score(p1)[0] + w.w2 * normal_score(p2)[0]

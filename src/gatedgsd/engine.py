@@ -41,8 +41,7 @@ A call does only the work that is new to its arm and data:
 - Shared normal scores. Every statistic an AD or gGSD arm combines is one
   of the 12 normal scores of the snapshot (`AnalysisSnapshot.scores`),
   shared by every arm and scenario; the plan picks two entries per target,
-  and each arm forms its own z = w1*q1 + w2*q2, bit for bit the value of
-  `combine.inverse_normal`.
+  and each arm forms its own inverse-normal z = w1*q1 + w2*q2.
 - One futility gate. Each gated arm asks the gate's two questions, is
   HR(F) below its threshold and is HR(S) below its own, and maps the answers
   to a selection by `futility.SELECTIONS`. The futility snapshot answers by
@@ -646,7 +645,7 @@ def _load_snapshot(dec: Decision, k: int, snapshots: Sequence[AnalysisSnapshot])
             (q1, clamped1), (q2, clamped2) = scores[j1], scores[j2]
             if clamped1 or clamped2:
                 dec.clamps.append((k, i))
-            # the arithmetic of combine.inverse_normal, on the shared scores
+            # the inverse-normal combination of the shared scores
             z[i].append((look, w1 * q1 + w2 * q2))
     return snap.calendar_time
 

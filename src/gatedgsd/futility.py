@@ -5,11 +5,10 @@ The gate asks whether each population's stage-1 PFS hazard ratio is below
 its threshold, and `SELECTIONS` maps the two answers to the populations
 that continue. A simulated trial's futility snapshot answers by the sign of
 the Cox score at log theta, without a fit (`simdata.FutilitySnapshot`);
-given ratios are compared by `below_thresholds`, which `select_population`
-also uses. `calibrate_threshold` derives a threshold from the large-sample
-normal model for the log hazard ratio, log(HR_hat) ~ N(log(true HR),
-4 / events) under equal randomization, for choosing the thresholds
-beforehand (`gatedgsd thresholds`).
+given ratios are compared by `below_thresholds`. `calibrate_threshold`
+derives a threshold from the large-sample normal model for the log hazard
+ratio, log(HR_hat) ~ N(log(true HR), 4 / events) under equal randomization,
+for choosing the thresholds beforehand (`gatedgsd thresholds`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .numerics import norm_quantile
 from .rules import GATE_EVENTS, POSITIVE, PROBABILITY, refuse
 
 __all__ = ["FutilityRule", "Selection", "SelectionDecision", "SELECTIONS", "below_thresholds",
-           "calibrate_threshold", "select_population"]
+           "calibrate_threshold"]
 
 
 def calibrate_threshold(true_hr: float, events: int, gamma: float) -> float:
@@ -76,8 +75,3 @@ def below_thresholds(hr_full: float, hr_sub: float, rule: FutilityRule) -> Tuple
         raise ValueError(f"hazard ratios must be nonnegative numbers, got {hr_full}, {hr_sub}")
     return hr_full < rule.theta_full, hr_sub < rule.theta_sub
 
-
-def select_population(hr_full: float, hr_sub: float, rule: FutilityRule) -> SelectionDecision:
-    """Population-selection decision from the stage-1 PFS HRs, by
-    `below_thresholds` and `SELECTIONS`."""
-    return SelectionDecision(SELECTIONS[below_thresholds(hr_full, hr_sub, rule)], hr_full, hr_sub)

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Grid", "gauss_grid", "norm_cdf", "norm_pdf", "norm_kernel", "norm_quantile",
-           "find_root", "BracketError"]
+__all__ = ["Grid", "gauss_grid", "norm_cdf", "norm_pdf", "norm_quantile", "find_root",
+           "BracketError"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -89,26 +89,6 @@ def norm_cdf(x: float) -> float:
 
 def norm_pdf(x):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
-
-
-def norm_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
-    """The matrix phi((x_i - y_j) / sigma) / sigma, built in one buffer.
-
-    In-place ufuncs perform the same IEEE operations in the same order as
-    `norm_pdf((x[:, None] - y[None, :]) / sigma) / sigma`, so the result is
-    bit-identical to it without the temporaries. It is the kernel of the
-    certifying route `boundaries.crossing_probability`; the boundary solver
-    sums the same kernel with its own, cheaper arithmetic
-    (`boundaries._density`), so the two routes do not share their rounding.
-    """
-    k = np.subtract.outer(x, y)
-    k /= sigma
-    np.square(k, out=k)
-    k *= -0.5
-    np.exp(k, out=k)
-    k *= _INV_SQRT_2PI
-    k /= sigma
-    return k
 
 
 # Coefficients of Acklam's rational approximation to the normal quantile.

@@ -34,18 +34,16 @@ replication counts each sample once. The counts depend only on the rows,
 not on the order of tied ones, so the sort need not be stable. They are
 exact integers, and each slot's sums are the same additions in the same
 order whichever call fills it, so every slot has the same bits in any read
-order. Reading a whole table fills every block. `logrank_test` is the same
-kernel with a single slot.
+order. Reading a whole table fills every block.
 
 The futility gate's snapshot (`FutilitySnapshot`) computes no slots. It
 counts its stage-1 PFS rows by (subgroup, arm) the same way, once, and
 answers the gate from those counts by the sign of each population's Cox
 score at log theta (`_hr_below`); the hazard ratios are fitted only when
-read, by `_breslow_hr`, the one Cox fit, which `cox_hazard_ratio` runs on a
-single sample. The fit is exact about a monotone or flat likelihood, and
-brackets a finite root in an interval whose ends have known score signs,
-so it evaluates the score only inside; it returns no NaN, and like the
-counts, its bits do not depend on patient order.
+read, by `_breslow_hr`, the one Cox fit. The fit is exact about a monotone
+or flat likelihood, and brackets a finite root in an interval whose ends
+have known score signs, so it evaluates the score only inside; it returns
+no NaN, and like the counts, its bits do not depend on patient order.
 
 `AnalysisSnapshot.scores` is the normal-score table the gated designs
 combine: `combine.normal_score` of the eight stage-wise slots, then of each
@@ -80,8 +78,6 @@ __all__ = [
     "snapshot_at",
     "slot",
     "joint_slot",
-    "logrank_test",
-    "cox_hazard_ratio",
 ]
 
 LN2 = math.log(2.0)
@@ -231,8 +227,8 @@ def generate_trial(spec: ScenarioSpec, seed) -> TrialData:
         hr = (spec.hr_complement[ep], spec.hr_sub[ep])
         hazard = np.array([b * h for b, hr_b in zip(base, hr) for h in (1.0, hr_b)])
         trial.event_time[ep] = rng.exponential(1.0, size=n) / hazard[trial.group]
-        rate = spec.annual_dropout[ep]  # per year; mu is the monthly hazard
-        mu = -math.log(1.0 - rate) / 12.0 if rate > 0 else 0.0
+        # the monthly hazard of the annual rate; not positive at rate 0
+        mu = -math.log(1.0 - spec.annual_dropout[ep]) / 12.0
         if mu > 0:
             trial.dropout_time[ep] = rng.exponential(1.0 / mu, size=n)
         else:
@@ -261,7 +257,7 @@ def schedule_analyses(trial: TrialData, spec: ScenarioSpec) -> List[float]:
                 f"analysis {k + 1} needs {tr.events} {tr.endpoint.value} events; "
                 f"only {len(avail)} ever occur"
             )
-        t = float(avail[tr.events - 1]) if tr.events >= 1 else 0.0
+        t = float(avail[tr.events - 1])
         if times and t < times[-1]:
             t = times[-1]
         times.append(t)
@@ -356,35 +352,6 @@ def _logrank_slots(counts: np.ndarray, ends: List[int],
         z = -u / math.sqrt(v)  # fewer experimental events than expected => z > 0
         out.append((z, 1.0 - norm_cdf(z), n_ev))
     return out
-
-
-def _one_slot(duration: np.ndarray, status: np.ndarray, experimental: np.ndarray):
-    """`_slot_counts` of one sample as a single slot: F over (subgroup, arm)
-    groups with every row in the complement."""
-    return _slot_counts(duration, status.astype(bool), experimental.astype(np.intp),
-                        _POOLED_PAIR[:1])
-
-
-def logrank_test(duration: np.ndarray, status: np.ndarray, experimental: np.ndarray):
-    """One-sided logrank test; Z > 0 favors the experimental arm.
-
-    Returns (z, one_sided_p, events). A stratum with no events, or with
-    one arm only, carries no evidence: (0, 1, events).
-    """
-    return _logrank_slots(*_one_slot(duration, status, experimental))[0]
-
-
-def cox_hazard_ratio(duration: np.ndarray, status: np.ndarray,
-                     experimental: np.ndarray) -> float:
-    """Cox partial-likelihood HR for a single treatment indicator, by
-    `_breslow_hr` on the sample's counts at its distinct event times.
-
-    Raises ValueError when there is no event.
-    """
-    hr = _breslow_hr(_one_slot(duration, status, experimental)[0])
-    if hr is None:
-        raise ValueError("no events: hazard ratio is not estimable")
-    return hr
 
 
 def _breslow_score(counts: np.ndarray):

@@ -23,19 +23,16 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gatedgsd.boundaries import (
-    compute_boundaries,
-    crossing_probability,
-    crossing_probability_mvn,
-)
+from gatedgsd.boundaries import compute_boundaries
 from gatedgsd.cli import main as cli_main
-from gatedgsd.combine import StageWeights, inverse_normal
+from gatedgsd.combine import StageWeights
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import DesignKind, run_design
 from gatedgsd.futility import Selection, calibrate_threshold
 from gatedgsd.harness import rows_to_csv, run_monte_carlo, simulation_tables
 from gatedgsd.multiplicity import Population, hochberg_intersection
-from gatedgsd.simdata import generate_trial, logrank_test, schedule_analyses, snapshot_at
+from gatedgsd.simdata import generate_trial, schedule_analyses, snapshot_at
+from routes import crossing_probability, crossing_probability_mvn, inverse_normal, logrank_test
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "src" / "gatedgsd" / "configs"

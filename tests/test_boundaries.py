@@ -2,11 +2,13 @@
 
 The critical values are certified through three independent routes: the
 sub-density solver under test, a separately coded conditional-recursion
-integrator (`crossing_probability`), and scipy's multivariate-normal CDF
-(`crossing_probability_mvn`). Frozen reference values below were produced
-by a fine-grid trapezoid oracle coded from scratch before this module.
+integrator (`routes.crossing_probability`), and scipy's multivariate-normal
+CDF (`routes.crossing_probability_mvn`). Frozen reference values below were
+produced by a fine-grid trapezoid oracle coded from scratch before this
+module.
 """
 
+import ast
 import math
 import os
 import subprocess
@@ -25,12 +27,11 @@ from gatedgsd.boundaries import (
     BoundarySet,
     cached_boundaries,
     compute_boundaries,
-    crossing_probability,
-    crossing_probability_mvn,
     ldobf_spend,
 )
 from gatedgsd.config import build_designs, parse_config
-from gatedgsd.numerics import BracketError, norm_cdf, norm_kernel, norm_pdf
+from gatedgsd.numerics import BracketError, norm_cdf, norm_pdf
+from routes import crossing_probability, crossing_probability_mvn, finer_grids, norm_kernel
 
 CONFIG_DIR = Path(gatedgsd.__file__).resolve().parent / "configs"
 
@@ -191,7 +192,7 @@ def test_newton_evaluations_per_look(monkeypatch):
 
 
 def test_density_matches_exact_kernel(monkeypatch):
-    """The solver's `_density` rounds differently from `numerics.norm_kernel`
+    """The solver's `_density` rounds differently from `routes.norm_kernel`
     (the constant goes on the summed vector, 1/sigma inside the square), but
     at every look transition of the bundled plan rows it agrees with
     `norm_kernel(x, y, sigma) @ wd` to 1e-13 relative; the largest difference
@@ -206,8 +207,8 @@ def test_density_matches_exact_kernel(monkeypatch):
         sizes.append(len(x))
         return got
 
-    def sized(fr, k, b, refine=1):
-        grid = look_grid(fr, k, b, refine)
+    def sized(fr, k, b):
+        grid = look_grid(fr, k, b)
         if k > 0:  # the first look's density is the normal pdf, not a `_density` sum
             grid_sizes.append(len(grid.points))
         return grid
@@ -229,16 +230,34 @@ CLOSE_LOOKS = ((0.025, (0.5, 0.51, 1.0)), (0.025, (0.5, 0.5001, 1.0)),
 
 
 def test_rows_converged_in_the_grid(monkeypatch):
-    """Quadrupling every look grid's nodes moves no critical value of the
-    bundled plan rows or of the close-look designs by more than 2e-10 in z,
-    about the root search's tolerance. The fixed 320-node grid the solver
-    used before fails this: quadrupling it moves (0.5, 0.5001, 1.0) by 0.024
-    and the five-look design by 1.7e-6."""
+    """Quadrupling every look grid's nodes (`routes.finer_grids`) moves no
+    critical value of the bundled plan rows or of the close-look designs by
+    more than 2e-10 in z, about the root search's tolerance. The fixed
+    320-node grid the solver used before fails this: quadrupling it moves
+    (0.5, 0.5001, 1.0) by 0.024 and the five-look design by 1.7e-6."""
     rows = plan_rows(monkeypatch, [p.stem for p in sorted(CONFIG_DIR.glob("*.yaml"))])
     for alpha, fractions in rows + list(CLOSE_LOOKS):
         got = compute_boundaries(alpha, fractions).z_bounds
-        fine = compute_boundaries(alpha, fractions, refine=4).z_bounds
+        with finer_grids():
+            fine = compute_boundaries(alpha, fractions).z_bounds
         assert max(abs(a - b) for a, b in zip(got, fine)) <= 2e-10, (alpha, fractions)
+
+
+def test_finer_grids_quadruples_the_look_grids_and_restores_them():
+    """Off the node floor and cap, a look grid under `finer_grids` has four
+    times the nodes, up to the rounding up of each count; on leaving the
+    block, by an exception too, the solver's constants are as before."""
+    fr, b = (0.5, 0.6, 1.0), 2.09
+    constants = boundaries._NODES_PER_SD, boundaries._GRID_FLOOR, boundaries._GRID_CAP
+    coarse = len(boundaries._look_grid(fr, 0, b).points)
+    with finer_grids():
+        fine = len(boundaries._look_grid(fr, 0, b).points)
+    assert boundaries._GRID_FLOOR < coarse < boundaries._GRID_CAP
+    assert 4 * coarse - 3 <= fine <= 4 * coarse
+    with pytest.raises(RuntimeError), finer_grids():
+        raise RuntimeError
+    assert len(boundaries._look_grid(fr, 0, b).points) == coarse
+    assert (boundaries._NODES_PER_SD, boundaries._GRID_FLOOR, boundaries._GRID_CAP) == constants
 
 
 # The fraction sets the three crossing-probability routes are compared on.
@@ -316,7 +335,7 @@ def direct_sum_boundaries(alpha_total, fractions):
     the comparison allows."""
     from scipy.special import erfc
 
-    from gatedgsd.numerics import find_root, norm_kernel, norm_quantile
+    from gatedgsd.numerics import find_root, norm_quantile
 
     fr = tuple(fractions)
     spent_prev, grid, density, z_bounds = 0.0, None, None, []
@@ -435,8 +454,8 @@ def test_round_trip_property(alpha, t1, t2):
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    """Only the certifying MVN route needs scipy: importing the package and
-    the command line, and solving a setting's boundaries, load none of it."""
+    """The package needs only numpy and PyYAML: importing the package and
+    the command line, and solving a setting's boundaries, load no scipy."""
     env = dict(os.environ)
     src = str(Path(gatedgsd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -453,3 +472,20 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.strip().splitlines()[-2:] == ["False", "0 False"]
     assert any(tmp_path.iterdir())
+
+
+def test_no_package_module_imports_scipy():
+    """No module of the package imports scipy, at module level or inside a
+    function: only the tests' second routes (`routes.py`) use it."""
+    package = Path(gatedgsd.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), path.name

@@ -8,7 +8,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedgsd.combine import StageWeights, clamp_p, event_weights, inverse_normal
+from gatedgsd.combine import StageWeights, clamp_p, event_weights
+from routes import inverse_normal
 
 
 HALF = StageWeights(math.sqrt(0.5), math.sqrt(0.5))

@@ -24,13 +24,14 @@ from gatedgsd.engine import (
     render_narrative,
     run_design,
 )
-from gatedgsd.combine import event_weights, inverse_normal
+from gatedgsd.combine import event_weights
 from gatedgsd.futility import Selection
 from gatedgsd.harness import replication_inputs, run_monte_carlo
 from gatedgsd.multiplicity import (H_F_OS, H_F_PFS, H_S_OS, H_S_PFS, Endpoint, Population,
                                    hochberg_intersection)
 from gatedgsd.numerics import norm_cdf, norm_quantile
 from gatedgsd.simdata import generate_trial, schedule_analyses, slot, snapshot_at
+from routes import inverse_normal
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
 # The futility gate's selections that continue into stage 2.
@@ -484,7 +485,7 @@ def _wiring(selection, ep, p):
                          ids=lambda s: f"Scenario.{engine._SCENARIO_NAMES[s].upper()}")
 def test_scores_follow_the_wiring(setting2, designs2, selection, ep):
     # Every arm's combined z, w1*q1 + w2*q2 on the shared scores, is bit for
-    # bit combine.inverse_normal of the wired stage-wise p-values.
+    # bit routes.inverse_normal of the wired stage-wise p-values.
     weights = {w for d in designs2.values() for w in (d.weights or {}).get(ep, ())}
     assert weights
     snaps, _ = replication_inputs(setting2.scenario, setting2.seed, 0)
@@ -533,7 +534,7 @@ class _NoFullEvents(_SnapshotProxy):
 def test_event_driven_weights_are_event_weights(setting2, designs2):
     # An event-driven arm weighs the stages by the full population's
     # stage-wise event counts of the endpoint: every z it records is bit for
-    # bit combine.inverse_normal of the wired p-values with
+    # bit routes.inverse_normal of the wired p-values with
     # combine.event_weights of those counts. Snapshots that report no such
     # event take weights (1, 0), so each z is the stage-1 score.
     arms = [d for d in designs2.values() if d.kind is not DesignKind.GSD and d.weights is None]

@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedgsd.futility import (
-    FutilityRule,
-    Selection,
-    calibrate_threshold,
-    select_population,
-)
+from gatedgsd.futility import FutilityRule, Selection, calibrate_threshold
+from routes import select_population
 
 # Frozen values: theta = hr * exp(z_{1-gamma} * 2 / sqrt(events)), gamma = 0.05.
 FROZEN = [

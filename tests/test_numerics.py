@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import gatedgsd
 from gatedgsd.boundaries import compute_boundaries
-from gatedgsd.numerics import (BracketError, _leggauss, find_root, gauss_grid, norm_cdf, norm_kernel,
-                               norm_pdf, norm_quantile)
+from gatedgsd.numerics import (BracketError, _leggauss, find_root, gauss_grid, norm_cdf, norm_pdf,
+                               norm_quantile)
+from routes import norm_kernel
 
 # The solver's look grids take 32-1024 nodes (59-93 for the bundled rows),
 # and the certifying route 480.

@@ -89,3 +89,10 @@ def test_layer_probe_small(capsys):
     for row in rows:
         *layers, total = map(float, row.split()[2:])
         assert all(ms > 0.0 for ms in layers) and total == pytest.approx(sum(layers), abs=5e-3)
+
+
+def test_boundary_report_grid_check():
+    report = _load(next(p for p in SCRIPTS if p.name == "boundary_report.py"))
+    nodes, dz = report.grid_check(0.025, (0.5, 0.51, 1.0))
+    assert len(nodes) == 2 and all(32 <= n <= 1024 for n in nodes)
+    assert dz <= 2e-10

@@ -14,7 +14,7 @@ from gatedgsd import simdata
 from gatedgsd.combine import normal_score
 from gatedgsd.config import build_designs, parse_config
 from gatedgsd.engine import MissingSlotError, decide_design, run_design
-from gatedgsd.futility import SELECTIONS, FutilityRule, select_population
+from gatedgsd.futility import SELECTIONS, FutilityRule
 from gatedgsd.harness import replication_inputs
 from gatedgsd.multiplicity import Endpoint, Population, hochberg_intersection
 from gatedgsd.numerics import find_root, norm_cdf
@@ -26,14 +26,13 @@ from gatedgsd.simdata import (
     _censor,
     _logrank_slots,
     _slot_counts,
-    cox_hazard_ratio,
     generate_trial,
     joint_slot,
-    logrank_test,
     schedule_analyses,
     slot,
     snapshot_at,
 )
+from routes import cox_hazard_ratio, logrank_test, select_population
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "gatedgsd" / "configs"
 
